@@ -5,9 +5,11 @@ Commands: ``synth``, ``train``, ``eval``, ``ablate``, ``predict``.
 Settings may also come from a config file (``--config``, INI-style
 ``key = value`` sections): key ``section.name`` is the flag ``--name``
 (``data.dir`` is ``--data``), checked like the flag, and command line flags
-override it.  Each command reads only the sections it uses, and ``seed``
-only from its own (``synth``, ``train`` or ``protocol``).  Settings not given
-take the defaults of the config dataclasses.
+override it.  Each settings flag records its key as it is added, and a
+command reads exactly the keys of its own settings flags: another command's
+key is skipped (``seed`` is read only from the command's own section,
+``synth``, ``train`` or ``protocol``), and a key that no command has is a
+usage error.  Settings not given take the defaults of the config dataclasses.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -51,98 +53,108 @@ def _int_at_least(low: int):
 
 
 # Each setting's flag stores under its dataclass field name, with no argparse
-# default: the dataclass supplies every default (see ``_config``).
+# default: the dataclass supplies every default (see ``_config``).  A config
+# file holds the setting as key ``section.name``, recorded on the flag.
 
 
-def _add_common(p):
+def _settings(p, section: str):
+    """``p.add_argument`` for settings flags, each also config key ``section.name``:
+    ``key``, or else the flag's name with underscores for dashes."""
+    def add(flag, key=None, **kw):
+        action = p.add_argument(flag, **kw)
+        action.config_key = f"{section}.{key or flag[2:].replace('-', '_')}"
+    return add
+
+
+def _add_common(p, section: str):
     p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--seed", type=_int_at_least(0))
+    _settings(p, section)("--seed", type=_int_at_least(0))
 
 
 def _add_synth(p):
-    g = p.add_argument_group("synthetic data (with --data synthetic)")
-    g.add_argument("--scenes", dest="n_scenes", type=int)
-    g.add_argument("--peds", dest="peds_per_scene", type=int)
-    g.add_argument("--frames", type=int)
-    g.add_argument("--speed-min", type=float)
-    g.add_argument("--speed-max", type=float)
-    g.add_argument("--turn-noise", type=float)
-    g.add_argument("--repulsion", dest="repulsion_gain", type=float)
-    g.add_argument("--box", type=float, help="scene box size, meters")
+    add = _settings(p.add_argument_group("synthetic data (with --data synthetic)"), "synth")
+    add("--scenes", dest="n_scenes", type=int)
+    add("--peds", dest="peds_per_scene", type=int)
+    add("--frames", type=int)
+    add("--speed-min", type=float)
+    add("--speed-max", type=float)
+    add("--turn-noise", type=float)
+    add("--repulsion", dest="repulsion_gain", type=float)
+    add("--box", type=float, help="scene box size, meters")
 
 
 def _add_data(p, test_scene_help):
-    p.add_argument("--data", help="benchmark data directory or 'synthetic'"
-                                  f" (default ${ENV_DATA_DIR})")
-    p.add_argument("--test-scene", help=test_scene_help)
-    p.add_argument("--stride", type=_int_at_least(1))
+    add = _settings(p, "data")
+    add("--data", key="dir",
+        help=f"benchmark data directory or 'synthetic' (default ${ENV_DATA_DIR})")
+    add("--test-scene", help=test_scene_help)
+    add("--stride", type=_int_at_least(1))
 
 
 def _add_protocol(p):
-    p.add_argument("--strategy", dest="kind", choices=("A", "B", "C"))
-    p.add_argument("--r1", type=int, help="reverse runs (strategy A)")
-    p.add_argument("--r2", type=int, help="Gaussian draws (strategy A)")
-    p.add_argument("--r", type=int, help="runs/draws (strategies B, C)")
-    p.add_argument("--pool-means", dest="pool_run_means", action="store_true",
-                   default=None,
-                   help="strategy A: keep every run's mean trajectory as a candidate")
-    p.add_argument("--selection", choices=inference.SELECTIONS)
-    p.add_argument("--steps", type=int,
-                   help="execution steps S (must not exceed the checkpoint's K)")
+    add = _settings(p, "protocol")
+    add("--strategy", dest="kind", choices=("A", "B", "C"))
+    add("--r1", type=int, help="reverse runs (strategy A)")
+    add("--r2", type=int, help="Gaussian draws (strategy A)")
+    add("--r", type=int, help="runs/draws (strategies B, C)")
+    add("--pool-means", dest="pool_run_means", action="store_true", default=None,
+        help="strategy A: keep every run's mean trajectory as a candidate")
+    add("--selection", choices=inference.SELECTIONS)
+    add("--steps", type=int, help="execution steps S (must not exceed the checkpoint's K)")
+    add("--gamma-mode", choices=GAMMA_MODES,
+        help="the reverse chain's per-step noise (default deterministic)")
 
 
 @functools.cache
 def build_parser() -> _Parser:
-    """Built once per process: parsing leaves the parser as it was."""
+    """Built once per process: parsing leaves the parser as it was.  Its
+    ``commands`` map each command to its subparser."""
     parser = _Parser(prog="trajdiff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("synth", help="emit synthetic benchmark-format scene files")
-    _add_common(p)
+    _add_common(p, "synth")
     _add_synth(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + log")
-    _add_common(p)
+    _add_common(p, "train")
     _add_synth(p)
     _add_data(p, "scene held out from training")
     p.add_argument("--out", default="runs")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", dest="batch_size", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--lambda1", dest="lambda_diffusion", type=float,
-                   help="diffusion loss weight")
-    p.add_argument("--lambda2", dest="lambda_likelihood", type=float,
-                   help="likelihood loss weight")
-    p.add_argument("--lambda3", dest="lambda_consistency", type=float,
-                   help="consistency loss weight")
-    p.add_argument("--k", dest="k_total", type=int, help="total Markovian steps K")
-    p.add_argument("--steps", type=int, help="execution steps S")
-    p.add_argument("--beta-start", type=float)
-    p.add_argument("--beta-end", type=float)
-    p.add_argument("--gamma-mode", choices=GAMMA_MODES)
-    p.add_argument("--channels", dest="conv_channels", type=int)
-    p.add_argument("--width", dest="denoiser_width", type=int)
-    p.add_argument("--blocks", dest="denoiser_blocks", type=int)
-    p.add_argument("--d-phi", type=int)
-    p.add_argument("--d-psi", type=int)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--denoiser-boost", type=int,
-                   help="extra denoiser-only updates per joint step")
+    train, model = _settings(p, "train"), _settings(p, "model")
+    train("--epochs", type=int)
+    train("--batch", dest="batch_size", type=int)
+    train("--lr", dest="learning_rate", type=float)
+    train("--lambda1", dest="lambda_diffusion", type=float, help="diffusion loss weight")
+    train("--lambda2", dest="lambda_likelihood", type=float,
+          help="likelihood loss weight")
+    train("--lambda3", dest="lambda_consistency", type=float,
+          help="consistency loss weight")
+    model("--k", dest="k_total", type=int, help="total Markovian steps K")
+    model("--steps", type=int, help="execution steps S")
+    model("--beta-start", type=float)
+    model("--beta-end", type=float)
+    model("--channels", dest="conv_channels", type=int)
+    model("--width", dest="denoiser_width", type=int)
+    model("--blocks", dest="denoiser_blocks", type=int)
+    model("--d-phi", type=int)
+    model("--d-psi", type=int)
+    train("--checkpoint-every", type=int)
+    train("--denoiser-boost", type=int, help="extra denoiser-only updates per joint step")
     p.add_argument("--resume", help="checkpoint to resume from")
 
     p = sub.add_parser("eval", help="Best-of-N ADE/FDE on a held-out scene")
-    _add_common(p)
+    _add_common(p, "protocol")
     _add_synth(p)
     _add_protocol(p)
     _add_data(p, "evaluate this scene only")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", help="metrics CSV path")
-    p.add_argument("--gamma-mode", choices=GAMMA_MODES,
-                   help="override the checkpoint's chain mode")
 
     p = sub.add_parser("ablate", help="sweep steps, sampling strategies or gamma")
-    _add_common(p)
+    _add_common(p, "protocol")
     _add_synth(p)
     _add_protocol(p)
     _add_data(p, "evaluate this scene only")
@@ -151,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("predict", help="export candidate trajectories for one file")
-    _add_common(p)
+    _add_common(p, "protocol")
     _add_protocol(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="benchmark-format text file")
@@ -163,37 +175,17 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # Config file handling
 
-# The documented schema.  Key ``section.name`` is the flag ``--name`` (dashes
-# for underscores); ``data.dir`` is ``--data``.
-KNOWN_CONFIG_KEYS = {
-    "data.dir", "data.test_scene", "data.stride",
-    "synth.scenes", "synth.peds", "synth.frames", "synth.speed_min",
-    "synth.speed_max", "synth.turn_noise", "synth.repulsion", "synth.seed",
-    "synth.box",
-    "model.channels", "model.d_phi", "model.d_psi", "model.width",
-    "model.blocks", "model.k", "model.steps", "model.beta_start",
-    "model.beta_end", "model.gamma_mode",
-    "train.lambda1", "train.lambda2", "train.lambda3", "train.lr",
-    "train.batch", "train.epochs", "train.seed", "train.checkpoint_every",
-    "train.denoiser_boost",
-    "protocol.strategy", "protocol.r1", "protocol.r2", "protocol.r",
-    "protocol.pool_means", "protocol.selection", "protocol.steps",
-    "protocol.seed",
-}
 
-# The sections each command reads.  The first is the command's own: its
-# ``seed`` is the only one the command reads.
-_CONFIG_SECTIONS = {
-    "synth": ("synth",),
-    "train": ("train", "data", "synth", "model"),
-    "eval": ("protocol", "data", "synth"),
-    "ablate": ("protocol", "data", "synth"),
-    "predict": ("protocol",),
-}
+def _config_keys(parser) -> dict[str, dict[str, argparse.Action]]:
+    """Each command's settings flags by config key."""
+    return {command: {a.config_key: a for a in p._actions if hasattr(a, "config_key")}
+            for command, p in parser.commands.items()}
 
 
 def _config_flags(path, command: str) -> list[str]:
-    """The settings ``command`` reads from the INI file ``path``, as flags."""
+    """The settings ``command`` reads from the INI file ``path``, as flags:
+    the keys of its own settings flags.  Other commands' keys are skipped,
+    and a key that no command has is a usage error."""
     cp = configparser.ConfigParser()
     try:
         if not cp.read(path):
@@ -201,22 +193,23 @@ def _config_flags(path, command: str) -> list[str]:
         items = [(s, k, v) for s in cp.sections() for k, v in cp.items(s)]
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}") from None
-    own, *others = _CONFIG_SECTIONS[command]
+    keys = _config_keys(build_parser())
     flags = []
     for section, key, value in items:
         name = f"{section}.{key}"
-        if name not in KNOWN_CONFIG_KEYS:
+        if not any(name in own for own in keys.values()):
             raise UsageError(f"unknown config key {name!r} in {path}")
-        if section != own and (section not in others or key == "seed"):
+        action = keys[command].get(name)
+        if action is None:
             continue
-        if name == "protocol.pool_means":
+        flag = action.option_strings[0]
+        if action.nargs == 0:           # a switch: true gives the flag
             try:
-                flags += ["--pool-means"] if cp.getboolean(section, key) else []
+                flags += [flag] if cp.getboolean(section, key) else []
             except ValueError as exc:
                 raise UsageError(f"config key {name} in {path}: {exc}") from None
         else:
-            flag = "data" if name == "data.dir" else key.replace("_", "-")
-            flags.append(f"--{flag}={value}")
+            flags.append(f"{flag}={value}")
     return flags
 
 
@@ -318,12 +311,12 @@ def _protocol(args, mdl: Model) -> inference.EvalProtocol:
     return replace(_config(args, inference.EvalProtocol), strategy=strategy)
 
 
-def _protocol_desc(protocol: inference.EvalProtocol, gamma_mode: str) -> str:
+def _protocol_desc(protocol: inference.EvalProtocol) -> str:
     s = protocol.strategy
     counts = f"r1={s.r1} r2={s.r2}" if s.kind == "A" else f"r={s.r}"
     return (f"strategy={s.kind} {counts} pool_means={s.pool_run_means} "
             f"selection={protocol.selection} steps={protocol.steps} "
-            f"gamma={gamma_mode}")
+            f"gamma={protocol.gamma_mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +357,6 @@ def _load_model(args) -> tuple[Model, str]:
     """The checkpoint's model and the hash of the bytes it was read from."""
     meta, arrays, ckpt_hash = checkpoint.load_container(args.checkpoint)
     mdl, _meta, _rest = Model.from_container(meta, arrays, args.checkpoint)
-    gamma_mode = getattr(args, "gamma_mode", None)
-    if gamma_mode is not None:
-        mdl = Model(replace(mdl.config, gamma_mode=gamma_mode), mdl.params, mdl.norm)
     return mdl, ckpt_hash
 
 
@@ -376,7 +366,7 @@ def cmd_eval(args) -> int:
     report = inference.evaluate_scenes(mdl, _scene_windows(args, mdl.config, True),
                                        protocol)
 
-    desc = _protocol_desc(protocol, mdl.schedule.gamma_mode)
+    desc = _protocol_desc(protocol)
     print(f"{'scene':<12} {'ADE/FDE':>14} {'windows':>8} {'peds':>6}")
     rows = []
     for scene, r in report["scenes"].items():
@@ -405,25 +395,18 @@ def cmd_ablate(args) -> int:
     protocol = _protocol(args, mdl)
     windows = [w for ws in _scene_windows(args, mdl.config, True).values()
                for w in ws]
-    desc = _protocol_desc(protocol, mdl.schedule.gamma_mode)
-    rows = []
-    if args.axis == "steps":
-        for s in (10, 25, 50, 100):
-            if s > mdl.schedule.K:
-                continue
-            p = replace(protocol, steps=s)
-            r = inference.evaluate_windows(mdl, windows, p)
-            rows.append(("steps", f"S={s}", r))
-    elif args.axis == "sampling":
+    if args.axis == "sampling":
         kinds = ("A", "B", "C")
         reports = inference.evaluate_windows(
             mdl, windows, protocol, [replace(protocol.strategy, kind=k) for k in kinds])
-        rows += [("sampling", kind, r) for kind, r in zip(kinds, reports)]
-    else:  # gamma
-        for mode in GAMMA_MODES:
-            swept = Model(replace(mdl.config, gamma_mode=mode), mdl.params, mdl.norm)
-            r = inference.evaluate_windows(swept, windows, protocol)
-            rows.append(("gamma", mode, r))
+        rows = [("sampling", kind, r) for kind, r in zip(kinds, reports)]
+    else:
+        # the steps and gamma axes: one evaluation per changed protocol setting
+        sweep = ({f"S={s}": {"steps": s} for s in (10, 25, 50, 100) if s <= mdl.schedule.K}
+                 if args.axis == "steps" else {m: {"gamma_mode": m} for m in GAMMA_MODES})
+        rows = [(args.axis, setting,
+                 inference.evaluate_windows(mdl, windows, replace(protocol, **change)))
+                for setting, change in sweep.items()]
 
     print(f"{'axis':<10} {'setting':<16} {'ADE/FDE':>14}")
     csv_rows = []
@@ -432,7 +415,7 @@ def cmd_ablate(args) -> int:
         csv_rows.append(f"{axis},{setting},{r['ade']:.6f},{r['fde']:.6f},"
                         f"{r['windows']},{r['pedestrians']}\n")
     if args.out:
-        _write_csv(args.out, ckpt_hash, protocol, desc,
+        _write_csv(args.out, ckpt_hash, protocol, _protocol_desc(protocol),
                    "axis,setting,ade,fde,windows,pedestrians", "".join(csv_rows))
         print(f"ablation written to {args.out}")
     return 0
@@ -464,7 +447,7 @@ def cmd_predict(args) -> int:
     template = "".join(f"{prefix},{ped},{m},{step}" for ped in window.ped_ids
                        for m in range(pset.n_candidates) for step in steps)
     _write_csv(args.out, ckpt_hash, sampling,
-               _protocol_desc(sampling, mdl.schedule.gamma_mode), "scene,ped,candidate,t,x,y",
+               _protocol_desc(sampling), "scene,ped,candidate,t,x,y",
                template % tuple(pset.candidates.ravel().tolist()))
     print(f"{pset.n_candidates} candidates x {window.n_peds} pedestrians "
           f"written to {args.out}")

@@ -127,6 +127,7 @@ class EvalProtocol:
     selection: str = "gt-ade"
     steps: int | None = None
     seed: int = 0
+    gamma_mode: str = "deterministic"   # the reverse chain's per-step noise
 
 
 def sample_windows(model: Model, windows, protocol: EvalProtocol,
@@ -139,11 +140,11 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
     runs, then its Gaussian draws.  ``gts[i]`` is window i's absolute
     future, or None when it is unknown (``gt-ade`` selection needs it).
 
-    Given a list of ``strategies`` sharing ``protocol``'s seed, steps and
-    selection, returns one such list per strategy from one chain of the
-    largest run count: each strategy takes each window's first runs and
-    draws its Gaussians from a generator advanced past only those runs'
-    noise, so its candidates are those of a call with it alone.
+    Given a list of ``strategies`` sharing ``protocol``'s other settings,
+    returns one such list per strategy from one chain of the largest run
+    count: each strategy takes each window's first runs and draws its
+    Gaussians from a generator advanced past only those runs' noise, so
+    its candidates are those of a call with it alone.
     """
     listed = strategies is not None
     strategies = [s.validate() for s in (strategies if listed else [protocol.strategy])]
@@ -151,7 +152,7 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
         raise ValueError("gt-ade selection requires ground truth")
     n_runs = max(s.runs for s in strategies)
     rngs = [np.random.default_rng([protocol.seed, 23, i]) for i in range(len(windows))]
-    per_window = model.generate(windows, rngs, n_runs, protocol.steps)
+    per_window = model.generate(windows, rngs, n_runs, protocol.steps, protocol.gamma_mode)
     out = []
     for j, strategy in enumerate(strategies):
         if j or strategy.runs < n_runs:   # ``generate`` drew n_runs blocks from rngs

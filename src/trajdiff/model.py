@@ -36,7 +36,6 @@ class ModelConfig:
     steps: int = 100
     beta_start: float = 1e-4
     beta_end: float = 0.05
-    gamma_mode: str = "deterministic"
 
     @property
     def state_dim(self) -> int:
@@ -50,12 +49,13 @@ class ModelConfig:
                 **distribution.converter_layout(self),
                 **diffusion.denoiser_layout(self)}
 
-    def schedule(self, steps: int | None = None) -> diffusion.Schedule:
+    def schedule(self, steps: int | None = None,
+                 gamma_mode: str = "deterministic") -> diffusion.Schedule:
         """The diffusion schedule these settings describe; ``steps``
-        overrides S."""
+        overrides S.  The chain's ``gamma_mode`` is a sampling setting."""
         return diffusion.build_schedule(self.k_total, self.beta_start, self.beta_end,
                                         self.steps if steps is None else steps,
-                                        self.gamma_mode)
+                                        gamma_mode)
 
     def validate(self):
         """Raise ValueError unless a model can be built from these settings;
@@ -104,14 +104,15 @@ class Model:
         return distribution.convert_trajectory(future, self.params)
 
     def generate(self, windows, rngs: list[np.random.Generator], n_runs: int = 1,
-                 steps: int | None = None) -> list[list[distribution.StatsField]]:
+                 steps: int | None = None,
+                 gamma_mode: str = "deterministic") -> list[list[distribution.StatsField]]:
         """``n_runs`` statistics fields per window from one reverse chain
         over every (window, run, pedestrian) row; ``steps`` overrides the
-        config's S.
+        config's S, and ``gamma_mode`` sets the chain's per-step noise.
 
         Window i draws its runs' initial noise from ``rngs[i]`` in run
         order, so with gamma = 0 its fields depend only on that generator's
-        state, its own rows and the parameters.  A stochastic schedule
+        state, its own rows and the parameters.  A stochastic chain
         draws the in-chain noise of all rows from one fresh entropy-seeded
         generator, so those fields differ on every call.
         """
@@ -123,7 +124,8 @@ class Model:
                                for n, e in zip(sizes, ends)])
         y_init = self.initial_noise(windows, rngs, n_runs)
         y = diffusion.reverse_chain(y_init, self.encode(windows).data[rows],
-                                    self.config.schedule(steps), self.params, self.config)
+                                    self.config.schedule(steps, gamma_mode), self.params,
+                                    self.config)
         blocks = np.split(distribution.denormalize_stats(y, self.norm),
                           n_runs * ends[:-1])
         return [[distribution.StatsField(b) for b in np.split(block, n_runs)]
@@ -169,12 +171,14 @@ class Model:
         names, shapes or dtypes differ from the config's layout, raise
         ``ContainerError``.  Arrays of other names, such as the
         ``schedule.*`` arrays that older checkpoints carry, are returned
-        unread."""
+        unread, and the ``gamma_mode`` their configs carry is ignored."""
         if not isinstance(meta, dict) or meta.get("kind") != "model":
             raise checkpoint.ContainerError(f"{path} is not a model checkpoint")
         rest = {k: a for k, a in arrays.items() if not k.startswith("param.")}
         try:
-            config = ModelConfig(**meta["config"]).validate()
+            config = dict(meta["config"])
+            config.pop("gamma_mode", None)
+            config = ModelConfig(**config).validate()
             norm = distribution.NormStats(np.array(meta["norm_mean"]),
                                           np.array(meta["norm_scale"]))
         except KeyError as exc:

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diffusion
 from . import numerics as nm
 from .checkpoint import ContainerError, check_layout
-from .distribution import normalize_tensor, NormStats
+from .distribution import constrain_tensors, log_pdf_terms, normalize_tensor, NormStats
 from .model import Model, ModelConfig
 from .numerics import NumericsError, Tensor
 
@@ -38,8 +39,8 @@ NORM_CHUNK = 64         # windows per converter call in freeze_normalization
 
 
 class ResumeError(ValueError):
-    """A resume that asks for no training step: the checkpoint is already
-    at, or past, the run's last step."""
+    """A resume that cannot continue the run: the checkpoint is already at,
+    or past, the run's last step, or the training log is behind it."""
 
 
 @dataclass
@@ -85,10 +86,9 @@ def loss_diffusion(y0_norm: Tensor, guidance_emb: Tensor, ks: np.ndarray,
     at call time, so a stand-in patched over ``diffusion.denoiser_apply``
     is the one called.
     """
-    from .diffusion import denoiser_apply, forward_marginal
     eps_t = nm.constant(eps)
-    noisy = forward_marginal(y0_norm, ks, eps_t, schedule)
-    pred = denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule)
+    noisy = diffusion.forward_marginal(y0_norm, ks, eps_t, schedule)
+    pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule)
     diff = nm.add(pred, nm.mul(eps_t, -1.0))
     return nm.mean(nm.mul(diff, diff))
 
@@ -96,7 +96,6 @@ def loss_diffusion(y0_norm: Tensor, guidance_emb: Tensor, ks: np.ndarray,
 def loss_likelihood(future, raw_stats: Tensor, n_windows: int = 1) -> Tensor:
     """Negative Gaussian log likelihood of the true future displacements,
     summed over pedestrians and timesteps, averaged over batch windows."""
-    from .distribution import constrain_tensors, log_pdf_terms
     mu, sig, rho = constrain_tensors(raw_stats)
     terms = log_pdf_terms(future, mu, sig, rho)
     return nm.mul(nm.sum_(terms), -1.0 / n_windows)
@@ -307,9 +306,15 @@ LOG_COLUMNS = ("step", "total", "diffusion", "likelihood", "consistency", "wall_
 def _trim_log(path: str, last_step: int) -> None:
     """Drop the rows after ``last_step`` (comments and header stay) and a
     last line without its newline, which a killed run leaves half written,
-    so that a resumed run logs every step once."""
+    so that a resumed run logs every step once.  A log without a complete
+    line, or whose rows stop before ``last_step``, is behind the checkpoint:
+    that raises ``ResumeError`` and leaves the file as it was."""
     with open(path, encoding="utf-8") as f:
         rows = [(line, line.split(",", 1)[0]) for line in f if line.endswith("\n")]
+    logged = max((int(step) for _, step in rows if step.isdigit()), default=0)
+    if not rows or logged < last_step:
+        raise ResumeError(f"{path} is behind its checkpoint: the log's last step is "
+                          f"{logged}, the checkpoint's is {last_step}")
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(line for line, step in rows
                      if not step.isdigit() or int(step) <= last_step)
@@ -339,7 +344,8 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     Returns (final checkpoint path, log rows).  ``resume_from`` restarts
     from a mid-training checkpoint and matches the straight-through run
     exactly under the same seed policy; a checkpoint with no step left to
-    run raises ``ResumeError``, and invalid model settings ``ValueError``.
+    run, or a log in ``out_dir`` that is behind it, raises ``ResumeError``
+    before anything is written, and invalid model settings ``ValueError``.
     """
     train_cfg.validate()
     model_cfg = (model_cfg or ModelConfig()).validate()

@@ -9,7 +9,6 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,11 +220,8 @@ def test_criterion_determinism(trained_models, tmp_path):
     assert cli.main(eval_args + ["--out", str(csv_b)]) == 0
     assert csv_a.read_bytes() == csv_b.read_bytes()
 
-    sto = replace(mdl.config, steps=10, gamma_mode="ddpm-matching")
-    ga = Model(sto, mdl.params, mdl.norm).generate(
-        windows[:1], [np.random.default_rng(3)])[0]
-    gb = Model(sto, mdl.params, mdl.norm).generate(
-        windows[:1], [np.random.default_rng(3)])[0]
+    ga, gb = (mdl.generate(windows[:1], [np.random.default_rng(3)], steps=10,
+                           gamma_mode="ddpm-matching")[0] for _ in range(2))
     assert np.abs(ga[0].raw - gb[0].raw).max() > 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

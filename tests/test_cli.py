@@ -64,6 +64,19 @@ class TestTrain:
         assert rc == 1
         assert "train.nonsense" in capsys.readouterr().err
 
+    def test_gamma_mode_is_not_a_training_setting(self, tmp_path, capsys):
+        # the chain's gamma is chosen at sampling time: eval, ablate, predict
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", "synthetic", *TRAIN_ARGS, "--out", str(out),
+                         "--gamma-mode", "ddpm-matching"]) == 1
+        assert "--gamma-mode" in capsys.readouterr().err
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[model]\ngamma_mode = ddpm-matching\n")
+        assert cli.main(["train", "--data", "synthetic", *TRAIN_ARGS, "--out", str(out),
+                         "--config", str(cfg)]) == 1
+        assert "unknown config key 'model.gamma_mode'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "ok.ini"
         cfg.write_text("[synth]\nscenes = 2\npeds = 3\nframes = 30\n"
@@ -98,11 +111,12 @@ class TestTrain:
 
 def _with_schedule_arrays(src, dst):
     """``src`` rewritten in the older checkpoint format, which also stored
-    the schedule as ``schedule.alpha``, ``schedule.gamma`` (zeros in the
-    deterministic mode) and ``schedule.tau``."""
+    the chain's ``gamma_mode`` in the config and the schedule as
+    ``schedule.alpha``, ``schedule.gamma`` (zeros in the deterministic
+    mode) and ``schedule.tau``."""
     meta, arrays, _ = checkpoint.load_container(src)
-    assert meta["config"]["gamma_mode"] == "deterministic"
     sched = ModelConfig(**meta["config"]).schedule()
+    meta["config"]["gamma_mode"] = "deterministic"
     arrays.update({"schedule.alpha": sched.alpha, "schedule.gamma": np.zeros(sched.K),
                    "schedule.tau": sched.tau})
     checkpoint.save_container(dst, meta, arrays)
@@ -162,6 +176,17 @@ class TestResume:
         assert "data error" in err
         assert ("train_step" if case == "no-train-step" else "adam.") in err
         assert not (out / "model.tjdf").exists()
+
+    def test_log_behind_checkpoint_is_usage_error(self, mid_run, tmp_path, capsys):
+        out = tmp_path / "behind"
+        out.mkdir()
+        (out / "training_log.csv").write_bytes(b"")
+        rc = cli.main(["train", *RESUME_ARGS, "--out", str(out),
+                       "--resume", str(mid_run / "ckpt_000002.tjdf")])
+        assert rc == 1
+        assert "behind its checkpoint" in capsys.readouterr().err
+        assert os.listdir(out) == ["training_log.csv"]
+        assert (out / "training_log.csv").read_bytes() == b""
 
     def test_finished_run_is_usage_error(self, mid_run, tmp_path, capsys):
         out = tmp_path / "again"
@@ -223,6 +248,25 @@ class TestEval:
             assert lines[0] == f"# checkpoint: {file_hash(path)}"
             bodies.append(lines[1:])
         assert bodies[0] == bodies[1]
+
+    def test_stored_gamma_mode_is_ignored(self, trained):
+        # an older checkpoint trained with ddpm-matching stored that mode;
+        # it now samples with the protocol's, deterministic by default
+        ckpt, tmp_path = trained
+        meta, arrays, _ = checkpoint.load_container(ckpt)
+        meta["config"]["gamma_mode"] = "ddpm-matching"
+        old = tmp_path / "old_ddpm.tjdf"
+        checkpoint.save_container(old, meta, arrays)
+        args = ["eval", "--data", "synthetic", "--seed", "7", "--strategy", "C",
+                "--r", "2", "--selection", "self-likelihood",
+                "--scenes", "2", "--peds", "3", "--frames", "30"]
+        bodies = []
+        for path, out in ((ckpt, tmp_path / "gm_new.csv"), (old, tmp_path / "gm_old.csv"),
+                          (old, tmp_path / "gm_old2.csv")):
+            assert cli.main(args + ["--checkpoint", str(path), "--out", str(out)]) == 0
+            bodies.append(out.read_text().splitlines()[1:])
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert bodies[0][1].endswith("gamma=deterministic")
 
     def test_stochastic_chain_runs_differ(self, trained):
         ckpt, tmp_path = trained
@@ -361,7 +405,7 @@ def _flag(key):
 @pytest.mark.parametrize("command,setting,flags", [
     ("eval", "[protocol]\nselection = bogus", ["--strategy", "B"]),
     ("eval", "[protocol]\npool_means = maybe", []),
-    ("train", "[model]\ngamma_mode = bogus", []),
+    ("eval", "[protocol]\ngamma_mode = bogus", []),
     ("eval", "[protocol]\nstrategy = Q", []),
     ("eval", "[data]\nstride = x", []),
 ], ids=["selection-bogus", "pool-means-maybe", "gamma-mode-bogus", "strategy-Q",
@@ -388,11 +432,52 @@ def test_config_value_checked_like_flag(trained, tmp_path, capsys, command, sett
 _READER = {"data": ["train"], "synth": ["synth", "--out", "o"], "model": ["train"],
            "train": ["train"], "protocol": ["eval", "--checkpoint", "c"]}
 _VALUES = {"data.dir": "scenes", "data.test_scene": "s1",
-           "model.gamma_mode": "ddpm-matching", "protocol.strategy": "B",
+           "protocol.gamma_mode": "ddpm-matching", "protocol.strategy": "B",
            "protocol.selection": "self-likelihood"}
 
+# Every command's config keys, a literal reference for the keys that the
+# settings flags record.
+CONFIG_KEYS = {
+    "data.dir", "data.test_scene", "data.stride",
+    "synth.scenes", "synth.peds", "synth.frames", "synth.speed_min",
+    "synth.speed_max", "synth.turn_noise", "synth.repulsion", "synth.seed",
+    "synth.box",
+    "model.channels", "model.d_phi", "model.d_psi", "model.width",
+    "model.blocks", "model.k", "model.steps", "model.beta_start",
+    "model.beta_end",
+    "train.lambda1", "train.lambda2", "train.lambda3", "train.lr",
+    "train.batch", "train.epochs", "train.seed", "train.checkpoint_every",
+    "train.denoiser_boost",
+    "protocol.strategy", "protocol.r1", "protocol.r2", "protocol.r",
+    "protocol.pool_means", "protocol.selection", "protocol.steps",
+    "protocol.seed", "protocol.gamma_mode",
+}
+# The dataclass whose fields each section's settings flags store into; the
+# [data] flags are command line plumbing.
+SECTION_FIELDS = {
+    "synth": {f.name for f in fields(data.SynthConfig)},
+    "model": {f.name for f in fields(ModelConfig)},
+    "train": {f.name for f in fields(training.TrainConfig)},
+    "protocol": {f.name for cls in (inference.SamplingStrategy, inference.EvalProtocol)
+                 for f in fields(cls)},
+}
 
-@pytest.mark.parametrize("key", sorted(cli.KNOWN_CONFIG_KEYS))
+
+def _derived_keys():
+    return set().union(*cli._config_keys(cli.build_parser()).values())
+
+
+def test_config_schema_comes_from_the_flags():
+    assert len(CONFIG_KEYS) == 39
+    assert _derived_keys() == CONFIG_KEYS
+    for command, keys in cli._config_keys(cli.build_parser()).items():
+        for key, action in keys.items():
+            section = key.split(".")[0]
+            if section != "data":
+                assert action.dest in SECTION_FIELDS[section], (command, key)
+
+
+@pytest.mark.parametrize("key", sorted(_derived_keys()))
 def test_config_key_equals_flag(tmp_path, key):
     section, name = key.split(".")
     cfg = tmp_path / "one.ini"
@@ -515,7 +600,7 @@ class TestAblate:
         rows = [l for l in lines
                 if l and not l.startswith("#") and not l.startswith("axis")]
         assert [r.split(",")[1] for r in rows] == ["deterministic", "ddpm-matching"]
-        # the header names the checkpoint's chain mode, not the sweep's last
+        # the header names the protocol's chain mode, not the sweep's last
         assert lines[2].startswith("# protocol:")
         assert lines[2].endswith("gamma=deterministic")
 
@@ -558,6 +643,18 @@ class TestPredict:
                        "--seed", "1"])
         assert rc == 0
         assert not list(tmp_path.glob("*.svg"))
+
+    def test_gamma_mode_is_a_predict_setting(self, trained, tmp_path):
+        ckpt, _ = trained
+        inp = self._scene_file(tmp_path, frames=20, peds=2)
+        outs = [tmp_path / f"g{i}.csv" for i in range(3)]
+        for out, mode in zip(outs, ("ddpm-matching", "ddpm-matching", "deterministic")):
+            assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp),
+                             "--out", str(out), "--strategy", "C", "--r", "2",
+                             "--seed", "1", "--gamma-mode", mode]) == 0
+        a, b, det = (out.read_text().splitlines() for out in outs)
+        assert a[2].endswith("gamma=ddpm-matching") and det[2].endswith("gamma=deterministic")
+        assert a[:4] == b[:4] and a[4:] != b[4:]
 
     def test_short_history_is_data_error(self, trained, tmp_path):
         ckpt, _ = trained
@@ -730,7 +827,7 @@ class TestPredict:
         assert window.n_peds == 10
         ref = tmp_path / "ref.csv"
         _row_by_row_predict_csv(ref, file_hash(ckpt),
-                                cli._protocol_desc(protocol, "deterministic"), protocol,
+                                cli._protocol_desc(protocol), protocol,
                                 "scene%d 10", window.ped_ids, pset.candidates)
         assert out.read_bytes() == ref.read_bytes()
 

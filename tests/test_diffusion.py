@@ -363,10 +363,10 @@ class TestPosterior:
 class TestReverseGenerate:
     """``reverse_chain`` and ``Model.generate`` on an untrained model."""
 
-    def _setup(self, gamma_mode="deterministic", k_total=40, steps=10, beta_end=0.25):
+    def _setup(self, k_total=40, steps=10, beta_end=0.25):
         cfg = ModelConfig(conv_channels=4, d_phi=2, d_psi=2, denoiser_width=16,
                           denoiser_blocks=1, step_dim=8, k_total=k_total, steps=steps,
-                          beta_end=beta_end, gamma_mode=gamma_mode)
+                          beta_end=beta_end)
         synth = data.SynthConfig(n_scenes=1, peds_per_scene=3, frames=20, seed=1)
         (window,) = data.window_scenes(data.synthesize_scenes(synth), stride=1)
         return Model.initialize(cfg, seed=0), [window]
@@ -398,16 +398,17 @@ class TestReverseGenerate:
         assert (np.abs(field.rhos) <= 0.99).all()
 
     def test_stochastic_chain_differs_across_calls(self):
-        mdl, w = self._setup("ddpm-matching")
-        ((a,),) = mdl.generate(w, [np.random.default_rng(42)])
-        ((b,),) = mdl.generate(w, [np.random.default_rng(42)])
+        mdl, w = self._setup()
+        ((a,),) = mdl.generate(w, [np.random.default_rng(42)], gamma_mode="ddpm-matching")
+        ((b,),) = mdl.generate(w, [np.random.default_rng(42)], gamma_mode="ddpm-matching")
         assert np.abs(a.raw - b.raw).max() > 1e-8
 
     def test_stochastic_chain_reproducible_with_pinned_chain_rng(self):
-        mdl, w = self._setup("ddpm-matching")
+        mdl, w = self._setup()
         y_init = np.random.default_rng(42).standard_normal((3, 12, 5))
         guidance = mdl.encode(w).data
-        a, b = (dff.reverse_chain(y_init, guidance, mdl.schedule, mdl.params,
+        sched = mdl.config.schedule(gamma_mode="ddpm-matching")
+        a, b = (dff.reverse_chain(y_init, guidance, sched, mdl.params,
                                   mdl.config, np.random.default_rng(1)) for _ in range(2))
         np.testing.assert_array_equal(a, b)
 
@@ -417,9 +418,10 @@ class TestReverseGenerate:
                                                  beta_end):
         # one affine update per step against noise estimate -> clean-state
         # reconstruction -> transition, with the same pinned in-chain noise
-        mdl, w = self._setup(gamma_mode, k_total, steps, beta_end)
+        mdl, w = self._setup(k_total, steps, beta_end)
         y_init = np.random.default_rng(42).standard_normal((3, 12, 5))
-        args = (y_init, mdl.encode(w).data, mdl.schedule, mdl.params, mdl.config)
+        args = (y_init, mdl.encode(w).data, mdl.config.schedule(gamma_mode=gamma_mode),
+                mdl.params, mdl.config)
         folded = dff.reverse_chain(*args, np.random.default_rng(1))
         unfolded = reverse_chain_steps(*args, np.random.default_rng(1))
         np.testing.assert_allclose(folded, unfolded, rtol=0, atol=1e-5)
@@ -474,8 +476,9 @@ class TestChainTerms:
                                               (1100, 3), (600, 0)],
                              ids=["1", "511", "512", "513", "1100", "600-no-blocks"])
     def test_equals_unfolded_steps(self, rows, blocks, gamma_mode):
-        cfg = replace(self.CFG, gamma_mode=gamma_mode, denoiser_blocks=blocks)
-        args = (*self._inputs(rows), cfg.schedule(), self._params(cfg), cfg)
+        cfg = replace(self.CFG, denoiser_blocks=blocks)
+        args = (*self._inputs(rows), cfg.schedule(gamma_mode=gamma_mode), self._params(cfg),
+                cfg)
         chain = dff.reverse_chain(*args, np.random.default_rng(1))
         unfolded = reverse_chain_steps(*args, np.random.default_rng(1))
         np.testing.assert_allclose(chain, unfolded, rtol=0, atol=1e-5)

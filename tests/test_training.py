@@ -574,6 +574,24 @@ class TestFit:
         training._trim_log(str(path), 12)
         assert path.read_text() == head + rows
 
+    @pytest.mark.parametrize("kept", [3, 0], ids=["rows-1-3", "empty"])
+    def test_log_behind_its_checkpoint_is_refused(self, tmp_path, kept):
+        # a 10-step run with a checkpoint every 3 steps, its log cut back to
+        # rows 1-3 or to 0 bytes: appending from step 7 would skip rows 4-6
+        cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
+        training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
+        for name in ("model.tjdf", "ckpt_000009.tjdf"):
+            os.remove(tmp_path / name)
+        log = tmp_path / "training_log.csv"
+        lines = log.read_text().splitlines(keepends=True)
+        log.write_text("".join(lines[:3 + kept]) if kept else "")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(training.ResumeError,
+                           match=f"last step is {kept}, the checkpoint's is 6"):
+            training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path),
+                         resume_from=str(tmp_path / "ckpt_000006.tjdf"))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_killed_run_resumes_to_straight_through_bytes(self, tmp_path):
         cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
         killed = tmp_path / "killed"
