@@ -43,11 +43,12 @@ def _tag_for(arr: np.ndarray) -> int:
 
 
 def save_container(path, metadata: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write the container atomically: into a temporary file next to
-    ``path``, flushed to disk, then renamed onto it.  A write that fails
-    leaves any previous file at ``path`` untouched."""
+    """Write the container atomically: into ``<path>.tmp``, flushed to
+    disk, then renamed onto ``path``.  A write that fails leaves any
+    previous file at ``path`` untouched; the temporary file that a killed
+    save leaves is truncated and renamed by the next save of ``path``."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)

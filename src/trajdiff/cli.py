@@ -9,7 +9,8 @@ override it.  Each settings flag records its key as it is added, and a
 command reads exactly the keys of its own settings flags: another command's
 key is skipped (``seed`` is read only from the command's own section,
 ``synth``, ``train`` or ``protocol``), and a key that no command has is a
-usage error.  Settings not given take the defaults of the config dataclasses.
+usage error.  Each config dataclass takes only its own section's settings, so
+the synthetic scenes of ``train``, ``eval`` and ``ablate`` keep seed 0.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -234,12 +235,15 @@ def parse_args(argv=None) -> argparse.Namespace:
 # Shared data plumbing
 
 
-def _config(args, cls):
-    """A ``cls`` from the settings given as flags or in the config file; the
-    dataclass supplies every other field.  A setting the dataclass rejects
-    is a usage error."""
-    given = {f.name: getattr(args, f.name) for f in fields(cls)
-             if getattr(args, f.name, None) is not None}
+def _config(args, cls, section: str):
+    """A ``cls`` from the settings of config section ``section`` given as
+    flags or in the config file; the dataclass supplies every other field.
+    A setting the dataclass rejects is a usage error."""
+    names = {f.name for f in fields(cls)}
+    given = {a.dest: getattr(args, a.dest)
+             for key, a in _config_keys(build_parser())[args.command].items()
+             if key.startswith(f"{section}.") and a.dest in names
+             and getattr(args, a.dest) is not None}
     try:
         cfg = cls(**given)
         if hasattr(cfg, "validate"):
@@ -257,7 +261,7 @@ def _load_tracks(args, scene: str | None = None) -> list[data.RawTrack]:
         raise UsageError("no data source: pass --data, set it in the config, "
                          f"or export {ENV_DATA_DIR}")
     if source == "synthetic":
-        return data.synthesize_scenes(_config(args, data.SynthConfig))
+        return data.synthesize_scenes(_config(args, data.SynthConfig, "synth"))
     if not os.path.isdir(source):
         raise data.DataError(f"data directory {source} does not exist")
     names = ([f"{scene}.txt"] if scene is not None
@@ -305,10 +309,10 @@ def _write_csv(path, ckpt_hash: str, protocol: inference.EvalProtocol, desc: str
 
 def _protocol(args, mdl: Model) -> inference.EvalProtocol:
     """The evaluation protocol; every invalid setting is a usage error."""
-    strategy = _config(args, inference.SamplingStrategy)
+    strategy = _config(args, inference.SamplingStrategy, "protocol")
     if args.steps is not None and not 1 <= args.steps <= mdl.schedule.K:
         raise UsageError(f"--steps {args.steps} outside 1..K={mdl.schedule.K}")
-    return replace(_config(args, inference.EvalProtocol), strategy=strategy)
+    return replace(_config(args, inference.EvalProtocol, "protocol"), strategy=strategy)
 
 
 def _protocol_desc(protocol: inference.EvalProtocol) -> str:
@@ -324,7 +328,7 @@ def _protocol_desc(protocol: inference.EvalProtocol) -> str:
 
 
 def cmd_synth(args) -> int:
-    cfg = _config(args, data.SynthConfig)
+    cfg = _config(args, data.SynthConfig, "synth")
     tracks = data.synthesize_scenes(cfg)
     os.makedirs(args.out, exist_ok=True)
     by_scene: dict[str, list] = {}
@@ -338,8 +342,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_cfg = _config(args, ModelConfig)
-    train_cfg = _config(args, training.TrainConfig)
+    model_cfg = _config(args, ModelConfig, "model")
+    train_cfg = _config(args, training.TrainConfig, "train")
     windows = [w for ws in _scene_windows(args, model_cfg, False).values() for w in ws]
     path, rows = training.fit(windows, train_cfg, model_cfg, out_dir=args.out,
                               resume_from=args.resume)

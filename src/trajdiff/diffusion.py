@@ -4,10 +4,10 @@ States are arrays [N, T', 5] of normalized raw statistics.  The forward
 marginal perturbs clean statistics with Gaussian noise scaled by a strictly
 decreasing cumulative-alpha schedule; generation runs the learned reverse
 transitions down an execution sub-sequence ``tau`` of the K Markovian
-steps, optionally injecting per-jump noise ``gamma`` (0 gives a fully
-deterministic chain; the ddpm-matching value reproduces the stochastic
-Markovian sampler).  The schedule and the denoiser's sizes are read from
-the model's ``ModelConfig``.
+steps.  A chain given a noise generator adds the ddpm-matching per-jump
+noise ``gamma``, the stochastic Markovian sampler; without one, gamma is 0
+and the chain is deterministic.  The schedule (K, alpha and tau) and the
+denoiser's sizes are read from the model's ``ModelConfig``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class Schedule:
     K: int
     alpha: np.ndarray
     tau: np.ndarray
-    gamma_mode: str = "deterministic"
 
 
 def _even_tau(k_total: int, s: int) -> np.ndarray:
@@ -50,16 +49,8 @@ def _even_tau(k_total: int, s: int) -> np.ndarray:
 
 
 def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.05,
-                   steps: int | None = None,
-                   gamma_mode: str = "deterministic") -> Schedule:
-    """Linear-beta schedule with an evenly spaced execution sub-sequence.
-
-    ``gamma_mode='deterministic'`` zeroes the reverse-transition noise;
-    ``'ddpm-matching'`` makes each jump's noise the variance-preserving
-    value (``transition``).
-    """
-    if gamma_mode not in GAMMA_MODES:
-        raise NumericsError(f"unknown gamma mode {gamma_mode!r}")
+                   steps: int | None = None) -> Schedule:
+    """Linear-beta schedule with an evenly spaced execution sub-sequence."""
     if not (0.0 < beta_start < beta_end < 1.0):
         raise NumericsError("need 0 < beta_start < beta_end < 1")
     betas = np.linspace(beta_start, beta_end, k_total)
@@ -71,7 +62,7 @@ def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.0
         # short test chains legitimately end above the target; warn only
         warnings.warn(f"alpha[K] = {alpha[k_total]:.4f}; the final state "
                       "is far from standard noise", RuntimeWarning, stacklevel=2)
-    return Schedule(k_total, alpha, tau, gamma_mode)
+    return Schedule(k_total, alpha, tau)
 
 
 def forward_marginal(y0: Tensor, k, epsilon: Tensor, schedule: Schedule) -> Tensor:
@@ -355,16 +346,17 @@ def posterior_coefficients(a_from: float, a_to: float,
     return c_y, math.sqrt(a_to) - c_y * math.sqrt(a_from)
 
 
-def transition(schedule: Schedule, k_from: int, k_to: int) -> tuple[float, float, float]:
+def transition(schedule: Schedule, k_from: int, k_to: int,
+               stochastic: bool = False) -> tuple[float, float, float]:
     """(c_y, c_c, gamma) of the k_from -> k_to reverse transition: its
-    mean's ``posterior_coefficients`` and its noise scale under the
-    schedule's mode, 0 or the ddpm-matching value (0 for the final jump to
-    alpha = 1)."""
+    mean's ``posterior_coefficients`` and its noise scale, the
+    ddpm-matching value in a stochastic chain (0 for the final jump to
+    alpha = 1), else 0."""
     if not 0 <= k_to < k_from <= schedule.K:
         raise NumericsError(f"invalid transition {k_from} -> {k_to}")
     a_from, a_to = float(schedule.alpha[k_from]), float(schedule.alpha[k_to])
     gamma = 0.0
-    if schedule.gamma_mode == "ddpm-matching":
+    if stochastic:
         gamma = math.sqrt((1.0 - a_to) / (1.0 - a_from) * (1.0 - a_from / a_to))
     return (*posterior_coefficients(a_from, a_to, gamma), gamma)
 
@@ -378,18 +370,16 @@ def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
     y <- A y + B eps_hat (+ gamma z): the ``transition`` mean c_y y + c_c y0
     with the clean-state reconstruction y0 = (y - sqrt(1 - a) eps_hat) /
     sqrt(a), a = alpha[k_from], folded in.  The denoiser terms that no step
-    changes (``_ChainTerms``) are made once per call.  A stochastic
-    schedule draws each step's noise z for all rows from ``chain_rng``
-    (default: a fresh entropy-seeded generator)."""
-    if schedule.gamma_mode != "deterministic" and chain_rng is None:
-        chain_rng = np.random.default_rng()
+    changes (``_ChainTerms``) are made once per call.  The chain is
+    stochastic exactly when it is given ``chain_rng``: each step then draws
+    its ddpm-matching noise z for all rows from it."""
     tau = schedule.tau.tolist()
     y = np.array(y_init, dtype=np.float64)
     terms = _ChainTerms(guidance_rows, params, cfg, schedule)
     step = np.empty_like(y)
     for k_from, k_to in zip(tau[::-1], [*tau[:-1][::-1], 0]):
         try:
-            c_y, c_c, gamma = transition(schedule, k_from, k_to)
+            c_y, c_c, gamma = transition(schedule, k_from, k_to, chain_rng is not None)
             eps_hat = denoiser_apply(y, k_from, guidance_rows, params, cfg, schedule,
                                      chain=terms)
         except NumericsError as exc:

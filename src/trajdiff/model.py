@@ -49,13 +49,10 @@ class ModelConfig:
                 **distribution.converter_layout(self),
                 **diffusion.denoiser_layout(self)}
 
-    def schedule(self, steps: int | None = None,
-                 gamma_mode: str = "deterministic") -> diffusion.Schedule:
-        """The diffusion schedule these settings describe; ``steps``
-        overrides S.  The chain's ``gamma_mode`` is a sampling setting."""
+    def schedule(self, steps: int | None = None) -> diffusion.Schedule:
+        """The diffusion schedule these settings describe; ``steps`` overrides S."""
         return diffusion.build_schedule(self.k_total, self.beta_start, self.beta_end,
-                                        self.steps if steps is None else steps,
-                                        gamma_mode)
+                                        self.steps if steps is None else steps)
 
     def validate(self):
         """Raise ValueError unless a model can be built from these settings;
@@ -112,20 +109,22 @@ class Model:
 
         Window i draws its runs' initial noise from ``rngs[i]`` in run
         order, so with gamma = 0 its fields depend only on that generator's
-        state, its own rows and the parameters.  A stochastic chain
+        state, its own rows and the parameters.  A ``ddpm-matching`` chain
         draws the in-chain noise of all rows from one fresh entropy-seeded
         generator, so those fields differ on every call.
         """
         if n_runs < 1:
             raise NumericsError("n_runs must be >= 1")
+        if gamma_mode not in diffusion.GAMMA_MODES:
+            raise NumericsError(f"unknown gamma mode {gamma_mode!r}")
         sizes = [w.n_peds for w in windows]
         ends = np.cumsum(sizes)
         rows = np.concatenate([np.tile(np.arange(e - n, e), n_runs)
                                for n, e in zip(sizes, ends)])
         y_init = self.initial_noise(windows, rngs, n_runs)
-        y = diffusion.reverse_chain(y_init, self.encode(windows).data[rows],
-                                    self.config.schedule(steps, gamma_mode), self.params,
-                                    self.config)
+        y = diffusion.reverse_chain(
+            y_init, self.encode(windows).data[rows], self.config.schedule(steps), self.params,
+            self.config, np.random.default_rng() if gamma_mode == "ddpm-matching" else None)
         blocks = np.split(distribution.denormalize_stats(y, self.norm),
                           n_runs * ends[:-1])
         return [[distribution.StatsField(b) for b in np.split(block, n_runs)]

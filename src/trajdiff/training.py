@@ -40,7 +40,8 @@ NORM_CHUNK = 64         # windows per converter call in freeze_normalization
 
 class ResumeError(ValueError):
     """A resume that cannot continue the run: the checkpoint is already at,
-    or past, the run's last step, or the training log is behind it."""
+    or past, the run's last step, or the training log is behind it or
+    belongs to another run."""
 
 
 @dataclass
@@ -303,18 +304,23 @@ def freeze_normalization(model: Model, windows) -> NormStats:
 LOG_COLUMNS = ("step", "total", "diffusion", "likelihood", "consistency", "wall_ms")
 
 
-def _trim_log(path: str, last_step: int) -> None:
+def _trim_log(path: str, last_step: int, header: list[str]) -> None:
     """Drop the rows after ``last_step`` (comments and header stay) and a
     last line without its newline, which a killed run leaves half written,
     so that a resumed run logs every step once.  A log without a complete
-    line, or whose rows stop before ``last_step``, is behind the checkpoint:
-    that raises ``ResumeError`` and leaves the file as it was."""
+    line, or whose rows stop before ``last_step``, is behind the checkpoint,
+    and one whose first lines are not ``header`` belongs to another run:
+    both raise ``ResumeError`` and leave the file as it was."""
     with open(path, encoding="utf-8") as f:
         rows = [(line, line.split(",", 1)[0]) for line in f if line.endswith("\n")]
     logged = max((int(step) for _, step in rows if step.isdigit()), default=0)
     if not rows or logged < last_step:
         raise ResumeError(f"{path} is behind its checkpoint: the log's last step is "
                           f"{logged}, the checkpoint's is {last_step}")
+    for number, (want, (line, _)) in enumerate(zip(header, rows), 1):
+        if line != want:
+            raise ResumeError(f"{path} line {number} is {line.strip()!r}, this run's "
+                              f"is {want.strip()!r}")
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(line for line, step in rows
                      if not step.isdigit() or int(step) <= last_step)
@@ -344,8 +350,9 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     Returns (final checkpoint path, log rows).  ``resume_from`` restarts
     from a mid-training checkpoint and matches the straight-through run
     exactly under the same seed policy; a checkpoint with no step left to
-    run, or a log in ``out_dir`` that is behind it, raises ``ResumeError``
-    before anything is written, and invalid model settings ``ValueError``.
+    run, or a log in ``out_dir`` that is behind it or whose header lines
+    differ from this run's, raises ``ResumeError`` before anything is
+    written, and invalid model settings ``ValueError``.
     """
     train_cfg.validate()
     model_cfg = (model_cfg or ModelConfig()).validate()
@@ -372,23 +379,21 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     # every step.
     freeze_at = min(500, max(1, total_steps // 4))
     log_path = os.path.join(out_dir, "training_log.csv")
+    header = [f"# seed: {train_cfg.seed}\n",
+              f"# config: batch={train_cfg.batch_size} lr={train_cfg.learning_rate} "
+              f"lambdas=({train_cfg.lambda_diffusion},{train_cfg.lambda_likelihood},"
+              f"{train_cfg.lambda_consistency}) boost={train_cfg.denoiser_boost} "
+              f"params={mdl.n_parameters()}\n",
+              ",".join(LOG_COLUMNS) + "\n"]
     log_rows = []
     order = None
 
     mode = "a" if resume_from is not None and os.path.exists(log_path) else "w"
     if mode == "a":
-        _trim_log(log_path, start_step)
+        _trim_log(log_path, start_step, header)
     with open(log_path, mode, encoding="utf-8") as log:
         if mode == "w":
-            log.write(f"# seed: {train_cfg.seed}\n")
-            log.write(f"# config: batch={train_cfg.batch_size} "
-                      f"lr={train_cfg.learning_rate} "
-                      f"lambdas=({train_cfg.lambda_diffusion},"
-                      f"{train_cfg.lambda_likelihood},"
-                      f"{train_cfg.lambda_consistency}) "
-                      f"boost={train_cfg.denoiser_boost} "
-                      f"params={mdl.n_parameters()}\n")
-            log.write(",".join(LOG_COLUMNS) + "\n")
+            log.writelines(header)
         for step in range(start_step, total_steps):
             epoch, pos = divmod(step, spe)
             if pos == 0 or order is None:

@@ -145,17 +145,15 @@ def reconstruct_clean(y_k, eps_hat, k: int, schedule) -> np.ndarray:
 def posterior_step(y_k, y0_hat, k_from: int, k_to: int, schedule,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """One reverse transition conditioned on the clean-state reconstruction:
-    the mean c_y y_k + c_c y0_hat (``diffusion.transition``) plus
-    gamma-scaled standard normal noise when gamma > 0."""
-    c_y, c_c, gamma = transition(schedule, k_from, k_to)
+    the mean c_y y_k + c_c y0_hat (``diffusion.transition``), plus, given
+    ``rng``, standard normal noise scaled by the ddpm-matching gamma."""
+    c_y, c_c, gamma = transition(schedule, k_from, k_to, stochastic=rng is not None)
     y_k = np.asarray(y_k, dtype=np.float64)
     y0_hat = np.asarray(y0_hat, dtype=np.float64)
     if y_k.shape != y0_hat.shape:
         raise nm.NumericsError("state and reconstruction shapes differ")
     out = c_y * y_k + c_c * y0_hat
     if gamma > 0.0:
-        if rng is None:
-            raise nm.NumericsError("stochastic transition needs an rng")
         out = out + gamma * rng.standard_normal(out.shape)
     return out
 
@@ -163,8 +161,9 @@ def posterior_step(y_k, y0_hat, k_from: int, k_to: int, schedule,
 def reverse_chain_steps(y_init, guidance_rows, schedule, params, cfg,
                         chain_rng: np.random.Generator | None = None) -> np.ndarray:
     """``diffusion.reverse_chain`` unfolded: per step the noise estimate,
-    its clean-state reconstruction and the transition, drawing the same
-    noise from ``chain_rng`` in the same order."""
+    its clean-state reconstruction and the transition, stochastic exactly
+    when given ``chain_rng``, from which it draws the same noise in the
+    same order."""
     tau = schedule.tau.tolist()
     y = np.asarray(y_init, dtype=np.float64)
     for k_from, k_to in zip(tau[::-1], [*tau[:-1][::-1], 0]):

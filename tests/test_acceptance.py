@@ -178,9 +178,8 @@ def test_criterion_diffusion_identities():
     np.testing.assert_allclose(c_y * y_k + c_c * y0h, y_k, rtol=1e-9)
     np.testing.assert_allclose(posterior_step(y_k, y0h, 9, 0, sched), y0h, rtol=1e-9)
 
-    # (c) moment-matching over 1e4 draws for every adjacent tau pair probed
-    match = diffusion.build_schedule(60, beta_end=0.15,
-                                     gamma_mode="ddpm-matching")
+    # (c) moment-matching over 1e4 draws for every adjacent tau pair probed,
+    # the step stochastic as it is given a generator
     mrng = np.random.default_rng(1)
     n = 10_000
     for j, i in ((50, 20), (35, 34)):
@@ -188,10 +187,10 @@ def test_criterion_diffusion_identities():
         eps = mrng.standard_normal((n, 1))
         with nm.precision(np.float64):
             y_j = diffusion.forward_marginal(nm.constant(base), j, nm.constant(eps),
-                                             match).data
-        y_i = posterior_step(y_j, base, j, i, match, rng=mrng)
-        want_mean = math.sqrt(match.alpha[i]) * 0.8
-        want_var = 1.0 - match.alpha[i]
+                                             sched).data
+        y_i = posterior_step(y_j, base, j, i, sched, rng=mrng)
+        want_mean = math.sqrt(sched.alpha[i]) * 0.8
+        want_var = 1.0 - sched.alpha[i]
         assert abs(y_i.mean() - want_mean) <= 0.03 * max(1.0, abs(want_mean))
         assert abs(y_i.var() - want_var) <= 0.03 * want_var
     elapsed = time.perf_counter() - t0

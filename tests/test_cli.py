@@ -188,6 +188,23 @@ class TestResume:
         assert os.listdir(out) == ["training_log.csv"]
         assert (out / "training_log.csv").read_bytes() == b""
 
+    def test_log_of_another_run_is_usage_error(self, mid_run, tmp_path, capsys):
+        # a straight-through run to step 2 with --lr 0.002, then a resume of
+        # the --lr 0.001 run into its directory
+        out = tmp_path / "other"
+        assert cli.main(["train", *RESUME_ARGS, "--epochs", "2", "--lr", "0.002",
+                         "--out", str(out)]) == 0
+        os.remove(out / "model.tjdf")
+        log = (out / "training_log.csv").read_bytes()
+        rc = cli.main(["train", *RESUME_ARGS, "--out", str(out),
+                       "--resume", str(mid_run / "ckpt_000002.tjdf")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "training_log.csv line 2 is" in err
+        assert "lr=0.002" in err and "lr=0.001" in err
+        assert os.listdir(out) == ["training_log.csv"]
+        assert (out / "training_log.csv").read_bytes() == log
+
     def test_finished_run_is_usage_error(self, mid_run, tmp_path, capsys):
         out = tmp_path / "again"
         rc = cli.main(["train", *RESUME_ARGS, "--out", str(out),
@@ -209,6 +226,21 @@ class TestSynth:
         tracks = data.ingest_benchmark_file(tmp_path / "scenes" / files[0],
                                             "synth00")
         assert len(tracks) == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_command_seed_does_not_seed_the_scenes(self, command):
+        # --seed seeds training or sampling; ``synth --seed N`` makes other worlds
+        def first_points(seed):
+            args = cli.parse_args([command, "--data", "synthetic", "--scenes", "2",
+                                   "--peds", "3", "--frames", "30", "--seed", seed,
+                                   *([] if command == "train" else ["--checkpoint", "c"]),
+                                   *(["--axis", "steps"] if command == "ablate" else [])])
+            return [t.points[0].tolist() for t in cli._load_tracks(args)]
+
+        assert first_points("7") == first_points("9")
+        default = data.synthesize_scenes(data.SynthConfig(n_scenes=2, peds_per_scene=3,
+                                                          frames=30))
+        assert first_points("7") == [t.points[0].tolist() for t in default]
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--scenes", "0"],

@@ -60,18 +60,14 @@ class TestSchedule:
     def test_ddpm_matching_jump_gamma_satisfies_bound(self):
         # every jump the chain makes, down tau and then to 0
         for steps in (200, 100, 10):
-            s = dff.build_schedule(200, steps=steps, gamma_mode="ddpm-matching")
+            s = dff.build_schedule(200, steps=steps)
             jumps = list(zip(s.tau[::-1], np.concatenate([s.tau[:-1][::-1], [0]])))
-            gammas = np.array([dff.transition(s, k_from, k_to)[2]
+            gammas = np.array([dff.transition(s, k_from, k_to, stochastic=True)[2]
                                for k_from, k_to in jumps])
             bounds = np.array([1.0 - s.alpha[k_to] for _, k_to in jumps])
             assert len(jumps) == steps
             assert np.all(gammas[:-1] > 0) and gammas[-1] == 0.0
             assert np.all(gammas ** 2 <= bounds)
-
-    def test_unknown_gamma_mode(self):
-        with pytest.raises(nm.NumericsError, match="gamma mode"):
-            dff.build_schedule(10, beta_end=0.3, gamma_mode="bogus")
 
     def test_alpha_underflow_rejected(self):
         # the cumulative product reaches 0.0 long before K = 100,000
@@ -321,10 +317,14 @@ class TestPosterior:
             dff.posterior_coefficients(float(sched.alpha[10]), float(sched.alpha[5]),
                                        gamma=1.5)
 
-    def test_stochastic_step_requires_rng(self):
-        sched = dff.build_schedule(50, beta_end=0.2, gamma_mode="ddpm-matching")
-        with pytest.raises(nm.NumericsError, match="rng"):
-            posterior_step(np.zeros(3), np.zeros(3), 10, 5, sched)
+    def test_transition_is_stochastic_only_when_asked(self):
+        sched = dff.build_schedule(50, beta_end=0.2)
+        a_from, a_to = float(sched.alpha[10]), float(sched.alpha[5])
+        assert dff.transition(sched, 10, 5) == (
+            *dff.posterior_coefficients(a_from, a_to, 0.0), 0.0)
+        c_y, c_c, gamma = dff.transition(sched, 10, 5, stochastic=True)
+        assert gamma > 0.0
+        assert (c_y, c_c) == dff.posterior_coefficients(a_from, a_to, gamma)
 
     def test_maximal_gamma_reproduces_forward_marginal(self):
         # with gamma = sqrt(1 - alpha[k_to]) the transition distribution is
@@ -346,7 +346,7 @@ class TestPosterior:
     def test_marginal_consistency_of_matching_chain(self):
         # forward to step j then ddpm-matching posterior to i reproduces the
         # forward marginal at i (moment check over 10k draws)
-        sched = dff.build_schedule(60, beta_end=0.15, gamma_mode="ddpm-matching")
+        sched = dff.build_schedule(60, beta_end=0.15)
         j, i = 50, 20
         y0 = np.array([0.9])
         rng = np.random.default_rng(8)
@@ -358,6 +358,11 @@ class TestPosterior:
         want_var = 1.0 - sched.alpha[i]
         assert abs(y_i.mean() - want_mean) < 0.03 * max(1.0, abs(want_mean))
         assert abs(y_i.var() - want_var) < 0.03 * want_var
+
+
+def _chain_rng(gamma_mode):
+    """The in-chain noise generator of a chain in ``gamma_mode``, pinned."""
+    return np.random.default_rng(1) if gamma_mode == "ddpm-matching" else None
 
 
 class TestReverseGenerate:
@@ -403,14 +408,27 @@ class TestReverseGenerate:
         ((b,),) = mdl.generate(w, [np.random.default_rng(42)], gamma_mode="ddpm-matching")
         assert np.abs(a.raw - b.raw).max() > 1e-8
 
+    def test_unknown_gamma_mode(self):
+        mdl, w = self._setup()
+        with pytest.raises(nm.NumericsError, match="gamma mode 'bogus'"):
+            mdl.generate(w, [np.random.default_rng(42)], gamma_mode="bogus")
+
     def test_stochastic_chain_reproducible_with_pinned_chain_rng(self):
         mdl, w = self._setup()
         y_init = np.random.default_rng(42).standard_normal((3, 12, 5))
         guidance = mdl.encode(w).data
-        sched = mdl.config.schedule(gamma_mode="ddpm-matching")
+        sched = mdl.config.schedule()
         a, b = (dff.reverse_chain(y_init, guidance, sched, mdl.params,
                                   mdl.config, np.random.default_rng(1)) for _ in range(2))
         np.testing.assert_array_equal(a, b)
+
+    def test_chain_is_stochastic_exactly_when_given_a_generator(self):
+        mdl, w = self._setup()
+        args = (np.random.default_rng(42).standard_normal((3, 12, 5)), mdl.encode(w).data,
+                mdl.config.schedule(), mdl.params, mdl.config)
+        a, b = dff.reverse_chain(*args), dff.reverse_chain(*args)
+        assert a.tobytes() == b.tobytes()
+        assert np.abs(dff.reverse_chain(*args, np.random.default_rng(1)) - a).max() > 1e-6
 
     @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
     @pytest.mark.parametrize("k_total,steps,beta_end", [(40, 10, 0.25), (200, 100, 0.05)])
@@ -420,10 +438,9 @@ class TestReverseGenerate:
         # reconstruction -> transition, with the same pinned in-chain noise
         mdl, w = self._setup(k_total, steps, beta_end)
         y_init = np.random.default_rng(42).standard_normal((3, 12, 5))
-        args = (y_init, mdl.encode(w).data, mdl.config.schedule(gamma_mode=gamma_mode),
-                mdl.params, mdl.config)
-        folded = dff.reverse_chain(*args, np.random.default_rng(1))
-        unfolded = reverse_chain_steps(*args, np.random.default_rng(1))
+        args = (y_init, mdl.encode(w).data, mdl.config.schedule(), mdl.params, mdl.config)
+        folded = dff.reverse_chain(*args, _chain_rng(gamma_mode))
+        unfolded = reverse_chain_steps(*args, _chain_rng(gamma_mode))
         np.testing.assert_allclose(folded, unfolded, rtol=0, atol=1e-5)
         assert np.abs(folded - y_init).max() > 0.1
         assert y_init.tobytes() == np.random.default_rng(42).standard_normal(
@@ -477,10 +494,9 @@ class TestChainTerms:
                              ids=["1", "511", "512", "513", "1100", "600-no-blocks"])
     def test_equals_unfolded_steps(self, rows, blocks, gamma_mode):
         cfg = replace(self.CFG, denoiser_blocks=blocks)
-        args = (*self._inputs(rows), cfg.schedule(gamma_mode=gamma_mode), self._params(cfg),
-                cfg)
-        chain = dff.reverse_chain(*args, np.random.default_rng(1))
-        unfolded = reverse_chain_steps(*args, np.random.default_rng(1))
+        args = (*self._inputs(rows), cfg.schedule(), self._params(cfg), cfg)
+        chain = dff.reverse_chain(*args, _chain_rng(gamma_mode))
+        unfolded = reverse_chain_steps(*args, _chain_rng(gamma_mode))
         np.testing.assert_allclose(chain, unfolded, rtol=0, atol=1e-5)
         assert np.abs(chain - args[0]).max() > 1.0
 

@@ -18,12 +18,13 @@ MICRO = ModelConfig(conv_channels=4, d_phi=4, d_psi=4, denoiser_width=8,
 
 
 @pytest.fixture(scope="module")
-def tiny_model_and_windows():
+def tiny_model_and_windows(tmp_path_factory):
     cfg = data.SynthConfig(n_scenes=2, peds_per_scene=3, frames=30, seed=6)
     windows = data.window_scenes(data.synthesize_scenes(cfg), stride=5)
     tcfg = training.TrainConfig(batch_size=4, epochs=3, seed=0,
                                 checkpoint_every=10 ** 6)
-    path, _ = training.fit(windows, tcfg, MICRO, out_dir="/tmp/tjd_inf")
+    path, _ = training.fit(windows, tcfg, MICRO,
+                           out_dir=str(tmp_path_factory.mktemp("inference")))
     mdl, _, _ = Model.load(path)
     return mdl, windows
 

@@ -203,13 +203,13 @@ class TestTrainStep:
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
-    def test_loss_decreases_on_small_synthetic_set(self):
+    def test_loss_decreases_on_small_synthetic_set(self, tmp_path):
         # 50-window set, 200 steps at package defaults
         windows = _windows(n_scenes=5, peds=4, frames=65, seed=7)[:50]
         assert len(windows) == 50
         cfg = training.TrainConfig(batch_size=8, epochs=29, seed=0,
                                    checkpoint_every=10 ** 6)
-        _, rows = training.fit(windows, cfg, MICRO, out_dir="/tmp/tjd_dec")
+        _, rows = training.fit(windows, cfg, MICRO, out_dir=str(tmp_path))
         assert len(rows) >= 200
         first = np.mean([r[1] for r in rows[:10]])
         at200 = np.mean([r[1] for r in rows[190:200]])
@@ -568,11 +568,11 @@ class TestFit:
         # a killed run can leave the start of its next row: "1" of "13,..."
         # would otherwise read as step 1 and prefix the next appended row
         path = tmp_path / "training_log.csv"
-        head = "# seed: 0\n" + ",".join(training.LOG_COLUMNS) + "\n"
+        header = ["# seed: 0\n", "# config: batch=4\n", ",".join(training.LOG_COLUMNS) + "\n"]
         rows = "".join(f"{s},1.0,0.5,0.25,0.25,3.0\n" for s in range(1, 13))
-        path.write_text(head + rows + "1")
-        training._trim_log(str(path), 12)
-        assert path.read_text() == head + rows
+        path.write_text("".join(header) + rows + "1")
+        training._trim_log(str(path), 12, header)
+        assert path.read_text() == "".join(header) + rows
 
     @pytest.mark.parametrize("kept", [3, 0], ids=["rows-1-3", "empty"])
     def test_log_behind_its_checkpoint_is_refused(self, tmp_path, kept):
@@ -591,6 +591,36 @@ class TestFit:
             training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path),
                          resume_from=str(tmp_path / "ckpt_000006.tjdf"))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("change", [{"learning_rate": 2e-3}, {"seed": 6},
+                                        {"denoiser_boost": 2}],
+                             ids=["lr", "seed", "boost"])
+    def test_log_of_another_run_is_refused(self, tmp_path, change):
+        # the log's "# seed"/"# config" lines name the run it belongs to;
+        # appending this run's rows to it would mix two runs in one log
+        cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
+        training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
+        for name in ("model.tjdf", "ckpt_000009.tjdf"):
+            os.remove(tmp_path / name)
+        line = 1 if "seed" in change else 2
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(training.ResumeError, match=f"training_log.csv line {line} is"):
+            training.fit(_windows(), replace(cfg, **change), MICRO, out_dir=str(tmp_path),
+                         resume_from=str(tmp_path / "ckpt_000006.tjdf"))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_killed_saves_leftovers_are_replaced(self, tmp_path):
+        # a save killed before its rename leaves "<path>.tmp"; the next save
+        # of the same path writes through it
+        for name in ("ckpt_000006.tjdf.tmp", "model.tjdf.tmp"):
+            (tmp_path / name).write_bytes(b"torn")
+        cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
+        training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == [
+            "ckpt_000003.tjdf", "ckpt_000006.tjdf", "ckpt_000009.tjdf", "model.tjdf",
+            "training_log.csv"]
+        for name in ("ckpt_000006.tjdf", "model.tjdf"):
+            Model.load(tmp_path / name)
 
     def test_killed_run_resumes_to_straight_through_bytes(self, tmp_path):
         cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
