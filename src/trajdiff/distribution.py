@@ -13,9 +13,12 @@ map is applied whenever a state is read as a distribution.  The converter's
 sizes (conv_channels, kernel) are read from the model's ``ModelConfig``.
 
 Every density and draw is vectorized over pedestrians and timesteps:
-``log_pdf_terms`` (the likelihood loss), ``mean_log_score`` (self-likelihood
-selection) and ``sample_field`` (Gaussian draws).  The tests hold them to
-scalar closed-form references.
+``log_pdf`` (the likelihood loss, with its gradient), ``mean_log_score``
+(self-likelihood selection) and ``sample_field`` (Gaussian draws).  The
+tests hold them to scalar closed-form references.  The converter and the
+density run on plain arrays; the training loss that joins them is one
+recorded operation (``training.converter_losses``), whose backward is
+``log_pdf``'s and ``converter_backward``.
 """
 
 from __future__ import annotations
@@ -43,14 +46,6 @@ def constrain_array(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     mu = raw[..., 0:2]
     sig = np.logaddexp(0.0, raw[..., 2:4]) + SIGMA_FLOOR
     rho = RHO_CAP * np.tanh(raw[..., 4:5])
-    return mu, sig, rho
-
-
-def constrain_tensors(raw: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Differentiable constraint map on a raw-statistics tensor [..., 5]."""
-    mu = raw[(Ellipsis, slice(0, 2))]
-    sig = nm.add(nm.softplus(raw[(Ellipsis, slice(2, 4))]), SIGMA_FLOOR)
-    rho = nm.mul(nm.tanh(raw[(Ellipsis, slice(4, 5))]), RHO_CAP)
     return mu, sig, rho
 
 
@@ -93,8 +88,10 @@ def converter_layout(cfg: ModelConfig) -> dict[str, tuple]:
     }
 
 
-def convert_trajectory(future, params: dict[str, Tensor]) -> Tensor:
-    """Map future displacements [N, T', 2] to raw statistics [N, T', 5].
+def convert_trajectory(future, params: dict[str, Tensor], keep: dict | None = None
+                       ) -> np.ndarray:
+    """Map future displacements [N, T', 2] to raw statistics [N, T', 5],
+    on plain arrays in the default dtype.
 
     Deterministic given parameters.  The first convolution's center tap is
     masked out, so each timestep's statistics are predicted from its
@@ -103,43 +100,97 @@ def convert_trajectory(future, params: dict[str, Tensor]) -> Tensor:
     collapses every sigma to the floor, which destroys the location
     distributions that the samplers rely on.  Only an odd kernel has a
     center tap (``ModelConfig.validate`` rejects an even one).  The second
-    layer is pointwise (2 -> C -> 5 channels overall).
+    layer is pointwise (2 -> C -> 5 channels overall).  ``keep``, when
+    given, receives what ``converter_backward`` reads.
     """
-    x = future if isinstance(future, Tensor) else nm.constant(future)
+    dtype = nm.default_dtype()
+    x = np.asarray(future, dtype=dtype)
+    n, length = x.shape[0], x.shape[1]
     k = params["conv.w1"].shape[2]
-    w1 = nm.mul(params["conv.w1"], nm.constant(_center_mask(k)))
-    h = nm.transpose(x, (0, 2, 1))                       # [N, 2, T']
-    h = nm.conv1d(h, w1)
-    h = nm.transpose(h, (0, 2, 1))                       # [N, T', C]
-    h = nm.tanh(nm.add(h, params["conv.b1"]))
-    h = nm.transpose(h, (0, 2, 1))
-    h = nm.conv1d(h, params["conv.w2"])
-    h = nm.transpose(h, (0, 2, 1))                       # [N, T', 5]
-    return nm.add(h, params["conv.b2"])
+    w1 = params["conv.w1"].data * _center_mask(k).astype(dtype)
+    cols = nm.conv1d_columns(x.transpose(0, 2, 1), k)          # [N*T', 2k]
+    h = np.tanh(cols @ w1.reshape(len(w1), -1).T + params["conv.b1"].data)
+    w2 = params["conv.w2"].data
+    raw = (h @ w2.reshape(len(w2), -1).T).reshape(n, length, STAT_CHANNELS)
+    raw += params["conv.b2"].data
+    if not np.isfinite(raw).all():
+        raise nm.NumericsError("converter produced a non-finite value")
+    if keep is not None:
+        keep.update(cols=cols, h=h, w1=w1)
+    return raw
+
+
+def converter_backward(g_raw: np.ndarray, params: dict[str, Tensor],
+                       keep: dict) -> dict[str, np.ndarray]:
+    """Gradients of the ``conv.*`` parameters given the raw statistics'
+    gradient [N, T', 5].  Each value rounds as the primitive tape of
+    ``convert_trajectory`` (kept in the tests as the reference), whose
+    convolutions' weight gradients are ``numerics.conv1d_weight_grad``."""
+    n, length, c = g_raw.shape[0], g_raw.shape[1], keep["h"].shape[1]
+    w1, w2 = keep["w1"], params["conv.w2"].data
+    gw2 = nm.conv1d_weight_grad(np.ascontiguousarray(g_raw.transpose(1, 0, 2)),
+                                keep["h"], w2.shape)
+    d = nm.tanh_grad(keep["h"], g_raw.reshape(n * length, -1) @ w2.reshape(len(w2), -1))
+    d = d.reshape(n, length, c)
+    gw1 = nm.conv1d_weight_grad(np.ascontiguousarray(d.transpose(1, 0, 2)),
+                                keep["cols"], w1.shape)
+    return {"conv.w1": gw1 * _center_mask(w1.shape[2]).astype(w1.dtype),
+            "conv.b1": d.sum(axis=(0, 1)), "conv.w2": gw2,
+            "conv.b2": g_raw.sum(axis=(0, 1))}
 
 
 # ---------------------------------------------------------------------------
 # Density and sampling
 
 
-def log_pdf_terms(y, mu: Tensor, sigma: Tensor, rho: Tensor) -> Tensor:
-    """Differentiable per-location log densities.
+def log_pdf(y: np.ndarray, raw: np.ndarray):
+    """Log density [..., 1] of each location ``y`` [..., 2] under the
+    Gaussian of the raw statistics ``raw`` [..., 5] at it, and its
+    backward: the map from the densities' gradient to the gradients of
+    raw's (means, sigmas, rho) channels, [..., 2], [..., 2] and [..., 1].
 
-    ``y`` [..., 2] (constant), ``mu`` [..., 2], ``sigma`` [..., 2] positive,
-    ``rho`` [..., 1] with |rho| < 1.  Returns [..., 1].
+    The density is -(log sigma1 + log sigma2 + log(1 - rho^2) / 2 +
+    log 2 pi + quad / (2 (1 - rho^2))), with the standardized residuals
+    u = (y - mu) / sigma and quad = u1^2 + u2^2 - 2 u1 u2 rho; each
+    reciprocal is exp(-log x).  Every value rounds as the primitive tape of
+    the constraint map and this formula (kept in the tests as the
+    reference): where the tape sums several gradients of one value, they
+    are summed in its order.
     """
-    y = y if isinstance(y, Tensor) else nm.constant(y)
-    d = nm.add(y, nm.mul(mu, -1.0))
-    u = nm.mul(d, nm.reciprocal_positive(sigma))         # standardized residuals
-    u1 = u[(Ellipsis, slice(0, 1))]
-    u2 = u[(Ellipsis, slice(1, 2))]
-    omr2 = nm.add(1.0, nm.mul(nm.mul(rho, rho), -1.0))   # 1 - rho^2 > 0 by cap
-    quad = nm.add(nm.add(nm.mul(u1, u1), nm.mul(u2, u2)),
-                  nm.mul(nm.mul(nm.mul(u1, u2), rho), -2.0))
-    log_sig = nm.sum_(nm.log(sigma), axis=-1, keepdims=True)
-    log_norm = nm.add(nm.add(log_sig, nm.mul(nm.log(omr2), 0.5)), LOG_2PI)
-    penalty = nm.mul(nm.mul(quad, nm.reciprocal_positive(omr2)), 0.5)
-    return nm.mul(nm.add(log_norm, penalty), -1.0)
+    f = nm.default_dtype()
+    mu, s_raw, r_raw = raw[..., 0:2], raw[..., 2:4], raw[..., 4:5]
+    sig = np.logaddexp(0.0, s_raw) + f(SIGMA_FLOOR)
+    th = np.tanh(r_raw)
+    rho = th * f(RHO_CAP)
+    d = y + mu * f(-1.0)
+    r_sig = np.exp(np.log(sig) * f(-1.0))
+    u = d * r_sig
+    u1, u2 = u[..., 0:1], u[..., 1:2]
+    omr2 = f(1.0) + rho * rho * f(-1.0)                  # 1 - rho^2 > 0 by cap
+    p12 = u1 * u2
+    quad = (u1 * u1 + u2 * u2) + p12 * rho * f(-2.0)
+    log_norm = (np.log(sig).sum(axis=-1, keepdims=True) + np.log(omr2) * f(0.5)) \
+        + f(LOG_2PI)
+    r_omr2 = np.exp(np.log(omr2) * f(-1.0))
+    terms = (log_norm + quad * r_omr2 * f(0.5)) * f(-1.0)
+
+    def backward(g_terms):
+        g = g_terms * f(-1.0)
+        g_quad = g * f(0.5) * r_omr2
+        g_omr2 = g * f(0.5) * quad * r_omr2 * f(-1.0) / omr2 + g * f(0.5) / omr2
+        g_rho2 = g_quad * f(-2.0)
+        g_p12 = g_rho2 * rho
+        g_u1 = g_p12 * u2 + g_quad * u1 + g_quad * u1
+        g_u2 = g_p12 * u1 + g_quad * u2 + g_quad * u2
+        g_rr = g_omr2 * f(-1.0)
+        g_rho = g_rho2 * p12 + g_rr * rho + g_rr * rho
+        g_u = np.concatenate([g_u1, g_u2], axis=-1)
+        g_sig = np.broadcast_to(g, sig.shape) / sig \
+            + g_u * d * r_sig * f(-1.0) / sig
+        return (g_u * r_sig * f(-1.0), g_sig * np.exp(-np.logaddexp(0.0, -s_raw)),
+                nm.tanh_grad(th, g_rho * f(RHO_CAP)))
+
+    return terms, backward
 
 
 def sample_field(field: StatsField, rng: np.random.Generator) -> np.ndarray:
@@ -199,7 +250,8 @@ def denormalize_stats(normed: np.ndarray, stats: NormStats) -> np.ndarray:
     return np.asarray(normed) * stats.scale + stats.mean
 
 
-def normalize_tensor(raw: Tensor, stats: NormStats) -> Tensor:
-    neg_mean = nm.constant(-stats.mean)
-    inv_scale = nm.constant(1.0 / stats.scale)
-    return nm.mul(nm.add(raw, neg_mean), inv_scale)
+def normalize_stats(raw: np.ndarray, stats: NormStats) -> np.ndarray:
+    """``denormalize_stats``' inverse in the default dtype: (raw - mean) /
+    scale, rounded as (raw + -mean) * (1 / scale)."""
+    dtype = nm.default_dtype()
+    return (raw + (-stats.mean).astype(dtype)) * (1.0 / stats.scale).astype(dtype)

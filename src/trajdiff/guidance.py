@@ -16,6 +16,10 @@ The convolutions' outputs at the final timestep read only the last k
 (kernel) observed steps, so they are computed as one matmul over those k
 steps, with the same values and the same per-convolution parameters.
 
+Both encoders run on plain arrays and are one recorded operation
+(``encode_windows``) whose backward is ``_encoder_backward``; the tests
+hold it to the primitive tape of the same body byte for byte.
+
 Sizes (t_obs, conv_channels, kernel, d_phi, d_psi) are read from the
 model's ``ModelConfig``.
 """
@@ -47,51 +51,98 @@ def encoder_layout(cfg: ModelConfig, prefix: str, out_dim: int) -> dict[str, tup
     return layout
 
 
-def _encode_sequence(x: Tensor, params: dict[str, Tensor], prefix: str,
-                     cfg: ModelConfig) -> Tensor:
-    """Shared conv / last-step / attention / projection pipeline.  The
+def _encoder_forward(x: np.ndarray, params: dict[str, Tensor], prefix: str,
+                     cfg: ModelConfig) -> tuple[np.ndarray, dict]:
+    """One encoder on plain arrays: the context [N, out_dim] of the
+    sequences ``x`` [N, T, 2], and what ``_encoder_backward`` reads.  The
     stacked conv weight is rebuilt from the ``conv{j}`` parameters per call."""
+    def p(name):
+        return params[f"{prefix}.{name}"].data
+
     n, t, c, kern = x.shape[0], cfg.t_obs, cfg.conv_channels, cfg.kernel
     # taps that read an observation; with kern > t the first kern - t taps
     # read the causal zero padding and are left out, weights included
     taps = min(kern, t)
-    last = x[(slice(None), slice(t - taps, None), slice(None))]
-    last = nm.reshape(nm.transpose(last, (0, 2, 1)), (n, 2 * taps))  # as w: [2, taps]
-    w = nm.concat([params[f"{prefix}.conv{j}.w"] for j in range(t)], axis=0)
-    if taps < kern:
-        w = w[(slice(None), slice(None), slice(kern - taps, None))]
-    w = nm.transpose(nm.reshape(w, (t * c, 2 * taps)), (1, 0))     # [2 taps, T*C]
-    b = nm.concat([params[f"{prefix}.conv{j}.b"] for j in range(t)], axis=0)
-    seq = nm.reshape(nm.tanh(nm.add(nm.matmul(last, w), b)), (n, t, c))
-    q = nm.matmul(seq, params[f"{prefix}.attn.wq"])
-    k = nm.matmul(seq, params[f"{prefix}.attn.wk"])
-    v = nm.matmul(seq, params[f"{prefix}.attn.wv"])
-    att = nm.scaled_dot_attention(q, k, v)               # [N, T, C]
-    flat = nm.reshape(att, (n, t * c))
-    return nm.add(nm.matmul(flat, params[f"{prefix}.proj.w"]),
-                  params[f"{prefix}.proj.b"])
+    last = np.ascontiguousarray(x[:, t - taps:].transpose(0, 2, 1)).reshape(n, 2 * taps)
+    w = np.concatenate([p(f"conv{j}.w") for j in range(t)])[:, :, kern - taps:]
+    w = np.ascontiguousarray(w.reshape(t * c, 2 * taps).T)        # [2 taps, T*C]
+    b = np.concatenate([p(f"conv{j}.b") for j in range(t)])
+    seq = np.tanh(last @ w + b).reshape(n, t, c)
+    q, k, v = (seq @ p(f"attn.{name}") for name in ("wq", "wk", "wv"))
+    # single-head attention, as ``numerics.scaled_dot_attention`` computes it
+    scale = q.dtype.type(1.0 / np.sqrt(c))
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    # each row's max, one column at a time: exact, and at T = 8 about 8x
+    # faster than numpy's max over the short last axis
+    row_max = scores[..., 0].copy()
+    for j in range(1, t):
+        np.maximum(row_max, scores[..., j], out=row_max)
+    scores -= row_max[..., None]
+    e = np.exp(scores)
+    att_w = e / e.sum(axis=2, keepdims=True)
+    flat = (att_w @ v).reshape(n, t * c)
+    out = flat @ p("proj.w") + p("proj.b")
+    keep = {"last": last, "seq": seq, "q": q, "k": k, "v": v, "att_w": att_w,
+            "flat": flat, "scale": scale, "taps": taps}
+    return out, keep
 
 
-def encode_history(observed, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Observed displacements [N, T, 2] -> history context [N, d_phi]."""
-    x = observed if isinstance(observed, Tensor) else nm.constant(observed)
-    if x.ndim != 3 or x.shape[1] != cfg.t_obs or x.shape[2] != 2:
-        raise nm.NumericsError(f"expected [N, {cfg.t_obs}, 2] history, got {x.shape}")
-    return _encode_sequence(x, params, "hist", cfg)
+def _encoder_backward(g: np.ndarray, params: dict[str, Tensor], prefix: str,
+                      cfg: ModelConfig, keep: dict) -> dict[str, np.ndarray]:
+    """Gradients of the ``prefix`` parameters given the context's gradient
+    ``g`` [N, out_dim].  Each value rounds as the primitive tape of the
+    same body (kept in the tests as the reference): the sequence sums its
+    value, key and query gradients in that order, each from its own
+    matmul."""
+    def p(name):
+        return params[f"{prefix}.{name}"].data
+
+    n, t, c, kern = g.shape[0], cfg.t_obs, cfg.conv_channels, cfg.kernel
+    seq, q, k, v, att_w, scale = (keep[name] for name in
+                                  ("seq", "q", "k", "v", "att_w", "scale"))
+    grads = {"proj.b": g.sum(axis=0), "proj.w": keep["flat"].T @ g}
+    g_att = (g @ p("proj.w").T).reshape(n, t, c)
+    gw = g_att @ v.transpose(0, 2, 1)
+    gv = att_w.transpose(0, 2, 1) @ g_att
+    gs = att_w * (gw - (gw * att_w).sum(axis=2, keepdims=True))
+    gq = (gs @ k) * scale
+    gk = (gs.transpose(0, 2, 1) @ q) * scale
+    g_seq = None
+    for name, gx in (("wv", gv), ("wk", gk), ("wq", gq)):
+        grads[f"attn.{name}"] = np.tensordot(seq, gx, axes=([0, 1], [0, 1]))
+        part = gx @ p(f"attn.{name}").T
+        g_seq = part if g_seq is None else g_seq + part
+    d = nm.tanh_grad(seq.reshape(n, t * c), g_seq.reshape(n, t * c))
+    taps = keep["taps"]
+    gw_full = np.zeros((t * c, 2, kern), dtype=d.dtype)
+    gw_full[:, :, kern - taps:] = (keep["last"].T @ d).T.reshape(t * c, 2, taps)
+    gb = d.sum(axis=0)
+    for j in range(t):
+        grads[f"conv{j}.w"] = gw_full[j * c:(j + 1) * c]
+        grads[f"conv{j}.b"] = gb[j * c:(j + 1) * c]
+    return {f"{prefix}.{name}": a for name, a in grads.items()}
 
 
-def aggregate_neighbors(observed: np.ndarray, neighbor_mask: np.ndarray) -> np.ndarray:
-    """Masked mean of neighbor displacements per pedestrian and timestep.
-
-    Pedestrians without neighbors get the all-zero sequence.  Parameter
-    free, so it runs in plain numpy ahead of the encoder.
-    """
-    mask = np.asarray(neighbor_mask, dtype=np.float64)
-    if mask.shape[0] != mask.shape[1] or np.any(np.diag(mask) != 0):
-        raise ValueError("neighbor mask must be square with a false diagonal")
-    counts = mask.sum(axis=1, keepdims=True)             # [N, 1]
-    summed = np.einsum("ij,jtc->itc", mask, np.asarray(observed, dtype=np.float64))
-    return summed / np.maximum(counts[:, :, None], 1.0)
+def aggregate_neighbors(windows) -> np.ndarray:
+    """Masked mean of neighbor displacements per pedestrian and timestep,
+    rows concatenated in window order; pedestrians without neighbors get
+    the all-zero sequence.  Parameter free, so it runs in plain numpy
+    ahead of the encoder, as one einsum over the windows padded to the
+    largest: a padded row or column adds exact zeros after a row's own
+    terms, so every sum is the per-window sum."""
+    sizes = [len(w.observed) for w in windows]
+    m, t = max(sizes), np.shape(windows[0].observed)[1]
+    mask = np.zeros((len(windows), m, m))
+    obs = np.zeros((len(windows), m, t, 2))
+    for i, (w, n) in enumerate(zip(windows, sizes)):
+        if np.shape(w.neighbor_mask) != (n, n) or np.any(np.diag(w.neighbor_mask)):
+            raise ValueError("neighbor mask must be [N, N] for N pedestrians, "
+                             "with a false diagonal")
+        mask[i, :n, :n] = w.neighbor_mask
+        obs[i, :n] = w.observed
+    summed = np.einsum("bij,bjtc->bitc", mask, obs)
+    agg = summed / np.maximum(mask.sum(axis=2), 1.0)[:, :, None, None]
+    return agg[np.arange(m) < np.array(sizes)[:, None]]
 
 
 def guidance_layout(cfg: ModelConfig) -> dict[str, tuple]:
@@ -105,11 +156,26 @@ def encode_windows(windows, params: dict[str, Tensor], cfg: ModelConfig) -> Tens
 
     Pedestrian rows are concatenated across windows (neighbor aggregation
     happens per window, everything learned is per pedestrian).  Row order
-    follows the window order.
+    follows the window order.  Both encoders are one operation made by
+    ``nm._make``: it checks the embedding's finiteness and, under a record
+    (training), records ``_encoder_backward`` of each encoder as its
+    backward, the gradients of every ``hist.*`` and ``nbr.*`` parameter.
     """
     obs = np.concatenate([np.asarray(w.observed) for w in windows], axis=0)
-    agg = np.concatenate(
-        [aggregate_neighbors(w.observed, w.neighbor_mask) for w in windows], axis=0)
-    hist = encode_history(obs, params, cfg)
-    nbr = _encode_sequence(nm.constant(agg), params, "nbr", cfg)
-    return nm.concat([hist, nbr], axis=1)
+    if obs.ndim != 3 or obs.shape[1:] != (cfg.t_obs, 2):
+        raise nm.NumericsError(f"expected [N, {cfg.t_obs}, 2] history, got {obs.shape}")
+    dtype = nm.default_dtype()
+    hist, hist_keep = _encoder_forward(obs.astype(dtype), params, "hist", cfg)
+    nbr, nbr_keep = _encoder_forward(aggregate_neighbors(windows).astype(dtype),
+                                     params, "nbr", cfg)
+    names = list(guidance_layout(cfg))
+
+    def grad_fn(g):
+        grads = {**_encoder_backward(np.ascontiguousarray(g[:, :cfg.d_phi]), params,
+                                     "hist", cfg, hist_keep),
+                 **_encoder_backward(np.ascontiguousarray(g[:, cfg.d_phi:]), params,
+                                     "nbr", cfg, nbr_keep)}
+        return tuple(grads[k] for k in names)
+
+    return nm._make(np.concatenate([hist, nbr], axis=1),
+                    tuple(params[k] for k in names), grad_fn)

@@ -97,7 +97,7 @@ class Model:
     def encode(self, windows) -> Tensor:
         return guidance.encode_windows(windows, self.params, self.config)
 
-    def convert(self, future) -> Tensor:
+    def convert(self, future) -> np.ndarray:
         return distribution.convert_trajectory(future, self.params)
 
     def generate(self, windows, rngs: list[np.random.Generator], n_runs: int = 1,

@@ -13,10 +13,13 @@ deliberately small:
 
 Every recorded operation goes through ``_make``, which validates that its
 output is finite and has the active dtype, and raises ``NumericsError``
-otherwise, so NaN/Inf and silent float64 promotion never propagate.  Most
-are the primitives below; the denoiser (``diffusion.denoiser_apply``) is
-one operation with its own backward, computed on plain arrays, so its
-output is checked once per call.
+otherwise, so NaN/Inf and silent float64 promotion never propagate.  The
+primitives below are such operations.  So are the training pass's larger
+pieces, each with its own backward computed on plain arrays, so each
+output is checked once per call: the guidance encoders
+(``guidance.encode_windows``), the converter with its losses
+(``training.converter_losses``), the denoiser
+(``diffusion.denoiser_apply``) and the loss sums in ``training``.
 """
 
 from __future__ import annotations
@@ -288,6 +291,32 @@ def matmul(a, b) -> Tensor:
     return _make(ad @ bd, (a, b), grad_fn)
 
 
+def conv1d_columns(xd: np.ndarray, k: int) -> np.ndarray:
+    """The im2col matrix [N * L, C_in * k] of ``xd`` [N, C_in, L], zero-padded
+    as ``conv1d`` pads it, so a convolution is one matmul with the weight
+    reshaped to [C_out, C_in * k]."""
+    n, c_in, length = xd.shape
+    pl = (k - 1) // 2
+    # a zero-filled buffer: np.pad's per-call overhead dominated small inputs
+    xp = np.zeros((n, c_in, length + k - 1), dtype=xd.dtype)
+    xp[:, :, pl:pl + length] = xd
+    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    return np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(n * length, c_in * k)
+
+
+def conv1d_weight_grad(g_pos: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
+    """The ``conv1d`` weight gradient from the output gradient by position,
+    ``g_pos`` [L, N, C_out] (C-contiguous), and the input's
+    ``conv1d_columns``: one contraction over the batch per output position,
+    summed in position order.  Positions with zero gradient add exact
+    zeros, so when one position carries all of it (the collapsed encoder's
+    reference) the sums are that position's matmul."""
+    length, n = g_pos.shape[:2]
+    per_pos = g_pos.transpose(0, 2, 1) @ np.ascontiguousarray(
+        cols.reshape(n, length, -1).transpose(1, 0, 2))
+    return per_pos.sum(axis=0).reshape(w_shape)
+
+
 def conv1d(x, w) -> Tensor:
     """1-D convolution over the last axis, stride 1, zero-padded to the
     input's length ((k - 1) // 2 columns on the left, the rest on the right).
@@ -299,42 +328,27 @@ def conv1d(x, w) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
         raise NumericsError(f"conv1d shapes {x.shape} x {w.shape} unsupported")
-    k = w.shape[2]
-    pl = (k - 1) // 2
-    pr = k - 1 - pl
-    length = x.shape[2]
+    n, c_in, length = x.shape
     if length < 1:
         raise NumericsError("conv1d input is empty")
-    n, c_in = x.shape[0], x.shape[1]
-    c_out = w.shape[0]
-    # a zero-filled buffer: np.pad's per-call overhead dominated small inputs
-    xp = np.zeros((n, c_in, length + pl + pr), dtype=x.data.dtype)
-    xp[:, :, pl:pl + length] = x.data
-    l_out = xp.shape[2] - k + 1
-    # im2col so both passes run as BLAS matmuls
-    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(n * l_out, c_in * k)
+    c_out, k = w.shape[0], w.shape[2]
+    pl = (k - 1) // 2
+    cols = conv1d_columns(x.data, k)
     w2 = w.data.reshape(c_out, c_in * k)
-    out = (cols @ w2.T).reshape(n, l_out, c_out).transpose(0, 2, 1)
+    out = (cols @ w2.T).reshape(n, length, c_out).transpose(0, 2, 1)
 
     def grad_fn(g):
         gw = None
         if w.requires_grad:
-            # one contraction over the batch per output position, summed in
-            # position order: positions with zero gradient add exact zeros,
-            # so when one position carries all of it (the collapsed
-            # encoder's reference) the sums are that position's matmul
-            g_pos = np.ascontiguousarray(g.transpose(2, 0, 1))     # [L, N, C_out]
-            per_pos = g_pos.transpose(0, 2, 1) @ np.ascontiguousarray(
-                cols.reshape(n, l_out, c_in * k).transpose(1, 0, 2))
-            gw = per_pos.sum(axis=0).reshape(c_out, c_in, k)
+            gw = conv1d_weight_grad(np.ascontiguousarray(g.transpose(2, 0, 1)), cols,
+                                    w.shape)
         if not x.requires_grad:
             return None, gw
-        gt = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * l_out, c_out)
-        gcols = (gt @ w2).reshape(n, l_out, c_in, k)
-        gxp = np.zeros_like(xp)
+        gt = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * length, c_out)
+        gcols = (gt @ w2).reshape(n, length, c_in, k)
+        gxp = np.zeros((n, c_in, length + k - 1), dtype=x.data.dtype)
         for j in range(k):
-            gxp[:, :, j:j + l_out] += gcols[:, :, :, j].transpose(0, 2, 1)
+            gxp[:, :, j:j + length] += gcols[:, :, :, j].transpose(0, 2, 1)
         return gxp[:, :, pl:pl + length], gw
 
     return _make(out, (x, w), grad_fn)

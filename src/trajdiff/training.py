@@ -13,10 +13,17 @@ The objective is a weighted sum of three terms:
 Training is deterministic for a fixed seed: every stochastic choice is
 drawn from a generator derived from (seed, purpose, step), so a run can be
 resumed from a checkpoint bit-exactly.
+
+In a joint pass (``batch_losses``) the encoders, the converter with both
+its losses (``converter_losses``), the denoiser, the squared error with
+its mean and the weighted sum are one recorded operation each, with
+hand-written backwards that round as the primitive tapes of the same
+formulas (kept in the tests as references).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -24,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffusion
+from . import diffusion, distribution
 from . import numerics as nm
 from .checkpoint import ContainerError, check_layout
-from .distribution import constrain_tensors, log_pdf_terms, normalize_tensor, NormStats
+from .distribution import STAT_CHANNELS, NormStats
 from .model import Model, ModelConfig
 from .numerics import NumericsError, Tensor
 
@@ -36,6 +43,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 GRAD_CLIP = 5.0         # global gradient-norm cap of every update
 NORM_CHUNK = 64         # windows per converter call in freeze_normalization
+HEAP_TOP_PAD = 64 << 20  # freed heap that glibc's malloc keeps once fit has run
 
 
 class ResumeError(ValueError):
@@ -85,31 +93,90 @@ def loss_diffusion(y0_norm: Tensor, guidance_emb: Tensor, ks: np.ndarray,
     window share their step); ``eps`` is the standard normal draw, mixed
     in by ``forward_marginal``.  The denoiser is looked up in ``diffusion``
     at call time, so a stand-in patched over ``diffusion.denoiser_apply``
-    is the one called.
+    is the one called.  The error and its mean are one operation.
     """
     eps_t = nm.constant(eps)
     noisy = diffusion.forward_marginal(y0_norm, ks, eps_t, schedule)
     pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule)
-    diff = nm.add(pred, nm.mul(eps_t, -1.0))
-    return nm.mean(nm.mul(diff, diff))
+    diff = pred.data + eps_t.data * nm.default_dtype()(-1.0)
+    sq = diff * diff
+
+    def grad_fn(g):
+        # the mean's share of g, through the square: g/n diff + g/n diff
+        part = np.broadcast_to(g, sq.shape) / sq.size * diff
+        return (part + part,)
+
+    return nm._make(sq.mean(), (pred,), grad_fn)
 
 
-def loss_likelihood(future, raw_stats: Tensor, n_windows: int = 1) -> Tensor:
-    """Negative Gaussian log likelihood of the true future displacements,
-    summed over pedestrians and timesteps, averaged over batch windows."""
-    mu, sig, rho = constrain_tensors(raw_stats)
-    terms = log_pdf_terms(future, mu, sig, rho)
-    return nm.mul(nm.sum_(terms), -1.0 / n_windows)
+def loss_likelihood(y: np.ndarray, raw: np.ndarray, n_windows: int = 1):
+    """Negative Gaussian log likelihood of the true future displacements
+    ``y`` [N, T', 2] under the raw statistics ``raw`` [N, T', 5], summed
+    over pedestrians and timesteps and averaged over ``n_windows`` batch
+    windows: (value, backward), where backward maps the value's gradient
+    to the gradients of raw's (means, sigmas, rho) channels."""
+    terms, density_backward = distribution.log_pdf(y, raw)
+    scale = nm.default_dtype()(-1.0 / n_windows)
+
+    def backward(g):
+        return density_backward(np.broadcast_to(g * scale, terms.shape))
+
+    return terms.sum() * scale, backward
 
 
-def loss_consistency(future, raw_stats: Tensor) -> Tensor:
+def loss_consistency(y: np.ndarray, raw: np.ndarray):
     """Squared error between the first predicted mean and the first true
-    displacement, averaged over pedestrians."""
-    fut = future if isinstance(future, Tensor) else nm.constant(future)
-    mu_first = raw_stats[(slice(None), slice(0, 1), slice(0, 2))]
-    gt_first = fut[(slice(None), slice(0, 1), slice(None))]
-    d = nm.add(gt_first, nm.mul(mu_first, -1.0))
-    return nm.mean(nm.sum_(nm.mul(d, d), axis=2))
+    displacement, averaged over pedestrians: (value, backward), where
+    backward maps the value's gradient to the gradient of raw[:, :1, :2]."""
+    d = y[:, 0:1] + raw[:, 0:1, 0:2] * nm.default_dtype()(-1.0)
+    per_ped = (d * d).sum(axis=2)
+
+    def backward(g):
+        g_sq = np.broadcast_to((np.broadcast_to(g, per_ped.shape) / per_ped.size)[..., None],
+                               d.shape)
+        return (g_sq * d + g_sq * d) * nm.default_dtype()(-1.0)
+
+    return per_ped.mean(), backward
+
+
+def converter_losses(future, params: dict[str, Tensor], norm: NormStats,
+                     n_windows: int) -> Tensor:
+    """The converter, both losses it is trained by and the diffusion's
+    input, as one recorded operation on the true futures [N, T', 2]: the
+    vector [likelihood, consistency, *y0n], with y0n [N, T', 5] the raw
+    statistics normalized by ``norm``.
+
+    Likelihood is the negative log density of each true displacement
+    under the converter's Gaussian at its timestep, summed over pedestrians
+    and timesteps and averaged over the ``n_windows`` batch windows;
+    consistency is the squared error between the first predicted mean and
+    the first true displacement, averaged over pedestrians.  The converter
+    is looked up in ``distribution`` at call time.  Under a record the
+    backward sums raw's gradient from the normalization, consistency and
+    likelihood in that order, then runs ``converter_backward``.
+    """
+    dtype = nm.default_dtype()
+    y = np.asarray(future, dtype=dtype)
+    keep = {}
+    raw = distribution.convert_trajectory(y, params, keep)
+    llh, llh_backward = loss_likelihood(y, raw, n_windows)
+    con, con_backward = loss_consistency(y, raw)
+    out = np.empty(2 + raw.size, dtype)
+    out[0], out[1] = llh, con
+    out[2:] = distribution.normalize_stats(raw, norm).reshape(-1)
+    inv_scale = (1.0 / norm.scale).astype(dtype)
+    names = sorted(k for k in params if k.startswith("conv."))
+
+    def grad_fn(g):
+        g_raw = g[2:].reshape(raw.shape) * inv_scale
+        g_raw[:, 0:1, 0:2] += con_backward(g[1])
+        for channels, part in zip((slice(0, 2), slice(2, 4), slice(4, 5)),
+                                  llh_backward(g[0])):
+            g_raw[..., channels] += part
+        grads = distribution.converter_backward(g_raw, params, keep)
+        return tuple(grads[k] for k in names)
+
+    return nm._make(out, tuple(params[k] for k in names), grad_fn)
 
 
 def draw_step_noise(window_sizes, schedule, rng, t_future: int, channels: int = 5):
@@ -230,21 +297,33 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, Tensor],
 
 def batch_losses(batch, model: Model, rng: np.random.Generator,
                  weights=(1.0, 1.0, 1.0)):
-    """Forward pass over a batch of windows; returns (total, parts, cache)."""
+    """Forward pass over a batch of windows; returns (total, parts, cache).
+
+    It records eight entries: the encoders, the converter with its losses,
+    a slice and a reshape that take the normalized statistics out of the
+    converter's vector, the forward marginal, the denoiser, the squared
+    error with its mean, and the weighted sum."""
     emb = model.encode(batch)
-    fut = nm.constant(np.concatenate([w.future for w in batch], axis=0))
-    raw = model.convert(fut)
-    l_llh = loss_likelihood(fut, raw, n_windows=len(batch))
-    l_con = loss_consistency(fut, raw)
-    y0n = normalize_tensor(raw, model.norm)
+    fut = np.concatenate([w.future for w in batch], axis=0)
+    losses = converter_losses(fut, model.params, model.norm, len(batch))
+    y0n = nm.reshape(losses[2:], (len(fut), model.config.t_future, STAT_CHANNELS))
     ks, eps = draw_step_noise([w.n_peds for w in batch], model.schedule, rng,
                               model.config.t_future)
     l_diff = loss_diffusion(y0n, emb, ks, eps, model.schedule, model.params,
                             model.config)
-    w1, w2, w3 = weights
-    total = nm.add(nm.add(nm.mul(l_diff, w1), nm.mul(l_llh, w2)), nm.mul(l_con, w3))
-    parts = {"diffusion": l_diff.item(), "likelihood": l_llh.item(),
-             "consistency": l_con.item()}
+    lam = np.array(weights, dtype=nm.default_dtype())
+
+    def grad_fn(g):
+        g_losses = np.zeros_like(losses.data)
+        g_losses[:2] = g * lam[1:]
+        return g * lam[0], g_losses
+
+    # (diffusion w1 + likelihood w2) + consistency w3
+    l_llh, l_con = losses.data[:2]
+    total = nm._make((l_diff.data * lam[0] + l_llh * lam[1]) + l_con * lam[2],
+                     (l_diff, losses), grad_fn)
+    parts = {"diffusion": l_diff.item(), "likelihood": float(l_llh),
+             "consistency": float(l_con)}
     cache = {"guidance": emb.data.copy(), "y0n": y0n.data.copy(),
              "sizes": [w.n_peds for w in batch]}
     return total, parts, cache
@@ -297,7 +376,7 @@ def freeze_normalization(model: Model, windows) -> NormStats:
     raws = []
     for i in range(0, len(windows), NORM_CHUNK):
         fut = np.concatenate([w.future for w in windows[i:i + NORM_CHUNK]], axis=0)
-        raws.append(model.convert(fut).data)
+        raws.append(model.convert(fut))
     return NormStats.from_raw(np.concatenate(raws, axis=0))
 
 
@@ -342,6 +421,28 @@ def _resume(path) -> tuple[Model, AdamState, int]:
     return mdl, AdamState.from_arrays(mdl.params, rest), step
 
 
+def _keep_freed_heap() -> bool:
+    """Ask glibc's malloc to keep ``HEAP_TOP_PAD`` bytes of freed memory at
+    the top of its heap (``mallopt(M_TOP_PAD)``) instead of returning it to
+    the OS; returns whether it could (False on other C libraries).
+
+    Every training pass frees megabytes of activations and gradients at
+    once; by default malloc hands that memory back to the OS, and the next
+    pass takes a page fault per 4 KB to get it again: about 1,900 faults
+    per perfbench joint step, and about 2 ms of an 8.5 ms denoiser pass
+    (1 BLAS thread).  The setting holds for the rest of the process and also
+    stops glibc's dynamic adjustment of its mmap threshold.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(-2, HEAP_TOP_PAD) == 1     # -2 is M_TOP_PAD in <malloc.h>
+
+
 def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
         out_dir: str = "runs", resume_from=None):
     """Epoch loop with shuffled batches, periodic checkpoints and a CSV log
@@ -352,13 +453,15 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     exactly under the same seed policy; a checkpoint with no step left to
     run, or a log in ``out_dir`` that is behind it or whose header lines
     differ from this run's, raises ``ResumeError`` before anything is
-    written, and invalid model settings ``ValueError``.
+    written, and invalid model settings ``ValueError``.  On glibc it first
+    makes malloc keep freed memory for the process (``_keep_freed_heap``).
     """
     train_cfg.validate()
     model_cfg = (model_cfg or ModelConfig()).validate()
     if not windows:
         raise ValueError("training dataset is empty")
     os.makedirs(out_dir, exist_ok=True)
+    _keep_freed_heap()
 
     if resume_from is not None:
         mdl, opt, start_step = _resume(resume_from)

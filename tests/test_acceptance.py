@@ -15,7 +15,7 @@ import pytest
 
 from conftest import one_candidate_errors
 from references import (constant_velocity_baseline, finite_difference_check, posterior_step,
-                        stats_field)
+                        raw_stats, stats_field)
 from trajdiff import cli, data, diffusion, distribution, inference, training
 from trajdiff import numerics as nm
 from trajdiff.inference import EvalProtocol, SamplingStrategy
@@ -116,28 +116,25 @@ def test_criterion_gradient_correctness():
                                            np.random.default_rng(5), 3)
         fut_arr = np.concatenate([w.future for w in windows])
 
-        def diffusion_term(params):
+        def converter_losses(params):
             mdl.params = params
-            emb = mdl.encode(windows)
-            raw = mdl.convert(nm.constant(fut_arr))
-            return training.loss_diffusion(
-                distribution.normalize_tensor(raw, mdl.norm), emb,
-                ks, eps, mdl.schedule, params, mdl.config)
+            return training.converter_losses(fut_arr, params, mdl.norm, len(windows))
+
+        def diffusion_term(params):
+            y0n = nm.reshape(converter_losses(params)[2:], (len(fut_arr), 3, 5))
+            return training.loss_diffusion(y0n, mdl.encode(windows), ks, eps, mdl.schedule,
+                                           params, mdl.config)
 
         def likelihood_term(params):
-            mdl.params = params
-            return training.loss_likelihood(nm.constant(fut_arr),
-                                            mdl.convert(nm.constant(fut_arr)),
-                                            len(windows))
+            return converter_losses(params)[0:1]
 
         def consistency_term(params):
-            mdl.params = params
-            return training.loss_consistency(nm.constant(fut_arr),
-                                             mdl.convert(nm.constant(fut_arr)))
+            return converter_losses(params)[1:2]
 
         def full_objective(params):
-            return nm.add(nm.add(diffusion_term(params), likelihood_term(params)),
-                          consistency_term(params))
+            # the same step and noise draws as ks and eps
+            mdl.params = params
+            return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
 
         worst = 0.0
         for term in (diffusion_term, likelihood_term, consistency_term,
@@ -232,9 +229,9 @@ def test_criterion_gaussian_head():
     covariance at 1e5 draws."""
     t0 = time.perf_counter()
     with nm.precision(np.float64):
-        std, corr = distribution.log_pdf_terms(
-            np.zeros((2, 2)), nm.constant(np.zeros((2, 2))), nm.constant(np.ones((2, 2))),
-            nm.constant([[0.0], [0.5]])).data[:, 0]
+        std, corr = distribution.log_pdf(
+            np.zeros((2, 2)), np.stack([raw_stats(0.0, 0.0, 1.0, 1.0, rho)
+                                        for rho in (0.0, 0.5)]))[0][:, 0]
     assert math.isclose(std, -math.log(2 * math.pi), abs_tol=1e-9)
     assert math.isclose(corr, -1.694036, abs_tol=1e-6)
 

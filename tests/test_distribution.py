@@ -5,20 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from references import (finite_difference_check, gaussian_at, log_pdf,
-                        sample_location, stats_field)
+from references import (constrain_tensors, finite_difference_check, gaussian_at,
+                        log_pdf, log_pdf_terms, raw_stats, sample_location,
+                        stats_field)
 from trajdiff import distribution as dist
 from trajdiff import numerics as nm
 from trajdiff.model import ModelConfig
 
 
 def _log_density(y, mu1, mu2, s1, s2, rho) -> float:
-    """``log_pdf_terms`` at one location, in float64."""
+    """``distribution.log_pdf`` at one location, in float64."""
     with nm.precision(np.float64):
-        out = dist.log_pdf_terms(np.array([y], dtype=np.float64),
-                                 nm.constant([[mu1, mu2]]), nm.constant([[s1, s2]]),
-                                 nm.constant([[rho]]))
-    return float(out.data[0, 0])
+        terms, _ = dist.log_pdf(np.array([y], dtype=np.float64),
+                                raw_stats(mu1, mu2, s1, s2, rho)[None])
+    return float(terms[0, 0])
 
 
 def test_log_pdf_standard_at_mode():
@@ -142,12 +142,13 @@ class TestConverter:
         fut = np.random.default_rng(1).normal(size=(3, 12, 2))
         raw = dist.convert_trajectory(fut, params)
         assert raw.shape == (3, 12, 5)
+        assert raw.dtype == nm.default_dtype()
 
     def test_deterministic(self):
         cfg, params = self._params()
         fut = np.random.default_rng(1).normal(size=(2, 12, 2))
-        a = dist.convert_trajectory(fut, params).data
-        b = dist.convert_trajectory(fut, params).data
+        a = dist.convert_trajectory(fut, params)
+        b = dist.convert_trajectory(fut, params)
         np.testing.assert_array_equal(a, b)
 
     def test_constrained_view_always_valid(self):
@@ -162,10 +163,10 @@ class TestConverter:
         # statistics at timestep t must not depend on the displacement at t
         cfg, params = self._params()
         fut = np.random.default_rng(4).normal(size=(1, 12, 2))
-        base = dist.convert_trajectory(fut, params).data
+        base = dist.convert_trajectory(fut, params)
         fut2 = fut.copy()
         fut2[0, 6, :] += 100.0
-        out = dist.convert_trajectory(fut2, params).data
+        out = dist.convert_trajectory(fut2, params)
         np.testing.assert_allclose(out[0, 6], base[0, 6], rtol=1e-5)
         assert np.abs(out[0, 5] - base[0, 5]).max() > 1e-3
 
@@ -182,42 +183,69 @@ class TestConverter:
         fut = np.random.default_rng(4).normal(size=(1, 12, 2))
         fut2 = fut.copy()
         fut2[0, 6, :] += 100.0
-        base = dist.convert_trajectory(fut, params).data
-        out = dist.convert_trajectory(fut2, params).data
+        base = dist.convert_trajectory(fut, params)
+        out = dist.convert_trajectory(fut2, params)
         assert np.abs(out[0, 6] - base[0, 6]).max() > 1e-3
 
 
-def test_scalar_and_tensor_log_pdf_agree():
+def test_array_log_pdf_matches_scalar_reference():
     rng = np.random.default_rng(9)
     with nm.precision(np.float64):
-        raw = nm.constant(rng.normal(size=(3, 4, 5)))
-        mu, sig, rho = dist.constrain_tensors(raw)
+        raw = rng.normal(size=(3, 4, 5))
         y = rng.normal(size=(3, 4, 2))
-        terms = dist.log_pdf_terms(y, mu, sig, rho).data[..., 0]
-        field = dist.StatsField(raw.data)
+        terms = dist.log_pdf(y, raw)[0][..., 0]
+        field = dist.StatsField(raw)
         for n in range(3):
             for t in range(4):
                 expected = log_pdf(y[n, t], *gaussian_at(field, n, t))
                 assert math.isclose(terms[n, t], expected, rel_tol=1e-8, abs_tol=1e-8)
 
 
+def _density_op(y, raw: nm.Tensor) -> nm.Tensor:
+    """The summed log densities as one recorded operation whose backward
+    is ``log_pdf``'s."""
+    terms, backward = dist.log_pdf(y, raw.data)
+    return nm._make(terms.sum(), (raw,), lambda g: (np.concatenate(
+        backward(np.broadcast_to(g, terms.shape)), axis=-1),))
+
+
 def test_log_pdf_gradients():
-    # d log N / d(mu, sigma, rho) against central differences
+    # d log N / d(raw means, sigmas, rho) against central differences
     with nm.precision(np.float64):
-        params = {
-            "mu": nm.parameter([[0.4, -0.2]]),
-            "sig_raw": nm.parameter([[0.3, -0.1]]),
-            "rho_raw": nm.parameter([[0.25]]),
-        }
+        params = {"raw": nm.parameter([[0.4, -0.2, 0.3, -0.1, 0.25]])}
         y = np.array([[0.9, 0.1]])
-
-        def f(p):
-            sig = nm.add(nm.softplus(p["sig_raw"]), dist.SIGMA_FLOOR)
-            rho = nm.mul(nm.tanh(p["rho_raw"]), dist.RHO_CAP)
-            return nm.sum_(dist.log_pdf_terms(y, p["mu"], sig, rho))
-
-        report = finite_difference_check(f, params, step=1e-4, tolerance=1e-2)
+        report = finite_difference_check(lambda p: _density_op(y, p["raw"]), params,
+                                         step=1e-4, tolerance=1e-2)
     assert report["pass"], report
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_pdf_matches_tape(dtype):
+    # values and raw gradients against the primitive tape of the constraint
+    # map and density, byte for byte
+    rng = np.random.default_rng(10)
+    y = rng.normal(size=(6, 12, 2))
+    raw_np = rng.normal(size=(6, 12, 5))
+    proj = rng.normal(size=(6, 12, 1))
+
+    def run(density):
+        with nm.precision(dtype):
+            raw = nm.parameter(raw_np)
+            with nm.ComputationRecord():
+                loss = nm.sum_(nm.mul(density(raw), nm.constant(proj)))
+            return loss.data, nm.backward(loss, {"raw": raw})["raw"].data
+
+    def tape(raw):
+        return log_pdf_terms(nm.constant(y), *constrain_tensors(raw))
+
+    def op(raw):
+        terms, backward = dist.log_pdf(nm.constant(y).data, raw.data)
+        return nm._make(terms, (raw,), lambda g: (np.concatenate(backward(g), axis=-1),))
+
+    (a, ga), (b, gb) = run(op), run(tape)
+    assert a.tobytes() == b.tobytes()
+    assert ga.dtype == gb.dtype == dtype
+    assert ga.tobytes() == gb.tobytes()
 
 
 def test_mean_log_score_matches_sum_of_mode_densities():
@@ -232,7 +260,7 @@ class TestNormalization:
     @staticmethod
     def _normalize(raw, stats):
         with nm.precision(np.float64):
-            return dist.normalize_tensor(nm.constant(raw), stats).data
+            return dist.normalize_stats(raw, stats)
 
     def test_identity_stats_unchanged(self):
         raw = np.random.default_rng(0).normal(size=(2, 3, 5))
@@ -258,11 +286,11 @@ class TestNormalization:
         with pytest.raises(ValueError, match="positive"):
             dist.NormStats(np.zeros(5), np.zeros(5))
 
-    def test_tensor_normalization_matches_array_path(self):
-        # the default-dtype tensor path against the float64 array formula
+    def test_default_dtype_normalization_matches_float64_formula(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(2, 12, 5))
         stats = dist.NormStats(rng.normal(size=5), 0.5 + rng.random(5))
-        t = dist.normalize_tensor(nm.constant(raw), stats)
-        np.testing.assert_allclose(t.data, (raw - stats.mean) / stats.scale,
+        out = dist.normalize_stats(raw.astype(np.float32), stats)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, (raw - stats.mean) / stats.scale,
                                    rtol=1e-5, atol=1e-6)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -10,9 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from references import denoiser_tape, finite_difference_check, gaussian_at, log_pdf
+from references import (batch_losses_tape, convert_tape, converter_losses_tape,
+                        denoiser_tape, encoder_tape, finite_difference_check, gaussian_at,
+                        log_pdf, loss_diffusion_tape)
+import references
 import trajdiff
-from trajdiff import data, diffusion, guidance, training
+from trajdiff import data, diffusion, distribution, guidance, training
 from trajdiff import numerics as nm
 from trajdiff.distribution import SIGMA_FLOOR, StatsField
 from trajdiff.model import Model, ModelConfig
@@ -106,19 +110,18 @@ class TestLossLikelihood:
         rng = np.random.default_rng(0)
         future = rng.normal(size=(3, 12, 2))
         raw = _sigma_one_raw(future)
-        loss = training.loss_likelihood(nm.constant(future), nm.constant(raw))
+        loss, _ = training.loss_likelihood(future, raw)
         expected = 3 * 12 * math.log(2 * math.pi)
-        assert math.isclose(loss.item(), expected, rel_tol=1e-4)
+        assert math.isclose(loss, expected, rel_tol=1e-4)
 
     def test_shrinking_sigma_decreases_loss_at_mode(self):
         rng = np.random.default_rng(1)
         future = rng.normal(size=(2, 12, 2))
         raw = _sigma_one_raw(future)
-        base = training.loss_likelihood(nm.constant(future), nm.constant(raw)).item()
+        base, _ = training.loss_likelihood(future, raw)
         raw2 = raw.copy()
         raw2[..., 2:4] -= 2.0
-        smaller = training.loss_likelihood(nm.constant(future),
-                                           nm.constant(raw2)).item()
+        smaller, _ = training.loss_likelihood(future, raw2)
         assert smaller < base
 
     def test_matches_naive_double_loop(self):
@@ -126,38 +129,60 @@ class TestLossLikelihood:
         future = rng.normal(size=(3, 12, 2))
         raw = rng.normal(size=(3, 12, 5))
         with nm.precision(np.float64):
-            loss = training.loss_likelihood(nm.constant(future),
-                                            nm.constant(raw), n_windows=1)
+            loss, _ = training.loss_likelihood(future, raw, n_windows=1)
         field = StatsField(raw)
         naive = 0.0
         for n in range(3):
             for t in range(12):
                 naive -= log_pdf(future[n, t], *gaussian_at(field, n, t))
-        assert abs(loss.item() - naive) < 1e-5
+        assert abs(loss - naive) < 1e-5
 
 
 class TestLossConsistency:
     def test_exact_match_is_zero(self):
         future = np.random.default_rng(0).normal(size=(3, 12, 2))
         raw = _sigma_one_raw(future)
-        loss = training.loss_consistency(nm.constant(future), nm.constant(raw))
-        assert abs(loss.item()) < 1e-10
+        loss, _ = training.loss_consistency(future, raw)
+        assert abs(loss) < 1e-10
 
     def test_three_four_five_offset(self):
         future = np.random.default_rng(1).normal(size=(4, 12, 2))
         raw = _sigma_one_raw(future)
         raw[:, 0, 0] += 3.0
         raw[:, 0, 1] += 4.0
-        loss = training.loss_consistency(nm.constant(future), nm.constant(raw))
-        assert math.isclose(loss.item(), 25.0, rel_tol=1e-5)
+        loss, _ = training.loss_consistency(future, raw)
+        assert math.isclose(loss, 25.0, rel_tol=1e-5)
 
     def test_only_first_future_step_matters(self):
         future = np.random.default_rng(2).normal(size=(2, 12, 2))
         raw = _sigma_one_raw(future)
-        base = training.loss_consistency(nm.constant(future), nm.constant(raw)).item()
+        base, _ = training.loss_consistency(future, raw)
         raw[:, 1:, :2] += 99.0
-        after = training.loss_consistency(nm.constant(future), nm.constant(raw)).item()
+        after, _ = training.loss_consistency(future, raw)
         assert math.isclose(base, after, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_converter_losses_match_tape(dtype):
+    # the vector and every conv.* gradient against the primitive tape of the
+    # converter, constraint map, density, losses and normalization
+    windows = _windows(n_scenes=2, peds=4, frames=40)
+    future = np.concatenate([w.future for w in windows])
+    proj = np.random.default_rng(3).normal(size=2 + future.size // 2 * 5)
+
+    def run(losses):
+        with nm.precision(dtype):
+            mdl = Model.initialize(ModelConfig(), 4)
+            mdl.norm = training.freeze_normalization(mdl, windows)
+            with nm.ComputationRecord():
+                out = losses(future, mdl.params, mdl.norm, len(windows))
+                loss = nm.sum_(nm.mul(out, nm.constant(proj)))
+            grads = nm.backward(loss, mdl.params)
+        return [out.data] + [grads[k].data for k in sorted(grads) if k.startswith("conv.")]
+
+    for a, b in zip(run(training.converter_losses), run(converter_losses_tape), strict=True):
+        assert a.dtype == b.dtype == dtype
+        assert a.tobytes() == b.tobytes()
 
 
 class TestTrainStep:
@@ -172,10 +197,9 @@ class TestTrainStep:
         rng2 = np.random.default_rng(0)
         with nm.ComputationRecord():
             emb = mdl.encode(windows[:2])
-            fut = nm.constant(np.concatenate([w.future for w in windows[:2]]))
-            raw = mdl.convert(fut)
-            from trajdiff.distribution import normalize_tensor
-            y0n = normalize_tensor(raw, mdl.norm)
+            fut = np.concatenate([w.future for w in windows[:2]])
+            losses = training.converter_losses(fut, mdl.params, mdl.norm, 2)
+            y0n = nm.reshape(losses[2:], (len(fut), 12, 5))
             ks, eps = training.draw_step_noise([w.n_peds for w in windows[:2]],
                                                mdl.schedule, rng2, 12)
             diff_only = training.loss_diffusion(y0n, emb, ks, eps,
@@ -251,8 +275,9 @@ class TestTrainStep:
 
 class TestRecordedDenoiser:
     def test_train_steps_match_tape_reference(self, monkeypatch):
-        # two joint steps with denoiser refreshes, the recorded denoiser
-        # operation against its primitive-tape reference
+        # two joint steps with denoiser refreshes, the recorded operations
+        # (encoders, converter with its losses, denoiser, squared error and
+        # weighted sum) against the primitive tape of the same passes
         windows = _windows(n_scenes=2, peds=4, frames=40)
         assert len(windows) >= 8
 
@@ -269,39 +294,60 @@ class TestRecordedDenoiser:
 
         params, moments = two_steps()
         monkeypatch.setattr(diffusion, "denoiser_apply", denoiser_tape)
+        monkeypatch.setattr(training, "batch_losses", batch_losses_tape)
+        monkeypatch.setattr(training, "loss_diffusion", loss_diffusion_tape)
         ref_params, ref_moments = two_steps()
         assert params == ref_params
         assert moments == ref_moments
 
     def test_one_denoiser_backward_and_update_per_pass(self, monkeypatch):
-        # the calls the benchmark's per-layer tracing counts: one denoiser
-        # call over the batch's rows, one backward and one Adam update for
-        # the joint pass and for each refresh
+        # the calls the benchmark's per-layer tracing counts: one encoder
+        # and one converter call per joint step, one denoiser call over the
+        # batch's rows, one backward and one Adam update for the joint pass
+        # and for each of the 5 refreshes
         windows = _windows()
         mdl = Model.initialize(MICRO, 0)
         mdl.norm = training.freeze_normalization(mdl, windows)
         opt = training.AdamState(mdl.params)
-        rows, counts = [], {"backward": 0, "adam_update": 0}
-        apply, backward, update = diffusion.denoiser_apply, nm.backward, training.adam_update
+        rows = []
+        counts = dict.fromkeys(["backward", "adam_update", "encode_windows",
+                                "convert_trajectory"], 0)
+        apply = diffusion.denoiser_apply
 
         def counting_apply(state, *args, **kwargs):
             rows.append(state.shape[0])
             return apply(state, *args, **kwargs)
 
-        def counting(name, fn):
+        def count(module, name):
+            fn = getattr(module, name)
+
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return fn(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
         monkeypatch.setattr(diffusion, "denoiser_apply", counting_apply)
-        monkeypatch.setattr(nm, "backward", counting("backward", backward))
-        monkeypatch.setattr(training, "adam_update", counting("adam_update", update))
+        for module, name in ((nm, "backward"), (training, "adam_update"),
+                             (guidance, "encode_windows"),
+                             (distribution, "convert_trajectory")):
+            count(module, name)
         batch = windows[:3]
-        training.train_step(batch, mdl, training.TrainConfig(denoiser_boost=2), opt,
+        training.train_step(batch, mdl, training.TrainConfig(denoiser_boost=5), opt,
                             np.random.default_rng(0))
-        assert rows == [sum(w.n_peds for w in batch)] * 3
-        assert counts == {"backward": 3, "adam_update": 3}
+        assert rows == [sum(w.n_peds for w in batch)] * 6
+        assert counts == {"backward": 6, "adam_update": 6, "encode_windows": 1,
+                          "convert_trajectory": 1}
+
+    def test_joint_forward_records_eight_entries(self):
+        # encoders, converter with its losses, the slice and reshape of its
+        # normalized statistics, forward marginal, denoiser, squared error
+        # and weighted sum
+        windows = _windows()
+        mdl = Model.initialize(MICRO, 0)
+        with nm.ComputationRecord() as rec:
+            training.batch_losses(windows[:3], mdl, np.random.default_rng(0))
+            entries = len(rec.entries)
+        assert entries == 8
 
 
 class TestSkippedInputGradients:
@@ -343,12 +389,13 @@ class TestSkippedInputGradients:
         assert fast == full
 
     def test_converter(self):
+        # the converter's primitive tape, whose conv1d reads the constant future
         mdl = Model.initialize(MICRO, 4)
         conv = {k: p for k, p in mdl.params.items() if k.startswith("conv.")}
         future = np.random.default_rng(5).normal(scale=0.3, size=(7, 12, 2))
 
         def loss_fn(fut):
-            return training.loss_likelihood(fut, mdl.convert(fut), n_windows=2)
+            return references.loss_likelihood(fut, convert_tape(fut, conv), n_windows=2)
 
         fast, nones, _ = self._grads(loss_fn, conv, (future,), as_params=False)
         full, _, _ = self._grads(loss_fn, conv, (future,), as_params=True)
@@ -356,12 +403,13 @@ class TestSkippedInputGradients:
         assert fast == full
 
     def test_encoder(self):
+        # the history encoder's primitive tape
         mdl = Model.initialize(MICRO, 8)
         hist = {k: p for k, p in mdl.params.items() if k.startswith("hist.")}
         observed = np.random.default_rng(9).normal(scale=0.3, size=(6, MICRO.t_obs, 2))
 
         def loss_fn(obs):
-            ctx = guidance.encode_history(obs, hist, MICRO)
+            ctx = encoder_tape(obs, hist, "hist", MICRO)
             return nm.mean(nm.mul(ctx, ctx))
 
         fast, nones, _ = self._grads(loss_fn, hist, (observed,), as_params=False)
@@ -369,6 +417,24 @@ class TestSkippedInputGradients:
         # the conv taps' matmul reads the constant observations: no gradient
         assert nones == 1
         assert fast == full
+
+
+def test_freed_heap_is_kept_between_passes():
+    # a pass frees megabytes at once; by default glibc's malloc returns them
+    # to the OS and the next pass faults them in again, 4 KB at a time
+    # (about 14,000 faults for the five passes below in a fresh process)
+    if not training._keep_freed_heap():
+        pytest.skip("needs glibc's mallopt")
+
+    def one_pass():
+        arrays = [np.ones(50_000, dtype=np.float32) for _ in range(60)]   # 12 MB
+        del arrays
+
+    one_pass()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        one_pass()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def _reference_adam(params, grads, m, v, t, lr, clip):
@@ -451,26 +517,43 @@ class TestObjectiveGradients:
         with nm.precision(np.float64):
             mdl = Model.initialize(micro, 0)
             mdl.norm = training.freeze_normalization(mdl, windows)
-            frozen = np.random.default_rng(5)
-            ks, eps = training.draw_step_noise(
-                [w.n_peds for w in windows], mdl.schedule, frozen, 3)
 
             def f(params):
+                # the same step and noise draws on every call
                 mdl.params = params
-                emb = mdl.encode(windows)
-                fut = nm.constant(np.concatenate([w.future for w in windows]))
-                raw = mdl.convert(fut)
-                from trajdiff.distribution import normalize_tensor
-                l_llh = training.loss_likelihood(fut, raw, len(windows))
-                l_con = training.loss_consistency(fut, raw)
-                l_diff = training.loss_diffusion(
-                    normalize_tensor(raw, mdl.norm), emb, ks, eps,
-                    mdl.schedule, params, mdl.config)
-                return nm.add(nm.add(l_diff, l_llh), l_con)
+                return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
 
             report = finite_difference_check(f, mdl.params, step=1e-3,
                                              tolerance=1e-2)
         assert report["pass"], report
+
+
+@pytest.mark.parametrize("model", ["MICRO", "ModelConfig()"], ids=["micro", "default"])
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path, model):
+    # OpenBLAS picks its sgemm path, and with 2 threads its split of the
+    # work, from the matrix sizes; every sum must still come out in the
+    # same order.  The default model's batches of 64 rows (16 windows of 4
+    # pedestrians) put its denoiser GEMMs, 64 x 128 x 128 and up, above
+    # OpenBLAS's threading threshold of M N K = 4 x 65,536.
+    child = f"""
+import sys
+from test_training import MICRO, _windows
+from trajdiff import training
+from trajdiff.model import ModelConfig
+training.fit(_windows(n_scenes=4, peds=4, frames=40), training.TrainConfig(
+    batch_size=16, epochs=2, seed=3, checkpoint_every=10 ** 6), {model}, out_dir=sys.argv[1])
+"""
+    src = os.path.dirname(os.path.dirname(trajdiff.__file__))
+    checkpoints = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-c", child, str(out)], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        checkpoints.append((out / "model.tjdf").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 class TestFit:
