@@ -276,10 +276,13 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("n_scenes", "peds_per_scene", "frames", "speed_min", "speed_max", "box"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"synth config {name} must be positive")
-        if self.turn_noise < 0 or self.repulsion_gain < 0:
-            raise DataError("synth noise/repulsion must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DataError(f"synth config {name} must be positive and finite")
+        if not (0 <= self.turn_noise < math.inf and 0 <= self.repulsion_gain < math.inf):
+            raise DataError("synth noise/repulsion must be non-negative and finite")
+        if self.speed_min > self.speed_max:
+            raise DataError(f"synth config speed_min {self.speed_min} exceeds "
+                            f"speed_max {self.speed_max}")
 
 
 def synthesize_scenes(config: SynthConfig) -> list[RawTrack]:

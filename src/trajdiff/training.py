@@ -70,14 +70,19 @@ class TrainConfig:
 
     def validate(self):
         lams = (self.lambda_diffusion, self.lambda_likelihood, self.lambda_consistency)
-        if any(l < 0 for l in lams) or not any(l > 0 for l in lams):
-            raise ValueError("loss weights must be non-negative and not all zero")
+        if not all(0 <= l < math.inf for l in lams) or not any(l > 0 for l in lams):
+            raise ValueError("loss weights must be finite, non-negative and not all zero")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if self.denoiser_boost < 0:
+            raise ValueError(f"denoiser_boost must be >= 0, got {self.denoiser_boost}")
         return self
 
 
@@ -250,7 +255,9 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, Tensor],
     """One Adam step on the group ``params``, its gradient norm clipped to
     ``GRAD_CLIP``; returns the group's
     parameters, updated in ``state``'s buffer.  A parameter that is not the
-    state's own Tensor (a fresh model, a loaded one) is copied in first."""
+    state's own Tensor (a fresh model, a loaded one) is copied in first.
+    The step count ``state.t`` advances only once the new parameters are
+    finite, so a failed update leaves it at the last step that succeeded."""
     keys = sorted(params)
     sl = slice(state._spans[keys[0]][0], state._spans[keys[-1]][1])
     if sum(params[k].size for k in keys) != sl.stop - sl.start:
@@ -266,9 +273,9 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, Tensor],
     gnorm = math.sqrt(float(sq.sum()))
     if gnorm > GRAD_CLIP:
         g *= GRAD_CLIP / gnorm
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    t = state.t + 1
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     # step = lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation rounded
     # as the expression would round it, without allocating
     m, v = state._m[sl], state._v[sl]
@@ -288,6 +295,7 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, Tensor],
     if not np.isfinite(new).all():
         raise NumericsError("optimizer step produced a non-finite parameter")
     state._flat[sl] = new
+    state.t = t
     return {k: state.params[k] for k in params}
 
 
@@ -299,14 +307,21 @@ def batch_losses(batch, model: Model, rng: np.random.Generator,
                  weights=(1.0, 1.0, 1.0)):
     """Forward pass over a batch of windows; returns (total, parts, cache).
 
-    It records eight entries: the encoders, the converter with its losses,
-    a slice and a reshape that take the normalized statistics out of the
-    converter's vector, the forward marginal, the denoiser, the squared
-    error with its mean, and the weighted sum."""
+    It records seven entries: the encoders, the converter with its losses,
+    the normalized statistics taken out of the converter's vector, the
+    forward marginal, the denoiser, the squared error with its mean, and
+    the weighted sum."""
     emb = model.encode(batch)
     fut = np.concatenate([w.future for w in batch], axis=0)
     losses = converter_losses(fut, model.params, model.norm, len(batch))
-    y0n = nm.reshape(losses[2:], (len(fut), model.config.t_future, STAT_CHANNELS))
+
+    def stats_grad(g):
+        g_losses = np.zeros_like(losses.data)
+        g_losses[2:] = g.reshape(-1)
+        return (g_losses,)
+
+    y0n = nm._make(losses.data[2:].reshape(len(fut), model.config.t_future, STAT_CHANNELS),
+                   (losses,), stats_grad)
     ks, eps = draw_step_noise([w.n_peds for w in batch], model.schedule, rng,
                               model.config.t_future)
     l_diff = loss_diffusion(y0n, emb, ks, eps, model.schedule, model.params,

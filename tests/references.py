@@ -1,7 +1,12 @@
 """Reference implementations that only the tests use.
 
-The tapes are the training pass written as chains of Tensor primitives,
-so ``backward`` differentiates them primitive by primitive; the package's
+The primitives (``add``, ``mul``, ``matmul``, ``conv1d``, ``transpose``,
+``reshape``, ``concat``, ``slice_``, ``sum_``, ``mean``, ``exp``, ``log``,
+``tanh``, ``softplus``, ``scaled_dot_attention`` and
+``reciprocal_positive``) are the generic tape: each is one operation
+recorded through ``numerics._make`` with its own numpy backward.  The
+tapes are the training pass written as chains of these primitives, so
+``backward`` differentiates them primitive by primitive; the package's
 recorded operations are held to them byte for byte.  ``denoiser_tape`` is
 the denoiser, ``encode_windows_tape`` the guidance encoders (with
 ``aggregate_window_neighbors``, the per-window neighbor mean),
@@ -33,6 +38,278 @@ from trajdiff.distribution import (LOG_2PI, RHO_CAP, SIGMA_FLOOR, STAT_CHANNELS,
                                    StatsField, _center_mask)
 
 
+# ---------------------------------------------------------------------------
+# Primitives: the generic tape, each operation a numpy forward and backward
+# recorded through ``nm._make``.  Broadcasting is restricted to leading
+# (batch) dimensions: equal shapes, or the smaller operand's shape must be a
+# trailing suffix of the larger's; any other shape alignment is an explicit
+# ``reshape``/``concat``/``transpose``.
+
+
+def _as_tensor(x) -> nm.Tensor:
+    return x if isinstance(x, nm.Tensor) else nm.constant(x)
+
+
+def _broadcast_shapes(sa, sb):
+    if sa == sb:
+        return sa
+    if len(sb) < len(sa) and sa[len(sa) - len(sb):] == sb:
+        return sa
+    if len(sa) < len(sb) and sb[len(sb) - len(sa):] == sa:
+        return sb
+    raise nm.NumericsError(f"shapes {sa} and {sb} do not batch-broadcast")
+
+
+def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    axes = tuple(range(g.ndim - len(shape)))
+    return g.sum(axis=axes)
+
+
+def add(a, b) -> nm.Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _broadcast_shapes(a.shape, b.shape)
+
+    def grad_fn(g):
+        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+
+    return nm._make(a.data + b.data, (a, b), grad_fn)
+
+
+def mul(a, b) -> nm.Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _broadcast_shapes(a.shape, b.shape)
+    ad, bd = a.data, b.data
+
+    def grad_fn(g):
+        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+
+    return nm._make(ad * bd, (a, b), grad_fn)
+
+
+def matmul(a, b) -> nm.Tensor:
+    """``a @ b`` with ``b`` 2-D; ``a`` may carry one leading batch axis.
+    The backward computes no gradient for an operand that needs none."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if b.ndim != 2 or a.ndim not in (2, 3) or a.shape[-1] != b.shape[0]:
+        raise nm.NumericsError(f"matmul shapes {a.shape} x {b.shape} unsupported")
+    ad, bd = a.data, b.data
+
+    def grad_fn(g):
+        ga = g @ bd.T if a.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif ad.ndim == 2:
+            gb = ad.T @ g
+        else:
+            gb = np.tensordot(ad, g, axes=([0, 1], [0, 1]))
+        return ga, gb
+
+    return nm._make(ad @ bd, (a, b), grad_fn)
+
+
+def conv1d(x, w) -> nm.Tensor:
+    """1-D convolution over the last axis, stride 1, zero-padded to the
+    input's length ((k - 1) // 2 columns on the left, the rest on the right).
+
+    ``x`` is [batch, in_channels, length], ``w`` is [out_channels,
+    in_channels, kernel].  The backward computes no gradient for an
+    operand that needs none.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
+        raise nm.NumericsError(f"conv1d shapes {x.shape} x {w.shape} unsupported")
+    n, c_in, length = x.shape
+    if length < 1:
+        raise nm.NumericsError("conv1d input is empty")
+    c_out, k = w.shape[0], w.shape[2]
+    pl = (k - 1) // 2
+    cols = nm.conv1d_columns(x.data, k)
+    w2 = w.data.reshape(c_out, c_in * k)
+    out = (cols @ w2.T).reshape(n, length, c_out).transpose(0, 2, 1)
+
+    def grad_fn(g):
+        gw = None
+        if w.requires_grad:
+            gw = nm.conv1d_weight_grad(np.ascontiguousarray(g.transpose(2, 0, 1)), cols,
+                                       w.shape)
+        if not x.requires_grad:
+            return None, gw
+        gt = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * length, c_out)
+        gcols = (gt @ w2).reshape(n, length, c_in, k)
+        gxp = np.zeros((n, c_in, length + k - 1), dtype=x.data.dtype)
+        for j in range(k):
+            gxp[:, :, j:j + length] += gcols[:, :, :, j].transpose(0, 2, 1)
+        return gxp[:, :, pl:pl + length], gw
+
+    return nm._make(out, (x, w), grad_fn)
+
+
+def transpose(x, axes) -> nm.Tensor:
+    x = _as_tensor(x)
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+
+    def grad_fn(g):
+        return (np.transpose(g, inv),)
+
+    return nm._make(np.transpose(x.data, axes), (x,), grad_fn)
+
+
+def reshape(x, shape) -> nm.Tensor:
+    x = _as_tensor(x)
+    orig = x.shape
+
+    def grad_fn(g):
+        return (g.reshape(orig),)
+
+    return nm._make(x.data.reshape(shape), (x,), grad_fn)
+
+
+def concat(tensors, axis: int = 0) -> nm.Tensor:
+    ts = tuple(_as_tensor(t) for t in tensors)
+    if not ts:
+        raise nm.NumericsError("concat of zero tensors")
+    sizes = [t.shape[axis] for t in ts]
+    splits = np.cumsum(sizes)[:-1]
+
+    def grad_fn(g):
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+
+    return nm._make(np.concatenate([t.data for t in ts], axis=axis), ts, grad_fn)
+
+
+def slice_(x, key) -> nm.Tensor:
+    """Basic indexing (slices and integers); gradients scatter back."""
+    x = _as_tensor(x)
+    shape = x.shape
+
+    def grad_fn(g):
+        gx = np.zeros(shape, dtype=g.dtype)
+        gx[key] = g
+        return (gx,)
+
+    return nm._make(np.ascontiguousarray(x.data[key]), (x,), grad_fn)
+
+
+def _axis_count(shape, axis):
+    if axis is None:
+        return int(np.prod(shape)) if shape else 1
+    if isinstance(axis, int):
+        axis = (axis,)
+    return int(np.prod([shape[a] for a in axis]))
+
+
+def _unreduce(g, shape, axis, keepdims):
+    if axis is None:
+        return np.broadcast_to(g, shape)
+    ax = (axis,) if isinstance(axis, int) else tuple(axis)
+    if not keepdims:
+        g = np.expand_dims(g, ax)
+    return np.broadcast_to(g, shape)
+
+
+def sum_(x, axis=None, keepdims: bool = False) -> nm.Tensor:
+    x = _as_tensor(x)
+    shape = x.shape
+
+    def grad_fn(g):
+        return (_unreduce(g, shape, axis, keepdims).copy(),)
+
+    return nm._make(x.data.sum(axis=axis, keepdims=keepdims), (x,), grad_fn)
+
+
+def mean(x, axis=None, keepdims: bool = False) -> nm.Tensor:
+    x = _as_tensor(x)
+    shape = x.shape
+    n = _axis_count(shape, axis)
+
+    def grad_fn(g):
+        return (_unreduce(g, shape, axis, keepdims) / n,)
+
+    return nm._make(x.data.mean(axis=axis, keepdims=keepdims), (x,), grad_fn)
+
+
+def exp(x) -> nm.Tensor:
+    x = _as_tensor(x)
+    out_data = np.exp(x.data)
+
+    def grad_fn(g):
+        return (g * out_data,)
+
+    return nm._make(out_data, (x,), grad_fn)
+
+
+def log(x) -> nm.Tensor:
+    x = _as_tensor(x)
+    xd = x.data
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out_data = np.log(xd)
+
+    def grad_fn(g):
+        return (g / xd,)
+
+    return nm._make(out_data, (x,), grad_fn)
+
+
+def tanh(x) -> nm.Tensor:
+    x = _as_tensor(x)
+    out_data = np.tanh(x.data)
+    return nm._make(out_data, (x,), lambda g: (nm.tanh_grad(out_data, g),))
+
+
+
+def softplus(x) -> nm.Tensor:
+    x = _as_tensor(x)
+    xd = x.data
+
+    def grad_fn(g):
+        # sigmoid(x), computed stably as exp(-softplus(-x))
+        return (g * np.exp(-np.logaddexp(0.0, -xd)),)
+
+    return nm._make(np.logaddexp(0.0, xd), (x,), grad_fn)
+
+
+def scaled_dot_attention(q, k, v) -> nm.Tensor:
+    """Single-head attention: softmax(q.kT / sqrt(d)) v, batched over axis 0.
+
+    Both passes are batched matmuls; the scale has the operands' dtype, so
+    float32 inputs stay float32 throughout.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise nm.NumericsError("attention expects [batch, tokens, dim] operands")
+    if q.shape[0] != k.shape[0] or k.shape[:2] != v.shape[:2] or q.shape[2] != k.shape[2]:
+        raise nm.NumericsError(f"attention shapes {q.shape}/{k.shape}/{v.shape} mismatch")
+    qd, kd, vd = q.data, k.data, v.data
+    scale = qd.dtype.type(1.0 / np.sqrt(q.shape[2]))
+    scores = (qd @ kd.transpose(0, 2, 1)) * scale
+    scores -= scores.max(axis=2, keepdims=True)
+    e = np.exp(scores)
+    w = e / e.sum(axis=2, keepdims=True)
+    out = w @ vd
+
+    def grad_fn(g):
+        gw = g @ vd.transpose(0, 2, 1)
+        gv = w.transpose(0, 2, 1) @ g
+        gs = w * (gw - (gw * w).sum(axis=2, keepdims=True))
+        gq = (gs @ kd) * scale
+        gk = (gs.transpose(0, 2, 1) @ qd) * scale
+        return gq, gk, gv
+
+    return nm._make(out, (q, k, v), grad_fn)
+
+
+def reciprocal_positive(x: nm.Tensor) -> nm.Tensor:
+    """1/x for strictly positive x, composed as exp(-log(x))."""
+    return exp(mul(log(x), -1.0))
+
+
+# ---------------------------------------------------------------------------
+# Tapes
+
+
 def denoiser_tape(state, ks, guidance, params, cfg, schedule):
     """``diffusion.denoiser_apply`` as recorded Tensor primitives; call it
     under a ``nm.ComputationRecord`` (shape checks are left to the
@@ -42,24 +319,22 @@ def denoiser_tape(state, ks, guidance, params, cfg, schedule):
     n = x.shape[0]
     ks_arr = np.full(n, ks, dtype=np.int64) if np.isscalar(ks) else np.asarray(ks)
     emb = nm.constant(step_embedding(ks_arr, cfg.step_dim))
-    flat = nm.reshape(x, (n, cfg.state_dim))
-    x_in = nm.concat([flat, emb, g], axis=1)
-    h = nm.tanh(nm.add(nm.matmul(x_in, params["den.in.w"]), params["den.in.b"]))
+    flat = reshape(x, (n, cfg.state_dim))
+    x_in = concat([flat, emb, g], axis=1)
+    h = tanh(add(matmul(x_in, params["den.in.w"]), params["den.in.b"]))
     for i in range(cfg.denoiser_blocks):
-        r = nm.tanh(nm.add(nm.matmul(h, params[f"den.blk{i}.w1"]),
-                           params[f"den.blk{i}.b1"]))
-        r = nm.add(nm.matmul(r, params[f"den.blk{i}.w2"]), params[f"den.blk{i}.b2"])
-        h = nm.add(h, r)
-    clean = nm.add(nm.add(nm.matmul(h, params["den.out.w"]),
-                          nm.matmul(x_in, params["den.skip.w"])),
-                   params["den.out.b"])
+        r = tanh(add(matmul(h, params[f"den.blk{i}.w1"]), params[f"den.blk{i}.b1"]))
+        r = add(matmul(r, params[f"den.blk{i}.w2"]), params[f"den.blk{i}.b2"])
+        h = add(h, r)
+    clean = add(add(matmul(h, params["den.out.w"]), matmul(x_in, params["den.skip.w"])),
+                params["den.out.b"])
     a = schedule.alpha[ks_arr]
     gain = nm.constant(np.broadcast_to(
         (1.0 / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy())
     pull = nm.constant(np.broadcast_to(
         (-np.sqrt(a) / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy())
-    eps_hat = nm.add(nm.mul(flat, gain), nm.mul(clean, pull))
-    return nm.reshape(eps_hat, (n, cfg.t_future, STAT_CHANNELS))
+    eps_hat = add(mul(flat, gain), mul(clean, pull))
+    return reshape(eps_hat, (n, cfg.t_future, STAT_CHANNELS))
 
 
 def aggregate_window_neighbors(observed, neighbor_mask) -> np.ndarray:
@@ -77,21 +352,20 @@ def encoder_tape(x, params, prefix, cfg):
     steps, then tanh, single-head attention and the projection."""
     n, t, c, kern = x.shape[0], cfg.t_obs, cfg.conv_channels, cfg.kernel
     taps = min(kern, t)
-    last = x[(slice(None), slice(t - taps, None), slice(None))]
-    last = nm.reshape(nm.transpose(last, (0, 2, 1)), (n, 2 * taps))  # as w: [2, taps]
-    w = nm.concat([params[f"{prefix}.conv{j}.w"] for j in range(t)], axis=0)
+    last = slice_(x, (slice(None), slice(t - taps, None), slice(None)))
+    last = reshape(transpose(last, (0, 2, 1)), (n, 2 * taps))  # as w: [2, taps]
+    w = concat([params[f"{prefix}.conv{j}.w"] for j in range(t)], axis=0)
     if taps < kern:
-        w = w[(slice(None), slice(None), slice(kern - taps, None))]
-    w = nm.transpose(nm.reshape(w, (t * c, 2 * taps)), (1, 0))     # [2 taps, T*C]
-    b = nm.concat([params[f"{prefix}.conv{j}.b"] for j in range(t)], axis=0)
-    seq = nm.reshape(nm.tanh(nm.add(nm.matmul(last, w), b)), (n, t, c))
-    q = nm.matmul(seq, params[f"{prefix}.attn.wq"])
-    k = nm.matmul(seq, params[f"{prefix}.attn.wk"])
-    v = nm.matmul(seq, params[f"{prefix}.attn.wv"])
-    att = nm.scaled_dot_attention(q, k, v)               # [N, T, C]
-    flat = nm.reshape(att, (n, t * c))
-    return nm.add(nm.matmul(flat, params[f"{prefix}.proj.w"]),
-                  params[f"{prefix}.proj.b"])
+        w = slice_(w, (slice(None), slice(None), slice(kern - taps, None)))
+    w = transpose(reshape(w, (t * c, 2 * taps)), (1, 0))  # [2 taps, T*C]
+    b = concat([params[f"{prefix}.conv{j}.b"] for j in range(t)], axis=0)
+    seq = reshape(tanh(add(matmul(last, w), b)), (n, t, c))
+    q = matmul(seq, params[f"{prefix}.attn.wq"])
+    k = matmul(seq, params[f"{prefix}.attn.wk"])
+    v = matmul(seq, params[f"{prefix}.attn.wv"])
+    att = scaled_dot_attention(q, k, v)                  # [N, T, C]
+    flat = reshape(att, (n, t * c))
+    return add(matmul(flat, params[f"{prefix}.proj.w"]), params[f"{prefix}.proj.b"])
 
 
 def encode_windows_tape(windows, params, cfg):
@@ -99,31 +373,31 @@ def encode_windows_tape(windows, params, cfg):
     obs = nm.constant(np.concatenate([np.asarray(w.observed) for w in windows]))
     agg = np.concatenate([aggregate_window_neighbors(w.observed, w.neighbor_mask)
                           for w in windows])
-    return nm.concat([encoder_tape(obs, params, "hist", cfg),
-                      encoder_tape(nm.constant(agg), params, "nbr", cfg)], axis=1)
+    return concat([encoder_tape(obs, params, "hist", cfg),
+                   encoder_tape(nm.constant(agg), params, "nbr", cfg)], axis=1)
 
 
 def convert_tape(future, params):
     """``distribution.convert_trajectory`` as recorded Tensor primitives."""
     x = future if isinstance(future, nm.Tensor) else nm.constant(future)
     k = params["conv.w1"].shape[2]
-    w1 = nm.mul(params["conv.w1"], nm.constant(_center_mask(k)))
-    h = nm.transpose(x, (0, 2, 1))                       # [N, 2, T']
-    h = nm.conv1d(h, w1)
-    h = nm.transpose(h, (0, 2, 1))                       # [N, T', C]
-    h = nm.tanh(nm.add(h, params["conv.b1"]))
-    h = nm.transpose(h, (0, 2, 1))
-    h = nm.conv1d(h, params["conv.w2"])
-    h = nm.transpose(h, (0, 2, 1))                       # [N, T', 5]
-    return nm.add(h, params["conv.b2"])
+    w1 = mul(params["conv.w1"], nm.constant(_center_mask(k)))
+    h = transpose(x, (0, 2, 1))                          # [N, 2, T']
+    h = conv1d(h, w1)
+    h = transpose(h, (0, 2, 1))                          # [N, T', C]
+    h = tanh(add(h, params["conv.b1"]))
+    h = transpose(h, (0, 2, 1))
+    h = conv1d(h, params["conv.w2"])
+    h = transpose(h, (0, 2, 1))                          # [N, T', 5]
+    return add(h, params["conv.b2"])
 
 
 def constrain_tensors(raw):
     """The constraint map on a raw-statistics tensor [..., 5]: (means,
     sigmas, rho)."""
-    mu = raw[(Ellipsis, slice(0, 2))]
-    sig = nm.add(nm.softplus(raw[(Ellipsis, slice(2, 4))]), SIGMA_FLOOR)
-    rho = nm.mul(nm.tanh(raw[(Ellipsis, slice(4, 5))]), RHO_CAP)
+    mu = slice_(raw, (Ellipsis, slice(0, 2)))
+    sig = add(softplus(slice_(raw, (Ellipsis, slice(2, 4)))), SIGMA_FLOOR)
+    rho = mul(tanh(slice_(raw, (Ellipsis, slice(4, 5)))), RHO_CAP)
     return mu, sig, rho
 
 
@@ -132,33 +406,32 @@ def log_pdf_terms(y, mu, sigma, rho):
     under ``mu`` [..., 2], ``sigma`` [..., 2] positive and ``rho`` [..., 1]
     with |rho| < 1."""
     y = y if isinstance(y, nm.Tensor) else nm.constant(y)
-    d = nm.add(y, nm.mul(mu, -1.0))
-    u = nm.mul(d, nm.reciprocal_positive(sigma))         # standardized residuals
-    u1 = u[(Ellipsis, slice(0, 1))]
-    u2 = u[(Ellipsis, slice(1, 2))]
-    omr2 = nm.add(1.0, nm.mul(nm.mul(rho, rho), -1.0))   # 1 - rho^2 > 0 by cap
-    quad = nm.add(nm.add(nm.mul(u1, u1), nm.mul(u2, u2)),
-                  nm.mul(nm.mul(nm.mul(u1, u2), rho), -2.0))
-    log_sig = nm.sum_(nm.log(sigma), axis=-1, keepdims=True)
-    log_norm = nm.add(nm.add(log_sig, nm.mul(nm.log(omr2), 0.5)), LOG_2PI)
-    penalty = nm.mul(nm.mul(quad, nm.reciprocal_positive(omr2)), 0.5)
-    return nm.mul(nm.add(log_norm, penalty), -1.0)
+    d = add(y, mul(mu, -1.0))
+    u = mul(d, reciprocal_positive(sigma))               # standardized residuals
+    u1 = slice_(u, (Ellipsis, slice(0, 1)))
+    u2 = slice_(u, (Ellipsis, slice(1, 2)))
+    omr2 = add(1.0, mul(mul(rho, rho), -1.0))            # 1 - rho^2 > 0 by cap
+    quad = add(add(mul(u1, u1), mul(u2, u2)), mul(mul(mul(u1, u2), rho), -2.0))
+    log_sig = sum_(log(sigma), axis=-1, keepdims=True)
+    log_norm = add(add(log_sig, mul(log(omr2), 0.5)), LOG_2PI)
+    penalty = mul(mul(quad, reciprocal_positive(omr2)), 0.5)
+    return mul(add(log_norm, penalty), -1.0)
 
 
 def normalize_tensor(raw, stats):
-    return nm.mul(nm.add(raw, nm.constant(-stats.mean)), nm.constant(1.0 / stats.scale))
+    return mul(add(raw, nm.constant(-stats.mean)), nm.constant(1.0 / stats.scale))
 
 
 def loss_likelihood(future, raw, n_windows=1):
     mu, sig, rho = constrain_tensors(raw)
-    return nm.mul(nm.sum_(log_pdf_terms(future, mu, sig, rho)), -1.0 / n_windows)
+    return mul(sum_(log_pdf_terms(future, mu, sig, rho)), -1.0 / n_windows)
 
 
 def loss_consistency(future, raw):
     fut = future if isinstance(future, nm.Tensor) else nm.constant(future)
-    d = nm.add(fut[(slice(None), slice(0, 1), slice(None))],
-               nm.mul(raw[(slice(None), slice(0, 1), slice(0, 2))], -1.0))
-    return nm.mean(nm.sum_(nm.mul(d, d), axis=2))
+    d = add(slice_(fut, (slice(None), slice(0, 1), slice(None))),
+            mul(slice_(raw, (slice(None), slice(0, 1), slice(0, 2))), -1.0))
+    return mean(sum_(mul(d, d), axis=2))
 
 
 def converter_losses_tape(future, params, norm, n_windows):
@@ -166,9 +439,9 @@ def converter_losses_tape(future, params, norm, n_windows):
     vector [likelihood, consistency, *normalized statistics]."""
     fut = nm.constant(future)
     raw = convert_tape(fut, params)
-    return nm.concat([nm.reshape(loss_likelihood(fut, raw, n_windows), (1,)),
-                      nm.reshape(loss_consistency(fut, raw), (1,)),
-                      nm.reshape(normalize_tensor(raw, norm), (-1,))], axis=0)
+    return concat([reshape(loss_likelihood(fut, raw, n_windows), (1,)),
+                   reshape(loss_consistency(fut, raw), (1,)),
+                   reshape(normalize_tensor(raw, norm), (-1,))], axis=0)
 
 
 def loss_diffusion_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_cfg):
@@ -177,8 +450,8 @@ def loss_diffusion_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_
     eps_t = nm.constant(eps)
     noisy = diffusion.forward_marginal(y0_norm, ks, eps_t, schedule)
     pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule)
-    diff = nm.add(pred, nm.mul(eps_t, -1.0))
-    return nm.mean(nm.mul(diff, diff))
+    diff = add(pred, mul(eps_t, -1.0))
+    return mean(mul(diff, diff))
 
 
 def batch_losses_tape(batch, model, rng, weights=(1.0, 1.0, 1.0)):
@@ -195,7 +468,7 @@ def batch_losses_tape(batch, model, rng, weights=(1.0, 1.0, 1.0)):
     l_diff = loss_diffusion_tape(y0n, emb, ks, eps, model.schedule, model.params,
                                  model.config)
     w1, w2, w3 = weights
-    total = nm.add(nm.add(nm.mul(l_diff, w1), nm.mul(l_llh, w2)), nm.mul(l_con, w3))
+    total = add(add(mul(l_diff, w1), mul(l_llh, w2)), mul(l_con, w3))
     parts = {"diffusion": l_diff.item(), "likelihood": l_llh.item(),
              "consistency": l_con.item()}
     cache = {"guidance": emb.data.copy(), "y0n": y0n.data.copy(),

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import one_candidate_errors
 from references import (constant_velocity_baseline, finite_difference_check, posterior_step,
-                        raw_stats, stats_field)
+                        raw_stats, reshape, slice_, stats_field)
 from trajdiff import cli, data, diffusion, distribution, inference, training
 from trajdiff import numerics as nm
 from trajdiff.inference import EvalProtocol, SamplingStrategy
@@ -121,15 +121,16 @@ def test_criterion_gradient_correctness():
             return training.converter_losses(fut_arr, params, mdl.norm, len(windows))
 
         def diffusion_term(params):
-            y0n = nm.reshape(converter_losses(params)[2:], (len(fut_arr), 3, 5))
+            y0n = reshape(slice_(converter_losses(params), (slice(2, None),)),
+                          (len(fut_arr), 3, 5))
             return training.loss_diffusion(y0n, mdl.encode(windows), ks, eps, mdl.schedule,
                                            params, mdl.config)
 
         def likelihood_term(params):
-            return converter_losses(params)[0:1]
+            return slice_(converter_losses(params), (slice(0, 1),))
 
         def consistency_term(params):
-            return converter_losses(params)[1:2]
+            return slice_(converter_losses(params), (slice(1, 2),))
 
         def full_objective(params):
             # the same step and noise draws as ks and eps

@@ -99,6 +99,13 @@ class TestTrain:
                        "--lr", "1e18"])
         assert rc == 3
 
+    def test_abort_names_the_failed_optimizer_step(self, tmp_path, capsys):
+        # the first update overflows: no step completed before it
+        rc = cli.main(["train", "--data", "synthetic", "--seed", "7",
+                       "--out", str(tmp_path / "blow"), *TRAIN_ARGS, "--lr", "1e39"])
+        assert rc == 3
+        assert "training aborted at optimizer step 1:" in capsys.readouterr().err
+
     def test_env_var_supplies_data_dir(self, tmp_path, monkeypatch):
         scenes = tmp_path / "envscenes"
         assert cli.main(["synth", "--out", str(scenes), "--scenes", "2",
@@ -432,6 +439,33 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, extra):
 def _flag(key):
     name = key.split(".")[1]
     return "--data" if key == "data.dir" else "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,section,settings", [
+    ("train", "train", {"lr": "nan"}),
+    ("train", "train", {"lr": "-1"}),
+    ("train", "train", {"lambda1": "nan"}),
+    ("train", "train", {"denoiser_boost": "-3"}),
+    ("synth", "synth", {"speed_min": "5", "speed_max": "1"}),
+], ids=["lr-nan", "lr-negative", "lambda1-nan", "denoiser-boost-negative",
+        "speed-min-above-max"])
+def test_bad_numeric_setting_is_usage_error(tmp_path, capsys, command, section, settings,
+                                            source):
+    # without the checks these fail at optimizer step 1 (exit 3), train
+    # uphill or with a negative boost, or synthesize with speeds out of order
+    if source == "flag":
+        given = [f"{_flag(f'{section}.{key}')}={value}" for key, value in settings.items()]
+    else:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n" + "".join(f"{key} = {value}\n"
+                                                  for key, value in settings.items()))
+        given = ["--config", str(cfg)]
+    argv = ["train", "--data", "synthetic", *TRAIN_ARGS] if command == "train" else ["synth"]
+    out = tmp_path / "out"
+    assert cli.main([*argv, *given, "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,setting,flags", [

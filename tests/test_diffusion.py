@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from references import denoiser_tape, posterior_step, reverse_chain_steps
+from references import add, denoiser_tape, mean, mul, posterior_step, reverse_chain_steps
 from trajdiff import data
 from trajdiff import diffusion as dff
 from trajdiff import numerics as nm
@@ -268,8 +268,8 @@ class TestFusedDenoiser:
             target = nm.constant(rng.normal(size=(rows, cfg.t_future, 5)))
             with nm.ComputationRecord() as rec:
                 out = apply(state, ks, guid, params, cfg, sched)
-                d = nm.add(out, nm.mul(target, -1.0))
-                loss = nm.mean(nm.mul(d, d))
+                d = add(out, mul(target, -1.0))
+                loss = mean(mul(d, d))
                 entries = len(rec.entries)
             grads = nm.backward(loss, {**params, "state": state, "guidance": guid})
         return out.data.tobytes(), {k: g.data.tobytes() for k, g in grads.items()}, entries

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from references import (constrain_tensors, finite_difference_check, gaussian_at,
-                        log_pdf, log_pdf_terms, raw_stats, sample_location,
-                        stats_field)
+from references import (constrain_tensors, finite_difference_check, gaussian_at, log_pdf,
+                        log_pdf_terms, mul, raw_stats, sample_location, stats_field, sum_)
 from trajdiff import distribution as dist
 from trajdiff import numerics as nm
 from trajdiff.model import ModelConfig
@@ -232,7 +231,7 @@ def test_log_pdf_matches_tape(dtype):
         with nm.precision(dtype):
             raw = nm.parameter(raw_np)
             with nm.ComputationRecord():
-                loss = nm.sum_(nm.mul(density(raw), nm.constant(proj)))
+                loss = sum_(mul(density(raw), nm.constant(proj)))
             return loss.data, nm.backward(loss, {"raw": raw})["raw"].data
 
     def tape(raw):

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from references import (aggregate_window_neighbors, encode_windows_tape,
-                        finite_difference_check)
+from references import (add, aggregate_window_neighbors, concat, conv1d,
+                        encode_windows_tape, finite_difference_check, matmul, mul, reshape,
+                        scaled_dot_attention, slice_, sum_, tanh, transpose)
 from trajdiff import guidance
 from trajdiff import numerics as nm
 from trajdiff.model import ModelConfig
@@ -162,7 +163,7 @@ def test_encoder_gradients_pass_finite_differences():
         def f(p):
             emb = guidance.encode_windows(
                 [SimpleNamespace(observed=obs, neighbor_mask=mask)], p, cfg)
-            return nm.sum_(nm.mul(emb, nm.constant(proj)))
+            return sum_(mul(emb, nm.constant(proj)))
 
         report = finite_difference_check(f, params, step=1e-4, tolerance=1e-2)
     assert report["pass"], report
@@ -174,30 +175,29 @@ def _eight_convolutions(x, params, prefix, cfg):
     With (k - 1) // 2 zero columns in front, the centered convolution's
     output t reads inputs t - k + 1 .. t."""
     n, t = x.shape[0], cfg.t_obs
-    xc = nm.transpose(x, (0, 2, 1))                      # [N, 2, T]
-    xc = nm.concat([nm.constant(np.zeros((n, 2, (cfg.kernel - 1) // 2))), xc], axis=2)
+    xc = transpose(x, (0, 2, 1))                         # [N, 2, T]
+    xc = concat([nm.constant(np.zeros((n, 2, (cfg.kernel - 1) // 2))), xc], axis=2)
     tokens = []
     for j in range(t):
-        h = nm.conv1d(xc, params[f"{prefix}.conv{j}.w"])
-        h = nm.transpose(h, (0, 2, 1))                   # [N, T, C]
-        h = nm.tanh(nm.add(h, params[f"{prefix}.conv{j}.b"]))
-        tokens.append(h[(slice(None), slice(t - 1, t), slice(None))])
-    seq = nm.concat(tokens, axis=1)                      # [N, T, C]
-    q = nm.matmul(seq, params[f"{prefix}.attn.wq"])
-    k = nm.matmul(seq, params[f"{prefix}.attn.wk"])
-    v = nm.matmul(seq, params[f"{prefix}.attn.wv"])
-    att = nm.scaled_dot_attention(q, k, v)               # [N, T, C]
-    flat = nm.reshape(att, (n, t * cfg.conv_channels))
-    return nm.add(nm.matmul(flat, params[f"{prefix}.proj.w"]),
-                  params[f"{prefix}.proj.b"])
+        h = conv1d(xc, params[f"{prefix}.conv{j}.w"])
+        h = transpose(h, (0, 2, 1))                      # [N, T, C]
+        h = tanh(add(h, params[f"{prefix}.conv{j}.b"]))
+        tokens.append(slice_(h, (slice(None), slice(t - 1, t), slice(None))))
+    seq = concat(tokens, axis=1)                         # [N, T, C]
+    q = matmul(seq, params[f"{prefix}.attn.wq"])
+    k = matmul(seq, params[f"{prefix}.attn.wk"])
+    v = matmul(seq, params[f"{prefix}.attn.wv"])
+    att = scaled_dot_attention(q, k, v)                  # [N, T, C]
+    flat = reshape(att, (n, t * cfg.conv_channels))
+    return add(matmul(flat, params[f"{prefix}.proj.w"]), params[f"{prefix}.proj.b"])
 
 
 def _convolution_pipeline(windows, params, cfg):
     """``encode_windows`` with each encoder as ``_eight_convolutions``."""
     obs = np.concatenate([w.observed for w in windows])
     agg = guidance.aggregate_neighbors(windows)
-    return nm.concat([_eight_convolutions(nm.constant(obs), params, "hist", cfg),
-                      _eight_convolutions(nm.constant(agg), params, "nbr", cfg)], axis=1)
+    return concat([_eight_convolutions(nm.constant(obs), params, "hist", cfg),
+                   _eight_convolutions(nm.constant(agg), params, "nbr", cfg)], axis=1)
 
 
 class TestCollapsedEncoder:
@@ -214,7 +214,7 @@ class TestCollapsedEncoder:
         proj = np.random.default_rng(rows + 1).normal(size=(rows, cfg.d_phi + cfg.d_psi))
         with nm.ComputationRecord():
             out = encode(windows, params, cfg)
-            loss = nm.sum_(nm.mul(out, nm.constant(proj)))
+            loss = sum_(mul(out, nm.constant(proj)))
         grads = nm.backward(loss, params)
         return [out.data] + [grads[name].data for name in sorted(params)]
 

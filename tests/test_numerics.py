@@ -1,4 +1,5 @@
-"""Primitive semantics, the recording machinery and gradient correctness."""
+"""The reference primitives, the recording machinery (`_make`, `backward`)
+and gradient correctness."""
 
 import gc
 import weakref
@@ -6,25 +7,27 @@ import weakref
 import numpy as np
 import pytest
 
-from references import finite_difference_check
+from references import (add, concat, conv1d, exp, finite_difference_check, log, matmul,
+                        mean, mul, reciprocal_positive, reshape, scaled_dot_attention,
+                        slice_, softplus, sum_, tanh, transpose)
 from trajdiff import numerics as nm
 
 
 def test_add_direct():
-    out = nm.add(nm.constant([1.0, 2.0]), nm.constant([3.0, 4.0]))
+    out = add(nm.constant([1.0, 2.0]), nm.constant([3.0, 4.0]))
     np.testing.assert_allclose(out.data, [4.0, 6.0])
 
 
 def test_matmul_identity():
     a = np.array([[2.0, -1.0], [0.5, 3.0]])
-    out = nm.matmul(nm.constant(np.eye(2)), nm.constant(a))
+    out = matmul(nm.constant(np.eye(2)), nm.constant(a))
     np.testing.assert_allclose(out.data, a, rtol=1e-6)
 
 
 def test_backward_sum_of_squares():
     x = nm.parameter([1.0, 2.0])
     with nm.ComputationRecord():
-        loss = nm.sum_(nm.mul(x, x))
+        loss = sum_(mul(x, x))
     grads = nm.backward(loss, {"x": x})
     np.testing.assert_allclose(grads["x"].data, [2.0, 4.0], rtol=1e-6)
 
@@ -40,7 +43,7 @@ def test_backward_unreferenced_param_is_zero():
     x = nm.parameter([1.0, 2.0])
     unused = nm.parameter([[3.0]])
     with nm.ComputationRecord():
-        loss = nm.mean(nm.mul(x, x))
+        loss = mean(mul(x, x))
     grads = nm.backward(loss, {"x": x, "unused": unused})
     assert grads["unused"].shape == (1, 1)
     np.testing.assert_array_equal(grads["unused"].data, [[0.0]])
@@ -49,7 +52,7 @@ def test_backward_unreferenced_param_is_zero():
 def test_backward_twice_on_same_record_errors():
     x = nm.parameter([1.0])
     with nm.ComputationRecord():
-        loss = nm.sum_(nm.mul(x, x))
+        loss = sum_(mul(x, x))
     nm.backward(loss, {"x": x})
     with pytest.raises(nm.NumericsError, match="twice"):
         nm.backward(loss, {"x": x})
@@ -62,8 +65,8 @@ def test_backward_releases_the_record():
     gc.disable()
     try:
         with nm.ComputationRecord() as rec:
-            h = nm.tanh(nm.matmul(x, w))
-            loss = nm.sum_(nm.mul(h, h))
+            h = tanh(matmul(x, w))
+            loss = sum_(mul(h, h))
         alive = weakref.ref(h.data)
         del h
         nm.backward(loss, {"x": x, "w": w})
@@ -80,20 +83,20 @@ def test_backward_releases_the_record():
 def test_backward_requires_scalar():
     x = nm.parameter([1.0, 2.0])
     with nm.ComputationRecord():
-        y = nm.mul(x, x)
+        y = mul(x, x)
     with pytest.raises(nm.NumericsError, match="scalar"):
         nm.backward(y, {"x": x})
 
 
 def test_no_recording_outside_a_record():
     x = nm.parameter([1.0, 2.0])
-    y = nm.mul(x, x)
+    y = mul(x, x)
     assert y._rec is None
 
 
 def test_non_finite_surfaces_as_error():
     with pytest.raises(nm.NumericsError):
-        nm.log(nm.constant([-1.0]))
+        log(nm.constant([-1.0]))
     with pytest.raises(nm.NumericsError):
         nm.Tensor([np.nan])
 
@@ -101,11 +104,11 @@ def test_non_finite_surfaces_as_error():
 def test_broadcast_trailing_only():
     a = nm.constant(np.ones((2, 3, 4)))
     b = nm.constant(np.ones(4))
-    assert nm.add(a, b).shape == (2, 3, 4)
+    assert add(a, b).shape == (2, 3, 4)
     with pytest.raises(nm.NumericsError):
-        nm.add(a, nm.constant(np.ones(3)))
+        add(a, nm.constant(np.ones(3)))
     with pytest.raises(nm.NumericsError):
-        nm.add(a, nm.constant(np.ones((3, 1))))
+        add(a, nm.constant(np.ones((3, 1))))
 
 
 def test_conv1d_identity_kernel():
@@ -114,7 +117,7 @@ def test_conv1d_identity_kernel():
     w = np.zeros((3, 3, 1))
     for c in range(3):
         w[c, c, 0] = 1.0
-    out = nm.conv1d(x, nm.constant(w))
+    out = conv1d(x, nm.constant(w))
     np.testing.assert_allclose(out.data, x.data, rtol=1e-6)
 
 
@@ -123,14 +126,14 @@ def test_forward_bit_reproducible():
         rng = np.random.default_rng(42)
         x = nm.constant(rng.normal(size=(4, 6)))
         w = nm.constant(rng.normal(size=(6, 3)))
-        return nm.softplus(nm.tanh(nm.matmul(x, w))).data.tobytes()
+        return softplus(tanh(matmul(x, w))).data.tobytes()
 
     assert run() == run()
 
 
 def test_reciprocal_positive():
     x = nm.constant([0.5, 2.0, 10.0])
-    np.testing.assert_allclose(nm.reciprocal_positive(x).data, [2.0, 0.5, 0.1],
+    np.testing.assert_allclose(reciprocal_positive(x).data, [2.0, 0.5, 0.1],
                                rtol=1e-5)
 
 
@@ -142,7 +145,7 @@ def _scalarize(out, rng):
     # project to a scalar with a fixed random weighting so every output
     # element influences the loss
     w = nm.constant(rng.normal(size=out.shape))
-    return nm.sum_(nm.mul(out, w))
+    return sum_(mul(out, w))
 
 
 def _primitive_cases():
@@ -152,32 +155,32 @@ def _primitive_cases():
         return rng.normal(size=shape)
 
     cases = {
-        "add": (lambda p: nm.add(p["a"], p["b"]), {"a": r(3, 4), "b": r(3, 4)}),
-        "add_broadcast": (lambda p: nm.add(p["a"], p["b"]), {"a": r(2, 3, 4), "b": r(4)}),
-        "mul": (lambda p: nm.mul(p["a"], p["b"]), {"a": r(3, 4), "b": r(3, 4)}),
-        "mul_broadcast": (lambda p: nm.mul(p["a"], p["b"]), {"a": r(2, 3, 4), "b": r(4)}),
-        "matmul": (lambda p: nm.matmul(p["a"], p["b"]), {"a": r(3, 4), "b": r(4, 2)}),
-        "matmul_batched": (lambda p: nm.matmul(p["a"], p["b"]),
+        "add": (lambda p: add(p["a"], p["b"]), {"a": r(3, 4), "b": r(3, 4)}),
+        "add_broadcast": (lambda p: add(p["a"], p["b"]), {"a": r(2, 3, 4), "b": r(4)}),
+        "mul": (lambda p: mul(p["a"], p["b"]), {"a": r(3, 4), "b": r(3, 4)}),
+        "mul_broadcast": (lambda p: mul(p["a"], p["b"]), {"a": r(2, 3, 4), "b": r(4)}),
+        "matmul": (lambda p: matmul(p["a"], p["b"]), {"a": r(3, 4), "b": r(4, 2)}),
+        "matmul_batched": (lambda p: matmul(p["a"], p["b"]),
                            {"a": r(2, 3, 4), "b": r(4, 2)}),
-        "conv1d_same": (lambda p: nm.conv1d(p["x"], p["w"]),
+        "conv1d_same": (lambda p: conv1d(p["x"], p["w"]),
                         {"x": r(2, 3, 6), "w": r(4, 3, 3)}),
-        "transpose": (lambda p: nm.transpose(p["x"], (2, 0, 1)), {"x": r(2, 3, 4)}),
-        "reshape": (lambda p: nm.reshape(p["x"], (3, 4)), {"x": r(2, 6)}),
-        "concat": (lambda p: nm.concat([p["a"], p["b"]], axis=1),
+        "transpose": (lambda p: transpose(p["x"], (2, 0, 1)), {"x": r(2, 3, 4)}),
+        "reshape": (lambda p: reshape(p["x"], (3, 4)), {"x": r(2, 6)}),
+        "concat": (lambda p: concat([p["a"], p["b"]], axis=1),
                    {"a": r(2, 3), "b": r(2, 2)}),
-        "slice": (lambda p: nm.slice_(p["x"], (slice(0, 2), slice(1, 3))),
+        "slice": (lambda p: slice_(p["x"], (slice(0, 2), slice(1, 3))),
                   {"x": r(3, 4)}),
-        "slice_int": (lambda p: nm.slice_(p["x"], (slice(None), 2)), {"x": r(3, 4)}),
-        "mean_all": (lambda p: nm.mean(p["x"]), {"x": r(3, 4)}),
-        "mean_axis": (lambda p: nm.mean(p["x"], axis=1, keepdims=True), {"x": r(3, 4)}),
-        "sum_axes": (lambda p: nm.sum_(p["x"], axis=(0, 2)), {"x": r(2, 3, 4)}),
-        "exp": (lambda p: nm.exp(p["x"]), {"x": r(3, 4)}),
-        "log": (lambda p: nm.log(p["x"]), {"x": np.abs(r(3, 4)) + 0.5}),
-        "tanh": (lambda p: nm.tanh(p["x"]), {"x": r(3, 4)}),
-        "softplus": (lambda p: nm.softplus(p["x"]), {"x": r(3, 4)}),
-        "attention": (lambda p: nm.scaled_dot_attention(p["q"], p["k"], p["v"]),
+        "slice_int": (lambda p: slice_(p["x"], (slice(None), 2)), {"x": r(3, 4)}),
+        "mean_all": (lambda p: mean(p["x"]), {"x": r(3, 4)}),
+        "mean_axis": (lambda p: mean(p["x"], axis=1, keepdims=True), {"x": r(3, 4)}),
+        "sum_axes": (lambda p: sum_(p["x"], axis=(0, 2)), {"x": r(2, 3, 4)}),
+        "exp": (lambda p: exp(p["x"]), {"x": r(3, 4)}),
+        "log": (lambda p: log(p["x"]), {"x": np.abs(r(3, 4)) + 0.5}),
+        "tanh": (lambda p: tanh(p["x"]), {"x": r(3, 4)}),
+        "softplus": (lambda p: softplus(p["x"]), {"x": r(3, 4)}),
+        "attention": (lambda p: scaled_dot_attention(p["q"], p["k"], p["v"]),
                       {"q": r(2, 3, 4), "k": r(2, 3, 4), "v": r(2, 3, 4)}),
-        "reciprocal_positive": (lambda p: nm.reciprocal_positive(p["x"]),
+        "reciprocal_positive": (lambda p: reciprocal_positive(p["x"]),
                                 {"x": np.abs(r(3, 4)) + 0.5}),
     }
     return cases
@@ -198,7 +201,7 @@ def test_primitive_backward_matches_finite_differences(name):
 def test_fd_check_quadratic_exactness():
     w = nm.parameter([0.5, -1.5, 2.0])
     report = finite_difference_check(
-        lambda p: nm.sum_(nm.mul(p["w"], p["w"])), {"w": w},
+        lambda p: sum_(mul(p["w"], p["w"])), {"w": w},
         step=1e-3, tolerance=1e-4)
     assert report["pass"], report
 
@@ -210,7 +213,7 @@ def test_fd_check_flags_corrupted_backward():
 
     w = nm.parameter([1.0, -0.5])
     report = finite_difference_check(
-        lambda p: nm.sum_(wrong_double(p["w"])), {"w": w},
+        lambda p: sum_(wrong_double(p["w"])), {"w": w},
         step=1e-3, tolerance=1e-2)
     assert not report["pass"]
 
@@ -220,7 +223,7 @@ def test_fd_check_rejects_nondeterministic_f():
     w = nm.parameter([1.0])
 
     def noisy(p):
-        return nm.sum_(nm.mul(p["w"], float(rng.normal())))
+        return sum_(mul(p["w"], float(rng.normal())))
 
     with pytest.raises(nm.NumericsError, match="deterministic"):
         finite_difference_check(noisy, {"w": w})
@@ -234,7 +237,7 @@ def test_precision_context():
 
 
 def test_tensor_values_are_row_major():
-    t = nm.transpose(nm.constant(np.arange(6.0).reshape(2, 3)), (1, 0))
+    t = transpose(nm.constant(np.arange(6.0).reshape(2, 3)), (1, 0))
     assert t.data.flags["C_CONTIGUOUS"]
 
 
@@ -263,7 +266,7 @@ def test_make_rejects_a_promoted_output():
     with nm.precision(np.float64):
         wide = nm.constant([1.0, 2.0])
     with pytest.raises(nm.NumericsError, match="float64"):
-        nm.mul(wide, 2.0)
+        mul(wide, 2.0)
     with pytest.raises(nm.NumericsError, match="float64"):
         nm._make(np.zeros(3), (), None)
 
@@ -298,8 +301,8 @@ def test_attention_matches_einsum_reference(shape, dtype, tol):
     with nm.precision(dtype):
         params = {"q": nm.parameter(q), "k": nm.parameter(k), "v": nm.parameter(v)}
         with nm.ComputationRecord():
-            out = nm.scaled_dot_attention(params["q"], params["k"], params["v"])
-            loss = nm.sum_(nm.mul(out, nm.constant(g)))
+            out = scaled_dot_attention(params["q"], params["k"], params["v"])
+            loss = sum_(mul(out, nm.constant(g)))
         grads = nm.backward(loss, params)
     got = [out.data, grads["q"].data, grads["k"].data, grads["v"].data]
     for a, b in zip(got, _einsum_attention(q, k, v, g)):

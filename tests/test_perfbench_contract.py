@@ -72,13 +72,17 @@ def test_train_post_fit_calls(workloads, tmp_path):
     assert math.isfinite(report["ade"]) and math.isfinite(report["fde"])
 
 
-def test_traced_names_exist():
+def test_traced_run_names_exist_and_are_patched():
+    """The names a traced train run counts on: ``numerics.backward.calls``
+    is checked per step, ``_make`` counts the finiteness checks, and the
+    denoiser and Adam are layers.  Each must exist and be patched."""
     tracing = _load("tracing")
-    for name in tracing.PRIMITIVES:
-        assert callable(getattr(nm, name, None)), f"numerics.{name}"
-    for module, name in ((nm, "_make"), (nm, "backward"),
-                         (diffusion, "denoiser_apply"), (training, "adam_update")):
+    needed = ((nm, "_make"), (nm, "backward"), (diffusion, "denoiser_apply"),
+              (training, "adam_update"))
+    patched = {(module, attr) for module, attr, _orig, _wrapper in tracing.Tracer()._patches}
+    for module, name in needed:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+        assert (module, name) in patched, f"{module.__name__}.{name} is not traced"
 
 
 def _traced_evaluation(workloads, n_windows):

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import one_candidate_errors
-from trajdiff import checkpoint, data, distribution
+from references import batch_losses_tape, concat, denoiser_tape, slice_
+from trajdiff import checkpoint, data, diffusion, distribution, training
 from trajdiff import numerics as nm
+from trajdiff.model import Model, ModelConfig
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
                    width=32)
@@ -49,12 +51,12 @@ def test_concat_slice_inverse(values, split_seed):
     cut = 1 + split_seed % 4
     left = nm.constant(arr[:, :cut])
     right = nm.constant(arr[:, cut:])
-    joined = nm.concat([left, right], axis=1)
+    joined = concat([left, right], axis=1)
     np.testing.assert_array_equal(joined.data, arr)
     np.testing.assert_array_equal(
-        nm.slice_(joined, (slice(None), slice(0, cut))).data, left.data)
+        slice_(joined, (slice(None), slice(0, cut))).data, left.data)
     np.testing.assert_array_equal(
-        nm.slice_(joined, (slice(None), slice(cut, 5))).data, right.data)
+        slice_(joined, (slice(None), slice(cut, 5))).data, right.data)
 
 
 @given(st.lists(finite, min_size=15, max_size=15),
@@ -157,3 +159,53 @@ def test_container_truncated_anywhere_is_container_error(metadata, arrays):
                 fh.write(blob[:cut])
             with pytest.raises(checkpoint.ContainerError):
                 checkpoint.load_container(path)
+
+
+# ---------------------------------------------------------------------------
+# The joint pass's recorded operations against the primitive tape
+
+
+@st.composite
+def joint_passes(draw):
+    """A small model (odd kernels up to 7, so also above t_obs, and down to
+    an empty denoiser trunk) and 1 to 3 windows of 1 to 6 pedestrians,
+    whose neighbor masks may be empty."""
+    cfg = ModelConfig(t_obs=draw(st.integers(1, 9)), t_future=draw(st.integers(1, 12)),
+                      kernel=draw(st.sampled_from([1, 3, 5, 7])),
+                      denoiser_blocks=draw(st.integers(0, 3)), conv_channels=3,
+                      d_phi=3, d_psi=2, denoiser_width=8, step_dim=4, k_total=10,
+                      steps=5, beta_end=0.5)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    windows = []
+    for n in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)):
+        mask = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5, 1.0])), 1)
+        windows.append(data.SceneWindow(
+            "s", list(range(n)), rng.normal(scale=0.3, size=(n, cfg.t_obs, 2)),
+            rng.normal(scale=0.3, size=(n, cfg.t_future, 2)), np.zeros((n, 2)),
+            mask | mask.T))
+    return cfg, windows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@given(joint_passes())
+@settings(max_examples=25, deadline=None)
+def test_joint_pass_matches_primitive_tape(dtype, drawn):
+    cfg, windows = drawn
+
+    def run(batch_losses):
+        with nm.precision(dtype):
+            mdl = Model.initialize(cfg, 1)
+            mdl.norm = training.freeze_normalization(mdl, windows)
+            with nm.ComputationRecord():
+                total, parts, cache = batch_losses(windows, mdl, np.random.default_rng(2),
+                                                   (1.0, 0.5, 2.0))
+            grads = nm.backward(total, mdl.params)
+        assert total.data.dtype == dtype
+        return (total.data.tobytes(), parts, cache["guidance"].tobytes(),
+                cache["y0n"].tobytes(), {k: g.data.tobytes() for k, g in grads.items()})
+
+    got = run(training.batch_losses)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffusion, "denoiser_apply", denoiser_tape)
+        want = run(batch_losses_tape)
+    assert got == want

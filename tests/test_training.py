@@ -13,7 +13,7 @@ import pytest
 
 from references import (batch_losses_tape, convert_tape, converter_losses_tape,
                         denoiser_tape, encoder_tape, finite_difference_check, gaussian_at,
-                        log_pdf, loss_diffusion_tape)
+                        log_pdf, loss_diffusion_tape, mean, mul, reshape, slice_, sum_)
 import references
 import trajdiff
 from trajdiff import data, diffusion, distribution, guidance, training
@@ -176,7 +176,7 @@ def test_converter_losses_match_tape(dtype):
             mdl.norm = training.freeze_normalization(mdl, windows)
             with nm.ComputationRecord():
                 out = losses(future, mdl.params, mdl.norm, len(windows))
-                loss = nm.sum_(nm.mul(out, nm.constant(proj)))
+                loss = sum_(mul(out, nm.constant(proj)))
             grads = nm.backward(loss, mdl.params)
         return [out.data] + [grads[k].data for k in sorted(grads) if k.startswith("conv.")]
 
@@ -199,7 +199,7 @@ class TestTrainStep:
             emb = mdl.encode(windows[:2])
             fut = np.concatenate([w.future for w in windows[:2]])
             losses = training.converter_losses(fut, mdl.params, mdl.norm, 2)
-            y0n = nm.reshape(losses[2:], (len(fut), 12, 5))
+            y0n = reshape(slice_(losses, (slice(2, None),)), (len(fut), 12, 5))
             ks, eps = training.draw_step_noise([w.n_peds for w in windows[:2]],
                                                mdl.schedule, rng2, 12)
             diff_only = training.loss_diffusion(y0n, emb, ks, eps,
@@ -338,16 +338,15 @@ class TestRecordedDenoiser:
         assert counts == {"backward": 6, "adam_update": 6, "encode_windows": 1,
                           "convert_trajectory": 1}
 
-    def test_joint_forward_records_eight_entries(self):
-        # encoders, converter with its losses, the slice and reshape of its
-        # normalized statistics, forward marginal, denoiser, squared error
-        # and weighted sum
+    def test_joint_forward_records_seven_entries(self):
+        # encoders, converter with its losses, its normalized statistics,
+        # forward marginal, denoiser, squared error and weighted sum
         windows = _windows()
         mdl = Model.initialize(MICRO, 0)
         with nm.ComputationRecord() as rec:
             training.batch_losses(windows[:3], mdl, np.random.default_rng(0))
             entries = len(rec.entries)
-        assert entries == 8
+        assert entries == 7
 
 
 class TestSkippedInputGradients:
@@ -410,7 +409,7 @@ class TestSkippedInputGradients:
 
         def loss_fn(obs):
             ctx = encoder_tape(obs, hist, "hist", MICRO)
-            return nm.mean(nm.mul(ctx, ctx))
+            return mean(mul(ctx, ctx))
 
         fast, nones, _ = self._grads(loss_fn, hist, (observed,), as_params=False)
         full, _, _ = self._grads(loss_fn, hist, (observed,), as_params=True)
