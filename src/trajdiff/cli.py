@@ -445,11 +445,13 @@ def cmd_predict(args) -> int:
     (pset,) = inference.sample_windows(mdl, [window], sampling, [gt_abs])
 
     # One %-template for every row, filled in one call from one flat list of
-    # Python floats: ``%.6f`` writes the same bytes as ``{:.6f}``.
-    steps = [f"{t},%.6f,%.6f\n" for t in range(1, mdl.config.t_future + 1)]
+    # Python floats: ``%.6f`` writes the same bytes as ``{:.6f}``.  Each
+    # (pedestrian, candidate) block of T' rows is one join of the row tails
+    # on its "scene,ped,candidate," head, which the leading "" puts first.
+    tails = ["", *(f"{t},%.6f,%.6f\n" for t in range(1, mdl.config.t_future + 1))]
     prefix = scene.replace("%", "%%")
-    template = "".join(f"{prefix},{ped},{m},{step}" for ped in window.ped_ids
-                       for m in range(pset.n_candidates) for step in steps)
+    template = "".join(f"{prefix},{ped},{m},".join(tails) for ped in window.ped_ids
+                       for m in range(pset.n_candidates))
     _write_csv(args.out, ckpt_hash, sampling,
                _protocol_desc(sampling), "scene,ped,candidate,t,x,y",
                template % tuple(pset.candidates.ravel().tolist()))

@@ -82,9 +82,10 @@ class SceneWindow:
 
 
 def absolute_positions(displacements: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Absolute positions [N, T', 2] from per-frame displacements and the
-    origins [N, 2] they start from: ``origin + cumsum``."""
-    return origin[:, None, :] + np.cumsum(displacements, axis=1)
+    """Absolute positions from per-frame displacements [N, ..., T', 2] and
+    the origins [N, 2] they start from: ``origin + cumsum`` over frames."""
+    lead = (1,) * (displacements.ndim - 2)
+    return origin.reshape(len(origin), *lead, 2) + np.cumsum(displacements, axis=-2)
 
 
 def ingest_benchmark_file(path, scene_id: str) -> list[RawTrack]:

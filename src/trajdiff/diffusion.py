@@ -40,6 +40,11 @@ class Schedule:
     alpha: np.ndarray
     tau: np.ndarray
 
+    def with_steps(self, steps: int) -> Schedule:
+        """This schedule with S = ``steps`` execution steps: only ``tau``
+        is recomputed."""
+        return Schedule(self.K, self.alpha, _even_tau(self.K, steps))
+
 
 def _even_tau(k_total: int, s: int) -> np.ndarray:
     if not 1 <= s <= k_total:

@@ -193,18 +193,22 @@ def log_pdf(y: np.ndarray, raw: np.ndarray):
     return terms, backward
 
 
-def sample_field(field: StatsField, rng: np.random.Generator) -> np.ndarray:
-    """One displacement trajectory per pedestrian, drawn independently per
-    timestep through the 2x2 Cholesky factor of each covariance: x from
-    ``u``, y from ``rho u + sqrt(1 - rho^2) v``, with ``u`` and ``v``
-    standard normal draws of shape [N, T'] taken in that order."""
+def sample_field(field: StatsField, rng: np.random.Generator,
+                 n: int | None = None) -> np.ndarray:
+    """One displacement trajectory per pedestrian [N, T', 2], or ``n`` of
+    them [n, N, T', 2], drawn independently per timestep through the 2x2
+    Cholesky factor of each covariance: x from ``u``, y from
+    ``rho u + sqrt(1 - rho^2) v``, with ``u`` and ``v`` standard normal
+    draws of shape [N, T'] taken in that order.  The ``n`` draws take their
+    (u, v) pairs from one call on ``rng``, the values of ``n`` calls
+    without a count."""
     mu, sig, rho = field.means, field.sigmas, field.rhos
-    u = rng.standard_normal(mu.shape[:2])
-    v = rng.standard_normal(mu.shape[:2])
-    out = np.empty_like(mu)
+    z = rng.standard_normal((1 if n is None else n, 2, *mu.shape[:2]))
+    u, v = z[:, 0], z[:, 1]
+    out = np.empty(u.shape + (2,))
     out[..., 0] = mu[..., 0] + sig[..., 0] * u
     out[..., 1] = mu[..., 1] + sig[..., 1] * (rho * u + np.sqrt(1.0 - rho ** 2) * v)
-    return out
+    return out[0] if n is None else out
 
 
 def mean_log_score(field: StatsField) -> float:

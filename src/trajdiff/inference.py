@@ -94,22 +94,25 @@ def _candidates(fields: list[distribution.StatsField], origin: np.ndarray,
                 strategy: SamplingStrategy, rng: np.random.Generator,
                 selection: str, gt_abs: np.ndarray | None) -> PredictionSet:
     """The post-chain half of a strategy: select a field, draw Gaussians and
-    stack one window's candidates."""
-    # (displacements [N, T', 2], provenance) per candidate, in draw order
+    place one window's candidates, all at once: the displacements of every
+    candidate [N, M, T', 2], then one ``origin + cumsum`` over them."""
     if strategy.kind == "B":
-        picks = [(distribution.sample_field(f, rng), (i, 0)) for i, f in enumerate(fields)]
+        disp = np.stack([distribution.sample_field(f, rng) for f in fields], axis=1)
+        provenance = [(i, 0) for i in range(len(fields))]
     else:
-        best, draws, picks = 0, strategy.r, []
+        best, draws, means = 0, strategy.r, []
         if strategy.kind == "A":
             best = select_best(fields, selection, gt_abs=gt_abs, origin=origin)
             draws = strategy.r2
             means = range(len(fields)) if strategy.pool_run_means else [best]
-            picks = [(fields[i].means, (i, "mean")) for i in means]
-        picks += [(distribution.sample_field(fields[best], rng), (best, d))
-                  for d in range(draws)]
-    return PredictionSet(np.stack([data.absolute_positions(d, origin) for d, _ in picks],
-                                  axis=1),
-                         [p for _, p in picks])
+        n, length = fields[best].means.shape[:2]
+        disp = np.empty((n, len(means) + draws, length, 2))
+        for j, i in enumerate(means):
+            disp[:, j] = fields[i].means
+        disp[:, len(means):] = distribution.sample_field(fields[best], rng,
+                                                          draws).transpose(1, 0, 2, 3)
+        provenance = [(i, "mean") for i in means] + [(best, d) for d in range(draws)]
+    return PredictionSet(data.absolute_positions(disp, origin), provenance)
 
 
 def best_of_n(pset: PredictionSet, gt_abs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ fields with one batched reverse chain and one noise generator per window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,8 +56,15 @@ class ModelConfig:
                                         self.steps if steps is None else steps)
 
     def validate(self):
-        """Raise ValueError unless a model can be built from these settings;
-        the schedule settings get ``build_schedule``'s checks."""
+        """Raise ValueError unless a model can be built from these settings
+        (``checked_schedule``); returns the settings."""
+        self.checked_schedule()
+        return self
+
+    def checked_schedule(self) -> diffusion.Schedule:
+        """The schedule, built once every other setting is checked: raise
+        ValueError unless a model can be built from these settings.  The
+        schedule settings get ``build_schedule``'s checks."""
         for name in ("t_obs", "t_future", "conv_channels", "d_phi", "d_psi",
                      "denoiser_width"):
             if getattr(self, name) < 1:
@@ -71,19 +79,24 @@ class ModelConfig:
         if self.denoiser_blocks < 0:
             raise ValueError(f"model denoiser_blocks must be >= 0, "
                              f"got {self.denoiser_blocks}")
+        if not 0 < self.neighbor_radius < math.inf:
+            # nan would pass a ``<= 0`` check and then neighbor no one
+            raise ValueError(f"model neighbor_radius must be finite and > 0, "
+                             f"got {self.neighbor_radius}")
         try:
-            self.schedule()
+            return self.schedule()
         except (NumericsError, ValueError) as exc:
             raise ValueError(f"model schedule: {exc}") from None
-        return self
 
 
 class Model:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor],
-                 norm: distribution.NormStats | None = None):
+                 norm: distribution.NormStats | None = None,
+                 schedule: diffusion.Schedule | None = None):
+        """``schedule`` is ``config.schedule()``, built here when not given."""
         self.config = config
         self.params = params
-        self.schedule = config.schedule()
+        self.schedule = config.schedule() if schedule is None else schedule
         self.norm = norm or distribution.NormStats.identity()
 
     @classmethod
@@ -122,8 +135,9 @@ class Model:
         rows = np.concatenate([np.tile(np.arange(e - n, e), n_runs)
                                for n, e in zip(sizes, ends)])
         y_init = self.initial_noise(windows, rngs, n_runs)
+        schedule = self.schedule if steps is None else self.schedule.with_steps(steps)
         y = diffusion.reverse_chain(
-            y_init, self.encode(windows).data[rows], self.config.schedule(steps), self.params,
+            y_init, self.encode(windows).data[rows], schedule, self.params,
             self.config, np.random.default_rng() if gamma_mode == "ddpm-matching" else None)
         blocks = np.split(distribution.denormalize_stats(y, self.norm),
                           n_runs * ends[:-1])
@@ -177,7 +191,8 @@ class Model:
         try:
             config = dict(meta["config"])
             config.pop("gamma_mode", None)
-            config = ModelConfig(**config).validate()
+            config = ModelConfig(**config)
+            schedule = config.checked_schedule()
             norm = distribution.NormStats(np.array(meta["norm_mean"]),
                                           np.array(meta["norm_scale"]))
         except KeyError as exc:
@@ -187,4 +202,4 @@ class Model:
         shapes = {f"param.{k}": shape for k, (shape, _) in config.param_layout().items()}
         checkpoint.check_layout(path, arrays, "param.", shapes)
         params = {k[len("param."):]: nm.parameter(arrays[k]) for k in shapes}
-        return cls(config, params, norm), meta, rest
+        return cls(config, params, norm, schedule), meta, rest

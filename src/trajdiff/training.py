@@ -420,15 +420,20 @@ def _trim_log(path: str, last_step: int, header: list[str]) -> None:
                      if not step.isdigit() or int(step) <= last_step)
 
 
-def _resume(path) -> tuple[Model, AdamState, int]:
+def _resume(path, total_steps: int) -> tuple[Model, AdamState, int]:
     """The model, optimizer state and step count a checkpoint continues
     from.  A ``train_step`` that is not a step count, or ``adam.*`` arrays
     whose names, shapes or dtypes differ from the config's layout, raise
-    ``ContainerError``."""
+    ``ContainerError``; a checkpoint at or past ``total_steps`` raises
+    ``ResumeError`` first, since a finished run's model holds no
+    ``adam.*`` arrays."""
     mdl, meta, rest = Model.load(path)
     step = meta.get("train_step")
     if type(step) is not int or step < 0:
         raise ContainerError(f"{path}: train_step {step!r} is not a step count")
+    if step >= total_steps:
+        raise ResumeError(f"{path} is at step {step} and the run has "
+                          f"{total_steps} steps: nothing to resume")
     shapes = {"adam.t": (1,)}
     for k, (shape, _) in mdl.config.param_layout().items():
         shapes[f"adam.m.{k}"] = shapes[f"adam.v.{k}"] = shape
@@ -463,7 +468,9 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     """Epoch loop with shuffled batches, periodic checkpoints and a CSV log
     (``training_log.csv`` in ``out_dir``).
 
-    Returns (final checkpoint path, log rows).  ``resume_from`` restarts
+    Returns (final checkpoint path, log rows).  Mid-run checkpoints
+    (``ckpt_<step>.tjdf``) carry the Adam state; the final ``model.tjdf``
+    carries only the model.  ``resume_from`` restarts
     from a mid-training checkpoint and matches the straight-through run
     exactly under the same seed policy; a checkpoint with no step left to
     run, or a log in ``out_dir`` that is behind it or whose header lines
@@ -478,18 +485,14 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     os.makedirs(out_dir, exist_ok=True)
     _keep_freed_heap()
 
+    spe = max(1, math.ceil(len(windows) / train_cfg.batch_size))
+    total_steps = spe * train_cfg.epochs
     if resume_from is not None:
-        mdl, opt, start_step = _resume(resume_from)
+        mdl, opt, start_step = _resume(resume_from, total_steps)
     else:
         mdl = Model.initialize(model_cfg, train_cfg.seed)
         opt = AdamState(mdl.params)
         start_step = 0
-
-    spe = max(1, math.ceil(len(windows) / train_cfg.batch_size))
-    total_steps = spe * train_cfg.epochs
-    if start_step >= total_steps:
-        raise ResumeError(f"{resume_from} is at step {start_step} and the run has "
-                          f"{total_steps} steps: nothing to resume")
     # Step at which channel normalization freezes.  The converter's output
     # distribution drifts sharply while its regression converges; freezing
     # too early leaves the noise-matching loss on wildly mis-scaled inputs.
@@ -538,7 +541,7 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
                          extra_meta={"train_step": done},
                          extra_arrays=opt.arrays())
 
+    # the final model holds no optimizer state: a finished run is not resumed
     final_path = os.path.join(out_dir, "model.tjdf")
-    mdl.save(final_path, extra_meta={"train_step": total_steps},
-             extra_arrays=opt.arrays())
+    mdl.save(final_path, extra_meta={"train_step": total_steps})
     return final_path, log_rows

@@ -17,10 +17,12 @@ package's vector; ``loss_diffusion_tape`` and ``batch_losses_tape`` are
 the diffusion loss and the joint forward pass.
 ``finite_difference_check`` is the central-difference gradient oracle and
 ``constant_velocity_baseline`` the classic extrapolation the acceptance
-suite compares against.  ``log_pdf`` and ``sample_location`` are the
-closed-form density and Cholesky draw of one bivariate Gaussian, given as
-(mu1, mu2, sigma1, sigma2, rho), that the package's vectorized density and
-sampler are held to; ``gaussian_at`` reads one location's parameters from a
+suite compares against.  ``candidates_per_draw`` is one window's candidate
+set built one candidate at a time, that the batched draw and placement of
+``inference._candidates`` are held to.  ``log_pdf`` and ``sample_location``
+are the closed-form density and Cholesky draw of one bivariate Gaussian,
+given as (mu1, mu2, sigma1, sigma2, rho), that the package's vectorized
+density and sampler are held to; ``gaussian_at`` reads one location's parameters from a
 ``StatsField`` and ``stats_field`` builds a field from them.
 ``reverse_chain_steps`` is the reverse chain written out as its parts, the
 noise estimate, ``reconstruct_clean`` and ``posterior_step``, that the
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-from trajdiff import data, diffusion, training
+from trajdiff import data, diffusion, distribution, inference, training
 from trajdiff import numerics as nm
 from trajdiff.diffusion import denoiser_apply, step_embedding, transition
 from trajdiff.distribution import (LOG_2PI, RHO_CAP, SIGMA_FLOOR, STAT_CHANNELS,
@@ -526,6 +528,26 @@ def constant_velocity_baseline(window) -> np.ndarray:
     last = window.observed[:, -1, :]
     disp = np.repeat(last[:, None, :], window.future.shape[1], axis=1)
     return data.absolute_positions(disp, window.origin)
+
+
+def candidates_per_draw(fields, origin, strategy, rng, selection, gt_abs):
+    """``inference._candidates`` one candidate at a time: each candidate's
+    displacements [N, T', 2] (a field's means, or one ``sample_field``
+    draw without a count) placed by ``data.absolute_positions``, then
+    stacked.  Returns (candidates [N, M, T', 2], provenance)."""
+    if strategy.kind == "B":
+        picks = [(distribution.sample_field(f, rng), (i, 0)) for i, f in enumerate(fields)]
+    else:
+        best, draws, picks = 0, strategy.r, []
+        if strategy.kind == "A":
+            best = inference.select_best(fields, selection, gt_abs=gt_abs, origin=origin)
+            draws = strategy.r2
+            means = range(len(fields)) if strategy.pool_run_means else [best]
+            picks = [(fields[i].means, (i, "mean")) for i in means]
+        picks += [(distribution.sample_field(fields[best], rng), (best, d))
+                  for d in range(draws)]
+    return (np.stack([data.absolute_positions(d, origin) for d, _ in picks], axis=1),
+            [p for _, p in picks])
 
 
 def gaussian_at(field, n: int, t: int) -> tuple[float, float, float, float, float]:

@@ -174,12 +174,16 @@ def test_predict_on_bad_model_metadata_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("change", [{"step_dim": 5}, {"step_dim": 1}, {"t_future": 0},
-                                    {"t_obs": 0}],
-                         ids=["odd-step-dim", "step-dim-1", "t-future-0", "t-obs-0"])
+                                    {"t_obs": 0}, {"neighbor_radius": float("nan")},
+                                    {"neighbor_radius": float("inf")},
+                                    {"neighbor_radius": 0.0}],
+                         ids=["odd-step-dim", "step-dim-1", "t-future-0", "t-obs-0",
+                              "radius-nan", "radius-inf", "radius-0"])
 def test_predict_on_unusable_model_settings_exits_2(tmp_path, capsys, change):
     """A model initialized from settings that ``validate`` rejects (the
-    step embedding has an even width; a model predicts at least one step)
-    saves, but does not load: predicting from it is a data error."""
+    step embedding has an even width; a model predicts at least one step;
+    a nan radius would neighbor no one) saves, but does not load:
+    predicting from it is a data error."""
     cfg = replace(TINY, **change)
     with pytest.raises(ValueError, match=next(iter(change))):
         cfg.validate()

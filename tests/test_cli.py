@@ -1,13 +1,15 @@
 """Command line surface: artifacts, determinism, exit codes."""
 
+import json
 import os
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import file_hash, one_candidate_errors
-from trajdiff import checkpoint, cli, data, inference, training
+from trajdiff import checkpoint, cli, data, diffusion, inference, training
 from trajdiff.model import Model, ModelConfig
 
 TRAIN_ARGS = ["--channels", "4", "--d-phi", "4", "--d-psi", "4",
@@ -211,6 +213,22 @@ class TestResume:
         assert "lr=0.002" in err and "lr=0.001" in err
         assert os.listdir(out) == ["training_log.csv"]
         assert (out / "training_log.csv").read_bytes() == log
+
+    def test_only_mid_run_checkpoints_carry_adam_state(self, tmp_path):
+        # a checkpoint after every step: ckpt_000001 to ckpt_000003
+        out = tmp_path / "every"
+        assert cli.main(["train", *RESUME_ARGS, "--checkpoint-every", "1",
+                         "--out", str(out)]) == 0
+        _, arrays, _ = checkpoint.load_container(out / "model.tjdf")
+        assert arrays and all(k.startswith("param.") for k in arrays)
+        layout = Model.load(out / "model.tjdf")[0].config.param_layout()
+        shapes = {"adam.t": (1,), **{f"adam.{mv}.{k}": shape for mv in "mv"
+                                     for k, (shape, _) in layout.items()}}
+        ckpts = sorted(out.glob("ckpt_*.tjdf"))
+        assert [p.name for p in ckpts] == [f"ckpt_00000{i}.tjdf" for i in (1, 2, 3)]
+        for path in ckpts:
+            _, arrays, _ = checkpoint.load_container(path)
+            checkpoint.check_layout(path, arrays, "adam.", shapes, ints=("adam.t",))
 
     def test_finished_run_is_usage_error(self, mid_run, tmp_path, capsys):
         out = tmp_path / "again"
@@ -868,6 +886,56 @@ class TestPredict:
         assert abs(got_ade - rep["ade"]) < 1e-4
         assert abs(got_fde - rep["fde"]) < 1e-4
 
+    def test_model_only_checkpoint_reads_as_with_adam_state(self, trained, tmp_path):
+        # the same model saved with adam.* arrays: eval and predict write
+        # the same bodies, and only the checkpoint hash differs
+        ckpt, _ = trained
+        _, arrays, _ = checkpoint.load_container(ckpt)
+        assert not [k for k in arrays if k.startswith("adam.")]
+        old = _with_adam_arrays(ckpt, tmp_path / "with_adam.tjdf")
+        inp = self._scene_file(tmp_path, frames=20, peds=3)
+        outputs = []
+        for path in (ckpt, old):
+            ev, pred = tmp_path / f"ev_{path.stem}.csv", tmp_path / f"pr_{path.stem}.csv"
+            assert cli.main(["eval", "--checkpoint", str(path), "--data", "synthetic",
+                             "--scenes", "2", "--peds", "3", "--frames", "30",
+                             "--r1", "3", "--r2", "2", "--seed", "4", "--out", str(ev)]) == 0
+            assert cli.main(["predict", "--checkpoint", str(path), "--input", str(inp),
+                             "--r1", "3", "--r2", "2", "--pool-means", "--seed", "4",
+                             "--out", str(pred)]) == 0
+            summary = json.loads(ev.with_suffix(".json").read_text())
+            assert summary.pop("checkpoint") == file_hash(path)
+            texts = [ev.read_text().splitlines(), pred.read_text().splitlines()]
+            assert [t[0] for t in texts] == [f"# checkpoint: {file_hash(path)}"] * 2
+            outputs.append(([t[1:] for t in texts], summary))
+        assert outputs[0] == outputs[1]
+
+    def test_one_schedule_per_request(self, trained, tmp_path, monkeypatch):
+        # the loaded model builds its schedule once, and a sampling --steps
+        # recomputes only tau: one alpha[K] warning per request, not three
+        ckpt, _ = trained
+        meta, arrays, _ = checkpoint.load_container(ckpt)
+        meta["config"]["beta_end"] = 0.05       # alpha[K] about 0.6 at K = 20
+        warm = tmp_path / "warm.tjdf"
+        checkpoint.save_container(warm, meta, arrays)
+        built = []
+        build_schedule = diffusion.build_schedule
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build_schedule(*args, **kwargs)
+        monkeypatch.setattr(diffusion, "build_schedule", counting)
+        inp = self._scene_file(tmp_path, frames=20, peds=2)
+        for steps in ([], ["--steps", "5"]):
+            built.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(["predict", "--checkpoint", str(warm), "--input", str(inp),
+                                 "--out", str(tmp_path / "p.csv"), "--strategy", "C",
+                                 "--r", "2", *steps]) == 0
+            assert len(built) == 1
+            assert sum("alpha[K]" in str(w.message) for w in caught) == 1
+
     @pytest.mark.parametrize("flags", [
         ["--strategy", "A", "--r1", "3", "--r2", "2", "--pool-means"],
         ["--strategy", "B", "--r", "4"],
@@ -896,6 +964,18 @@ class TestPredict:
                                 cli._protocol_desc(protocol), protocol,
                                 "scene%d 10", window.ped_ids, pset.candidates)
         assert out.read_bytes() == ref.read_bytes()
+
+
+def _with_adam_arrays(src, dst):
+    """``src`` rewritten as a final model of the older format, which also
+    carried the Adam state."""
+    meta, arrays, _ = checkpoint.load_container(src)
+    opt = training.AdamState(Model.from_container(meta, arrays, src)[0].params)
+    opt.t = meta["train_step"]
+    for k in opt.m:
+        opt.m[k][...], opt.v[k][...] = 0.25, 0.5
+    checkpoint.save_container(dst, meta, {**arrays, **opt.arrays()})
+    return dst
 
 
 def _row_by_row_predict_csv(path, ckpt_hash, desc, protocol, scene, ped_ids, candidates):

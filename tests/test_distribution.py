@@ -130,6 +130,29 @@ class TestSampling:
                 want = sample_location(*gaussian_at(field, n, t), _Pair(u[n, t], v[n, t]))
                 np.testing.assert_array_equal(a[n, t], want)
 
+    @pytest.mark.parametrize("peds", [1, 2, 7, 16])
+    def test_counted_draws_equal_single_draws(self, peds):
+        """``sample_field`` with a count ``n`` gives the bytes of ``n``
+        calls without one and leaves the generator in the same state, with
+        sigmas at ``SIGMA_FLOOR`` and |rho| at ``RHO_CAP`` among the
+        (float64) statistics."""
+        raw = np.random.default_rng(peds).normal(size=(peds, 12, 5))
+        raw[0, :3, 2:4] = -800.0        # softplus 0: sigma is the floor itself
+        raw[-1, 3:6, 4] = 40.0          # tanh 1: rho is the cap itself
+        raw[-1, 6:9, 4] = -40.0
+        field = dist.StatsField(raw)
+        assert (field.sigmas[0, :3] == dist.SIGMA_FLOOR).all()
+        assert (field.rhos[-1, 3:6] == dist.RHO_CAP).all()
+        assert (field.rhos[-1, 6:9] == -dist.RHO_CAP).all()
+        for n in (0, 1, 5, 20):
+            rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+            got = dist.sample_field(field, rng, n)
+            want = np.stack([dist.sample_field(field, ref) for _ in range(n)]) if n \
+                else np.empty((0, peds, 12, 2))
+            assert got.shape == (n, peds, 12, 2) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestConverter:
     def _params(self, seed=0):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import one_candidate_errors
-from references import constant_velocity_baseline
+from references import candidates_per_draw, constant_velocity_baseline
 from trajdiff import data, diffusion, distribution, inference, training
 from trajdiff.inference import EvalProtocol, PredictionSet, SamplingStrategy
 from trajdiff.model import Model, ModelConfig
@@ -300,6 +300,36 @@ def _per_window_reference(mdl, window, strategy, rng, gt_abs, steps):
     fields = [distribution.StatsField(b)
               for b in np.split(distribution.denormalize_stats(y, mdl.norm), runs)]
     return inference._candidates(fields, window.origin, strategy, rng, "gt-ade", gt_abs)
+
+
+class TestCandidatePlacement:
+    """``_candidates`` draws a window's Gaussian candidates with one
+    ``sample_field`` call and places all its candidates with one cumsum;
+    through ``sample_windows`` that must give the candidates and provenance
+    of the per-candidate reference."""
+
+    @pytest.mark.parametrize("strategy", [
+        SamplingStrategy(kind="A", r1=3, r2=4, pool_run_means=True),
+        SamplingStrategy(kind="A", r1=3, r2=4),
+        SamplingStrategy(kind="A", r1=3, r2=0),
+        SamplingStrategy(kind="B", r=3),
+        SamplingStrategy(kind="C", r=4),
+    ], ids=["A-pooled", "A", "A-r2-0", "B", "C"])
+    def test_equals_per_candidate_reference(self, tiny_model_and_windows, mixed_windows,
+                                            strategy):
+        mdl, _ = tiny_model_and_windows
+        gts = [w.absolute_future() for w in mixed_windows]
+        psets = inference.sample_windows(
+            mdl, mixed_windows, EvalProtocol(strategy=strategy, steps=4, seed=5), gts)
+        rngs = [np.random.default_rng([5, 23, i]) for i in range(len(mixed_windows))]
+        per_window = mdl.generate(mixed_windows, rngs, strategy.runs, steps=4)
+        for pset, w, rng, fields, gt in zip(psets, mixed_windows, rngs, per_window, gts,
+                                            strict=True):
+            cands, provenance = candidates_per_draw(fields, w.origin, strategy, rng,
+                                                    "gt-ade", gt)
+            assert pset.candidates.shape == cands.shape
+            assert pset.candidates.tobytes() == cands.tobytes()
+            assert pset.provenance == provenance
 
 
 class TestBatchedEvaluation:

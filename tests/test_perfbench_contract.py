@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from trajdiff import data, diffusion, inference, training
+from trajdiff import checkpoint, data, diffusion, inference, training
 from trajdiff import numerics as nm
 from trajdiff.model import Model, ModelConfig
 
@@ -70,6 +70,23 @@ def test_train_post_fit_calls(workloads, tmp_path):
     model = Model.load(path)[0]
     report = inference.evaluate_windows(model, held_out[:2], _protocol(workloads))
     assert math.isfinite(report["ade"]) and math.isfinite(report["fde"])
+
+
+def test_predict_requests_on_model_only_checkpoint(workloads, tmp_path, monkeypatch):
+    """``Predict``'s own set-up, ``op`` and ``check`` on 2 request files,
+    with the checkpoint of a 1-epoch fit of the train settings: a final
+    model without optimizer state.  A checkpoint change that breaks the
+    predict workload fails here."""
+    train_config = workloads.train_config
+    monkeypatch.setattr(workloads, "train_config", lambda epochs=1: train_config(epochs))
+    bench = workloads.Predict(seed=3, work_dir=str(tmp_path))
+    bench.setup()
+    _, arrays, _ = checkpoint.load_container(bench.ckpt)
+    assert arrays and all(k.startswith("param.") for k in arrays)
+    for i in range(2):
+        bench.check(i, bench.op(i))
+    assert (bench.attempted, bench.failed, bench.problems) == (2, 0, [])
+    assert len(bench.ades) == sum(len(bench.files[i][1]) for i in range(2))
 
 
 def test_traced_run_names_exist_and_are_patched():
