@@ -20,6 +20,7 @@ import argparse
 import configparser
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -348,9 +349,8 @@ def cmd_train(args) -> int:
     path, rows = training.fit(windows, train_cfg, model_cfg, out_dir=args.out,
                               resume_from=args.resume)
     last = rows[-1]
-    mdl, _, _ = Model.load(path)
-    print(f"trained {len(rows)} steps on {len(windows)} windows "
-          f"({mdl.n_parameters()} parameters)")
+    n_params = sum(math.prod(shape) for shape, _ in model_cfg.param_layout().values())
+    print(f"trained {len(rows)} steps on {len(windows)} windows ({n_params} parameters)")
     print(f"final losses: total={last[1]:.4f} diffusion={last[2]:.4f} "
           f"likelihood={last[3]:.4f} consistency={last[4]:.4f}")
     print(f"checkpoint: {path}")

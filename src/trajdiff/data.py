@@ -247,8 +247,8 @@ def _build_window(scene_id: str, ped_ids: list[int], positions: np.ndarray,
 
 def neighbor_sets(window: SceneWindow, radius: float) -> np.ndarray:
     """j neighbors i iff their minimum distance over observed frames <= radius."""
-    if radius <= 0:
-        raise DataError("neighbor radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DataError(f"neighbor radius must be finite and > 0, got {radius}")
     pos = window.absolute_observed()                     # [N, T, 2]
     diff = pos[:, None, :, :] - pos[None, :, :, :]       # [N, N, T, 2]
     dist = np.linalg.norm(diff, axis=-1).min(axis=-1)    # [N, N]

@@ -7,7 +7,9 @@ transitions down an execution sub-sequence ``tau`` of the K Markovian
 steps.  A chain given a noise generator adds the ddpm-matching per-jump
 noise ``gamma``, the stochastic Markovian sampler; without one, gamma is 0
 and the chain is deterministic.  The schedule (K, alpha and tau) and the
-denoiser's sizes are read from the model's ``ModelConfig``.
+denoiser's sizes are read from the model's ``ModelConfig``.  Everything
+runs on plain arrays; the denoiser is a forward and a backward
+(``denoiser_apply``, ``denoiser_backward``), joined in training's loss.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numerics as nm
-from .numerics import NumericsError, Tensor
+from .numerics import NumericsError
 from .distribution import STAT_CHANNELS
 
 if TYPE_CHECKING:
     from .model import ModelConfig
+    from .numerics import Tensor
 
 GAMMA_MODES = ("deterministic", "ddpm-matching")
 CHAIN_BLOCK_ROWS = 512     # rows per block of a reverse-chain denoiser step
@@ -70,25 +73,25 @@ def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.0
     return Schedule(k_total, alpha, tau)
 
 
-def forward_marginal(y0: Tensor, k, epsilon: Tensor, schedule: Schedule) -> Tensor:
+def forward_marginal(y0, k, epsilon, schedule: Schedule,
+                     keep: dict | None = None) -> np.ndarray:
     """Closed-form noisy state sqrt(a_k) y0 + sqrt(1 - a_k) eps at step k,
-    one step or one per row of ``y0``, as one recorded operation in the
-    default dtype.
+    one step or one per row of ``y0``, in the default dtype and
+    ``numerics.checked``.  ``keep``, when given, receives ``c0``, the
+    sqrt(a_k) by which the state's gradient scales the noisy state's.
     """
     ks = np.asarray(k, dtype=np.int64)
     if np.any(ks < 0) or np.any(ks > schedule.K):
         raise NumericsError(f"step {k} outside schedule 0..{schedule.K}")
+    dtype = nm.default_dtype()
+    y0, epsilon = np.asarray(y0, dtype), np.asarray(epsilon, dtype)
     if y0.shape != epsilon.shape:
         raise NumericsError(f"noise shape {epsilon.shape} != state shape {y0.shape}")
-    a = schedule.alpha[ks].reshape(ks.shape + (1,) * (len(y0.shape) - ks.ndim))
-    dtype = nm.default_dtype()
+    a = schedule.alpha[ks].reshape(ks.shape + (1,) * (y0.ndim - ks.ndim))
     c0, c1 = np.sqrt(a).astype(dtype), np.sqrt(1.0 - a).astype(dtype)
-
-    def grad_fn(g):
-        return (g * c0 if y0.requires_grad else None,
-                g * c1 if epsilon.requires_grad else None)
-
-    return nm._make(c0 * y0.data + c1 * epsilon.data, (y0, epsilon), grad_fn)
+    if keep is not None:
+        keep["c0"] = c0
+    return nm.checked(c0 * y0 + c1 * epsilon, "noisy state")
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +131,15 @@ def step_embedding(ks, dim: int) -> np.ndarray:
 
 def denoiser_apply(state, ks, guidance, params: dict[str, Tensor],
                    cfg: ModelConfig, schedule: Schedule, *,
-                   chain: _ChainTerms | None = None) -> Tensor | np.ndarray:
+                   chain: _ChainTerms | None = None,
+                   keep: dict | None = None) -> np.ndarray:
     """Predict the noise component of ``state`` conditioned on step and guidance.
 
-    ``state`` is [N, T', 5] (array or tensor), ``ks`` one step
-    index or one per pedestrian row, ``guidance`` [N, d_phi + d_psi].  Rows
-    are independent: per pedestrian the state is flattened, concatenated
-    with its step embedding and guidance vector, and pushed through a
-    residual stack with a linear input-to-output shortcut.
+    ``state`` is [N, T', 5], ``ks`` one step index or one per pedestrian
+    row, ``guidance`` [N, d_phi + d_psi].  Rows are independent: per
+    pedestrian the state is flattened, concatenated with its step embedding
+    and guidance vector, and pushed through a residual stack with a linear
+    input-to-output shortcut.
 
     Internally the network estimates the clean state; the noise estimate is
     then read off the forward-marginal relation,
@@ -146,16 +150,13 @@ def denoiser_apply(state, ks, guidance, params: dict[str, Tensor],
     reproduce the badly conditioned per-step gain itself.
 
     Both modes run one body, ``_trunk``, from the input layer's
-    pre-activation to the noise estimate, on plain arrays.  Without
-    ``chain`` the result is one operation made by ``nm._make``, which
-    checks its finiteness and, under a record (training), records it with
-    ``_denoise_backward`` as its backward: the gradients of the ``den.*``
-    parameters, the state and the guidance.
+    pre-activation to the noise estimate, and ``numerics.checked`` their
+    result.  ``keep``, when given, receives what ``denoiser_backward`` reads.
 
     ``chain`` carries what the calls of one ``reverse_chain`` share
     (``_ChainTerms``, built from the same guidance rows); ``ks`` is then
-    one of its steps and the result is a plain array, the chain's buffer,
-    overwritten by the next call.
+    one of its steps and the result is the chain's buffer, overwritten by
+    the next call.
     """
     n = state.shape[0]
     if guidance.shape[0] != n:
@@ -167,18 +168,14 @@ def denoiser_apply(state, ks, guidance, params: dict[str, Tensor],
     if np.any(ks < 1) or np.any(ks > schedule.K):
         raise NumericsError("denoiser steps must lie in 1..K")
     if chain is not None:
-        eps = chain.apply(state, ks, schedule)
-        if not np.isfinite(eps).all():
-            raise NumericsError("non-finite denoiser output")
+        eps = nm.checked(chain.apply(state, ks, schedule), "denoiser output")
         return eps.reshape(state.shape)
-    x = state if isinstance(state, Tensor) else nm.constant(state)
-    g = guidance if isinstance(guidance, Tensor) else nm.constant(guidance)
     dtype, sd = nm.default_dtype(), cfg.state_dim
-    flat = x.data.reshape(n, sd)
+    flat = np.asarray(state, dtype).reshape(n, sd)
     # the step embedding is computed once per distinct step
     steps, rows = np.unique(np.broadcast_to(ks, (n,)), return_inverse=True)
     emb = step_embedding(steps, cfg.step_dim).astype(dtype)[rows]
-    x_in = np.concatenate([flat, emb, g.data], axis=1)
+    x_in = np.concatenate([flat, emb, np.asarray(guidance, dtype)], axis=1)
     acts = np.empty((2 * cfg.denoiser_blocks + 1, n, cfg.denoiser_width), dtype)
     hs, rs = list(acts[::2]), list(acts[1::2])
     np.matmul(x_in, params["den.in.w"].data, out=hs[0])
@@ -186,10 +183,9 @@ def denoiser_apply(state, ks, guidance, params: dict[str, Tensor],
     gain, pull = _read_off(schedule, ks, dtype)
     eps = _trunk(_trunk_weights(params, cfg), hs[0], x_in @ params["den.skip.w"].data,
                  flat, gain, pull, hs, rs, np.empty((n, sd), dtype), np.empty((n, sd), dtype))
-    keep = {"x_in": x_in, "hs": hs, "rs": rs, "gain": gain, "pull": pull}
-    names = list(denoiser_layout(cfg))
-    return nm._make(eps.reshape(x.shape), (x, g, *(params[k] for k in names)),
-                    lambda g_out: _denoise_backward(g_out, x, g, params, names, cfg, keep))
+    if keep is not None:
+        keep.update(x_in=x_in, hs=hs, rs=rs, gain=gain, pull=pull)
+    return nm.checked(eps.reshape(state.shape), "denoiser output")
 
 
 def _read_off(schedule: Schedule, ks, dtype) -> tuple:
@@ -239,24 +235,24 @@ def _trunk(weights, pre, skip, flat, gain, pull, hs, rs, clean, eps) -> np.ndarr
     return eps
 
 
-def _denoise_backward(g_out, x: Tensor, g: Tensor, params: dict[str, Tensor],
-                      names: list[str], cfg: ModelConfig, keep: dict) -> tuple:
-    """Gradients for (state, guidance, *params[names]); None for a state or
-    guidance that requires none.  Each value rounds as the primitive tape
-    of the same body (kept in the tests as the reference): a residual
-    state sums its skip gradient, then its block's; the input row its
-    shortcut gradient, then its input layer's.
+def denoiser_backward(g_out: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig,
+                      keep: dict, inputs: bool = True) -> tuple:
+    """(grads, g_state, g_guidance): the ``den.*`` parameters' gradients
+    given the output's gradient ``g_out`` [N, T', 5] and, with ``inputs``,
+    the state's and the guidance's (else None).  Each value rounds as the
+    primitive tape of the same body (kept in the tests as the reference):
+    a residual state sums its skip gradient, then its block's; the input
+    row its shortcut gradient, then its input layer's.
     """
     def w(name):
         return params[f"den.{name}"].data
 
     sd, x_in, hs, rs = cfg.state_dim, keep["x_in"], keep["hs"], keep["rs"]
-    need_in = x.requires_grad or g.requires_grad
     gy = g_out.reshape(-1, sd)
     g_clean = gy * keep["pull"]
     grads = {"out.b": g_clean.sum(axis=0), "skip.w": x_in.T @ g_clean,
              "out.w": hs[-1].T @ g_clean}
-    g_in = g_clean @ w("skip.w").T if need_in else None
+    g_in = g_clean @ w("skip.w").T if inputs else None
     gh = g_clean @ w("out.w").T
     for i in reversed(range(cfg.denoiser_blocks)):
         grads[f"blk{i}.b2"] = gh.sum(axis=0)
@@ -268,14 +264,12 @@ def _denoise_backward(g_out, x: Tensor, g: Tensor, params: dict[str, Tensor],
     d = nm.tanh_grad(hs[0], gh)
     grads["in.b"] = d.sum(axis=0)
     grads["in.w"] = x_in.T @ d
-    gx = gg = None
-    if need_in:
-        g_in = g_in + d @ w("in.w").T
-        if x.requires_grad:
-            gx = (gy * keep["gain"] + g_in[:, :sd]).reshape(x.shape)
-        if g.requires_grad:
-            gg = np.ascontiguousarray(g_in[:, sd + cfg.step_dim:])
-    return (gx, gg, *(grads[k[len("den."):]] for k in names))
+    grads = {f"den.{k}": g for k, g in grads.items()}
+    if not inputs:
+        return grads, None, None
+    g_in = g_in + d @ w("in.w").T
+    return (grads, (gy * keep["gain"] + g_in[:, :sd]).reshape(g_out.shape),
+            np.ascontiguousarray(g_in[:, sd + cfg.step_dim:]))
 
 
 class _ChainTerms:

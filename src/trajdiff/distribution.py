@@ -15,10 +15,10 @@ sizes (conv_channels, kernel) are read from the model's ``ModelConfig``.
 Every density and draw is vectorized over pedestrians and timesteps:
 ``log_pdf`` (the likelihood loss, with its gradient), ``mean_log_score``
 (self-likelihood selection) and ``sample_field`` (Gaussian draws).  The
-tests hold them to scalar closed-form references.  The converter and the
-density run on plain arrays; the training loss that joins them is one
-recorded operation (``training.converter_losses``), whose backward is
-``log_pdf``'s and ``converter_backward``.
+tests hold them to scalar closed-form references.  The converter is a
+forward and a backward on plain arrays (``convert_trajectory`` and
+``converter_backward``), and so is the density (``log_pdf``); the training
+losses join them (``training.converter_losses``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor
 
 if TYPE_CHECKING:
     from .model import ModelConfig
+    from .numerics import Tensor
 
 SIGMA_FLOOR = 1e-4
 RHO_CAP = 0.99
@@ -53,7 +53,7 @@ class StatsField:
     """Per-pedestrian, per-timestep raw statistics with constrained views."""
 
     def __init__(self, raw):
-        self.raw = np.asarray(raw.data if isinstance(raw, Tensor) else raw, dtype=np.float64)
+        self.raw = np.asarray(raw, dtype=np.float64)
         if self.raw.ndim != 3 or self.raw.shape[-1] != STAT_CHANNELS:
             raise ValueError(f"raw stats must be [N, T', 5], got {self.raw.shape}")
         self._mu, self._sig, self._rho = constrain_array(self.raw)
@@ -100,7 +100,8 @@ def convert_trajectory(future, params: dict[str, Tensor], keep: dict | None = No
     collapses every sigma to the floor, which destroys the location
     distributions that the samplers rely on.  Only an odd kernel has a
     center tap (``ModelConfig.validate`` rejects an even one).  The second
-    layer is pointwise (2 -> C -> 5 channels overall).  ``keep``, when
+    layer is pointwise (2 -> C -> 5 channels overall).  The result gets
+    ``numerics.checked``'s dtype and finiteness check.  ``keep``, when
     given, receives what ``converter_backward`` reads.
     """
     dtype = nm.default_dtype()
@@ -113,8 +114,7 @@ def convert_trajectory(future, params: dict[str, Tensor], keep: dict | None = No
     w2 = params["conv.w2"].data
     raw = (h @ w2.reshape(len(w2), -1).T).reshape(n, length, STAT_CHANNELS)
     raw += params["conv.b2"].data
-    if not np.isfinite(raw).all():
-        raise nm.NumericsError("converter produced a non-finite value")
+    nm.checked(raw, "converter output")
     if keep is not None:
         keep.update(cols=cols, h=h, w1=w1)
     return raw

@@ -16,9 +16,9 @@ The convolutions' outputs at the final timestep read only the last k
 (kernel) observed steps, so they are computed as one matmul over those k
 steps, with the same values and the same per-convolution parameters.
 
-Both encoders run on plain arrays and are one recorded operation
-(``encode_windows``) whose backward is ``_encoder_backward``; the tests
-hold it to the primitive tape of the same body byte for byte.
+Both encoders run on plain arrays: ``encode_windows`` is the forward and
+``encoder_backward`` its backward, which the tests hold to the primitive
+tape of the same body byte for byte.
 
 Sizes (t_obs, conv_channels, kernel, d_phi, d_psi) are read from the
 model's ``ModelConfig``.
@@ -31,10 +31,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor
 
 if TYPE_CHECKING:
     from .model import ModelConfig
+    from .numerics import Tensor
 
 
 def encoder_layout(cfg: ModelConfig, prefix: str, out_dim: int) -> dict[str, tuple]:
@@ -51,10 +51,10 @@ def encoder_layout(cfg: ModelConfig, prefix: str, out_dim: int) -> dict[str, tup
     return layout
 
 
-def _encoder_forward(x: np.ndarray, params: dict[str, Tensor], prefix: str,
-                     cfg: ModelConfig) -> tuple[np.ndarray, dict]:
+def _forward(x: np.ndarray, params: dict[str, Tensor], prefix: str,
+             cfg: ModelConfig) -> tuple[np.ndarray, dict]:
     """One encoder on plain arrays: the context [N, out_dim] of the
-    sequences ``x`` [N, T, 2], and what ``_encoder_backward`` reads.  The
+    sequences ``x`` [N, T, 2], and what ``_backward`` reads.  The
     stacked conv weight is rebuilt from the ``conv{j}`` parameters per call."""
     def p(name):
         return params[f"{prefix}.{name}"].data
@@ -87,8 +87,8 @@ def _encoder_forward(x: np.ndarray, params: dict[str, Tensor], prefix: str,
     return out, keep
 
 
-def _encoder_backward(g: np.ndarray, params: dict[str, Tensor], prefix: str,
-                      cfg: ModelConfig, keep: dict) -> dict[str, np.ndarray]:
+def _backward(g: np.ndarray, params: dict[str, Tensor], prefix: str,
+              cfg: ModelConfig, keep: dict) -> dict[str, np.ndarray]:
     """Gradients of the ``prefix`` parameters given the context's gradient
     ``g`` [N, out_dim].  Each value rounds as the primitive tape of the
     same body (kept in the tests as the reference): the sequence sums its
@@ -150,32 +150,33 @@ def guidance_layout(cfg: ModelConfig) -> dict[str, tuple]:
             **encoder_layout(cfg, "nbr", cfg.d_psi)}
 
 
-def encode_windows(windows, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def encode_windows(windows, params: dict[str, Tensor], cfg: ModelConfig,
+                   keep: dict | None = None) -> np.ndarray:
     """Encode several windows in one batched pass into the guidance
     embedding [N, d_phi + d_psi]: history context, then neighbor context.
 
     Pedestrian rows are concatenated across windows (neighbor aggregation
     happens per window, everything learned is per pedestrian).  Row order
-    follows the window order.  Both encoders are one operation made by
-    ``nm._make``: it checks the embedding's finiteness and, under a record
-    (training), records ``_encoder_backward`` of each encoder as its
-    backward, the gradients of every ``hist.*`` and ``nbr.*`` parameter.
+    follows the window order.  The embedding gets ``numerics.checked``'s
+    dtype and finiteness check.  ``keep``, when given, receives what
+    ``encoder_backward`` reads.
     """
     obs = np.concatenate([np.asarray(w.observed) for w in windows], axis=0)
     if obs.ndim != 3 or obs.shape[1:] != (cfg.t_obs, 2):
         raise nm.NumericsError(f"expected [N, {cfg.t_obs}, 2] history, got {obs.shape}")
     dtype = nm.default_dtype()
-    hist, hist_keep = _encoder_forward(obs.astype(dtype), params, "hist", cfg)
-    nbr, nbr_keep = _encoder_forward(aggregate_neighbors(windows).astype(dtype),
-                                     params, "nbr", cfg)
-    names = list(guidance_layout(cfg))
+    hist, hist_keep = _forward(obs.astype(dtype), params, "hist", cfg)
+    nbr, nbr_keep = _forward(aggregate_neighbors(windows).astype(dtype), params, "nbr", cfg)
+    if keep is not None:
+        keep.update(hist=hist_keep, nbr=nbr_keep)
+    return nm.checked(np.concatenate([hist, nbr], axis=1), "guidance embedding")
 
-    def grad_fn(g):
-        grads = {**_encoder_backward(np.ascontiguousarray(g[:, :cfg.d_phi]), params,
-                                     "hist", cfg, hist_keep),
-                 **_encoder_backward(np.ascontiguousarray(g[:, cfg.d_phi:]), params,
-                                     "nbr", cfg, nbr_keep)}
-        return tuple(grads[k] for k in names)
 
-    return nm._make(np.concatenate([hist, nbr], axis=1),
-                    tuple(params[k] for k in names), grad_fn)
+def encoder_backward(g: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig,
+                     keep: dict) -> dict[str, np.ndarray]:
+    """Gradients of every ``hist.*`` and ``nbr.*`` parameter given the
+    embedding's gradient ``g`` [N, d_phi + d_psi]."""
+    return {**_backward(np.ascontiguousarray(g[:, :cfg.d_phi]), params, "hist", cfg,
+                        keep["hist"]),
+            **_backward(np.ascontiguousarray(g[:, cfg.d_phi:]), params, "nbr", cfg,
+                        keep["nbr"])}

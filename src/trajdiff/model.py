@@ -107,7 +107,7 @@ class Model:
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def encode(self, windows) -> Tensor:
+    def encode(self, windows) -> np.ndarray:
         return guidance.encode_windows(windows, self.params, self.config)
 
     def convert(self, future) -> np.ndarray:
@@ -137,7 +137,7 @@ class Model:
         y_init = self.initial_noise(windows, rngs, n_runs)
         schedule = self.schedule if steps is None else self.schedule.with_steps(steps)
         y = diffusion.reverse_chain(
-            y_init, self.encode(windows).data[rows], schedule, self.params,
+            y_init, self.encode(windows)[rows], schedule, self.params,
             self.config, np.random.default_rng() if gamma_mode == "ddpm-matching" else None)
         blocks = np.split(distribution.denormalize_stats(y, self.norm),
                           n_runs * ends[:-1])

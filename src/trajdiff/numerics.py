@@ -4,18 +4,16 @@ differentiation.
 * values are immutable numpy arrays (float32 by default),
 * a forward pass optionally records onto an explicit ``ComputationRecord``,
 * ``backward`` replays that record once, in reverse, and returns a
-  gradient per named parameter.
+  gradient array per named parameter.
 
-Every recorded operation goes through ``_make``, which validates that its
-output is finite and has the active dtype, and raises ``NumericsError``
-otherwise, so NaN/Inf and silent float64 promotion never propagate.  The
-operations are the training pass's pieces, each a forward and a backward
-computed on plain arrays, so each output is checked once per call: the
-guidance encoders (``guidance.encode_windows``), the converter with its
-losses (``training.converter_losses``), the denoiser
-(``diffusion.denoiser_apply``) and the loss pieces in ``training``.
-``conv1d_columns``, ``conv1d_weight_grad`` and ``tanh_grad`` are array
-helpers those backwards share.
+A training pass records one operation (``training``) whose backward runs
+the modules' backwards in reverse order; each module is a forward and a
+backward on plain arrays and does not know the tape.  ``checked`` is the
+one dtype and finiteness check: each array a pass or a chain step hands
+on, and each recorded output, goes through it once and raises
+``NumericsError``, so NaN/Inf and silent float64 promotion never
+propagate.  ``conv1d_columns``, ``conv1d_weight_grad`` and ``tanh_grad``
+are array helpers the backwards share.
 """
 
 from __future__ import annotations
@@ -150,15 +148,20 @@ class _Entry:
         self.grad_fn = grad_fn
 
 
+def checked(out: np.ndarray, what: str) -> np.ndarray:
+    """``out``; ``NumericsError`` unless it is finite and of the active dtype."""
+    if out.dtype != _DTYPE:
+        raise NumericsError(f"{what} is {out.dtype}, not {np.dtype(_DTYPE)}")
+    if not np.isfinite(out).all():
+        raise NumericsError(f"non-finite {what}")
+    return out
+
+
 def _make(out_data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
-    """Wrap an operation's result, validating dtype and finiteness and
-    recording it with ``grad_fn``, which maps the output's gradient to one
-    gradient (or None) per input."""
-    if out_data.dtype != _DTYPE:
-        raise NumericsError(f"operation produced {out_data.dtype}, "
-                            f"not {np.dtype(_DTYPE)}")
-    if not np.isfinite(out_data).all():
-        raise NumericsError("operation produced a non-finite value")
+    """Wrap an operation's result, ``checked``, recording it with
+    ``grad_fn``, which maps the output's gradient to one gradient (or None)
+    per input."""
+    checked(out_data, "operation output")
     out = Tensor.__new__(Tensor)
     if not out_data.flags["C_CONTIGUOUS"]:
         out_data = np.ascontiguousarray(out_data)
@@ -171,13 +174,15 @@ def _make(out_data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tensor]:
+def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Single reverse sweep from a scalar loss.
 
-    Returns one gradient tensor per entry of ``params``; parameters the loss
-    does not depend on map to zeros.  The record backing ``loss`` may be
-    swept only once; afterwards it holds no entries, so the forward's
-    intermediate values are freed as soon as the caller drops them.
+    Returns one gradient array per entry of ``params``, in the default
+    dtype and unchecked (``training.adam_update`` checks their norm);
+    parameters the loss does not depend on map to zeros.  The record behind
+    ``loss`` may be swept only once; afterwards it holds no entries, so the
+    forward's intermediate values are freed as soon as the caller drops
+    them.
     """
     if loss.size != 1:
         raise NumericsError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -202,11 +207,8 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tensor]:
                         grads[id(t)] = g
         finally:
             rec.entries.clear()
-    out = {}
-    for name, p in params.items():
-        g = grads.get(id(p))
-        out[name] = Tensor(np.zeros_like(p.data) if g is None else g)
-    return out
+    return {name: np.zeros_like(p.data) if id(p) not in grads
+            else np.asarray(grads[id(p)], dtype=_DTYPE) for name, p in params.items()}
 
 
 # ---------------------------------------------------------------------------

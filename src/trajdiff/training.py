@@ -14,10 +14,11 @@ Training is deterministic for a fixed seed: every stochastic choice is
 drawn from a generator derived from (seed, purpose, step), so a run can be
 resumed from a checkpoint bit-exactly.
 
-In a joint pass (``batch_losses``) the encoders, the converter with both
-its losses (``converter_losses``), the denoiser, the squared error with
-its mean and the weighted sum are one recorded operation each, with
-hand-written backwards that round as the primitive tapes of the same
+A joint pass (``batch_losses``) runs the encoders, the converter with its
+losses (``converter_losses``) and the diffusion loss (``loss_diffusion``)
+on plain arrays, a boost pass the diffusion loss alone.  Each pass is one
+recorded operation whose backward runs the modules' hand-written
+backwards in reverse order, rounding as the primitive tapes of the same
 formulas (kept in the tests as references).
 """
 
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffusion, distribution
+from . import diffusion, distribution, guidance
 from . import numerics as nm
 from .checkpoint import ContainerError, check_layout
-from .distribution import STAT_CHANNELS, NormStats
+from .distribution import NormStats
 from .model import Model, ModelConfig
 from .numerics import NumericsError, Tensor
 
@@ -90,28 +91,35 @@ class TrainConfig:
 # Loss components
 
 
-def loss_diffusion(y0_norm: Tensor, guidance_emb: Tensor, ks: np.ndarray,
-                   eps: np.ndarray, schedule, params, model_cfg: ModelConfig) -> Tensor:
-    """Per-element mean squared error between predicted and drawn noise.
+def loss_diffusion(y0_norm: np.ndarray, guidance_emb: np.ndarray, ks: np.ndarray,
+                   eps: np.ndarray, schedule, params, model_cfg: ModelConfig):
+    """Per-element mean squared error between predicted and drawn noise:
+    (value, backward).
 
     ``ks`` holds one schedule step per pedestrian row (rows from the same
     window share their step); ``eps`` is the standard normal draw, mixed
     in by ``forward_marginal``.  The denoiser is looked up in ``diffusion``
     at call time, so a stand-in patched over ``diffusion.denoiser_apply``
-    is the one called.  The error and its mean are one operation.
+    is the one called.  ``backward(g, inputs=True)`` maps the value's
+    gradient to (``den.*`` gradients, y0_norm's, guidance_emb's), the last
+    two None without ``inputs``.
     """
-    eps_t = nm.constant(eps)
-    noisy = diffusion.forward_marginal(y0_norm, ks, eps_t, schedule)
-    pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule)
-    diff = pred.data + eps_t.data * nm.default_dtype()(-1.0)
+    eps = np.asarray(eps, dtype=nm.default_dtype())
+    marginal, den = {}, {}
+    noisy = diffusion.forward_marginal(y0_norm, ks, eps, schedule, marginal)
+    pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule,
+                                    keep=den)
+    diff = pred + eps * nm.default_dtype()(-1.0)
     sq = diff * diff
 
-    def grad_fn(g):
+    def backward(g, inputs=True):
         # the mean's share of g, through the square: g/n diff + g/n diff
         part = np.broadcast_to(g, sq.shape) / sq.size * diff
-        return (part + part,)
+        grads, g_noisy, g_guidance = diffusion.denoiser_backward(part + part, params,
+                                                                 model_cfg, den, inputs)
+        return grads, g_noisy if g_noisy is None else g_noisy * marginal["c0"], g_guidance
 
-    return nm._make(sq.mean(), (pred,), grad_fn)
+    return sq.mean(), backward
 
 
 def loss_likelihood(y: np.ndarray, raw: np.ndarray, n_windows: int = 1):
@@ -145,20 +153,20 @@ def loss_consistency(y: np.ndarray, raw: np.ndarray):
 
 
 def converter_losses(future, params: dict[str, Tensor], norm: NormStats,
-                     n_windows: int) -> Tensor:
+                     n_windows: int):
     """The converter, both losses it is trained by and the diffusion's
-    input, as one recorded operation on the true futures [N, T', 2]: the
-    vector [likelihood, consistency, *y0n], with y0n [N, T', 5] the raw
-    statistics normalized by ``norm``.
+    input on the true futures [N, T', 2]: ((likelihood, consistency, y0n),
+    backward), with y0n [N, T', 5] the raw statistics normalized by
+    ``norm`` and ``numerics.checked``.
 
     Likelihood is the negative log density of each true displacement
     under the converter's Gaussian at its timestep, summed over pedestrians
     and timesteps and averaged over the ``n_windows`` batch windows;
     consistency is the squared error between the first predicted mean and
     the first true displacement, averaged over pedestrians.  The converter
-    is looked up in ``distribution`` at call time.  Under a record the
-    backward sums raw's gradient from the normalization, consistency and
-    likelihood in that order, then runs ``converter_backward``.
+    is looked up in ``distribution`` at call time.  ``backward(g_llh,
+    g_con, g_y0n)`` sums raw's gradient from the normalization, consistency
+    and likelihood in that order, then runs ``converter_backward``.
     """
     dtype = nm.default_dtype()
     y = np.asarray(future, dtype=dtype)
@@ -166,22 +174,18 @@ def converter_losses(future, params: dict[str, Tensor], norm: NormStats,
     raw = distribution.convert_trajectory(y, params, keep)
     llh, llh_backward = loss_likelihood(y, raw, n_windows)
     con, con_backward = loss_consistency(y, raw)
-    out = np.empty(2 + raw.size, dtype)
-    out[0], out[1] = llh, con
-    out[2:] = distribution.normalize_stats(raw, norm).reshape(-1)
+    y0n = nm.checked(distribution.normalize_stats(raw, norm), "normalized statistics")
     inv_scale = (1.0 / norm.scale).astype(dtype)
-    names = sorted(k for k in params if k.startswith("conv."))
 
-    def grad_fn(g):
-        g_raw = g[2:].reshape(raw.shape) * inv_scale
-        g_raw[:, 0:1, 0:2] += con_backward(g[1])
+    def backward(g_llh, g_con, g_y0n):
+        g_raw = g_y0n * inv_scale
+        g_raw[:, 0:1, 0:2] += con_backward(g_con)
         for channels, part in zip((slice(0, 2), slice(2, 4), slice(4, 5)),
-                                  llh_backward(g[0])):
+                                  llh_backward(g_llh)):
             g_raw[..., channels] += part
-        grads = distribution.converter_backward(g_raw, params, keep)
-        return tuple(grads[k] for k in names)
+        return distribution.converter_backward(g_raw, params, keep)
 
-    return nm._make(out, tuple(params[k] for k in names), grad_fn)
+    return (llh, con, y0n), backward
 
 
 def draw_step_noise(window_sizes, schedule, rng, t_future: int, channels: int = 5):
@@ -250,27 +254,29 @@ class AdamState:
         return state
 
 
-def adam_update(params: dict[str, Tensor], grads: dict[str, Tensor],
+def adam_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                 state: AdamState, lr: float) -> dict[str, Tensor]:
-    """One Adam step on the group ``params``, its gradient norm clipped to
-    ``GRAD_CLIP``; returns the group's
-    parameters, updated in ``state``'s buffer.  A parameter that is not the
-    state's own Tensor (a fresh model, a loaded one) is copied in first.
-    The step count ``state.t`` advances only once the new parameters are
-    finite, so a failed update leaves it at the last step that succeeded."""
+    """One Adam step on the group ``params`` with the gradient arrays
+    ``grads``, their norm clipped to ``GRAD_CLIP``; returns the group's
+    parameters, updated in ``state``'s buffer, into which a parameter that
+    is not the state's own Tensor (a fresh model, a loaded one) is copied
+    first.  A non-finite gradient norm raises before the state changes;
+    ``state.t`` advances only once the new parameters are finite."""
     keys = sorted(params)
     sl = slice(state._spans[keys[0]][0], state._spans[keys[-1]][1])
     if sum(params[k].size for k in keys) != sl.stop - sl.start:
         raise NumericsError("optimizer group is not one contiguous slice")
-    for k in keys:
-        if params[k] is not state.params[k]:
-            state.params[k].data[...] = params[k].data
     g, a, b = state._g[sl], state._a[sl], state._b[sl]
-    np.concatenate([grads[k].data.reshape(-1) for k in keys], out=g)
+    np.concatenate([grads[k].reshape(-1) for k in keys], out=g)
     sq = state._sq[sl]
     np.copyto(sq, g)
     sq *= sq                              # exact squares of float32 values
     gnorm = math.sqrt(float(sq.sum()))
+    if not math.isfinite(gnorm):
+        raise NumericsError("non-finite gradient")
+    for k in keys:
+        if params[k] is not state.params[k]:
+            state.params[k].data[...] = params[k].data
     if gnorm > GRAD_CLIP:
         g *= GRAD_CLIP / gnorm
     t = state.t + 1
@@ -303,44 +309,41 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, Tensor],
 # Steps and epochs
 
 
+def _recorded(value, params: dict[str, Tensor], backward) -> Tensor:
+    """A pass's loss ``value`` as one recorded operation over ``params``;
+    ``backward`` maps the loss's gradient to every parameter's by name."""
+    return nm._make(value, tuple(params.values()),
+                    lambda g: tuple(map(backward(g).__getitem__, params)))
+
+
 def batch_losses(batch, model: Model, rng: np.random.Generator,
                  weights=(1.0, 1.0, 1.0)):
     """Forward pass over a batch of windows; returns (total, parts, cache).
 
-    It records seven entries: the encoders, the converter with its losses,
-    the normalized statistics taken out of the converter's vector, the
-    forward marginal, the denoiser, the squared error with its mean, and
-    the weighted sum."""
-    emb = model.encode(batch)
+    The encoders, the converter with its losses and the diffusion loss run
+    on plain arrays.  ``total``, their weighted sum, is recorded as one
+    operation over every parameter, whose backward runs the diffusion
+    loss's, the converter's and the encoders' backwards in that order."""
+    params, cfg, enc = model.params, model.config, {}
+    emb = guidance.encode_windows(batch, params, cfg, enc)
     fut = np.concatenate([w.future for w in batch], axis=0)
-    losses = converter_losses(fut, model.params, model.norm, len(batch))
-
-    def stats_grad(g):
-        g_losses = np.zeros_like(losses.data)
-        g_losses[2:] = g.reshape(-1)
-        return (g_losses,)
-
-    y0n = nm._make(losses.data[2:].reshape(len(fut), model.config.t_future, STAT_CHANNELS),
-                   (losses,), stats_grad)
-    ks, eps = draw_step_noise([w.n_peds for w in batch], model.schedule, rng,
-                              model.config.t_future)
-    l_diff = loss_diffusion(y0n, emb, ks, eps, model.schedule, model.params,
-                            model.config)
+    (l_llh, l_con, y0n), converter_backward = converter_losses(fut, params, model.norm,
+                                                               len(batch))
+    ks, eps = draw_step_noise([w.n_peds for w in batch], model.schedule, rng, cfg.t_future)
+    l_diff, diffusion_backward = loss_diffusion(y0n, emb, ks, eps, model.schedule, params,
+                                                cfg)
     lam = np.array(weights, dtype=nm.default_dtype())
 
-    def grad_fn(g):
-        g_losses = np.zeros_like(losses.data)
-        g_losses[:2] = g * lam[1:]
-        return g * lam[0], g_losses
+    def backward(g):
+        grads, g_y0n, g_emb = diffusion_backward(g * lam[0])
+        return {**grads, **converter_backward(g * lam[1], g * lam[2], g_y0n),
+                **guidance.encoder_backward(g_emb, params, cfg, enc)}
 
     # (diffusion w1 + likelihood w2) + consistency w3
-    l_llh, l_con = losses.data[:2]
-    total = nm._make((l_diff.data * lam[0] + l_llh * lam[1]) + l_con * lam[2],
-                     (l_diff, losses), grad_fn)
-    parts = {"diffusion": l_diff.item(), "likelihood": float(l_llh),
+    total = _recorded((l_diff * lam[0] + l_llh * lam[1]) + l_con * lam[2], params, backward)
+    parts = {"diffusion": float(l_diff), "likelihood": float(l_llh),
              "consistency": float(l_con)}
-    cache = {"guidance": emb.data.copy(), "y0n": y0n.data.copy(),
-             "sizes": [w.n_peds for w in batch]}
+    cache = {"guidance": emb, "y0n": y0n, "sizes": [w.n_peds for w in batch]}
     return total, parts, cache
 
 
@@ -354,13 +357,12 @@ def _boost_denoiser(cache, model: Model, cfg: TrainConfig, opt: AdamState,
     joint pass already computed.
     """
     den = {k: p for k, p in model.params.items() if k.startswith("den.")}
-    y0n, guidance = nm.constant(cache["y0n"]), nm.constant(cache["guidance"])
     for _ in range(cfg.denoiser_boost):
-        ks, eps = draw_step_noise(cache["sizes"], model.schedule, rng,
-                                  model.config.t_future)
+        ks, eps = draw_step_noise(cache["sizes"], model.schedule, rng, model.config.t_future)
         with nm.ComputationRecord():
-            loss = loss_diffusion(y0n, guidance, ks, eps, model.schedule, den,
-                                  model.config)
+            value, backward = loss_diffusion(cache["y0n"], cache["guidance"], ks, eps,
+                                             model.schedule, den, model.config)
+            loss = _recorded(value, den, lambda g: backward(g, inputs=False)[0])
         grads = nm.backward(loss, den)
         den = adam_update(den, grads, opt, cfg.learning_rate)
     model.params.update(den)

@@ -7,14 +7,16 @@ The primitives (``add``, ``mul``, ``matmul``, ``conv1d``, ``transpose``,
 recorded through ``numerics._make`` with its own numpy backward.  The
 tapes are the training pass written as chains of these primitives, so
 ``backward`` differentiates them primitive by primitive; the package's
-recorded operations are held to them byte for byte.  ``denoiser_tape`` is
-the denoiser, ``encode_windows_tape`` the guidance encoders (with
-``aggregate_window_neighbors``, the per-window neighbor mean),
-``convert_tape`` the converter, ``constrain_tensors``, ``log_pdf_terms``,
-``normalize_tensor``, ``loss_likelihood`` and ``loss_consistency`` the
-converter's losses and ``converter_losses_tape`` all of them in the
-package's vector; ``loss_diffusion_tape`` and ``batch_losses_tape`` are
-the diffusion loss and the joint forward pass.
+array forwards and hand-written backwards are held to them byte for byte.
+``denoiser_tape`` is the denoiser, ``encode_windows_tape`` the guidance
+encoders (with ``aggregate_window_neighbors``, the per-window neighbor
+mean), ``convert_tape`` the converter, ``constrain_tensors``,
+``log_pdf_terms``, ``normalize_tensor``, ``loss_likelihood`` and
+``loss_consistency`` the converter's losses and ``converter_losses_tape``
+all of them in one vector; ``forward_marginal_tape`` and
+``noise_matching_tape`` are the diffusion loss, ``loss_diffusion_tape``
+the same as a boost pass's (value, backward) pair, and
+``batch_losses_tape`` the joint pass.
 ``finite_difference_check`` is the central-difference gradient oracle and
 ``constant_velocity_baseline`` the classic extrapolation the acceptance
 suite compares against.  ``candidates_per_draw`` is one window's candidate
@@ -33,7 +35,7 @@ import math
 
 import numpy as np
 
-from trajdiff import data, diffusion, distribution, inference, training
+from trajdiff import data, distribution, inference, training
 from trajdiff import numerics as nm
 from trajdiff.diffusion import denoiser_apply, step_embedding, transition
 from trajdiff.distribution import (LOG_2PI, RHO_CAP, SIGMA_FLOOR, STAT_CHANNELS,
@@ -437,8 +439,8 @@ def loss_consistency(future, raw):
 
 
 def converter_losses_tape(future, params, norm, n_windows):
-    """``training.converter_losses`` as recorded Tensor primitives: the
-    vector [likelihood, consistency, *normalized statistics]."""
+    """``training.converter_losses``' values as recorded Tensor primitives:
+    the vector [likelihood, consistency, *normalized statistics]."""
     fut = nm.constant(future)
     raw = convert_tape(fut, params)
     return concat([reshape(loss_likelihood(fut, raw, n_windows), (1,)),
@@ -446,19 +448,42 @@ def converter_losses_tape(future, params, norm, n_windows):
                    reshape(normalize_tensor(raw, norm), (-1,))], axis=0)
 
 
-def loss_diffusion_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_cfg):
-    """``training.loss_diffusion`` with its squared error and mean as
-    recorded primitives."""
+def forward_marginal_tape(y0, ks, eps, schedule):
+    """``diffusion.forward_marginal`` as recorded Tensor primitives, one
+    step per row of ``y0``."""
+    a = schedule.alpha[np.asarray(ks)].reshape(-1, *(1,) * (len(y0.shape) - 1))
+    c0, c1 = (nm.constant(np.broadcast_to(c, y0.shape)) for c in (np.sqrt(a),
+                                                                  np.sqrt(1.0 - a)))
+    return add(mul(y0, c0), mul(eps, c1))
+
+
+def noise_matching_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_cfg):
+    """``training.loss_diffusion``'s value as recorded Tensor primitives."""
     eps_t = nm.constant(eps)
-    noisy = diffusion.forward_marginal(y0_norm, ks, eps_t, schedule)
-    pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule)
+    noisy = forward_marginal_tape(y0_norm, ks, eps_t, schedule)
+    pred = denoiser_tape(noisy, ks, guidance_emb, params, model_cfg, schedule)
     diff = add(pred, mul(eps_t, -1.0))
     return mean(mul(diff, diff))
 
 
+def loss_diffusion_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_cfg):
+    """``training.loss_diffusion`` of a boost pass, constant inputs, from
+    ``noise_matching_tape``: (value, backward), with the backward a sweep
+    of the tape's own record (so seeded with 1) that returns the ``den.*``
+    gradients and no input gradients."""
+    with nm.ComputationRecord():
+        loss = noise_matching_tape(nm.constant(y0_norm), nm.constant(guidance_emb), ks, eps,
+                                   schedule, params, model_cfg)
+
+    def backward(g, inputs=True):
+        assert not inputs and g == 1
+        return nm.backward(loss, params), None, None
+
+    return loss.data, backward
+
+
 def batch_losses_tape(batch, model, rng, weights=(1.0, 1.0, 1.0)):
-    """``training.batch_losses`` with the encoders, the converter and its
-    losses and the weighted sum as recorded primitives."""
+    """``training.batch_losses`` as recorded Tensor primitives."""
     emb = encode_windows_tape(batch, model.params, model.config)
     fut = nm.constant(np.concatenate([w.future for w in batch], axis=0))
     raw = convert_tape(fut, model.params)
@@ -467,7 +492,7 @@ def batch_losses_tape(batch, model, rng, weights=(1.0, 1.0, 1.0)):
     y0n = normalize_tensor(raw, model.norm)
     ks, eps = training.draw_step_noise([w.n_peds for w in batch], model.schedule, rng,
                                        model.config.t_future)
-    l_diff = loss_diffusion_tape(y0n, emb, ks, eps, model.schedule, model.params,
+    l_diff = noise_matching_tape(y0n, emb, ks, eps, model.schedule, model.params,
                                  model.config)
     w1, w2, w3 = weights
     total = add(add(mul(l_diff, w1), mul(l_llh, w2)), mul(l_con, w3))
@@ -479,34 +504,46 @@ def batch_losses_tape(batch, model, rng, weights=(1.0, 1.0, 1.0)):
 
 
 def finite_difference_check(f, params, step: float = 1e-3,
-                            tolerance: float = 1e-2) -> dict:
+                            tolerance: float = 1e-2, entries=None) -> dict:
     """Compare analytic gradients of ``f(params)`` against central differences.
 
-    ``f`` must be deterministic (draw any randomness outside and close over
-    it).  Relative errors use a denominator floored at 1e-6; the check
-    passes iff the worst element stays within ``tolerance``.  Run under
+    ``f`` returns a recorded scalar Tensor, or a pair (value, backward) of
+    a scalar array and the function that maps its gradient to the
+    parameters' gradients by name (zeros where a name is missing).  It
+    must be deterministic (draw any randomness outside and close over it).
+    ``entries``, when given, maps parameter names to the flat indices to
+    check; by default every entry of every parameter is.  Relative errors
+    use a denominator floored at 1e-6; the check passes iff the worst
+    element stays within ``tolerance``.  Run under
     ``nm.precision(np.float64)`` for trustworthy numerics.
     """
 
     def eval_scalar():
         out = f(params)
-        if out.size != 1:
+        value = out[0] if isinstance(out, tuple) else out.data
+        if np.size(value) != 1:
             raise nm.NumericsError("finite_difference_check needs a scalar function")
-        return float(out.data.reshape(()))
+        return float(np.reshape(value, ()))
 
     if eval_scalar() != eval_scalar():
         raise nm.NumericsError("f is not deterministic under a fixed seed")
 
     with nm.ComputationRecord():
-        loss = f(params)
-    grads = nm.backward(loss, params)
+        out = f(params)
+    if isinstance(out, tuple):
+        grads = out[1](np.ones_like(out[0]))
+    else:
+        grads = nm.backward(out, params)
 
+    if entries is None:
+        entries = {name: range(p.size) for name, p in params.items()}
     max_rel = 0.0
     worst = None
-    for name, p in params.items():
-        analytic = grads[name].data
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
+    for name, indices in entries.items():
+        flat = params[name].data.reshape(-1)
+        # a parameter the loss does not depend on has no gradient: zeros
+        analytic = np.reshape(grads[name], -1) if name in grads else np.zeros_like(flat)
+        for i in indices:
             orig = flat[i]
             flat[i] = orig + step
             fp = eval_scalar()
@@ -514,7 +551,7 @@ def finite_difference_check(f, params, step: float = 1e-3,
             fm = eval_scalar()
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * step)
-            a = float(analytic.reshape(-1)[i])
+            a = float(analytic[i])
             denom = max(abs(a), abs(numeric), 1e-6)
             rel = abs(a - numeric) / denom
             if rel > max_rel:
@@ -616,7 +653,7 @@ def reverse_chain_steps(y_init, guidance_rows, schedule, params, cfg,
     tau = schedule.tau.tolist()
     y = np.asarray(y_init, dtype=np.float64)
     for k_from, k_to in zip(tau[::-1], [*tau[:-1][::-1], 0]):
-        eps_hat = denoiser_apply(y, k_from, guidance_rows, params, cfg, schedule).data
+        eps_hat = denoiser_apply(y, k_from, guidance_rows, params, cfg, schedule)
         y0_hat = reconstruct_clean(y, eps_hat, k_from, schedule)
         y = posterior_step(y, y0_hat, k_from, k_to, schedule, rng=chain_rng)
     return y

@@ -15,8 +15,8 @@ import pytest
 
 from conftest import one_candidate_errors
 from references import (constant_velocity_baseline, finite_difference_check, posterior_step,
-                        raw_stats, reshape, slice_, stats_field)
-from trajdiff import cli, data, diffusion, distribution, inference, training
+                        raw_stats, stats_field)
+from trajdiff import cli, data, diffusion, distribution, guidance, inference, training
 from trajdiff import numerics as nm
 from trajdiff.inference import EvalProtocol, SamplingStrategy
 from trajdiff.model import Model, ModelConfig
@@ -115,22 +115,33 @@ def test_criterion_gradient_correctness():
                                            mdl.schedule,
                                            np.random.default_rng(5), 3)
         fut_arr = np.concatenate([w.future for w in windows])
+        zero = np.float64(0.0)
 
         def converter_losses(params):
             mdl.params = params
             return training.converter_losses(fut_arr, params, mdl.norm, len(windows))
 
         def diffusion_term(params):
-            y0n = reshape(slice_(converter_losses(params), (slice(2, None),)),
-                          (len(fut_arr), 3, 5))
-            return training.loss_diffusion(y0n, mdl.encode(windows), ks, eps, mdl.schedule,
-                                           params, mdl.config)
+            (_, _, y0n), converter_backward = converter_losses(params)
+            keep = {}
+            emb = guidance.encode_windows(windows, params, mdl.config, keep)
+            value, diffusion_backward = training.loss_diffusion(
+                y0n, emb, ks, eps, mdl.schedule, params, mdl.config)
+
+            def backward(g):
+                den, g_y0n, g_emb = diffusion_backward(g)
+                return {**den, **converter_backward(zero, zero, g_y0n),
+                        **guidance.encoder_backward(g_emb, params, mdl.config, keep)}
+
+            return value, backward
 
         def likelihood_term(params):
-            return slice_(converter_losses(params), (slice(0, 1),))
+            (llh, _, y0n), backward = converter_losses(params)
+            return llh, lambda g: backward(g, zero, np.zeros_like(y0n))
 
         def consistency_term(params):
-            return slice_(converter_losses(params), (slice(1, 2),))
+            (_, con, y0n), backward = converter_losses(params)
+            return con, lambda g: backward(zero, g, np.zeros_like(y0n))
 
         def full_objective(params):
             # the same step and noise draws as ks and eps
@@ -159,14 +170,12 @@ def test_criterion_diffusion_identities():
 
     # (a) endpoints
     with nm.precision(np.float64):
-        out0 = diffusion.forward_marginal(nm.constant(y0), 0,
-                                          nm.constant(np.zeros_like(y0)), sched).data
+        out0 = diffusion.forward_marginal(y0, 0, np.zeros_like(y0), sched)
     np.testing.assert_allclose(out0, y0)
     near_noise = diffusion.Schedule(1, np.array([1.0, 1e-12]), np.array([1]))
     eps = rng.normal(size=y0.shape)
     with nm.precision(np.float64):
-        outk = diffusion.forward_marginal(nm.constant(y0), 1, nm.constant(eps),
-                                          near_noise).data
+        outk = diffusion.forward_marginal(y0, 1, eps, near_noise)
     np.testing.assert_allclose(outk, eps, atol=1e-4)
 
     # (b) degenerate reverse transitions
@@ -184,8 +193,7 @@ def test_criterion_diffusion_identities():
         base = np.full((n, 1), 0.8)
         eps = mrng.standard_normal((n, 1))
         with nm.precision(np.float64):
-            y_j = diffusion.forward_marginal(nm.constant(base), j, nm.constant(eps),
-                                             sched).data
+            y_j = diffusion.forward_marginal(base, j, eps, sched)
         y_i = posterior_step(y_j, base, j, i, sched, rng=mrng)
         want_mean = math.sqrt(sched.alpha[i]) * 0.8
         want_var = 1.0 - sched.alpha[i]

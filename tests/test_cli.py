@@ -1,6 +1,7 @@
 """Command line surface: artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import warnings
 from dataclasses import fields, replace
@@ -55,6 +56,19 @@ class TestTrain:
         lb = (b.parent / "training_log.csv").read_text()
         assert _strip_wall_ms(la) == _strip_wall_ms(lb)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_parameter_count_is_the_layouts_and_no_checkpoint_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        load, loads = checkpoint.load_container, []
+        monkeypatch.setattr(checkpoint, "load_container",
+                            lambda *args, **kw: loads.append(args) or load(*args, **kw))
+        ckpt = _train(tmp_path)
+        printed = capsys.readouterr().out
+        assert loads == []
+        mdl = Model.load(ckpt)[0]
+        count = sum(math.prod(shape) for shape, _ in mdl.config.param_layout().values())
+        assert count == mdl.n_parameters()
+        assert f"({count} parameters)" in printed
 
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["train", "--data", "synthetic", "--frobnicate"]) == 1

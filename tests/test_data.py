@@ -183,6 +183,15 @@ class TestNeighbors:
         with pytest.raises(data.DataError):
             data.neighbor_sets(w, 0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive_at_both_entry_points(self, radius):
+        # nan would pass a ``<= 0`` check and leave every pedestrian alone
+        tracks = [_straight_track(ped=i, n=20, start=(0.0, 0.5 * i)) for i in range(4)]
+        with pytest.raises(data.DataError, match="neighbor radius"):
+            data.window_scenes(tracks, stride=1, neighbor_radius=radius)
+        with pytest.raises(data.DataError, match="neighbor radius"):
+            data.first_window(tracks, neighbor_radius=radius)
+
 
 class TestSynthetic:
     def test_seed_determinism(self):

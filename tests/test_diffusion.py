@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from references import add, denoiser_tape, mean, mul, posterior_step, reverse_chain_steps
-from trajdiff import data
+from trajdiff import data, training
 from trajdiff import diffusion as dff
 from trajdiff import numerics as nm
 from trajdiff.distribution import NormStats
@@ -78,7 +78,7 @@ class TestSchedule:
 def _marginal(y0, k, eps, s) -> np.ndarray:
     """``forward_marginal`` on arrays, in float64."""
     with nm.precision(np.float64):
-        return dff.forward_marginal(nm.constant(y0), k, nm.constant(eps), s).data
+        return dff.forward_marginal(y0, k, eps, s)
 
 
 class TestForwardMarginal:
@@ -111,9 +111,9 @@ class TestForwardMarginal:
         s = dff.build_schedule(10, beta_end=0.3)
         y0 = np.random.default_rng(2).normal(size=(2, 5))
         eps = np.random.default_rng(3).normal(size=(2, 5))
-        t = dff.forward_marginal(nm.constant(y0), 4, nm.constant(eps), s)
-        assert t.data.dtype == nm.default_dtype()
-        np.testing.assert_allclose(t.data, _marginal(y0, 4, eps, s), rtol=1e-6)
+        out = dff.forward_marginal(y0, 4, eps, s)
+        assert out.dtype == nm.default_dtype()
+        np.testing.assert_allclose(out, _marginal(y0, 4, eps, s), rtol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_row_steps_equal_scalar_calls(self, dtype):
@@ -122,11 +122,10 @@ class TestForwardMarginal:
         eps = np.random.default_rng(5).normal(size=(4, 3, 5))
         ks = np.array([0, 3, 3, 10])
         with nm.precision(dtype):
-            rows_t = dff.forward_marginal(nm.constant(y0), ks, nm.constant(eps), s).data
+            rows_t = dff.forward_marginal(y0, ks, eps, s)
             for i, k in enumerate(ks):
-                one = dff.forward_marginal(nm.constant(y0[i:i + 1]), k,
-                                           nm.constant(eps[i:i + 1]), s)
-                np.testing.assert_array_equal(rows_t[i], one.data[0])
+                one = dff.forward_marginal(y0[i:i + 1], k, eps[i:i + 1], s)
+                np.testing.assert_array_equal(rows_t[i], one[0])
         assert rows_t.dtype == dtype
 
     def test_step_outside_schedule(self):
@@ -157,15 +156,15 @@ class TestDenoiser:
         state = np.random.default_rng(1).normal(size=(2, 12, 5))
         state[1] = state[0]
         g = np.tile(np.random.default_rng(2).normal(size=(1, 8)), (2, 1))
-        out = dff.denoiser_apply(state, 7, g, params, cfg, sched).data
+        out = dff.denoiser_apply(state, 7, g, params, cfg, sched)
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_step_index_changes_output(self, den_setup):
         cfg, params, sched = den_setup
         state = np.random.default_rng(1).normal(size=(1, 12, 5))
         g = np.random.default_rng(2).normal(size=(1, 8))
-        a = dff.denoiser_apply(state, 5, g, params, cfg, sched).data
-        b = dff.denoiser_apply(state, 40, g, params, cfg, sched).data
+        a = dff.denoiser_apply(state, 5, g, params, cfg, sched)
+        b = dff.denoiser_apply(state, 40, g, params, cfg, sched)
         assert np.abs(a - b).max() > 1e-6
 
     def test_per_row_steps(self, den_setup):
@@ -173,9 +172,8 @@ class TestDenoiser:
         state = np.random.default_rng(1).normal(size=(2, 12, 5))
         state[1] = state[0]
         g = np.zeros((2, 8))
-        both = dff.denoiser_apply(state, np.array([5, 40]), g, params, cfg,
-                                  sched).data
-        solo5 = dff.denoiser_apply(state[:1], 5, g[:1], params, cfg, sched).data
+        both = dff.denoiser_apply(state, np.array([5, 40]), g, params, cfg, sched)
+        solo5 = dff.denoiser_apply(state[:1], 5, g[:1], params, cfg, sched)
         np.testing.assert_allclose(both[0], solo5[0], atol=1e-5)
 
     def test_guidance_row_mismatch(self, den_setup):
@@ -203,8 +201,8 @@ def _dense_denoiser(dtype, blocks: int = ModelConfig.denoiser_blocks):
 
 
 class TestGradientFreePath:
-    """Outside a ComputationRecord ``denoiser_apply`` is the same one
-    operation on plain arrays; the Tensor-primitive body is its reference."""
+    """``denoiser_apply`` on plain arrays against the Tensor-primitive body,
+    its reference."""
 
     SCHED = dff.build_schedule(100, beta_end=0.1)
 
@@ -223,8 +221,8 @@ class TestGradientFreePath:
                 fast = dff.denoiser_apply(state, ks, g, params, cfg, sched)
                 with nm.ComputationRecord():
                     ref = denoiser_tape(state, ks, g, params, cfg, sched)
-                assert fast.data.dtype == ref.data.dtype == dtype
-                assert fast.data.tobytes() == ref.data.tobytes()
+                assert fast.dtype == ref.data.dtype == dtype
+                assert fast.tobytes() == ref.data.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("where", ["state", "guidance", "output"])
@@ -243,11 +241,26 @@ class TestGradientFreePath:
             dff.denoiser_apply(state, 1, g, params, cfg, self.SCHED)
 
 
+def _denoiser_op(state, ks, guidance, params, cfg, schedule):
+    """``denoiser_apply`` and ``denoiser_backward`` as one recorded
+    operation over the ``den.*`` parameters, the state and the guidance,
+    with input gradients when the state or the guidance requires one."""
+    keep = {}
+    out = dff.denoiser_apply(state.data, ks, guidance.data, params, cfg, schedule, keep=keep)
+
+    def backward(g):
+        grads, g_state, g_guidance = dff.denoiser_backward(
+            g, params, cfg, keep, state.requires_grad or guidance.requires_grad)
+        return {**grads, "state": g_state, "guidance": g_guidance}
+
+    return training._recorded(out, {**params, "state": state, "guidance": guidance},
+                              backward)
+
+
 class TestFusedDenoiser:
-    """While a record is active ``denoiser_apply`` is one recorded operation
-    whose hand-written backward gives the same bytes as the primitive tape
-    of ``references.denoiser_tape``: output, every parameter gradient, and
-    the state and guidance gradients when those require one."""
+    """``denoiser_backward`` gives the same bytes as the primitive tape of
+    ``references.denoiser_tape``: output, every parameter gradient, and the
+    state and guidance gradients when those require one."""
 
     SCHED = dff.build_schedule(200, beta_end=0.05, steps=100)
 
@@ -272,7 +285,7 @@ class TestFusedDenoiser:
                 loss = mean(mul(d, d))
                 entries = len(rec.entries)
             grads = nm.backward(loss, {**params, "state": state, "guidance": guid})
-        return out.data.tobytes(), {k: g.data.tobytes() for k, g in grads.items()}, entries
+        return out.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}, entries
 
     @pytest.mark.parametrize("inputs", ["constant", "state", "guidance", "both"])
     @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-step", "per-row-steps"])
@@ -283,7 +296,7 @@ class TestFusedDenoiser:
                              ids=["8", "384", "1360", "384-no-blocks"])
     def test_bitwise_equal_to_tape(self, rows, blocks, dtype, per_row, inputs):
         args = (rows, blocks, dtype, per_row, inputs)
-        out, grads, entries = self._bytes(dff.denoiser_apply, *args)
+        out, grads, entries = self._bytes(_denoiser_op, *args)
         ref_out, ref_grads, ref_entries = self._bytes(denoiser_tape, *args)
         assert out == ref_out
         assert grads.keys() == ref_grads.keys()
@@ -416,7 +429,7 @@ class TestReverseGenerate:
     def test_stochastic_chain_reproducible_with_pinned_chain_rng(self):
         mdl, w = self._setup()
         y_init = np.random.default_rng(42).standard_normal((3, 12, 5))
-        guidance = mdl.encode(w).data
+        guidance = mdl.encode(w)
         sched = mdl.config.schedule()
         a, b = (dff.reverse_chain(y_init, guidance, sched, mdl.params,
                                   mdl.config, np.random.default_rng(1)) for _ in range(2))
@@ -424,7 +437,7 @@ class TestReverseGenerate:
 
     def test_chain_is_stochastic_exactly_when_given_a_generator(self):
         mdl, w = self._setup()
-        args = (np.random.default_rng(42).standard_normal((3, 12, 5)), mdl.encode(w).data,
+        args = (np.random.default_rng(42).standard_normal((3, 12, 5)), mdl.encode(w),
                 mdl.config.schedule(), mdl.params, mdl.config)
         a, b = dff.reverse_chain(*args), dff.reverse_chain(*args)
         assert a.tobytes() == b.tobytes()
@@ -438,7 +451,7 @@ class TestReverseGenerate:
         # reconstruction -> transition, with the same pinned in-chain noise
         mdl, w = self._setup(k_total, steps, beta_end)
         y_init = np.random.default_rng(42).standard_normal((3, 12, 5))
-        args = (y_init, mdl.encode(w).data, mdl.config.schedule(), mdl.params, mdl.config)
+        args = (y_init, mdl.encode(w), mdl.config.schedule(), mdl.params, mdl.config)
         folded = dff.reverse_chain(*args, _chain_rng(gamma_mode))
         unfolded = reverse_chain_steps(*args, _chain_rng(gamma_mode))
         np.testing.assert_allclose(folded, unfolded, rtol=0, atol=1e-5)
@@ -453,14 +466,14 @@ class TestReverseGenerate:
         cfg = ModelConfig(t_future=12, d_phi=2, d_psi=2, denoiser_width=16,
                           denoiser_blocks=1, step_dim=8)
         rng = np.random.default_rng(0)
-        y0 = nm.constant(rng.normal(size=(3, 12, 5)))
-        g = nm.constant(rng.normal(size=(3, 4)))
+        y0 = rng.normal(size=(3, 12, 5))
+        g = rng.normal(size=(3, 4))
         ks = np.array([10, 20, 40])
         eps = rng.standard_normal((3, 12, 5))
         monkeypatch.setattr(dff, "denoiser_apply",
-                            lambda noisy, k, guid, p, c, s: nm.constant(eps))
-        loss = loss_diffusion(y0, g, ks, eps, sched, {}, cfg)
-        assert loss.item() == 0.0
+                            lambda noisy, k, guid, p, c, s, keep: eps.astype(np.float32))
+        loss, _ = loss_diffusion(y0, g, ks, eps, sched, {}, cfg)
+        assert loss == 0.0
 
 
 class TestChainTerms:

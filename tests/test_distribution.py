@@ -255,7 +255,7 @@ def test_log_pdf_matches_tape(dtype):
             raw = nm.parameter(raw_np)
             with nm.ComputationRecord():
                 loss = sum_(mul(density(raw), nm.constant(proj)))
-            return loss.data, nm.backward(loss, {"raw": raw})["raw"].data
+            return loss.data, nm.backward(loss, {"raw": raw})["raw"]
 
     def tape(raw):
         return log_pdf_terms(nm.constant(y), *constrain_tensors(raw))

@@ -8,7 +8,7 @@ import pytest
 from references import (add, aggregate_window_neighbors, concat, conv1d,
                         encode_windows_tape, finite_difference_check, matmul, mul, reshape,
                         scaled_dot_attention, slice_, sum_, tanh, transpose)
-from trajdiff import guidance
+from trajdiff import guidance, training
 from trajdiff import numerics as nm
 from trajdiff.model import ModelConfig
 
@@ -32,12 +32,12 @@ def _window(obs, mask=None):
 
 def _history(obs, params):
     """The history context [N, d_phi] that ``encode_windows`` computes."""
-    return guidance.encode_windows([_window(obs)], params, CFG).data[:, :CFG.d_phi]
+    return guidance.encode_windows([_window(obs)], params, CFG)[:, :CFG.d_phi]
 
 
 def _neighbors(obs, mask, params):
     """The neighbor context [N, d_psi] that ``encode_windows`` computes."""
-    return guidance.encode_windows([_window(obs, mask)], params, CFG).data[:, CFG.d_phi:]
+    return guidance.encode_windows([_window(obs, mask)], params, CFG)[:, CFG.d_phi:]
 
 
 def test_history_shape(params):
@@ -143,8 +143,8 @@ def test_encode_windows_concat_and_slicing(params):
     mask = np.array([[False, True, False], [True, False, False], [False] * 3])
     emb = guidance.encode_windows([_window(obs, mask)], params, CFG)
     assert emb.shape == (3, CFG.d_phi + CFG.d_psi)
-    np.testing.assert_array_equal(emb.data[:, :CFG.d_phi], _history(obs, params))
-    np.testing.assert_array_equal(emb.data[:, CFG.d_phi:], _neighbors(obs, mask, params))
+    np.testing.assert_array_equal(emb[:, :CFG.d_phi], _history(obs, params))
+    np.testing.assert_array_equal(emb[:, CFG.d_phi:], _neighbors(obs, mask, params))
 
 
 def test_history_rejects_bad_shape(params):
@@ -161,9 +161,11 @@ def test_encoder_gradients_pass_finite_differences():
         proj = np.random.default_rng(2).normal(size=(2, 6))
 
         def f(p):
+            keep = {}
             emb = guidance.encode_windows(
-                [SimpleNamespace(observed=obs, neighbor_mask=mask)], p, cfg)
-            return sum_(mul(emb, nm.constant(proj)))
+                [SimpleNamespace(observed=obs, neighbor_mask=mask)], p, cfg, keep)
+            return (emb * proj).sum(), lambda g: guidance.encoder_backward(g * proj, p, cfg,
+                                                                           keep)
 
         report = finite_difference_check(f, params, step=1e-4, tolerance=1e-2)
     assert report["pass"], report
@@ -200,9 +202,19 @@ def _convolution_pipeline(windows, params, cfg):
                    _eight_convolutions(nm.constant(agg), params, "nbr", cfg)], axis=1)
 
 
+def _encode_op(windows, params, cfg):
+    """``encode_windows`` and ``encoder_backward`` as one recorded operation
+    over the ``hist.*`` and ``nbr.*`` parameters."""
+    keep = {}
+    out = guidance.encode_windows(windows, params, cfg, keep)
+    return training._recorded(out, params,
+                              lambda g: guidance.encoder_backward(g, params, cfg, keep))
+
+
 class TestCollapsedEncoder:
-    """The encoders' one recorded operation against the T-convolution
-    pipeline and against the primitive tape of its own body."""
+    """The encoders' forward and backward (``_encode_op``) against the
+    T-convolution pipeline and against the primitive tape of their own
+    body."""
 
     @staticmethod
     def _values_and_grads(encode, rows, cfg):
@@ -216,7 +228,7 @@ class TestCollapsedEncoder:
             out = encode(windows, params, cfg)
             loss = sum_(mul(out, nm.constant(proj)))
         grads = nm.backward(loss, params)
-        return [out.data] + [grads[name].data for name in sorted(params)]
+        return [out.data] + [grads[name] for name in sorted(params)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel,rows", [(3, 1), (3, 7), (3, 16), (3, 136),
@@ -226,7 +238,7 @@ class TestCollapsedEncoder:
         cfg = ModelConfig(kernel=kernel)
         with nm.precision(dtype):
             ref = self._values_and_grads(_convolution_pipeline, rows, cfg)
-            new = self._values_and_grads(guidance.encode_windows, rows, cfg)
+            new = self._values_and_grads(_encode_op, rows, cfg)
         assert len(new) == len(ref) == 1 + 2 * (2 * cfg.t_obs + 5)
         for a, b in zip(new, ref):
             assert a.dtype == b.dtype
@@ -246,7 +258,7 @@ class TestCollapsedEncoder:
         # leaves room for a few float32 roundings of a 1,000-row sum.
         cfg = ModelConfig(kernel=kernel)
         ref = self._values_and_grads(_convolution_pipeline, 1000, cfg)
-        new = self._values_and_grads(guidance.encode_windows, 1000, cfg)
+        new = self._values_and_grads(_encode_op, 1000, cfg)
         for a, b in zip(new, ref):
             assert a.dtype == b.dtype == np.float32
             assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
@@ -258,7 +270,7 @@ class TestCollapsedEncoder:
         # same body does, at every row count
         cfg = ModelConfig(kernel=kernel)
         ref = self._values_and_grads(encode_windows_tape, rows, cfg)
-        new = self._values_and_grads(guidance.encode_windows, rows, cfg)
+        new = self._values_and_grads(_encode_op, rows, cfg)
         for a, b in zip(new, ref):
             assert a.dtype == b.dtype == np.float32
             assert a.tobytes() == b.tobytes()

@@ -295,7 +295,7 @@ def _per_window_reference(mdl, window, strategy, rng, gt_abs, steps):
     y_init = np.concatenate([rng.standard_normal((window.n_peds, cfg.t_future,
                                                   distribution.STAT_CHANNELS))
                              for _ in range(runs)])
-    y = diffusion.reverse_chain(y_init, np.tile(mdl.encode([window]).data, (runs, 1)),
+    y = diffusion.reverse_chain(y_init, np.tile(mdl.encode([window]), (runs, 1)),
                                 cfg.schedule(steps), mdl.params, cfg)
     fields = [distribution.StatsField(b)
               for b in np.split(distribution.denormalize_stats(y, mdl.norm), runs)]

@@ -13,7 +13,7 @@ import pytest
 
 from references import (batch_losses_tape, convert_tape, converter_losses_tape,
                         denoiser_tape, encoder_tape, finite_difference_check, gaussian_at,
-                        log_pdf, loss_diffusion_tape, mean, mul, reshape, slice_, sum_)
+                        log_pdf, loss_diffusion_tape, mean, mul, sum_)
 import references
 import trajdiff
 from trajdiff import data, diffusion, distribution, guidance, training
@@ -48,8 +48,8 @@ class TestLossDiffusion:
         cfg = ModelConfig(t_future=12, d_phi=2, d_psi=2, denoiser_width=8,
                           denoiser_blocks=1, step_dim=4)
         params = nm.init_params(diffusion.denoiser_layout(cfg), rng)
-        y0 = nm.constant(rng.normal(size=(rows, 12, 5)))
-        g = nm.constant(rng.normal(size=(rows, 4)))
+        y0 = rng.normal(size=(rows, 12, 5))
+        g = rng.normal(size=(rows, 4))
         ks = sched.tau[rng.integers(0, 10, size=rows)]
         eps = rng.standard_normal((rows, 12, 5))
         return y0, g, ks, eps, sched, params, cfg
@@ -57,28 +57,27 @@ class TestLossDiffusion:
     def test_oracle_denoiser_zero(self, monkeypatch):
         y0, g, ks, eps, sched, params, cfg = self._inputs()
         monkeypatch.setattr(diffusion, "denoiser_apply",
-                            lambda noisy, k, guid, p, c, s: nm.constant(eps))
-        loss = training.loss_diffusion(y0, g, ks, eps, sched, params, cfg)
-        assert loss.item() == 0.0
+                            lambda noisy, k, guid, p, c, s, keep: eps.astype(np.float32))
+        loss, _ = training.loss_diffusion(y0, g, ks, eps, sched, params, cfg)
+        assert loss == 0.0
 
     def test_zero_denoiser_near_one(self, monkeypatch):
         rows = 16
         y0, g, ks, eps, sched, params, cfg = self._inputs(rows)
-        monkeypatch.setattr(diffusion, "denoiser_apply", lambda noisy, k, guid, p, c, s:
-                            nm.constant(np.zeros((rows, 12, 5))))
-        loss = training.loss_diffusion(y0, g, ks, eps, sched, params, cfg)
+        monkeypatch.setattr(diffusion, "denoiser_apply", lambda noisy, k, guid, p, c, s, keep:
+                            np.zeros((rows, 12, 5), np.float32))
+        loss, _ = training.loss_diffusion(y0, g, ks, eps, sched, params, cfg)
         # mean of eps^2 over rows*60 elements: 3 sigma band of chi2 mean
         dim = rows * 60
-        assert abs(loss.item() - 1.0) < 3 * math.sqrt(2.0 / dim)
+        assert abs(loss - 1.0) < 3 * math.sqrt(2.0 / dim)
 
     def test_batch_order_permutation_invariant(self):
         y0, g, ks, eps, sched, params, cfg = self._inputs()
-        loss = training.loss_diffusion(y0, g, ks, eps, sched, params, cfg)
+        loss, _ = training.loss_diffusion(y0, g, ks, eps, sched, params, cfg)
         perm = np.random.default_rng(5).permutation(6)
-        loss_p = training.loss_diffusion(
-            nm.constant(y0.data[perm]), nm.constant(g.data[perm]), ks[perm],
-            eps[perm], sched, params, cfg)
-        assert math.isclose(loss.item(), loss_p.item(), rel_tol=1e-5)
+        loss_p, _ = training.loss_diffusion(y0[perm], g[perm], ks[perm], eps[perm], sched,
+                                            params, cfg)
+        assert math.isclose(loss, loss_p, rel_tol=1e-5)
 
 
 
@@ -164,23 +163,32 @@ class TestLossConsistency:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_converter_losses_match_tape(dtype):
-    # the vector and every conv.* gradient against the primitive tape of the
+    # the values [likelihood, consistency, *y0n] and every conv.* gradient
+    # of their dot product with ``proj`` against the primitive tape of the
     # converter, constraint map, density, losses and normalization
     windows = _windows(n_scenes=2, peds=4, frames=40)
     future = np.concatenate([w.future for w in windows])
     proj = np.random.default_rng(3).normal(size=2 + future.size // 2 * 5)
 
-    def run(losses):
-        with nm.precision(dtype):
-            mdl = Model.initialize(ModelConfig(), 4)
-            mdl.norm = training.freeze_normalization(mdl, windows)
-            with nm.ComputationRecord():
-                out = losses(future, mdl.params, mdl.norm, len(windows))
-                loss = sum_(mul(out, nm.constant(proj)))
-            grads = nm.backward(loss, mdl.params)
-        return [out.data] + [grads[k].data for k in sorted(grads) if k.startswith("conv.")]
+    def model():
+        mdl = Model.initialize(ModelConfig(), 4)
+        mdl.norm = training.freeze_normalization(mdl, windows)
+        return mdl
 
-    for a, b in zip(run(training.converter_losses), run(converter_losses_tape), strict=True):
+    with nm.precision(dtype):
+        mdl, g = model(), proj.astype(dtype)
+        (llh, con, y0n), backward = training.converter_losses(future, mdl.params, mdl.norm,
+                                                              len(windows))
+        grads = backward(g[0], g[1], g[2:].reshape(y0n.shape))
+        got = [np.concatenate([np.array([llh, con], dtype), y0n.reshape(-1)])]
+        got += [grads[k] for k in sorted(grads)]
+        mdl = model()
+        with nm.ComputationRecord():
+            out = converter_losses_tape(future, mdl.params, mdl.norm, len(windows))
+            loss = sum_(mul(out, nm.constant(proj)))
+        ref = nm.backward(loss, mdl.params)
+        want = [out.data] + [ref[k] for k in sorted(ref) if k.startswith("conv.")]
+    for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype == dtype
         assert a.tobytes() == b.tobytes()
 
@@ -195,21 +203,20 @@ class TestTrainStep:
             total, _, _ = training.batch_losses(windows[:2], mdl, rng, (1.0, 0.0, 0.0))
         grads = nm.backward(total, mdl.params)
         rng2 = np.random.default_rng(0)
-        with nm.ComputationRecord():
-            emb = mdl.encode(windows[:2])
-            fut = np.concatenate([w.future for w in windows[:2]])
-            losses = training.converter_losses(fut, mdl.params, mdl.norm, 2)
-            y0n = reshape(slice_(losses, (slice(2, None),)), (len(fut), 12, 5))
-            ks, eps = training.draw_step_noise([w.n_peds for w in windows[:2]],
-                                               mdl.schedule, rng2, 12)
-            diff_only = training.loss_diffusion(y0n, emb, ks, eps,
-                                                mdl.schedule, mdl.params,
-                                                mdl.config)
-        grads2 = nm.backward(diff_only, mdl.params)
+        emb = mdl.encode(windows[:2])
+        fut = np.concatenate([w.future for w in windows[:2]])
+        (_, _, y0n), converter_backward = training.converter_losses(fut, mdl.params,
+                                                                    mdl.norm, 2)
+        ks, eps = training.draw_step_noise([w.n_peds for w in windows[:2]],
+                                           mdl.schedule, rng2, 12)
+        _, diffusion_backward = training.loss_diffusion(y0n, emb, ks, eps, mdl.schedule,
+                                                        mdl.params, mdl.config)
+        _, g_y0n, _ = diffusion_backward(np.float32(1.0))
+        zero = np.float32(0.0)
+        grads2 = converter_backward(zero, zero, g_y0n)
         for name in mdl.params:
             if name.startswith("conv."):
-                np.testing.assert_allclose(grads[name].data, grads2[name].data,
-                                           atol=1e-7)
+                np.testing.assert_allclose(grads[name], grads2[name], atol=1e-7)
 
     def test_step_is_deterministic(self):
         windows = _windows()
@@ -250,7 +257,7 @@ class TestTrainStep:
                 total, _, _ = training.batch_losses(
                     windows[:2], mdl, rng, (scale, scale, scale))
             grads = nm.backward(total, mdl.params)
-            vec = np.concatenate([g.data.ravel().astype(np.float64)
+            vec = np.concatenate([g.ravel().astype(np.float64)
                                   for _, g in sorted(grads.items())])
             return total.item(), vec
 
@@ -338,21 +345,33 @@ class TestRecordedDenoiser:
         assert counts == {"backward": 6, "adam_update": 6, "encode_windows": 1,
                           "convert_trajectory": 1}
 
-    def test_joint_forward_records_seven_entries(self):
-        # encoders, converter with its losses, its normalized statistics,
-        # forward marginal, denoiser, squared error and weighted sum
+    def test_each_pass_records_one_entry(self, monkeypatch):
+        # the joint pass over every parameter, then each of the 5 refreshes
+        # over the den.* parameters: one recorded operation each
         windows = _windows()
         mdl = Model.initialize(MICRO, 0)
-        with nm.ComputationRecord() as rec:
-            training.batch_losses(windows[:3], mdl, np.random.default_rng(0))
-            entries = len(rec.entries)
-        assert entries == 7
+        mdl.norm = training.freeze_normalization(mdl, windows)
+        opt = training.AdamState(mdl.params)
+        passes = []
+        sweep = nm.backward
+
+        def recording_backward(loss, params):
+            entries = loss._rec.entries
+            passes.append((len(entries), entries[0].inputs == tuple(params.values()),
+                           sorted(params)))
+            return sweep(loss, params)
+
+        monkeypatch.setattr(nm, "backward", recording_backward)
+        training.train_step(windows[:3], mdl, training.TrainConfig(denoiser_boost=5), opt,
+                            np.random.default_rng(0))
+        den = sorted(k for k in mdl.params if k.startswith("den."))
+        assert passes == [(1, True, sorted(mdl.params))] + [(1, True, den)] * 5
 
 
 class TestSkippedInputGradients:
-    """The denoiser operation, ``matmul`` and ``conv1d`` compute no gradient
-    for a constant input; the parameter gradients are the same bits as when
-    it is computed."""
+    """The diffusion loss's backward without input gradients, and ``matmul``
+    and ``conv1d`` for a constant input, compute none; the parameter
+    gradients are the same bits as when they are computed."""
 
     @staticmethod
     def _grads(loss_fn, params, inputs, as_params):
@@ -366,7 +385,7 @@ class TestSkippedInputGradients:
             outs = [e.grad_fn(np.ones_like(e.out.data)) for e in skipped]
         grads = nm.backward(loss, params)
         nones = sum(g is None for out in outs for g in out)
-        return {k: g.data.tobytes() for k, g in grads.items()}, nones, readers
+        return {k: g.tobytes() for k, g in grads.items()}, nones, readers
 
     def test_boost_pass(self):
         mdl = Model.initialize(MICRO, 2)
@@ -375,17 +394,13 @@ class TestSkippedInputGradients:
         y0n = rng.normal(size=(9, 12, 5))
         guid = rng.normal(size=(9, MICRO.d_phi + MICRO.d_psi))
         ks, eps = training.draw_step_noise([4, 5], mdl.schedule, rng, 12)
-
-        def loss_fn(y, g):
-            return training.loss_diffusion(y, g, ks, eps, mdl.schedule, den, MICRO)
-
-        fast, nones, readers = self._grads(loss_fn, den, (y0n, guid), as_params=False)
-        full, _, full_readers = self._grads(loss_fn, den, (y0n, guid), as_params=True)
-        # one recorded denoiser operation reads every den.* parameter; with
-        # constant inputs it returns None for the state and the guidance
-        assert readers == full_readers == 1
-        assert nones == 2
-        assert fast == full
+        _, backward = training.loss_diffusion(y0n, guid, ks, eps, mdl.schedule, den, MICRO)
+        fast, *skipped = backward(np.float32(1.0), inputs=False)
+        full, g_y0n, g_guid = backward(np.float32(1.0))
+        assert skipped == [None, None]
+        assert (g_y0n.shape, g_guid.shape) == (y0n.shape, guid.shape)
+        assert sorted(fast) == sorted(full) == sorted(den)
+        assert all(fast[k].tobytes() == full[k].tobytes() for k in den)
 
     def test_converter(self):
         # the converter's primitive tape, whose conv1d reads the constant future
@@ -470,8 +485,7 @@ class TestFlatAdam:
             keys = list(ref) if step % 3 == 1 else [k for k in ref if k.startswith("den.")]
             grads = {k: rng.normal(size=ref[k].shape).astype(np.float32) for k in keys}
             group = {k: params[k] for k in keys}
-            params.update(training.adam_update(
-                group, {k: nm.Tensor(g) for k, g in grads.items()}, opt, 1e-2))
+            params.update(training.adam_update(group, grads, opt, 1e-2))
             ref.update(_reference_adam({k: ref[k] for k in keys}, grads, m, v,
                                        step, 1e-2, clip))
             assert opt.t == step
@@ -483,7 +497,7 @@ class TestFlatAdam:
     def test_arrays_round_trip(self):
         mdl = Model.initialize(MICRO, 6)
         opt = training.AdamState(mdl.params)
-        grads = {k: nm.Tensor(np.full(p.shape, 0.5)) for k, p in mdl.params.items()}
+        grads = {k: np.full(p.shape, 0.5, np.float32) for k, p in mdl.params.items()}
         training.adam_update(mdl.params, grads, opt, 1e-3)
         arrays = opt.arrays()
         assert set(arrays) == {"adam.t"} | {f"adam.{s}.{k}" for s in "mv"
@@ -498,9 +512,30 @@ class TestFlatAdam:
         mdl = Model.initialize(MICRO, 6)
         opt = training.AdamState(mdl.params)
         group = {k: mdl.params[k] for k in ("conv.b1", "den.in.b")}
-        grads = {k: nm.Tensor(np.zeros(p.shape)) for k, p in group.items()}
+        grads = {k: np.zeros(p.shape, np.float32) for k, p in group.items()}
         with pytest.raises(nm.NumericsError, match="contiguous"):
             training.adam_update(group, grads, opt, 1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_gradient_raises_before_the_state_changes(self, bad):
+        mdl = Model.initialize(MICRO, 6)
+        opt = training.AdamState(mdl.params)
+        rng = np.random.default_rng(8)
+
+        def grads():
+            return {k: rng.normal(size=p.shape).astype(np.float32)
+                    for k, p in opt.params.items()}
+
+        training.adam_update(opt.params, grads(), opt, 1e-3)      # non-zero moments
+        before = {k: a.tobytes() for k, a in opt.arrays().items()}
+        params = {k: p.data.tobytes() for k, p in opt.params.items()}
+        bad_grads = grads()
+        bad_grads["den.in.w"][2, 3] = bad
+        with pytest.raises(nm.NumericsError, match="non-finite gradient"):
+            training.adam_update(opt.params, bad_grads, opt, 1e-3)
+        assert {k: a.tobytes() for k, a in opt.arrays().items()} == before
+        assert {k: p.data.tobytes() for k, p in opt.params.items()} == params
+        assert opt.t == 1
 
 
 class TestObjectiveGradients:
