@@ -27,7 +27,6 @@ from .distribution import STAT_CHANNELS
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-    from .numerics import Tensor
 
 GAMMA_MODES = ("deterministic", "ddpm-matching")
 CHAIN_BLOCK_ROWS = 512     # rows per block of a reverse-chain denoiser step
@@ -129,7 +128,7 @@ def step_embedding(ks, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
 
 
-def denoiser_apply(state, ks, guidance, params: dict[str, Tensor],
+def denoiser_apply(state, ks, guidance, params: dict[str, np.ndarray],
                    cfg: ModelConfig, schedule: Schedule, *,
                    chain: _ChainTerms | None = None,
                    keep: dict | None = None) -> np.ndarray:
@@ -178,10 +177,10 @@ def denoiser_apply(state, ks, guidance, params: dict[str, Tensor],
     x_in = np.concatenate([flat, emb, np.asarray(guidance, dtype)], axis=1)
     acts = np.empty((2 * cfg.denoiser_blocks + 1, n, cfg.denoiser_width), dtype)
     hs, rs = list(acts[::2]), list(acts[1::2])
-    np.matmul(x_in, params["den.in.w"].data, out=hs[0])
-    hs[0] += params["den.in.b"].data
+    np.matmul(x_in, params["den.in.w"], out=hs[0])
+    hs[0] += params["den.in.b"]
     gain, pull = _read_off(schedule, ks, dtype)
-    eps = _trunk(_trunk_weights(params, cfg), hs[0], x_in @ params["den.skip.w"].data,
+    eps = _trunk(_trunk_weights(params, cfg), hs[0], x_in @ params["den.skip.w"],
                  flat, gain, pull, hs, rs, np.empty((n, sd), dtype), np.empty((n, sd), dtype))
     if keep is not None:
         keep.update(x_in=x_in, hs=hs, rs=rs, gain=gain, pull=pull)
@@ -197,12 +196,12 @@ def _read_off(schedule: Schedule, ks, dtype) -> tuple:
             (-np.sqrt(a) / np.sqrt(1.0 - a)).astype(dtype))
 
 
-def _trunk_weights(params: dict[str, Tensor], cfg: ModelConfig) -> tuple:
+def _trunk_weights(params: dict[str, np.ndarray], cfg: ModelConfig) -> tuple:
     """What ``_trunk`` reads of ``den.*``: each residual block's
     (w1, b1, w2, b2), the output weight and the output bias."""
-    blocks = [tuple(params[f"den.blk{i}.{name}"].data for name in ("w1", "b1", "w2", "b2"))
+    blocks = [tuple(params[f"den.blk{i}.{name}"] for name in ("w1", "b1", "w2", "b2"))
               for i in range(cfg.denoiser_blocks)]
-    return blocks, params["den.out.w"].data, params["den.out.b"].data
+    return blocks, params["den.out.w"], params["den.out.b"]
 
 
 def _trunk(weights, pre, skip, flat, gain, pull, hs, rs, clean, eps) -> np.ndarray:
@@ -235,7 +234,7 @@ def _trunk(weights, pre, skip, flat, gain, pull, hs, rs, clean, eps) -> np.ndarr
     return eps
 
 
-def denoiser_backward(g_out: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig,
+def denoiser_backward(g_out: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                       keep: dict, inputs: bool = True) -> tuple:
     """(grads, g_state, g_guidance): the ``den.*`` parameters' gradients
     given the output's gradient ``g_out`` [N, T', 5] and, with ``inputs``,
@@ -245,7 +244,7 @@ def denoiser_backward(g_out: np.ndarray, params: dict[str, Tensor], cfg: ModelCo
     row its shortcut gradient, then its input layer's.
     """
     def w(name):
-        return params[f"den.{name}"].data
+        return params[f"den.{name}"]
 
     sd, x_in, hs, rs = cfg.state_dim, keep["x_in"], keep["hs"], keep["rs"]
     gy = g_out.reshape(-1, sd)
@@ -287,15 +286,15 @@ class _ChainTerms:
     denoiser's up to the rounding of the re-associated input-layer sum.
     """
 
-    def __init__(self, guidance_rows: np.ndarray, params: dict[str, Tensor],
+    def __init__(self, guidance_rows: np.ndarray, params: dict[str, np.ndarray],
                  cfg: ModelConfig, schedule: Schedule):
         dtype = nm.default_dtype()
         sd, width, emb_end = cfg.state_dim, cfg.denoiser_width, cfg.state_dim + cfg.step_dim
-        w = np.concatenate([params["den.in.w"].data, params["den.skip.w"].data], axis=1)
+        w = np.concatenate([params["den.in.w"], params["den.skip.w"]], axis=1)
         self.w_x = w[:sd]
         self.g = np.asarray(guidance_rows, dtype=dtype) @ w[emb_end:]
         e = step_embedding(schedule.tau, cfg.step_dim).astype(dtype) @ w[sd:emb_end]
-        e[:, :width] += params["den.in.b"].data
+        e[:, :width] += params["den.in.b"]
         self.e = dict(zip(schedule.tau.tolist(), e))
         self.weights, self.width = _trunk_weights(params, cfg), width
         rows = min(CHAIN_BLOCK_ROWS, len(self.g))
@@ -361,7 +360,7 @@ def transition(schedule: Schedule, k_from: int, k_to: int,
 
 
 def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
-                  params: dict[str, Tensor], cfg: ModelConfig,
+                  params: dict[str, np.ndarray], cfg: ModelConfig,
                   chain_rng: np.random.Generator | None = None) -> np.ndarray:
     """Run the reverse chain down ``tau`` from ``y_init`` [M, T', 5], in S
     denoiser calls over all M rows; guidance row i conditions state row i.

@@ -33,7 +33,6 @@ from . import numerics as nm
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-    from .numerics import Tensor
 
 SIGMA_FLOOR = 1e-4
 RHO_CAP = 0.99
@@ -88,7 +87,7 @@ def converter_layout(cfg: ModelConfig) -> dict[str, tuple]:
     }
 
 
-def convert_trajectory(future, params: dict[str, Tensor], keep: dict | None = None
+def convert_trajectory(future, params: dict[str, np.ndarray], keep: dict | None = None
                        ) -> np.ndarray:
     """Map future displacements [N, T', 2] to raw statistics [N, T', 5],
     on plain arrays in the default dtype.
@@ -108,26 +107,26 @@ def convert_trajectory(future, params: dict[str, Tensor], keep: dict | None = No
     x = np.asarray(future, dtype=dtype)
     n, length = x.shape[0], x.shape[1]
     k = params["conv.w1"].shape[2]
-    w1 = params["conv.w1"].data * _center_mask(k).astype(dtype)
+    w1 = params["conv.w1"] * _center_mask(k).astype(dtype)
     cols = nm.conv1d_columns(x.transpose(0, 2, 1), k)          # [N*T', 2k]
-    h = np.tanh(cols @ w1.reshape(len(w1), -1).T + params["conv.b1"].data)
-    w2 = params["conv.w2"].data
+    h = np.tanh(cols @ w1.reshape(len(w1), -1).T + params["conv.b1"])
+    w2 = params["conv.w2"]
     raw = (h @ w2.reshape(len(w2), -1).T).reshape(n, length, STAT_CHANNELS)
-    raw += params["conv.b2"].data
+    raw += params["conv.b2"]
     nm.checked(raw, "converter output")
     if keep is not None:
         keep.update(cols=cols, h=h, w1=w1)
     return raw
 
 
-def converter_backward(g_raw: np.ndarray, params: dict[str, Tensor],
+def converter_backward(g_raw: np.ndarray, params: dict[str, np.ndarray],
                        keep: dict) -> dict[str, np.ndarray]:
     """Gradients of the ``conv.*`` parameters given the raw statistics'
     gradient [N, T', 5].  Each value rounds as the primitive tape of
     ``convert_trajectory`` (kept in the tests as the reference), whose
     convolutions' weight gradients are ``numerics.conv1d_weight_grad``."""
     n, length, c = g_raw.shape[0], g_raw.shape[1], keep["h"].shape[1]
-    w1, w2 = keep["w1"], params["conv.w2"].data
+    w1, w2 = keep["w1"], params["conv.w2"]
     gw2 = nm.conv1d_weight_grad(np.ascontiguousarray(g_raw.transpose(1, 0, 2)),
                                 keep["h"], w2.shape)
     d = nm.tanh_grad(keep["h"], g_raw.reshape(n * length, -1) @ w2.reshape(len(w2), -1))
@@ -174,7 +173,7 @@ def log_pdf(y: np.ndarray, raw: np.ndarray):
     r_omr2 = np.exp(np.log(omr2) * f(-1.0))
     terms = (log_norm + quad * r_omr2 * f(0.5)) * f(-1.0)
 
-    def backward(g_terms):
+    def density_backward(g_terms):
         g = g_terms * f(-1.0)
         g_quad = g * f(0.5) * r_omr2
         g_omr2 = g * f(0.5) * quad * r_omr2 * f(-1.0) / omr2 + g * f(0.5) / omr2
@@ -190,7 +189,7 @@ def log_pdf(y: np.ndarray, raw: np.ndarray):
         return (g_u * r_sig * f(-1.0), g_sig * np.exp(-np.logaddexp(0.0, -s_raw)),
                 nm.tanh_grad(th, g_rho * f(RHO_CAP)))
 
-    return terms, backward
+    return terms, density_backward
 
 
 def sample_field(field: StatsField, rng: np.random.Generator,

@@ -34,7 +34,6 @@ from . import numerics as nm
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-    from .numerics import Tensor
 
 
 def encoder_layout(cfg: ModelConfig, prefix: str, out_dim: int) -> dict[str, tuple]:
@@ -51,13 +50,13 @@ def encoder_layout(cfg: ModelConfig, prefix: str, out_dim: int) -> dict[str, tup
     return layout
 
 
-def _forward(x: np.ndarray, params: dict[str, Tensor], prefix: str,
+def _forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str,
              cfg: ModelConfig) -> tuple[np.ndarray, dict]:
     """One encoder on plain arrays: the context [N, out_dim] of the
     sequences ``x`` [N, T, 2], and what ``_backward`` reads.  The
     stacked conv weight is rebuilt from the ``conv{j}`` parameters per call."""
     def p(name):
-        return params[f"{prefix}.{name}"].data
+        return params[f"{prefix}.{name}"]
 
     n, t, c, kern = x.shape[0], cfg.t_obs, cfg.conv_channels, cfg.kernel
     # taps that read an observation; with kern > t the first kern - t taps
@@ -69,7 +68,7 @@ def _forward(x: np.ndarray, params: dict[str, Tensor], prefix: str,
     b = np.concatenate([p(f"conv{j}.b") for j in range(t)])
     seq = np.tanh(last @ w + b).reshape(n, t, c)
     q, k, v = (seq @ p(f"attn.{name}") for name in ("wq", "wk", "wv"))
-    # single-head attention, as ``numerics.scaled_dot_attention`` computes it
+    # single-head attention, as the reference tape's ``scaled_dot_attention`` computes it
     scale = q.dtype.type(1.0 / np.sqrt(c))
     scores = (q @ k.transpose(0, 2, 1)) * scale
     # each row's max, one column at a time: exact, and at T = 8 about 8x
@@ -87,7 +86,7 @@ def _forward(x: np.ndarray, params: dict[str, Tensor], prefix: str,
     return out, keep
 
 
-def _backward(g: np.ndarray, params: dict[str, Tensor], prefix: str,
+def _backward(g: np.ndarray, params: dict[str, np.ndarray], prefix: str,
               cfg: ModelConfig, keep: dict) -> dict[str, np.ndarray]:
     """Gradients of the ``prefix`` parameters given the context's gradient
     ``g`` [N, out_dim].  Each value rounds as the primitive tape of the
@@ -95,7 +94,7 @@ def _backward(g: np.ndarray, params: dict[str, Tensor], prefix: str,
     value, key and query gradients in that order, each from its own
     matmul."""
     def p(name):
-        return params[f"{prefix}.{name}"].data
+        return params[f"{prefix}.{name}"]
 
     n, t, c, kern = g.shape[0], cfg.t_obs, cfg.conv_channels, cfg.kernel
     seq, q, k, v, att_w, scale = (keep[name] for name in
@@ -150,7 +149,7 @@ def guidance_layout(cfg: ModelConfig) -> dict[str, tuple]:
             **encoder_layout(cfg, "nbr", cfg.d_psi)}
 
 
-def encode_windows(windows, params: dict[str, Tensor], cfg: ModelConfig,
+def encode_windows(windows, params: dict[str, np.ndarray], cfg: ModelConfig,
                    keep: dict | None = None) -> np.ndarray:
     """Encode several windows in one batched pass into the guidance
     embedding [N, d_phi + d_psi]: history context, then neighbor context.
@@ -172,7 +171,7 @@ def encode_windows(windows, params: dict[str, Tensor], cfg: ModelConfig,
     return nm.checked(np.concatenate([hist, nbr], axis=1), "guidance embedding")
 
 
-def encoder_backward(g: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig,
+def encoder_backward(g: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                      keep: dict) -> dict[str, np.ndarray]:
     """Gradients of every ``hist.*`` and ``nbr.*`` parameter given the
     embedding's gradient ``g`` [N, d_phi + d_psi]."""

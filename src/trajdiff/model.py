@@ -5,6 +5,11 @@ is the one description of the model: the encoders, the converter and the
 denoiser read their sizes from it, the schedule is built from it
 (``ModelConfig.schedule``), and checkpoints store it as metadata.
 
+A ``Model`` owns its parameters as one flat buffer of the default dtype,
+laid out in sorted name order; ``Model.params`` maps each name to a plain
+array view into it, which the backbones read and the optimizer updates in
+place (``training.adam_update``).
+
 ``Model.generate`` is the one generator: it turns windows into statistics
 fields with one batched reverse chain and one noise generator per window.
 """
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import checkpoint, diffusion, distribution, guidance
 from . import numerics as nm
-from .numerics import NumericsError, Tensor
+from .numerics import NumericsError
 
 
 @dataclass
@@ -72,10 +77,11 @@ class ModelConfig:
         if self.step_dim < 2 or self.step_dim % 2:
             # the sinusoidal step embedding has 2 * (step_dim // 2) columns
             raise ValueError(f"model step_dim must be even and >= 2, got {self.step_dim}")
-        if self.kernel < 1 or self.kernel % 2 == 0:
+        if self.kernel < 3 or self.kernel % 2 == 0:
             # the converter masks tap kernel // 2; only for an odd kernel is
-            # that the center tap, the one that reads the timestep itself
-            raise ValueError(f"model kernel must be odd and >= 1, got {self.kernel}")
+            # that the center tap, the one that reads the timestep itself,
+            # and a kernel of 1 has no other tap, so reads no input at all
+            raise ValueError(f"model kernel must be odd and >= 3, got {self.kernel}")
         if self.denoiser_blocks < 0:
             raise ValueError(f"model denoiser_blocks must be >= 0, "
                              f"got {self.denoiser_blocks}")
@@ -90,12 +96,22 @@ class ModelConfig:
 
 
 class Model:
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor],
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  norm: distribution.NormStats | None = None,
                  schedule: diffusion.Schedule | None = None):
-        """``schedule`` is ``config.schedule()``, built here when not given."""
+        """``params``, arrays by every name of ``config.param_layout()``,
+        are copied into the model's flat buffer; ``schedule`` is
+        ``config.schedule()``, built here when not given."""
         self.config = config
-        self.params = params
+        self._shapes = {k: shape for k, (shape, _) in config.param_layout().items()}
+        self.spans, end = {}, 0
+        for k in sorted(self._shapes):
+            self.spans[k] = slice(end, end + math.prod(self._shapes[k]))
+            end = self.spans[k].stop
+        self.flat = np.empty(end, dtype=nm.default_dtype())
+        self.params = self.views(self.flat)
+        for k, view in self.params.items():
+            view[...] = params[k]
         self.schedule = config.schedule() if schedule is None else schedule
         self.norm = norm or distribution.NormStats.identity()
 
@@ -104,8 +120,13 @@ class Model:
         rng = np.random.default_rng([seed, 0xA11CE])
         return cls(config, nm.init_params(config.param_layout(), rng))
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view, by name in layout order, into ``flat``, an
+        array laid out as the parameter buffer."""
+        return {k: flat[self.spans[k]].reshape(shape) for k, shape in self._shapes.items()}
+
     def n_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
 
     def encode(self, windows) -> np.ndarray:
         return guidance.encode_windows(windows, self.params, self.config)
@@ -165,7 +186,7 @@ class Model:
         }
         if extra_meta:
             meta.update(extra_meta)
-        arrays = {f"param.{name}": p.data for name, p in self.params.items()}
+        arrays = {f"param.{name}": p for name, p in self.params.items()}
         if extra_arrays:
             arrays.update(extra_arrays)
         checkpoint.save_container(path, meta, arrays)
@@ -182,7 +203,8 @@ class Model:
         """``load`` on a container already read from ``path``.  Metadata
         that does not describe a valid model, or ``param.*`` arrays whose
         names, shapes or dtypes differ from the config's layout, raise
-        ``ContainerError``.  Arrays of other names, such as the
+        ``ContainerError``, and so does a parameter that is not finite in the
+        model's dtype.  Arrays of other names, such as the
         ``schedule.*`` arrays that older checkpoints carry, are returned
         unread, and the ``gamma_mode`` their configs carry is ignored."""
         if not isinstance(meta, dict) or meta.get("kind") != "model":
@@ -201,5 +223,8 @@ class Model:
             raise checkpoint.ContainerError(f"{path}: bad model metadata: {exc}") from None
         shapes = {f"param.{k}": shape for k, (shape, _) in config.param_layout().items()}
         checkpoint.check_layout(path, arrays, "param.", shapes)
-        params = {k[len("param."):]: nm.parameter(arrays[k]) for k in shapes}
-        return cls(config, params, norm, schedule), meta, rest
+        model = cls(config, {k[len("param."):]: arrays[k] for k in shapes}, norm, schedule)
+        if not np.isfinite(model.flat).all():
+            bad = next(k for k, p in model.params.items() if not np.isfinite(p).all())
+            raise checkpoint.ContainerError(f"{path}: param.{bad} is not finite")
+        return model, meta, rest

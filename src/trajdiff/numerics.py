@@ -1,19 +1,16 @@
-"""The tape and its array helpers: dense float tensors with reverse-mode
-differentiation.
+"""The default dtype, the one finiteness check, a training pass and the
+array helpers the hand-written backwards share.
 
-* values are immutable numpy arrays (float32 by default),
-* a forward pass optionally records onto an explicit ``ComputationRecord``,
-* ``backward`` replays that record once, in reverse, and returns a
-  gradient array per named parameter.
-
-A training pass records one operation (``training``) whose backward runs
-the modules' backwards in reverse order; each module is a forward and a
-backward on plain arrays and does not know the tape.  ``checked`` is the
-one dtype and finiteness check: each array a pass or a chain step hands
-on, and each recorded output, goes through it once and raises
+Every module is a forward and a backward on plain arrays; parameters are
+plain arrays too, views into the model's one flat buffer.  ``checked`` is
+the one dtype and finiteness check: each array a pass or a chain step
+hands on, and each pass's loss, goes through it once and raises
 ``NumericsError``, so NaN/Inf and silent float64 promotion never
-propagate.  ``conv1d_columns``, ``conv1d_weight_grad`` and ``tanh_grad``
-are array helpers the backwards share.
+propagate.  A training pass is its loss with the backward that maps the
+loss's gradient to every parameter's by name (``_make``), and
+``backward`` runs that backward once.  ``conv1d_columns``,
+``conv1d_weight_grad`` and ``tanh_grad`` are array helpers the backwards
+share.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import numpy as np
 
 
 class NumericsError(RuntimeError):
-    """Raised for shape mismatches, non-finite values and misuse of records."""
+    """Raised for shape mismatches, non-finite values and bad settings."""
 
 
 # Default dtype is float32 (desk-scale models, fast tests).  The finite
@@ -39,7 +36,7 @@ def default_dtype():
 
 @contextlib.contextmanager
 def precision(dtype):
-    """Temporarily change the dtype used for newly created tensors."""
+    """Temporarily change the dtype of new parameters and computations."""
     global _DTYPE
     prev = _DTYPE
     _DTYPE = np.dtype(dtype).type
@@ -49,103 +46,14 @@ def precision(dtype):
         _DTYPE = prev
 
 
-class Tensor:
-    """Immutable dense array plus a gradient-tracking flag.
-
-    ``data`` is a C-contiguous (row-major) numpy array.  Recorded
-    operations never mutate their inputs; each allocates its output.
-    """
-
-    __slots__ = ("data", "requires_grad", "_rec")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DTYPE)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        if not np.isfinite(arr).all():
-            raise NumericsError("tensor created from non-finite data")
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self._rec = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise NumericsError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __repr__(self):
-        return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
-def init_params(layout: dict[str, tuple], rng: np.random.Generator) -> dict[str, Tensor]:
-    """Parameters for ``layout`` (name -> (shape, fan_in)), drawn in layout
-    order from N(0, 1/fan_in), or zeros where fan_in is None."""
-    return {name: parameter(np.zeros(shape) if fan_in is None
-                            else rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
+def init_params(layout: dict[str, tuple], rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Parameter arrays of the default dtype for ``layout`` (name -> (shape,
+    fan_in)), drawn in layout order from N(0, 1/fan_in), or zeros where
+    fan_in is None."""
+    return {name: np.asarray(np.zeros(shape) if fan_in is None
+                             else rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape),
+                             dtype=_DTYPE)
             for name, (shape, fan_in) in layout.items()}
-
-
-# ---------------------------------------------------------------------------
-# Recording
-
-
-class ComputationRecord:
-    """Ordered log of the operations of one forward pass.
-
-    Used as a context manager; operations whose inputs require gradients
-    append themselves while the record is active.  A record supports exactly
-    one ``backward`` call, which releases its entries (a recorded output
-    refers to its record, so they would otherwise form a reference cycle).
-    """
-
-    def __init__(self):
-        self.entries = []
-        self.consumed = False
-        self._outer = None
-
-    def __enter__(self):
-        global _ACTIVE
-        self._outer = _ACTIVE
-        _ACTIVE = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE
-        _ACTIVE = self._outer
-        self._outer = None
-        return False
-
-
-_ACTIVE: ComputationRecord | None = None
-
-
-class _Entry:
-    __slots__ = ("out", "inputs", "grad_fn")
-
-    def __init__(self, out, inputs, grad_fn):
-        self.out = out
-        self.inputs = inputs
-        self.grad_fn = grad_fn
 
 
 def checked(out: np.ndarray, what: str) -> np.ndarray:
@@ -157,58 +65,19 @@ def checked(out: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _make(out_data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
-    """Wrap an operation's result, ``checked``, recording it with
-    ``grad_fn``, which maps the output's gradient to one gradient (or None)
-    per input."""
-    checked(out_data, "operation output")
-    out = Tensor.__new__(Tensor)
-    if not out_data.flags["C_CONTIGUOUS"]:
-        out_data = np.ascontiguousarray(out_data)
-    out.data = out_data
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    out._rec = None
-    if out.requires_grad and _ACTIVE is not None:
-        _ACTIVE.entries.append(_Entry(out, inputs, grad_fn))
-        out._rec = _ACTIVE
-    return out
+def _make(loss, backward) -> tuple:
+    """A training pass: its scalar ``loss``, ``checked``, and ``backward``,
+    which maps the loss's gradient to gradient arrays by parameter name."""
+    return checked(loss, "loss"), backward
 
 
-def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Single reverse sweep from a scalar loss.
-
-    Returns one gradient array per entry of ``params``, in the default
-    dtype and unchecked (``training.adam_update`` checks their norm);
-    parameters the loss does not depend on map to zeros.  The record behind
-    ``loss`` may be swept only once; afterwards it holds no entries, so the
-    forward's intermediate values are freed as soon as the caller drops
-    them.
-    """
-    if loss.size != 1:
-        raise NumericsError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {}
-    rec = loss._rec
-    if rec is not None:
-        if rec.consumed:
-            raise NumericsError("backward called twice on the same record")
-        rec.consumed = True
-        grads[id(loss)] = np.ones_like(loss.data)
-        try:
-            for entry in reversed(rec.entries):
-                g_out = grads.pop(id(entry.out), None)
-                if g_out is None:
-                    continue
-                for t, g in zip(entry.inputs, entry.grad_fn(g_out)):
-                    if g is None or not t.requires_grad:
-                        continue
-                    if id(t) in grads:
-                        grads[id(t)] = grads[id(t)] + g
-                    else:
-                        grads[id(t)] = g
-        finally:
-            rec.entries.clear()
-    return {name: np.zeros_like(p.data) if id(p) not in grads
-            else np.asarray(grads[id(p)], dtype=_DTYPE) for name, p in params.items()}
+def backward(training_pass: tuple) -> dict[str, np.ndarray]:
+    """Run a pass's backward once from the gradient 1 of its loss; returns
+    its gradient arrays by name, in the default dtype and unchecked
+    (``training.adam_update`` checks their norm)."""
+    loss, grad_fn = training_pass
+    return {name: np.asarray(g, dtype=_DTYPE)
+            for name, g in grad_fn(np.ones_like(loss)).items()}
 
 
 # ---------------------------------------------------------------------------

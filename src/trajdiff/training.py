@@ -16,10 +16,11 @@ resumed from a checkpoint bit-exactly.
 
 A joint pass (``batch_losses``) runs the encoders, the converter with its
 losses (``converter_losses``) and the diffusion loss (``loss_diffusion``)
-on plain arrays, a boost pass the diffusion loss alone.  Each pass is one
-recorded operation whose backward runs the modules' hand-written
-backwards in reverse order, rounding as the primitive tapes of the same
-formulas (kept in the tests as references).
+on plain arrays, a boost pass the diffusion loss alone.  Each pass is its
+loss with a backward that runs the modules' hand-written backwards in
+reverse order, rounding as the primitive tapes of the same formulas (kept
+in the tests as references); ``adam_update`` applies the gradients to the
+model's flat parameter buffer in place.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import ctypes
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from . import numerics as nm
 from .checkpoint import ContainerError, check_layout
 from .distribution import NormStats
 from .model import Model, ModelConfig
-from .numerics import NumericsError, Tensor
+from .numerics import NumericsError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -48,9 +49,10 @@ HEAP_TOP_PAD = 64 << 20  # freed heap that glibc's malloc keeps once fit has run
 
 
 class ResumeError(ValueError):
-    """A resume that cannot continue the run: the checkpoint is already at,
-    or past, the run's last step, or the training log is behind it or
-    belongs to another run."""
+    """A resume that cannot continue the run: the checkpoint's model
+    settings differ from the run's, it is already at, or past, the run's
+    last step, or the training log is behind it or belongs to another
+    run."""
 
 
 @dataclass
@@ -152,7 +154,7 @@ def loss_consistency(y: np.ndarray, raw: np.ndarray):
     return per_ped.mean(), backward
 
 
-def converter_losses(future, params: dict[str, Tensor], norm: NormStats,
+def converter_losses(future, params: dict[str, np.ndarray], norm: NormStats,
                      n_windows: int):
     """The converter, both losses it is trained by and the diffusion's
     input on the true futures [N, T', 2]: ((likelihood, consistency, y0n),
@@ -204,38 +206,22 @@ def draw_step_noise(window_sizes, schedule, rng, t_future: int, channels: int = 
 class AdamState:
     """First-order adaptive-moment optimizer state, checkpointable.
 
-    The parameters and both moments live in three flat buffers of the
-    default dtype, laid out in sorted key order, so an optimizer group
-    whose keys share a prefix (``den.`` for the denoiser refreshes) is one
-    contiguous slice and an update is a few vector operations on it.
-    ``params`` holds one Tensor per key whose array is a view into the
-    parameter buffer; ``adam_update`` writes the new values in place and
-    returns those Tensors.
+    It holds the step count and both moments, the moments in flat buffers
+    laid out as the model's parameter buffer (sorted name order), so an
+    optimizer group whose names share a prefix (``den.`` for the denoiser
+    refreshes) is one contiguous slice and an update is a few vector
+    operations on it.
     """
 
-    def __init__(self, params: dict[str, Tensor]):
-        keys = sorted(params)
-        ends = np.cumsum([params[k].size for k in keys])
-        self._spans = {k: (int(e) - params[k].size, int(e)) for k, e in zip(keys, ends)}
-        self._flat = np.empty(int(ends[-1]), dtype=nm.default_dtype())
-        self._m = np.zeros_like(self._flat)
-        self._v = np.zeros_like(self._flat)
+    def __init__(self, model: Model):
+        self._m = np.zeros_like(model.flat)
+        self._v = np.zeros_like(model.flat)
         # scratch for one update: the clipped gradient, two temporaries
         # and the squared gradient in float64 for the norm
-        self._g, self._a, self._b = (np.empty_like(self._flat) for _ in range(3))
-        self._sq = np.empty(self._flat.size, dtype=np.float64)
-        self.params = {}
-        for k in keys:
-            view = self._view(self._flat, k, params[k].shape)
-            view[...] = params[k].data
-            self.params[k] = nm.parameter(view)
-        self.m = {k: self._view(self._m, k, p.shape) for k, p in self.params.items()}
-        self.v = {k: self._view(self._v, k, p.shape) for k, p in self.params.items()}
+        self._g, self._a, self._b = (np.empty_like(model.flat) for _ in range(3))
+        self._sq = np.empty(model.flat.size, dtype=np.float64)
+        self.m, self.v = model.views(self._m), model.views(self._v)
         self.t = 0
-
-    def _view(self, flat, key, shape):
-        lo, hi = self._spans[key]
-        return flat[lo:hi].reshape(shape)
 
     def arrays(self) -> dict[str, np.ndarray]:
         out = {"adam.t": np.array([self.t], dtype=np.int64)}
@@ -245,8 +231,8 @@ class AdamState:
         return out
 
     @classmethod
-    def from_arrays(cls, params, arrays):
-        state = cls(params)
+    def from_arrays(cls, model: Model, arrays):
+        state = cls(model)
         state.t = int(arrays["adam.t"][0])
         for k in state.m:
             state.m[k][...] = arrays[f"adam.m.{k}"]
@@ -254,17 +240,16 @@ class AdamState:
         return state
 
 
-def adam_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-                state: AdamState, lr: float) -> dict[str, Tensor]:
-    """One Adam step on the group ``params`` with the gradient arrays
-    ``grads``, their norm clipped to ``GRAD_CLIP``; returns the group's
-    parameters, updated in ``state``'s buffer, into which a parameter that
-    is not the state's own Tensor (a fresh model, a loaded one) is copied
-    first.  A non-finite gradient norm raises before the state changes;
-    ``state.t`` advances only once the new parameters are finite."""
-    keys = sorted(params)
-    sl = slice(state._spans[keys[0]][0], state._spans[keys[-1]][1])
-    if sum(params[k].size for k in keys) != sl.stop - sl.start:
+def adam_update(model: Model, grads: dict[str, np.ndarray], state: AdamState,
+                lr: float) -> None:
+    """One Adam step on the group of parameters that ``grads`` names, with
+    their norm clipped to ``GRAD_CLIP``, written into ``model.flat`` in
+    place.  A non-finite gradient norm raises before the state changes;
+    the parameters and ``state.t`` change only once the new parameters
+    are finite."""
+    keys = sorted(grads)
+    sl = slice(model.spans[keys[0]].start, model.spans[keys[-1]].stop)
+    if sum(grads[k].size for k in keys) != sl.stop - sl.start:
         raise NumericsError("optimizer group is not one contiguous slice")
     g, a, b = state._g[sl], state._a[sl], state._b[sl]
     np.concatenate([grads[k].reshape(-1) for k in keys], out=g)
@@ -274,9 +259,6 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     gnorm = math.sqrt(float(sq.sum()))
     if not math.isfinite(gnorm):
         raise NumericsError("non-finite gradient")
-    for k in keys:
-        if params[k] is not state.params[k]:
-            state.params[k].data[...] = params[k].data
     if gnorm > GRAD_CLIP:
         g *= GRAD_CLIP / gnorm
     t = state.t + 1
@@ -297,33 +279,25 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     np.sqrt(b, out=b)
     b += ADAM_EPS
     a /= b
-    new = np.subtract(state._flat[sl], a, out=a)
+    new = np.subtract(model.flat[sl], a, out=a)
     if not np.isfinite(new).all():
         raise NumericsError("optimizer step produced a non-finite parameter")
-    state._flat[sl] = new
+    model.flat[sl] = new
     state.t = t
-    return {k: state.params[k] for k in params}
 
 
 # ---------------------------------------------------------------------------
 # Steps and epochs
 
 
-def _recorded(value, params: dict[str, Tensor], backward) -> Tensor:
-    """A pass's loss ``value`` as one recorded operation over ``params``;
-    ``backward`` maps the loss's gradient to every parameter's by name."""
-    return nm._make(value, tuple(params.values()),
-                    lambda g: tuple(map(backward(g).__getitem__, params)))
-
-
 def batch_losses(batch, model: Model, rng: np.random.Generator,
                  weights=(1.0, 1.0, 1.0)):
-    """Forward pass over a batch of windows; returns (total, parts, cache).
+    """Forward pass over a batch of windows; returns (pass, parts, cache).
 
     The encoders, the converter with its losses and the diffusion loss run
-    on plain arrays.  ``total``, their weighted sum, is recorded as one
-    operation over every parameter, whose backward runs the diffusion
-    loss's, the converter's and the encoders' backwards in that order."""
+    on plain arrays.  The pass (``numerics._make``) is their weighted sum
+    with a backward over every parameter, which runs the diffusion loss's,
+    the converter's and the encoders' backwards in that order."""
     params, cfg, enc = model.params, model.config, {}
     emb = guidance.encode_windows(batch, params, cfg, enc)
     fut = np.concatenate([w.future for w in batch], axis=0)
@@ -340,7 +314,7 @@ def batch_losses(batch, model: Model, rng: np.random.Generator,
                 **guidance.encoder_backward(g_emb, params, cfg, enc)}
 
     # (diffusion w1 + likelihood w2) + consistency w3
-    total = _recorded((l_diff * lam[0] + l_llh * lam[1]) + l_con * lam[2], params, backward)
+    total = nm._make((l_diff * lam[0] + l_llh * lam[1]) + l_con * lam[2], backward)
     parts = {"diffusion": float(l_diff), "likelihood": float(l_llh),
              "consistency": float(l_con)}
     cache = {"guidance": emb, "y0n": y0n, "sizes": [w.n_peds for w in batch]}
@@ -359,30 +333,25 @@ def _boost_denoiser(cache, model: Model, cfg: TrainConfig, opt: AdamState,
     den = {k: p for k, p in model.params.items() if k.startswith("den.")}
     for _ in range(cfg.denoiser_boost):
         ks, eps = draw_step_noise(cache["sizes"], model.schedule, rng, model.config.t_future)
-        with nm.ComputationRecord():
-            value, backward = loss_diffusion(cache["y0n"], cache["guidance"], ks, eps,
-                                             model.schedule, den, model.config)
-            loss = _recorded(value, den, lambda g: backward(g, inputs=False)[0])
-        grads = nm.backward(loss, den)
-        den = adam_update(den, grads, opt, cfg.learning_rate)
-    model.params.update(den)
+        value, backward = loss_diffusion(cache["y0n"], cache["guidance"], ks, eps,
+                                         model.schedule, den, model.config)
+        loss = nm._make(value, lambda g: backward(g, inputs=False)[0])
+        adam_update(model, nm.backward(loss), opt, cfg.learning_rate)
 
 
 def train_step(batch, model: Model, cfg: TrainConfig, opt: AdamState,
                rng: np.random.Generator) -> dict:
-    """One joint optimization step plus the denoiser refreshes; mutates
-    model.params and the Adam state."""
+    """One joint optimization step plus the denoiser refreshes; updates
+    the model's parameters and the Adam state in place."""
     weights = (cfg.lambda_diffusion, cfg.lambda_likelihood, cfg.lambda_consistency)
     try:
-        with nm.ComputationRecord():
-            total, parts, cache = batch_losses(batch, model, rng, weights)
-        grads = nm.backward(total, model.params)
-        model.params = adam_update(model.params, grads, opt, cfg.learning_rate)
+        total, parts, cache = batch_losses(batch, model, rng, weights)
+        adam_update(model, nm.backward(total), opt, cfg.learning_rate)
         if cfg.denoiser_boost > 0 and cfg.lambda_diffusion > 0:
             _boost_denoiser(cache, model, cfg, opt, rng)
     except NumericsError as exc:
         raise NumericsError(f"training aborted at optimizer step {opt.t + 1}: {exc}") from exc
-    parts["total"] = total.item()
+    parts["total"] = float(total[0])
     return parts
 
 
@@ -422,14 +391,21 @@ def _trim_log(path: str, last_step: int, header: list[str]) -> None:
                      if not step.isdigit() or int(step) <= last_step)
 
 
-def _resume(path, total_steps: int) -> tuple[Model, AdamState, int]:
+def _resume(path, total_steps: int,
+            model_cfg: ModelConfig | None) -> tuple[Model, AdamState, int]:
     """The model, optimizer state and step count a checkpoint continues
     from.  A ``train_step`` that is not a step count, or ``adam.*`` arrays
     whose names, shapes or dtypes differ from the config's layout, raise
-    ``ContainerError``; a checkpoint at or past ``total_steps`` raises
+    ``ContainerError``; a config that differs from ``model_cfg`` (unless
+    None), or a checkpoint at or past ``total_steps``, raises
     ``ResumeError`` first, since a finished run's model holds no
     ``adam.*`` arrays."""
     mdl, meta, rest = Model.load(path)
+    if model_cfg is not None and model_cfg != mdl.config:
+        name = next(f.name for f in fields(ModelConfig)
+                    if getattr(model_cfg, f.name) != getattr(mdl.config, f.name))
+        raise ResumeError(f"{path} has model {name} = {getattr(mdl.config, name)!r}, "
+                          f"this run's is {getattr(model_cfg, name)!r}")
     step = meta.get("train_step")
     if type(step) is not int or step < 0:
         raise ContainerError(f"{path}: train_step {step!r} is not a step count")
@@ -440,7 +416,7 @@ def _resume(path, total_steps: int) -> tuple[Model, AdamState, int]:
     for k, (shape, _) in mdl.config.param_layout().items():
         shapes[f"adam.m.{k}"] = shapes[f"adam.v.{k}"] = shape
     check_layout(path, rest, "adam.", shapes, ints=("adam.t",))
-    return mdl, AdamState.from_arrays(mdl.params, rest), step
+    return mdl, AdamState.from_arrays(mdl, rest), step
 
 
 def _keep_freed_heap() -> bool:
@@ -475,13 +451,16 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     carries only the model.  ``resume_from`` restarts
     from a mid-training checkpoint and matches the straight-through run
     exactly under the same seed policy; a checkpoint with no step left to
-    run, or a log in ``out_dir`` that is behind it or whose header lines
-    differ from this run's, raises ``ResumeError`` before anything is
-    written, and invalid model settings ``ValueError``.  On glibc it first
+    run, model settings ``model_cfg`` that differ from its config, or a
+    log in ``out_dir`` that is behind it or whose header lines differ from
+    this run's, raises ``ResumeError`` before anything is written; a
+    resume with ``model_cfg`` None takes the checkpoint's settings.
+    Invalid model settings raise ``ValueError``.  On glibc it first
     makes malloc keep freed memory for the process (``_keep_freed_heap``).
     """
     train_cfg.validate()
-    model_cfg = (model_cfg or ModelConfig()).validate()
+    if model_cfg is not None or resume_from is None:
+        model_cfg = (model_cfg or ModelConfig()).validate()
     if not windows:
         raise ValueError("training dataset is empty")
     os.makedirs(out_dir, exist_ok=True)
@@ -490,10 +469,10 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     spe = max(1, math.ceil(len(windows) / train_cfg.batch_size))
     total_steps = spe * train_cfg.epochs
     if resume_from is not None:
-        mdl, opt, start_step = _resume(resume_from, total_steps)
+        mdl, opt, start_step = _resume(resume_from, total_steps, model_cfg)
     else:
         mdl = Model.initialize(model_cfg, train_cfg.seed)
-        opt = AdamState(mdl.params)
+        opt = AdamState(mdl)
         start_step = 0
     # Step at which channel normalization freezes.  The converter's output
     # distribution drifts sharply while its regression converges; freezing

@@ -1,13 +1,19 @@
 """Reference implementations that only the tests use.
 
-The primitives (``add``, ``mul``, ``matmul``, ``conv1d``, ``transpose``,
-``reshape``, ``concat``, ``slice_``, ``sum_``, ``mean``, ``exp``, ``log``,
-``tanh``, ``softplus``, ``scaled_dot_attention`` and
-``reciprocal_positive``) are the generic tape: each is one operation
-recorded through ``numerics._make`` with its own numpy backward.  The
-tapes are the training pass written as chains of these primitives, so
-``backward`` differentiates them primitive by primitive; the package's
-array forwards and hand-written backwards are held to them byte for byte.
+The tape: a ``Tensor`` is an immutable dense array with a gradient flag
+(``parameter``, ``constant``; ``parameters`` wraps a model's arrays); a
+``ComputationRecord`` logs the operations of one forward pass that
+``_make`` records, and ``backward`` sweeps that log once, in reverse, to
+one gradient array per named parameter.  ``recorded`` makes a pass's
+(value, backward) pair one operation on the tape.  The primitives
+(``add``, ``mul``, ``matmul``, ``conv1d``, ``transpose``, ``reshape``,
+``concat``, ``slice_``, ``sum_``, ``mean``, ``exp``, ``log``, ``tanh``,
+``softplus``, ``scaled_dot_attention`` and ``reciprocal_positive``) are
+the generic operations, each recorded through ``_make`` with its own numpy
+backward.  The tapes are the training pass written as chains of these
+primitives, so ``backward`` differentiates them primitive by primitive;
+the package's array forwards and hand-written backwards are held to them
+byte for byte.
 ``denoiser_tape`` is the denoiser, ``encode_windows_tape`` the guidance
 encoders (with ``aggregate_window_neighbors``, the per-window neighbor
 mean), ``convert_tape`` the converter, ``constrain_tensors``,
@@ -43,15 +49,171 @@ from trajdiff.distribution import (LOG_2PI, RHO_CAP, SIGMA_FLOOR, STAT_CHANNELS,
 
 
 # ---------------------------------------------------------------------------
-# Primitives: the generic tape, each operation a numpy forward and backward
-# recorded through ``nm._make``.  Broadcasting is restricted to leading
+# The tape
+
+
+class Tensor:
+    """Immutable dense array plus a gradient-tracking flag.
+
+    ``data`` is a C-contiguous (row-major) numpy array of the default
+    dtype.  Recorded operations never mutate their inputs; each allocates
+    its output.
+    """
+
+    __slots__ = ("data", "requires_grad", "_rec")
+
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=nm.default_dtype())
+        if not arr.flags["C_CONTIGUOUS"]:
+            arr = np.ascontiguousarray(arr)
+        if not np.isfinite(arr).all():
+            raise nm.NumericsError("tensor created from non-finite data")
+        self.data = arr
+        self.requires_grad = bool(requires_grad)
+        self._rec = None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+    @property
+    def size(self):
+        return self.data.size
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise nm.NumericsError(f"item() on tensor of shape {self.shape}")
+        return float(self.data.reshape(()))
+
+
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
+
+
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
+
+
+def parameters(arrays: dict) -> dict[str, Tensor]:
+    """A parameter Tensor per array, by name; each shares its array's
+    memory when that array already has the default dtype."""
+    return {k: parameter(a) for k, a in arrays.items()}
+
+
+class ComputationRecord:
+    """Ordered log of the operations of one forward pass.
+
+    Used as a context manager; operations whose inputs require gradients
+    append themselves while the record is active.  A record supports exactly
+    one ``backward`` call, which releases its entries (a recorded output
+    refers to its record, so they would otherwise form a reference cycle).
+    """
+
+    def __init__(self):
+        self.entries = []
+        self.consumed = False
+        self._outer = None
+
+    def __enter__(self):
+        global _ACTIVE
+        self._outer = _ACTIVE
+        _ACTIVE = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        global _ACTIVE
+        _ACTIVE = self._outer
+        self._outer = None
+        return False
+
+
+_ACTIVE: ComputationRecord | None = None
+
+
+class _Entry:
+    __slots__ = ("out", "inputs", "grad_fn")
+
+    def __init__(self, out, inputs, grad_fn):
+        self.out = out
+        self.inputs = inputs
+        self.grad_fn = grad_fn
+
+
+def _make(out_data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
+    """Wrap an operation's result, ``nm.checked``, recording it with
+    ``grad_fn``, which maps the output's gradient to one gradient (or None)
+    per input."""
+    nm.checked(out_data, "operation output")
+    out = Tensor.__new__(Tensor)
+    if not out_data.flags["C_CONTIGUOUS"]:
+        out_data = np.ascontiguousarray(out_data)
+    out.data = out_data
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    out._rec = None
+    if out.requires_grad and _ACTIVE is not None:
+        _ACTIVE.entries.append(_Entry(out, inputs, grad_fn))
+        out._rec = _ACTIVE
+    return out
+
+
+def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Single reverse sweep from a scalar loss.
+
+    Returns one gradient array per entry of ``params``, in the default
+    dtype; parameters the loss does not depend on map to zeros.  The
+    record behind ``loss`` may be swept only once; afterwards it holds no
+    entries, so the forward's intermediate values are freed as soon as the
+    caller drops them.
+    """
+    if loss.size != 1:
+        raise nm.NumericsError(f"backward expects a scalar loss, got shape {loss.shape}")
+    grads: dict[int, np.ndarray] = {}
+    rec = loss._rec
+    if rec is not None:
+        if rec.consumed:
+            raise nm.NumericsError("backward called twice on the same record")
+        rec.consumed = True
+        grads[id(loss)] = np.ones_like(loss.data)
+        try:
+            for entry in reversed(rec.entries):
+                g_out = grads.pop(id(entry.out), None)
+                if g_out is None:
+                    continue
+                for t, g in zip(entry.inputs, entry.grad_fn(g_out)):
+                    if g is None or not t.requires_grad:
+                        continue
+                    if id(t) in grads:
+                        grads[id(t)] = grads[id(t)] + g
+                    else:
+                        grads[id(t)] = g
+        finally:
+            rec.entries.clear()
+    return {name: np.zeros_like(p.data) if id(p) not in grads
+            else np.asarray(grads[id(p)], dtype=nm.default_dtype())
+            for name, p in params.items()}
+
+
+def recorded(value, params: dict[str, Tensor], backward_fn) -> Tensor:
+    """A (value, backward) pair as one recorded operation over ``params``;
+    ``backward_fn`` maps the value's gradient to every parameter's by name."""
+    return _make(value, tuple(params.values()),
+                 lambda g: tuple(map(backward_fn(g).__getitem__, params)))
+
+
+# ---------------------------------------------------------------------------
+# Primitives: the generic operations, each a numpy forward and backward
+# recorded through ``_make``.  Broadcasting is restricted to leading
 # (batch) dimensions: equal shapes, or the smaller operand's shape must be a
 # trailing suffix of the larger's; any other shape alignment is an explicit
 # ``reshape``/``concat``/``transpose``.
 
 
-def _as_tensor(x) -> nm.Tensor:
-    return x if isinstance(x, nm.Tensor) else nm.constant(x)
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def _broadcast_shapes(sa, sb):
@@ -71,17 +233,17 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     return g.sum(axis=axes)
 
 
-def add(a, b) -> nm.Tensor:
+def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_shapes(a.shape, b.shape)
 
     def grad_fn(g):
         return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
 
-    return nm._make(a.data + b.data, (a, b), grad_fn)
+    return _make(a.data + b.data, (a, b), grad_fn)
 
 
-def mul(a, b) -> nm.Tensor:
+def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_shapes(a.shape, b.shape)
     ad, bd = a.data, b.data
@@ -89,10 +251,10 @@ def mul(a, b) -> nm.Tensor:
     def grad_fn(g):
         return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
 
-    return nm._make(ad * bd, (a, b), grad_fn)
+    return _make(ad * bd, (a, b), grad_fn)
 
 
-def matmul(a, b) -> nm.Tensor:
+def matmul(a, b) -> Tensor:
     """``a @ b`` with ``b`` 2-D; ``a`` may carry one leading batch axis.
     The backward computes no gradient for an operand that needs none."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -110,10 +272,10 @@ def matmul(a, b) -> nm.Tensor:
             gb = np.tensordot(ad, g, axes=([0, 1], [0, 1]))
         return ga, gb
 
-    return nm._make(ad @ bd, (a, b), grad_fn)
+    return _make(ad @ bd, (a, b), grad_fn)
 
 
-def conv1d(x, w) -> nm.Tensor:
+def conv1d(x, w) -> Tensor:
     """1-D convolution over the last axis, stride 1, zero-padded to the
     input's length ((k - 1) // 2 columns on the left, the rest on the right).
 
@@ -147,10 +309,10 @@ def conv1d(x, w) -> nm.Tensor:
             gxp[:, :, j:j + length] += gcols[:, :, :, j].transpose(0, 2, 1)
         return gxp[:, :, pl:pl + length], gw
 
-    return nm._make(out, (x, w), grad_fn)
+    return _make(out, (x, w), grad_fn)
 
 
-def transpose(x, axes) -> nm.Tensor:
+def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
@@ -158,20 +320,20 @@ def transpose(x, axes) -> nm.Tensor:
     def grad_fn(g):
         return (np.transpose(g, inv),)
 
-    return nm._make(np.transpose(x.data, axes), (x,), grad_fn)
+    return _make(np.transpose(x.data, axes), (x,), grad_fn)
 
 
-def reshape(x, shape) -> nm.Tensor:
+def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     orig = x.shape
 
     def grad_fn(g):
         return (g.reshape(orig),)
 
-    return nm._make(x.data.reshape(shape), (x,), grad_fn)
+    return _make(x.data.reshape(shape), (x,), grad_fn)
 
 
-def concat(tensors, axis: int = 0) -> nm.Tensor:
+def concat(tensors, axis: int = 0) -> Tensor:
     ts = tuple(_as_tensor(t) for t in tensors)
     if not ts:
         raise nm.NumericsError("concat of zero tensors")
@@ -181,10 +343,10 @@ def concat(tensors, axis: int = 0) -> nm.Tensor:
     def grad_fn(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
-    return nm._make(np.concatenate([t.data for t in ts], axis=axis), ts, grad_fn)
+    return _make(np.concatenate([t.data for t in ts], axis=axis), ts, grad_fn)
 
 
-def slice_(x, key) -> nm.Tensor:
+def slice_(x, key) -> Tensor:
     """Basic indexing (slices and integers); gradients scatter back."""
     x = _as_tensor(x)
     shape = x.shape
@@ -194,7 +356,7 @@ def slice_(x, key) -> nm.Tensor:
         gx[key] = g
         return (gx,)
 
-    return nm._make(np.ascontiguousarray(x.data[key]), (x,), grad_fn)
+    return _make(np.ascontiguousarray(x.data[key]), (x,), grad_fn)
 
 
 def _axis_count(shape, axis):
@@ -214,17 +376,17 @@ def _unreduce(g, shape, axis, keepdims):
     return np.broadcast_to(g, shape)
 
 
-def sum_(x, axis=None, keepdims: bool = False) -> nm.Tensor:
+def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     shape = x.shape
 
     def grad_fn(g):
         return (_unreduce(g, shape, axis, keepdims).copy(),)
 
-    return nm._make(x.data.sum(axis=axis, keepdims=keepdims), (x,), grad_fn)
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), grad_fn)
 
 
-def mean(x, axis=None, keepdims: bool = False) -> nm.Tensor:
+def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     shape = x.shape
     n = _axis_count(shape, axis)
@@ -232,20 +394,20 @@ def mean(x, axis=None, keepdims: bool = False) -> nm.Tensor:
     def grad_fn(g):
         return (_unreduce(g, shape, axis, keepdims) / n,)
 
-    return nm._make(x.data.mean(axis=axis, keepdims=keepdims), (x,), grad_fn)
+    return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), grad_fn)
 
 
-def exp(x) -> nm.Tensor:
+def exp(x) -> Tensor:
     x = _as_tensor(x)
     out_data = np.exp(x.data)
 
     def grad_fn(g):
         return (g * out_data,)
 
-    return nm._make(out_data, (x,), grad_fn)
+    return _make(out_data, (x,), grad_fn)
 
 
-def log(x) -> nm.Tensor:
+def log(x) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,17 +416,17 @@ def log(x) -> nm.Tensor:
     def grad_fn(g):
         return (g / xd,)
 
-    return nm._make(out_data, (x,), grad_fn)
+    return _make(out_data, (x,), grad_fn)
 
 
-def tanh(x) -> nm.Tensor:
+def tanh(x) -> Tensor:
     x = _as_tensor(x)
     out_data = np.tanh(x.data)
-    return nm._make(out_data, (x,), lambda g: (nm.tanh_grad(out_data, g),))
+    return _make(out_data, (x,), lambda g: (nm.tanh_grad(out_data, g),))
 
 
 
-def softplus(x) -> nm.Tensor:
+def softplus(x) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
 
@@ -272,10 +434,10 @@ def softplus(x) -> nm.Tensor:
         # sigmoid(x), computed stably as exp(-softplus(-x))
         return (g * np.exp(-np.logaddexp(0.0, -xd)),)
 
-    return nm._make(np.logaddexp(0.0, xd), (x,), grad_fn)
+    return _make(np.logaddexp(0.0, xd), (x,), grad_fn)
 
 
-def scaled_dot_attention(q, k, v) -> nm.Tensor:
+def scaled_dot_attention(q, k, v) -> Tensor:
     """Single-head attention: softmax(q.kT / sqrt(d)) v, batched over axis 0.
 
     Both passes are batched matmuls; the scale has the operands' dtype, so
@@ -302,10 +464,10 @@ def scaled_dot_attention(q, k, v) -> nm.Tensor:
         gk = (gs.transpose(0, 2, 1) @ qd) * scale
         return gq, gk, gv
 
-    return nm._make(out, (q, k, v), grad_fn)
+    return _make(out, (q, k, v), grad_fn)
 
 
-def reciprocal_positive(x: nm.Tensor) -> nm.Tensor:
+def reciprocal_positive(x: Tensor) -> Tensor:
     """1/x for strictly positive x, composed as exp(-log(x))."""
     return exp(mul(log(x), -1.0))
 
@@ -316,13 +478,13 @@ def reciprocal_positive(x: nm.Tensor) -> nm.Tensor:
 
 def denoiser_tape(state, ks, guidance, params, cfg, schedule):
     """``diffusion.denoiser_apply`` as recorded Tensor primitives; call it
-    under a ``nm.ComputationRecord`` (shape checks are left to the
+    under a ``ComputationRecord`` (shape checks are left to the
     package's version)."""
-    x = state if isinstance(state, nm.Tensor) else nm.constant(state)
-    g = guidance if isinstance(guidance, nm.Tensor) else nm.constant(guidance)
+    x = state if isinstance(state, Tensor) else constant(state)
+    g = guidance if isinstance(guidance, Tensor) else constant(guidance)
     n = x.shape[0]
     ks_arr = np.full(n, ks, dtype=np.int64) if np.isscalar(ks) else np.asarray(ks)
-    emb = nm.constant(step_embedding(ks_arr, cfg.step_dim))
+    emb = constant(step_embedding(ks_arr, cfg.step_dim))
     flat = reshape(x, (n, cfg.state_dim))
     x_in = concat([flat, emb, g], axis=1)
     h = tanh(add(matmul(x_in, params["den.in.w"]), params["den.in.b"]))
@@ -333,9 +495,9 @@ def denoiser_tape(state, ks, guidance, params, cfg, schedule):
     clean = add(add(matmul(h, params["den.out.w"]), matmul(x_in, params["den.skip.w"])),
                 params["den.out.b"])
     a = schedule.alpha[ks_arr]
-    gain = nm.constant(np.broadcast_to(
+    gain = constant(np.broadcast_to(
         (1.0 / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy())
-    pull = nm.constant(np.broadcast_to(
+    pull = constant(np.broadcast_to(
         (-np.sqrt(a) / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy())
     eps_hat = add(mul(flat, gain), mul(clean, pull))
     return reshape(eps_hat, (n, cfg.t_future, STAT_CHANNELS))
@@ -374,18 +536,18 @@ def encoder_tape(x, params, prefix, cfg):
 
 def encode_windows_tape(windows, params, cfg):
     """``guidance.encode_windows`` as recorded Tensor primitives."""
-    obs = nm.constant(np.concatenate([np.asarray(w.observed) for w in windows]))
+    obs = constant(np.concatenate([np.asarray(w.observed) for w in windows]))
     agg = np.concatenate([aggregate_window_neighbors(w.observed, w.neighbor_mask)
                           for w in windows])
     return concat([encoder_tape(obs, params, "hist", cfg),
-                   encoder_tape(nm.constant(agg), params, "nbr", cfg)], axis=1)
+                   encoder_tape(constant(agg), params, "nbr", cfg)], axis=1)
 
 
 def convert_tape(future, params):
     """``distribution.convert_trajectory`` as recorded Tensor primitives."""
-    x = future if isinstance(future, nm.Tensor) else nm.constant(future)
+    x = future if isinstance(future, Tensor) else constant(future)
     k = params["conv.w1"].shape[2]
-    w1 = mul(params["conv.w1"], nm.constant(_center_mask(k)))
+    w1 = mul(params["conv.w1"], constant(_center_mask(k)))
     h = transpose(x, (0, 2, 1))                          # [N, 2, T']
     h = conv1d(h, w1)
     h = transpose(h, (0, 2, 1))                          # [N, T', C]
@@ -409,7 +571,7 @@ def log_pdf_terms(y, mu, sigma, rho):
     """Per-location log densities [..., 1] of ``y`` [..., 2] (constant)
     under ``mu`` [..., 2], ``sigma`` [..., 2] positive and ``rho`` [..., 1]
     with |rho| < 1."""
-    y = y if isinstance(y, nm.Tensor) else nm.constant(y)
+    y = y if isinstance(y, Tensor) else constant(y)
     d = add(y, mul(mu, -1.0))
     u = mul(d, reciprocal_positive(sigma))               # standardized residuals
     u1 = slice_(u, (Ellipsis, slice(0, 1)))
@@ -423,7 +585,7 @@ def log_pdf_terms(y, mu, sigma, rho):
 
 
 def normalize_tensor(raw, stats):
-    return mul(add(raw, nm.constant(-stats.mean)), nm.constant(1.0 / stats.scale))
+    return mul(add(raw, constant(-stats.mean)), constant(1.0 / stats.scale))
 
 
 def loss_likelihood(future, raw, n_windows=1):
@@ -432,7 +594,7 @@ def loss_likelihood(future, raw, n_windows=1):
 
 
 def loss_consistency(future, raw):
-    fut = future if isinstance(future, nm.Tensor) else nm.constant(future)
+    fut = future if isinstance(future, Tensor) else constant(future)
     d = add(slice_(fut, (slice(None), slice(0, 1), slice(None))),
             mul(slice_(raw, (slice(None), slice(0, 1), slice(0, 2))), -1.0))
     return mean(sum_(mul(d, d), axis=2))
@@ -441,7 +603,7 @@ def loss_consistency(future, raw):
 def converter_losses_tape(future, params, norm, n_windows):
     """``training.converter_losses``' values as recorded Tensor primitives:
     the vector [likelihood, consistency, *normalized statistics]."""
-    fut = nm.constant(future)
+    fut = constant(future)
     raw = convert_tape(fut, params)
     return concat([reshape(loss_likelihood(fut, raw, n_windows), (1,)),
                    reshape(loss_consistency(fut, raw), (1,)),
@@ -452,14 +614,14 @@ def forward_marginal_tape(y0, ks, eps, schedule):
     """``diffusion.forward_marginal`` as recorded Tensor primitives, one
     step per row of ``y0``."""
     a = schedule.alpha[np.asarray(ks)].reshape(-1, *(1,) * (len(y0.shape) - 1))
-    c0, c1 = (nm.constant(np.broadcast_to(c, y0.shape)) for c in (np.sqrt(a),
+    c0, c1 = (constant(np.broadcast_to(c, y0.shape)) for c in (np.sqrt(a),
                                                                   np.sqrt(1.0 - a)))
     return add(mul(y0, c0), mul(eps, c1))
 
 
 def noise_matching_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_cfg):
     """``training.loss_diffusion``'s value as recorded Tensor primitives."""
-    eps_t = nm.constant(eps)
+    eps_t = constant(eps)
     noisy = forward_marginal_tape(y0_norm, ks, eps_t, schedule)
     pred = denoiser_tape(noisy, ks, guidance_emb, params, model_cfg, schedule)
     diff = add(pred, mul(eps_t, -1.0))
@@ -468,39 +630,49 @@ def noise_matching_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_
 
 def loss_diffusion_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_cfg):
     """``training.loss_diffusion`` of a boost pass, constant inputs, from
-    ``noise_matching_tape``: (value, backward), with the backward a sweep
-    of the tape's own record (so seeded with 1) that returns the ``den.*``
-    gradients and no input gradients."""
-    with nm.ComputationRecord():
-        loss = noise_matching_tape(nm.constant(y0_norm), nm.constant(guidance_emb), ks, eps,
+    ``noise_matching_tape`` over the arrays ``params``: (value, backward),
+    with the backward a sweep of the tape's own record (so seeded with 1)
+    that returns the ``den.*`` gradients and no input gradients."""
+    params = parameters(params)
+    with ComputationRecord():
+        loss = noise_matching_tape(constant(y0_norm), constant(guidance_emb), ks, eps,
                                    schedule, params, model_cfg)
 
-    def backward(g, inputs=True):
+    def sweep(g, inputs=True):
         assert not inputs and g == 1
-        return nm.backward(loss, params), None, None
+        return backward(loss, params), None, None
 
-    return loss.data, backward
+    return loss.data, sweep
 
 
 def batch_losses_tape(batch, model, rng, weights=(1.0, 1.0, 1.0)):
-    """``training.batch_losses`` as recorded Tensor primitives."""
-    emb = encode_windows_tape(batch, model.params, model.config)
-    fut = nm.constant(np.concatenate([w.future for w in batch], axis=0))
-    raw = convert_tape(fut, model.params)
-    l_llh = loss_likelihood(fut, raw, n_windows=len(batch))
-    l_con = loss_consistency(fut, raw)
-    y0n = normalize_tensor(raw, model.norm)
-    ks, eps = training.draw_step_noise([w.n_peds for w in batch], model.schedule, rng,
-                                       model.config.t_future)
-    l_diff = noise_matching_tape(y0n, emb, ks, eps, model.schedule, model.params,
-                                 model.config)
-    w1, w2, w3 = weights
-    total = add(add(mul(l_diff, w1), mul(l_llh, w2)), mul(l_con, w3))
+    """``training.batch_losses`` as recorded Tensor primitives over the
+    model's parameters; the pass's backward is a sweep of the tape's own
+    record (so seeded with 1)."""
+    params = parameters(model.params)
+    with ComputationRecord():
+        emb = encode_windows_tape(batch, params, model.config)
+        fut = constant(np.concatenate([w.future for w in batch], axis=0))
+        raw = convert_tape(fut, params)
+        l_llh = loss_likelihood(fut, raw, n_windows=len(batch))
+        l_con = loss_consistency(fut, raw)
+        y0n = normalize_tensor(raw, model.norm)
+        ks, eps = training.draw_step_noise([w.n_peds for w in batch], model.schedule, rng,
+                                           model.config.t_future)
+        l_diff = noise_matching_tape(y0n, emb, ks, eps, model.schedule, params,
+                                     model.config)
+        w1, w2, w3 = weights
+        total = add(add(mul(l_diff, w1), mul(l_llh, w2)), mul(l_con, w3))
+
+    def sweep(g):
+        assert g == 1
+        return backward(total, params)
+
     parts = {"diffusion": l_diff.item(), "likelihood": l_llh.item(),
              "consistency": l_con.item()}
     cache = {"guidance": emb.data.copy(), "y0n": y0n.data.copy(),
              "sizes": [w.n_peds for w in batch]}
-    return total, parts, cache
+    return nm._make(total.data, sweep), parts, cache
 
 
 def finite_difference_check(f, params, step: float = 1e-3,
@@ -509,7 +681,9 @@ def finite_difference_check(f, params, step: float = 1e-3,
 
     ``f`` returns a recorded scalar Tensor, or a pair (value, backward) of
     a scalar array and the function that maps its gradient to the
-    parameters' gradients by name (zeros where a name is missing).  It
+    parameters' gradients by name (zeros where a name is missing), such as
+    a training pass.  ``params`` are Tensors or arrays; the check perturbs
+    their values in place.  It
     must be deterministic (draw any randomness outside and close over it).
     ``entries``, when given, maps parameter names to the flat indices to
     check; by default every entry of every parameter is.  Relative errors
@@ -528,19 +702,20 @@ def finite_difference_check(f, params, step: float = 1e-3,
     if eval_scalar() != eval_scalar():
         raise nm.NumericsError("f is not deterministic under a fixed seed")
 
-    with nm.ComputationRecord():
+    with ComputationRecord():
         out = f(params)
     if isinstance(out, tuple):
         grads = out[1](np.ones_like(out[0]))
     else:
-        grads = nm.backward(out, params)
+        grads = backward(out, params)
 
     if entries is None:
         entries = {name: range(p.size) for name, p in params.items()}
     max_rel = 0.0
     worst = None
     for name, indices in entries.items():
-        flat = params[name].data.reshape(-1)
+        p = params[name]
+        flat = (p.data if isinstance(p, Tensor) else p).reshape(-1)
         # a parameter the loss does not depend on has no gradient: zeros
         analytic = np.reshape(grads[name], -1) if name in grads else np.zeros_like(flat)
         for i in indices:

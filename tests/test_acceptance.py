@@ -118,7 +118,6 @@ def test_criterion_gradient_correctness():
         zero = np.float64(0.0)
 
         def converter_losses(params):
-            mdl.params = params
             return training.converter_losses(fut_arr, params, mdl.norm, len(windows))
 
         def diffusion_term(params):
@@ -144,8 +143,8 @@ def test_criterion_gradient_correctness():
             return con, lambda g: backward(zero, g, np.zeros_like(y0n))
 
         def full_objective(params):
-            # the same step and noise draws as ks and eps
-            mdl.params = params
+            # the same step and noise draws as ks and eps; ``params`` are
+            # the model's own views, perturbed in place
             return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
 
         worst = 0.0
@@ -409,5 +408,5 @@ def test_criterion_persistence(trained_models, tmp_path):
     ma, _, _ = Model.load(final_a)
     mb, _, _ = Model.load(final_b)
     for name in ma.params:
-        assert ma.params[name].data.tobytes() == mb.params[name].data.tobytes()
+        assert ma.params[name].tobytes() == mb.params[name].tobytes()
     _report("persistence", t0)

@@ -147,8 +147,13 @@ def _bad_model_meta(meta, arrays, case):
         return meta, {**arrays, "param.den.out.b": arrays["param.den.out.b"].astype(np.int64)}
     if case == "byte-param":
         return meta, {**arrays, "param.den.in.w": arrays["param.den.in.w"].astype(np.uint8)}
-    assert case == "even-kernel"
-    return {**meta, "config": {**meta["config"], "kernel": 4}}, arrays
+    if case == "nan-param":
+        bias = arrays["param.den.out.b"].copy()
+        bias[3] = np.nan
+        return meta, {**arrays, "param.den.out.b": bias}
+    assert case in ("even-kernel", "kernel-1")
+    return {**meta, "config": {**meta["config"], "kernel": 4 if case == "even-kernel" else 1}}, \
+        arrays
 
 
 TINY = ModelConfig(conv_channels=2, d_phi=2, d_psi=2, denoiser_width=4,
@@ -156,7 +161,8 @@ TINY = ModelConfig(conv_channels=2, d_phi=2, d_psi=2, denoiser_width=4,
 
 
 @pytest.mark.parametrize("case", ["meta-is-list", "kind-only", "unknown-config-key",
-                                  "even-kernel", "int-param", "byte-param"])
+                                  "even-kernel", "kernel-1", "int-param", "byte-param",
+                                  "nan-param"])
 def test_predict_on_bad_model_metadata_exits_2(tmp_path, capsys, case):
     path = tmp_path / "model.tjdf"
     Model.initialize(TINY, 0).save(path)

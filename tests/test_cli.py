@@ -228,6 +228,21 @@ class TestResume:
         assert os.listdir(out) == ["training_log.csv"]
         assert (out / "training_log.csv").read_bytes() == log
 
+    def test_other_model_flags_are_usage_error(self, mid_run, tmp_path, capsys):
+        # --width 16 on a width-8 checkpoint: the run would train the
+        # checkpoint's model and report the flags' parameter count
+        out = tmp_path / "wider"
+        out.mkdir()
+        log = (mid_run / "training_log.csv").read_bytes()
+        (out / "training_log.csv").write_bytes(log)
+        rc = cli.main(["train", *RESUME_ARGS, "--width", "16", "--out", str(out),
+                       "--resume", str(mid_run / "ckpt_000002.tjdf")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "model denoiser_width = 8, this run's is 16" in err
+        assert os.listdir(out) == ["training_log.csv"]
+        assert (out / "training_log.csv").read_bytes() == log
+
     def test_only_mid_run_checkpoints_carry_adam_state(self, tmp_path):
         # a checkpoint after every step: ckpt_000001 to ckpt_000003
         out = tmp_path / "every"
@@ -775,14 +790,16 @@ class TestPredict:
         assert "data error" in err and "ids must be integers" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["missing-param", "reshaped-param"])
+    @pytest.mark.parametrize("case", ["missing-param", "reshaped-param", "non-finite-param"])
     def test_mismatched_parameters_exit_2(self, trained, tmp_path, capsys, case):
         ckpt, _ = trained
         meta, arrays, _ = checkpoint.load_container(ckpt)
         if case == "missing-param":
             del arrays["param.den.out.b"]
-        else:
+        elif case == "reshaped-param":
             arrays["param.den.blk0.w1"] = arrays["param.den.blk0.w1"][:, :-1].copy()
+        else:
+            arrays["param.den.out.b"][5] = np.nan
         bad = tmp_path / "bad.tjdf"
         checkpoint.save_container(bad, meta, arrays)
         inp = self._scene_file(tmp_path, frames=8)
@@ -792,6 +809,8 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert "data error" in err and "den." in err
+        if case == "non-finite-param":
+            assert f"{bad}: param.den.out.b is not finite" in err
         assert not out.exists()
 
     def test_non_uniform_grid_is_data_error(self, trained, tmp_path, capsys):
@@ -984,7 +1003,7 @@ def _with_adam_arrays(src, dst):
     """``src`` rewritten as a final model of the older format, which also
     carried the Adam state."""
     meta, arrays, _ = checkpoint.load_container(src)
-    opt = training.AdamState(Model.from_container(meta, arrays, src)[0].params)
+    opt = training.AdamState(Model.from_container(meta, arrays, src)[0])
     opt.t = meta["train_step"]
     for k in opt.m:
         opt.m[k][...], opt.v[k][...] = 0.25, 0.5

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from references import add, denoiser_tape, mean, mul, posterior_step, reverse_chain_steps
-from trajdiff import data, training
+from references import (ComputationRecord, add, backward, constant, denoiser_tape, mean, mul,
+                        parameter, parameters, posterior_step, recorded,
+                        reverse_chain_steps)
+from trajdiff import data
 from trajdiff import diffusion as dff
 from trajdiff import numerics as nm
 from trajdiff.distribution import NormStats
@@ -196,7 +198,7 @@ def _dense_denoiser(dtype, blocks: int = ModelConfig.denoiser_blocks):
         rng = np.random.default_rng(5)
         params = nm.init_params(dff.denoiser_layout(cfg), rng)
         for p in params.values():
-            p.data += rng.normal(0.0, 0.1, p.shape).astype(p.data.dtype)
+            p += rng.normal(0.0, 0.1, p.shape).astype(p.dtype)
     return cfg, params
 
 
@@ -219,7 +221,7 @@ class TestGradientFreePath:
         with nm.precision(dtype):
             for ks in steps:
                 fast = dff.denoiser_apply(state, ks, g, params, cfg, sched)
-                with nm.ComputationRecord():
+                with ComputationRecord():
                     ref = denoiser_tape(state, ks, g, params, cfg, sched)
                 assert fast.dtype == ref.data.dtype == dtype
                 assert fast.tobytes() == ref.data.tobytes()
@@ -236,7 +238,7 @@ class TestGradientFreePath:
             g[2, 7] = np.nan
         else:
             # finite in float32, but scaled past its range by the step-1 pull
-            params = {**params, "den.out.b": nm.parameter(np.full(cfg.state_dim, 3e38))}
+            params = {**params, "den.out.b": np.full(cfg.state_dim, 3e38, np.float32)}
         with pytest.raises(nm.NumericsError, match="non-finite"):
             dff.denoiser_apply(state, 1, g, params, cfg, self.SCHED)
 
@@ -245,16 +247,16 @@ def _denoiser_op(state, ks, guidance, params, cfg, schedule):
     """``denoiser_apply`` and ``denoiser_backward`` as one recorded
     operation over the ``den.*`` parameters, the state and the guidance,
     with input gradients when the state or the guidance requires one."""
-    keep = {}
-    out = dff.denoiser_apply(state.data, ks, guidance.data, params, cfg, schedule, keep=keep)
+    keep, arrays = {}, {k: p.data for k, p in params.items()}
+    out = dff.denoiser_apply(state.data, ks, guidance.data, arrays, cfg, schedule, keep=keep)
 
-    def backward(g):
+    def denoiser_backward(g):
         grads, g_state, g_guidance = dff.denoiser_backward(
-            g, params, cfg, keep, state.requires_grad or guidance.requires_grad)
+            g, arrays, cfg, keep, state.requires_grad or guidance.requires_grad)
         return {**grads, "state": g_state, "guidance": g_guidance}
 
-    return training._recorded(out, {**params, "state": state, "guidance": guidance},
-                              backward)
+    return recorded(out, {**params, "state": state, "guidance": guidance},
+                    denoiser_backward)
 
 
 class TestFusedDenoiser:
@@ -270,7 +272,8 @@ class TestFusedDenoiser:
         rng = np.random.default_rng(rows)
         sched = TestFusedDenoiser.SCHED
         with nm.precision(dtype):
-            wrap = {False: nm.constant, True: nm.parameter}
+            params = parameters(params)
+            wrap = {False: constant, True: parameter}
             state = wrap[inputs in ("state", "both")](
                 rng.normal(size=(rows, cfg.t_future, 5)))
             guid = wrap[inputs in ("guidance", "both")](
@@ -278,13 +281,13 @@ class TestFusedDenoiser:
             # 8 pedestrians per window share a step, as in training
             ks = (np.repeat(rng.choice(sched.tau, -(-rows // 8)), 8)[:rows]
                   if per_row else 37)
-            target = nm.constant(rng.normal(size=(rows, cfg.t_future, 5)))
-            with nm.ComputationRecord() as rec:
+            target = constant(rng.normal(size=(rows, cfg.t_future, 5)))
+            with ComputationRecord() as rec:
                 out = apply(state, ks, guid, params, cfg, sched)
                 d = add(out, mul(target, -1.0))
                 loss = mean(mul(d, d))
                 entries = len(rec.entries)
-            grads = nm.backward(loss, {**params, "state": state, "guidance": guid})
+            grads = backward(loss, {**params, "state": state, "guidance": guid})
         return out.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}, entries
 
     @pytest.mark.parametrize("inputs", ["constant", "state", "guidance", "both"])
@@ -490,7 +493,7 @@ class TestChainTerms:
         params = nm.init_params(dff.denoiser_layout(cfg), np.random.default_rng(5))
         rng = np.random.default_rng(6)
         for p in params.values():
-            p.data += rng.normal(0.0, 0.01, p.shape).astype(p.data.dtype)
+            p += rng.normal(0.0, 0.01, p.shape).astype(p.dtype)
         return params
 
     @staticmethod
@@ -532,7 +535,7 @@ class TestChainTerms:
         elif where == "guidance":
             g[550, 7] = np.nan      # in the second block
         else:
-            params["den.out.w"] = nm.parameter(np.full(params["den.out.w"].shape, 3e38))
+            params["den.out.w"] = np.full(params["den.out.w"].shape, 3e38, np.float32)
         sched = self.CFG.schedule()
         with pytest.raises(nm.NumericsError, match=f"reverse chain failed at step "
                            f"{sched.K}: non-finite denoiser output"):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from references import (constrain_tensors, finite_difference_check, gaussian_at, log_pdf,
-                        log_pdf_terms, mul, raw_stats, sample_location, stats_field, sum_)
+from references import (ComputationRecord, Tensor, _make, backward, constant,
+                        constrain_tensors, finite_difference_check, gaussian_at, log_pdf,
+                        log_pdf_terms, mul, parameter, raw_stats, sample_location,
+                        stats_field, sum_)
 from trajdiff import distribution as dist
 from trajdiff import numerics as nm
 from trajdiff.model import ModelConfig
@@ -223,18 +225,18 @@ def test_array_log_pdf_matches_scalar_reference():
                 assert math.isclose(terms[n, t], expected, rel_tol=1e-8, abs_tol=1e-8)
 
 
-def _density_op(y, raw: nm.Tensor) -> nm.Tensor:
+def _density_op(y, raw: Tensor) -> Tensor:
     """The summed log densities as one recorded operation whose backward
     is ``log_pdf``'s."""
-    terms, backward = dist.log_pdf(y, raw.data)
-    return nm._make(terms.sum(), (raw,), lambda g: (np.concatenate(
-        backward(np.broadcast_to(g, terms.shape)), axis=-1),))
+    terms, density_backward = dist.log_pdf(y, raw.data)
+    return _make(terms.sum(), (raw,), lambda g: (np.concatenate(
+        density_backward(np.broadcast_to(g, terms.shape)), axis=-1),))
 
 
 def test_log_pdf_gradients():
     # d log N / d(raw means, sigmas, rho) against central differences
     with nm.precision(np.float64):
-        params = {"raw": nm.parameter([[0.4, -0.2, 0.3, -0.1, 0.25]])}
+        params = {"raw": parameter([[0.4, -0.2, 0.3, -0.1, 0.25]])}
         y = np.array([[0.9, 0.1]])
         report = finite_difference_check(lambda p: _density_op(y, p["raw"]), params,
                                          step=1e-4, tolerance=1e-2)
@@ -252,17 +254,17 @@ def test_log_pdf_matches_tape(dtype):
 
     def run(density):
         with nm.precision(dtype):
-            raw = nm.parameter(raw_np)
-            with nm.ComputationRecord():
-                loss = sum_(mul(density(raw), nm.constant(proj)))
-            return loss.data, nm.backward(loss, {"raw": raw})["raw"]
+            raw = parameter(raw_np)
+            with ComputationRecord():
+                loss = sum_(mul(density(raw), constant(proj)))
+            return loss.data, backward(loss, {"raw": raw})["raw"]
 
     def tape(raw):
-        return log_pdf_terms(nm.constant(y), *constrain_tensors(raw))
+        return log_pdf_terms(constant(y), *constrain_tensors(raw))
 
     def op(raw):
-        terms, backward = dist.log_pdf(nm.constant(y).data, raw.data)
-        return nm._make(terms, (raw,), lambda g: (np.concatenate(backward(g), axis=-1),))
+        terms, density_backward = dist.log_pdf(constant(y).data, raw.data)
+        return _make(terms, (raw,), lambda g: (np.concatenate(density_backward(g), axis=-1),))
 
     (a, ga), (b, gb) = run(op), run(tape)
     assert a.tobytes() == b.tobytes()

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from references import (add, aggregate_window_neighbors, concat, conv1d,
-                        encode_windows_tape, finite_difference_check, matmul, mul, reshape,
-                        scaled_dot_attention, slice_, sum_, tanh, transpose)
-from trajdiff import guidance, training
+from references import (ComputationRecord, add, aggregate_window_neighbors, backward, concat,
+                        constant, conv1d, encode_windows_tape, finite_difference_check,
+                        matmul, mul, parameters, recorded, reshape, scaled_dot_attention,
+                        slice_, sum_, tanh, transpose)
+from trajdiff import guidance
 from trajdiff import numerics as nm
 from trajdiff.model import ModelConfig
 
@@ -178,7 +179,7 @@ def _eight_convolutions(x, params, prefix, cfg):
     output t reads inputs t - k + 1 .. t."""
     n, t = x.shape[0], cfg.t_obs
     xc = transpose(x, (0, 2, 1))                         # [N, 2, T]
-    xc = concat([nm.constant(np.zeros((n, 2, (cfg.kernel - 1) // 2))), xc], axis=2)
+    xc = concat([constant(np.zeros((n, 2, (cfg.kernel - 1) // 2))), xc], axis=2)
     tokens = []
     for j in range(t):
         h = conv1d(xc, params[f"{prefix}.conv{j}.w"])
@@ -198,17 +199,16 @@ def _convolution_pipeline(windows, params, cfg):
     """``encode_windows`` with each encoder as ``_eight_convolutions``."""
     obs = np.concatenate([w.observed for w in windows])
     agg = guidance.aggregate_neighbors(windows)
-    return concat([_eight_convolutions(nm.constant(obs), params, "hist", cfg),
-                   _eight_convolutions(nm.constant(agg), params, "nbr", cfg)], axis=1)
+    return concat([_eight_convolutions(constant(obs), params, "hist", cfg),
+                   _eight_convolutions(constant(agg), params, "nbr", cfg)], axis=1)
 
 
 def _encode_op(windows, params, cfg):
     """``encode_windows`` and ``encoder_backward`` as one recorded operation
     over the ``hist.*`` and ``nbr.*`` parameters."""
-    keep = {}
-    out = guidance.encode_windows(windows, params, cfg, keep)
-    return training._recorded(out, params,
-                              lambda g: guidance.encoder_backward(g, params, cfg, keep))
+    keep, arrays = {}, {k: p.data for k, p in params.items()}
+    out = guidance.encode_windows(windows, arrays, cfg, keep)
+    return recorded(out, params, lambda g: guidance.encoder_backward(g, arrays, cfg, keep))
 
 
 class TestCollapsedEncoder:
@@ -222,12 +222,13 @@ class TestCollapsedEncoder:
         obs = rng.normal(scale=0.3, size=(rows, cfg.t_obs, 2))
         mask = np.triu(rng.random((rows, rows)) < 0.5, 1)
         windows = [_window(obs, mask | mask.T)]
-        params = nm.init_params(guidance.guidance_layout(cfg), np.random.default_rng(rows))
+        params = parameters(nm.init_params(guidance.guidance_layout(cfg),
+                                           np.random.default_rng(rows)))
         proj = np.random.default_rng(rows + 1).normal(size=(rows, cfg.d_phi + cfg.d_psi))
-        with nm.ComputationRecord():
+        with ComputationRecord():
             out = encode(windows, params, cfg)
-            loss = sum_(mul(out, nm.constant(proj)))
-        grads = nm.backward(loss, params)
+            loss = sum_(mul(out, constant(proj)))
+        grads = backward(loss, params)
         return [out.data] + [grads[name] for name in sorted(params)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

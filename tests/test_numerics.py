@@ -1,5 +1,6 @@
-"""The reference primitives, the recording machinery (`_make`, `backward`),
-which modules may use it, and gradient correctness."""
+"""The reference tape (its primitives, `_make` and `backward`), which
+package modules may name a pass's `_make` and `backward`, and gradient
+correctness."""
 
 import ast
 import gc
@@ -9,69 +10,70 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from references import (add, concat, conv1d, exp, finite_difference_check, log, matmul,
-                        mean, mul, reciprocal_positive, reshape, scaled_dot_attention,
+from references import (ComputationRecord, Tensor, _make, add, backward, concat, constant,
+                        conv1d, exp, finite_difference_check, log, matmul, mean, mul,
+                        parameter, reciprocal_positive, reshape, scaled_dot_attention,
                         slice_, softplus, sum_, tanh, transpose)
 from trajdiff import numerics as nm
 
 
 def test_add_direct():
-    out = add(nm.constant([1.0, 2.0]), nm.constant([3.0, 4.0]))
+    out = add(constant([1.0, 2.0]), constant([3.0, 4.0]))
     np.testing.assert_allclose(out.data, [4.0, 6.0])
 
 
 def test_matmul_identity():
     a = np.array([[2.0, -1.0], [0.5, 3.0]])
-    out = matmul(nm.constant(np.eye(2)), nm.constant(a))
+    out = matmul(constant(np.eye(2)), constant(a))
     np.testing.assert_allclose(out.data, a, rtol=1e-6)
 
 
 def test_backward_sum_of_squares():
-    x = nm.parameter([1.0, 2.0])
-    with nm.ComputationRecord():
+    x = parameter([1.0, 2.0])
+    with ComputationRecord():
         loss = sum_(mul(x, x))
-    grads = nm.backward(loss, {"x": x})
+    grads = backward(loss, {"x": x})
     np.testing.assert_allclose(grads["x"], [2.0, 4.0], rtol=1e-6)
 
 
 def test_backward_constant_loss_gives_zeros():
-    x = nm.parameter([1.0, 2.0])
-    loss = nm.constant(5.0)
-    grads = nm.backward(loss, {"x": x})
+    x = parameter([1.0, 2.0])
+    loss = constant(5.0)
+    grads = backward(loss, {"x": x})
     np.testing.assert_array_equal(grads["x"], [0.0, 0.0])
 
 
 def test_backward_unreferenced_param_is_zero():
-    x = nm.parameter([1.0, 2.0])
-    unused = nm.parameter([[3.0]])
-    with nm.ComputationRecord():
+    x = parameter([1.0, 2.0])
+    unused = parameter([[3.0]])
+    with ComputationRecord():
         loss = mean(mul(x, x))
-    grads = nm.backward(loss, {"x": x, "unused": unused})
+    grads = backward(loss, {"x": x, "unused": unused})
     assert grads["unused"].shape == (1, 1)
     np.testing.assert_array_equal(grads["unused"], [[0.0]])
 
 
 def test_backward_twice_on_same_record_errors():
-    x = nm.parameter([1.0])
-    with nm.ComputationRecord():
+    x = parameter([1.0])
+    with ComputationRecord():
         loss = sum_(mul(x, x))
-    nm.backward(loss, {"x": x})
+    backward(loss, {"x": x})
     with pytest.raises(nm.NumericsError, match="twice"):
-        nm.backward(loss, {"x": x})
+        backward(loss, {"x": x})
 
 
 def test_backward_releases_the_record():
-    x = nm.parameter(np.random.default_rng(0).normal(size=(4, 3)))
-    w = nm.parameter(np.random.default_rng(1).normal(size=(3, 2)))
+    x = parameter(np.random.default_rng(0).normal(size=(4, 3)))
+    w = parameter(np.random.default_rng(1).normal(size=(3, 2)))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with nm.ComputationRecord() as rec:
+        with ComputationRecord() as rec:
             h = tanh(matmul(x, w))
             loss = sum_(mul(h, h))
         alive = weakref.ref(h.data)
         del h
-        nm.backward(loss, {"x": x, "w": w})
+        backward(loss, {"x": x, "w": w})
         # freed by reference counting, with the cyclic collector off
         assert rec.entries == []
         assert alive() is None
@@ -79,62 +81,62 @@ def test_backward_releases_the_record():
         if was_enabled:
             gc.enable()
     with pytest.raises(nm.NumericsError, match="twice"):
-        nm.backward(loss, {"x": x, "w": w})
+        backward(loss, {"x": x, "w": w})
 
 
 def test_backward_requires_scalar():
-    x = nm.parameter([1.0, 2.0])
-    with nm.ComputationRecord():
+    x = parameter([1.0, 2.0])
+    with ComputationRecord():
         y = mul(x, x)
     with pytest.raises(nm.NumericsError, match="scalar"):
-        nm.backward(y, {"x": x})
+        backward(y, {"x": x})
 
 
 def test_no_recording_outside_a_record():
-    x = nm.parameter([1.0, 2.0])
+    x = parameter([1.0, 2.0])
     y = mul(x, x)
     assert y._rec is None
 
 
 def test_non_finite_surfaces_as_error():
     with pytest.raises(nm.NumericsError):
-        log(nm.constant([-1.0]))
+        log(constant([-1.0]))
     with pytest.raises(nm.NumericsError):
-        nm.Tensor([np.nan])
+        Tensor([np.nan])
 
 
 def test_broadcast_trailing_only():
-    a = nm.constant(np.ones((2, 3, 4)))
-    b = nm.constant(np.ones(4))
+    a = constant(np.ones((2, 3, 4)))
+    b = constant(np.ones(4))
     assert add(a, b).shape == (2, 3, 4)
     with pytest.raises(nm.NumericsError):
-        add(a, nm.constant(np.ones(3)))
+        add(a, constant(np.ones(3)))
     with pytest.raises(nm.NumericsError):
-        add(a, nm.constant(np.ones((3, 1))))
+        add(a, constant(np.ones((3, 1))))
 
 
 def test_conv1d_identity_kernel():
     rng = np.random.default_rng(0)
-    x = nm.constant(rng.normal(size=(2, 3, 7)))
+    x = constant(rng.normal(size=(2, 3, 7)))
     w = np.zeros((3, 3, 1))
     for c in range(3):
         w[c, c, 0] = 1.0
-    out = conv1d(x, nm.constant(w))
+    out = conv1d(x, constant(w))
     np.testing.assert_allclose(out.data, x.data, rtol=1e-6)
 
 
 def test_forward_bit_reproducible():
     def run():
         rng = np.random.default_rng(42)
-        x = nm.constant(rng.normal(size=(4, 6)))
-        w = nm.constant(rng.normal(size=(6, 3)))
+        x = constant(rng.normal(size=(4, 6)))
+        w = constant(rng.normal(size=(6, 3)))
         return softplus(tanh(matmul(x, w))).data.tobytes()
 
     assert run() == run()
 
 
 def test_reciprocal_positive():
-    x = nm.constant([0.5, 2.0, 10.0])
+    x = constant([0.5, 2.0, 10.0])
     np.testing.assert_allclose(reciprocal_positive(x).data, [2.0, 0.5, 0.1],
                                rtol=1e-5)
 
@@ -146,7 +148,7 @@ def test_reciprocal_positive():
 def _scalarize(out, rng):
     # project to a scalar with a fixed random weighting so every output
     # element influences the loss
-    w = nm.constant(rng.normal(size=out.shape))
+    w = constant(rng.normal(size=out.shape))
     return sum_(mul(out, w))
 
 
@@ -193,7 +195,7 @@ def test_primitive_backward_matches_finite_differences(name):
     build, raw_params = _primitive_cases()[name]
     assert sum(np.size(v) for v in raw_params.values()) <= 3 * 64
     with nm.precision(np.float64):
-        params = {k: nm.parameter(v) for k, v in raw_params.items()}
+        params = {k: parameter(v) for k, v in raw_params.items()}
         report = finite_difference_check(
             lambda p: _scalarize(build(p), np.random.default_rng(5)),
             params, step=1e-4, tolerance=1e-2)
@@ -201,7 +203,7 @@ def test_primitive_backward_matches_finite_differences(name):
 
 
 def test_fd_check_quadratic_exactness():
-    w = nm.parameter([0.5, -1.5, 2.0])
+    w = parameter([0.5, -1.5, 2.0])
     report = finite_difference_check(
         lambda p: sum_(mul(p["w"], p["w"])), {"w": w},
         step=1e-3, tolerance=1e-4)
@@ -211,9 +213,9 @@ def test_fd_check_quadratic_exactness():
 def test_fd_check_flags_corrupted_backward():
     def wrong_double(x):
         # forward x * 2 but backward pretends the factor was 3
-        return nm._make(x.data * 2.0, (x,), lambda g: (3.0 * g,))
+        return _make(x.data * 2.0, (x,), lambda g: (3.0 * g,))
 
-    w = nm.parameter([1.0, -0.5])
+    w = parameter([1.0, -0.5])
     report = finite_difference_check(
         lambda p: sum_(wrong_double(p["w"])), {"w": w},
         step=1e-3, tolerance=1e-2)
@@ -222,7 +224,7 @@ def test_fd_check_flags_corrupted_backward():
 
 def test_fd_check_rejects_nondeterministic_f():
     rng = np.random.default_rng(0)
-    w = nm.parameter([1.0])
+    w = parameter([1.0])
 
     def noisy(p):
         return sum_(mul(p["w"], float(rng.normal())))
@@ -231,31 +233,48 @@ def test_fd_check_rejects_nondeterministic_f():
         finite_difference_check(noisy, {"w": w})
 
 
+def test_a_pass_is_its_checked_loss_and_one_backward():
+    seeds = []
+
+    def grads(g):
+        seeds.append(g)
+        return {"w": np.array([3.0]) * g}       # float64, cast on the way out
+
+    out = nm.backward(nm._make(np.float32(2.0), grads))
+    assert seeds == [1.0]
+    assert out["w"].dtype == np.float32 and out["w"].tolist() == [3.0]
+    with pytest.raises(nm.NumericsError, match="non-finite loss"):
+        nm._make(np.float32(np.nan), grads)
+
+
 def test_only_numerics_and_training_know_the_tape():
-    # every other module is a forward and a backward on plain arrays; one
-    # that names the tape's recording would put a backbone back on it
-    tape = {"_make", "ComputationRecord", "constant", "requires_grad"}
+    # the tape lives in the tests; every module is a forward and a backward
+    # on plain arrays, and only numerics and training name a training
+    # pass's ``_make`` and ``backward``
+    tape = {"Tensor", "ComputationRecord", "constant", "parameter", "requires_grad"}
+    training_pass = {"_make", "backward"}
     found = []
     for path in sorted(Path(nm.__file__).parent.glob("*.py")):
-        if path.name in ("numerics.py", "training.py"):
-            continue
+        banned = tape | (set() if path.name in ("numerics.py", "training.py")
+                         else training_pass)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
             if isinstance(node, ast.alias):
                 names |= {node.name, node.asname}
-            found += [(path.name, node.lineno, name) for name in sorted(tape & names)]
+            found += [(path.name, node.lineno, name) for name in sorted(banned & names)]
     assert found == []
 
 
 def test_precision_context():
     with nm.precision(np.float64):
-        t = nm.constant([1.0])
+        t = constant([1.0])
         assert t.data.dtype == np.float64
-    assert nm.constant([1.0]).data.dtype == np.float32
+    assert constant([1.0]).data.dtype == np.float32
 
 
 def test_tensor_values_are_row_major():
-    t = transpose(nm.constant(np.arange(6.0).reshape(2, 3)), (1, 0))
+    t = transpose(constant(np.arange(6.0).reshape(2, 3)), (1, 0))
     assert t.data.flags["C_CONTIGUOUS"]
 
 
@@ -268,8 +287,8 @@ def test_tensor_values_are_row_major():
 def test_primitive_keeps_dtype(name, dtype):
     build, raw_params = _primitive_cases()[name]
     with nm.precision(dtype):
-        params = {k: nm.parameter(v) for k, v in raw_params.items()}
-        with nm.ComputationRecord() as rec:
+        params = {k: parameter(v) for k, v in raw_params.items()}
+        with ComputationRecord() as rec:
             out = build(params)
         assert out.data.dtype == dtype
         assert rec.entries
@@ -282,11 +301,13 @@ def test_primitive_keeps_dtype(name, dtype):
 
 def test_make_rejects_a_promoted_output():
     with nm.precision(np.float64):
-        wide = nm.constant([1.0, 2.0])
+        wide = constant([1.0, 2.0])
     with pytest.raises(nm.NumericsError, match="float64"):
         mul(wide, 2.0)
     with pytest.raises(nm.NumericsError, match="float64"):
-        nm._make(np.zeros(3), (), None)
+        _make(np.zeros(3), (), None)
+    with pytest.raises(nm.NumericsError, match="loss is float64"):
+        nm._make(np.float64(1.0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +338,11 @@ def test_attention_matches_einsum_reference(shape, dtype, tol):
     rng = np.random.default_rng(shape[0])
     q, k, v, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
     with nm.precision(dtype):
-        params = {"q": nm.parameter(q), "k": nm.parameter(k), "v": nm.parameter(v)}
-        with nm.ComputationRecord():
+        params = {"q": parameter(q), "k": parameter(k), "v": parameter(v)}
+        with ComputationRecord():
             out = scaled_dot_attention(params["q"], params["k"], params["v"])
-            loss = sum_(mul(out, nm.constant(g)))
-        grads = nm.backward(loss, params)
+            loss = sum_(mul(out, constant(g)))
+        grads = backward(loss, params)
     got = [out.data, grads["q"], grads["k"], grads["v"]]
     for a, b in zip(got, _einsum_attention(q, k, v, g)):
         assert a.dtype == dtype

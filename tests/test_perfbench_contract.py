@@ -11,6 +11,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trajdiff import checkpoint, data, diffusion, inference, training
@@ -100,6 +101,29 @@ def test_traced_run_names_exist_and_are_patched():
     for module, name in needed:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
         assert (module, name) in patched, f"{module.__name__}.{name} is not traced"
+
+
+def test_traced_train_step_counts_one_pass_each():
+    """Why ``numerics._make`` and ``numerics.backward`` still exist: the
+    traced train run checks ``numerics.backward.calls`` against its passes
+    per step and counts ``_make`` calls as finiteness checks.  A joint step
+    with 2 denoiser refreshes is 3 passes: ``_make``, ``backward`` and
+    ``adam_update`` are each called 3 times."""
+    tracing = _load("tracing")
+    cfg = ModelConfig(conv_channels=4, d_phi=4, d_psi=4, denoiser_width=8,
+                      denoiser_blocks=1, step_dim=4, k_total=20, steps=10, beta_end=0.4)
+    windows = data.window_scenes(data.synthesize_scenes(
+        data.SynthConfig(n_scenes=2, peds_per_scene=3, frames=25, seed=1)), stride=5)
+    mdl = Model.initialize(cfg, 0)
+    mdl.norm = training.freeze_normalization(mdl, windows)
+    opt = training.AdamState(mdl)
+    tracer = tracing.Tracer()
+    with tracer.op(0):
+        training.train_step(windows[:3], mdl, training.TrainConfig(denoiser_boost=2), opt,
+                            np.random.default_rng(0))
+    assert tracer.finite_checks == 3
+    assert tracer.total("numerics.backward.calls") == 3
+    assert tracer.total("training.adam_update.calls") == 3
 
 
 def _traced_evaluation(workloads, n_windows):

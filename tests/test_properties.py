@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import one_candidate_errors
-from references import (batch_losses_tape, concat, denoiser_tape, finite_difference_check,
-                        slice_)
+from references import (batch_losses_tape, concat, constant, denoiser_tape,
+                        finite_difference_check, slice_)
 from trajdiff import checkpoint, data, diffusion, distribution, training
 from trajdiff import numerics as nm
 from trajdiff.model import Model, ModelConfig
@@ -50,8 +50,8 @@ def test_window_round_trip_and_neighbor_symmetry(pos):
 def test_concat_slice_inverse(values, split_seed):
     arr = np.array(values, dtype=np.float32).reshape(2, 5)
     cut = 1 + split_seed % 4
-    left = nm.constant(arr[:, :cut])
-    right = nm.constant(arr[:, cut:])
+    left = constant(arr[:, :cut])
+    right = constant(arr[:, cut:])
     joined = concat([left, right], axis=1)
     np.testing.assert_array_equal(joined.data, arr)
     np.testing.assert_array_equal(
@@ -168,11 +168,11 @@ def test_container_truncated_anywhere_is_container_error(metadata, arrays):
 
 @st.composite
 def joint_passes(draw):
-    """A small model (odd kernels up to 7, so also above t_obs, and down to
-    an empty denoiser trunk) and 1 to 3 windows of 1 to 6 pedestrians,
+    """A small model (odd kernels from 3 to 7, so also above t_obs, and down
+    to an empty denoiser trunk) and 1 to 3 windows of 1 to 6 pedestrians,
     whose neighbor masks may be empty."""
     cfg = ModelConfig(t_obs=draw(st.integers(1, 9)), t_future=draw(st.integers(1, 12)),
-                      kernel=draw(st.sampled_from([1, 3, 5, 7])),
+                      kernel=draw(st.sampled_from([3, 5, 7])),
                       denoiser_blocks=draw(st.integers(0, 3)), conv_channels=3,
                       d_phi=3, d_psi=2, denoiser_width=8, step_dim=4, k_total=10,
                       steps=5, beta_end=0.5)
@@ -215,12 +215,11 @@ def test_joint_pass_matches_primitive_tape(dtype, drawn, seed):
     def run(batch_losses):
         with nm.precision(dtype):
             mdl = model()
-            with nm.ComputationRecord():
-                total, parts, cache = batch_losses(windows, mdl, np.random.default_rng(2),
-                                                   (1.0, 0.5, 2.0))
-            grads = nm.backward(total, mdl.params)
-        assert total.data.dtype == dtype
-        return (total.data.tobytes(), parts, cache["guidance"].tobytes(),
+            total, parts, cache = batch_losses(windows, mdl, np.random.default_rng(2),
+                                               (1.0, 0.5, 2.0))
+            grads = nm.backward(total)
+        assert total[0].dtype == dtype
+        return (total[0].tobytes(), parts, cache["guidance"].tobytes(),
                 cache["y0n"].tobytes(), {k: g.tobytes() for k, g in grads.items()})
 
     got = run(training.batch_losses)
@@ -234,14 +233,12 @@ def test_joint_pass_matches_primitive_tape(dtype, drawn, seed):
         mdl = model()
 
         def total(params):
-            mdl.params = params
+            # ``params`` are the model's own views, perturbed in place
             return training.batch_losses(windows, mdl, np.random.default_rng(2),
                                          (1.0, 0.5, 2.0))[0]
 
-        # a kernel-1 converter reads no input (its one tap is masked), so its
-        # statistics' scale sits at the 1e-3 floor and the normalization
-        # multiplies by 1,000: a step of 1e-5 keeps the truncation error of
-        # the central difference well inside the tolerance
+        # a step of 1e-5 keeps the truncation error of the central
+        # difference well inside the tolerance
         report = finite_difference_check(
             total, mdl.params, step=1e-5, tolerance=1e-2,
             entries=_sampled_entries(mdl.params, np.random.default_rng(seed)))

@@ -11,9 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from references import (batch_losses_tape, convert_tape, converter_losses_tape,
-                        denoiser_tape, encoder_tape, finite_difference_check, gaussian_at,
-                        log_pdf, loss_diffusion_tape, mean, mul, sum_)
+from references import (ComputationRecord, backward, batch_losses_tape, constant,
+                        convert_tape, converter_losses_tape, denoiser_tape, encoder_tape,
+                        finite_difference_check, gaussian_at, log_pdf, loss_diffusion_tape,
+                        mean, mul, parameter, parameters, sum_)
 import references
 import trajdiff
 from trajdiff import data, diffusion, distribution, guidance, training
@@ -177,16 +178,17 @@ def test_converter_losses_match_tape(dtype):
 
     with nm.precision(dtype):
         mdl, g = model(), proj.astype(dtype)
-        (llh, con, y0n), backward = training.converter_losses(future, mdl.params, mdl.norm,
-                                                              len(windows))
-        grads = backward(g[0], g[1], g[2:].reshape(y0n.shape))
+        (llh, con, y0n), losses_backward = training.converter_losses(
+            future, mdl.params, mdl.norm, len(windows))
+        grads = losses_backward(g[0], g[1], g[2:].reshape(y0n.shape))
         got = [np.concatenate([np.array([llh, con], dtype), y0n.reshape(-1)])]
         got += [grads[k] for k in sorted(grads)]
         mdl = model()
-        with nm.ComputationRecord():
-            out = converter_losses_tape(future, mdl.params, mdl.norm, len(windows))
-            loss = sum_(mul(out, nm.constant(proj)))
-        ref = nm.backward(loss, mdl.params)
+        params = parameters(mdl.params)
+        with ComputationRecord():
+            out = converter_losses_tape(future, params, mdl.norm, len(windows))
+            loss = sum_(mul(out, constant(proj)))
+        ref = backward(loss, params)
         want = [out.data] + [ref[k] for k in sorted(ref) if k.startswith("conv.")]
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype == dtype
@@ -199,9 +201,8 @@ class TestTrainStep:
         mdl = Model.initialize(MICRO, 0)
         mdl.norm = training.freeze_normalization(mdl, windows)
         rng = np.random.default_rng(0)
-        with nm.ComputationRecord():
-            total, _, _ = training.batch_losses(windows[:2], mdl, rng, (1.0, 0.0, 0.0))
-        grads = nm.backward(total, mdl.params)
+        total, _, _ = training.batch_losses(windows[:2], mdl, rng, (1.0, 0.0, 0.0))
+        grads = nm.backward(total)
         rng2 = np.random.default_rng(0)
         emb = mdl.encode(windows[:2])
         fut = np.concatenate([w.future for w in windows[:2]])
@@ -224,11 +225,11 @@ class TestTrainStep:
         def one_run():
             mdl = Model.initialize(MICRO, 3)
             mdl.norm = training.freeze_normalization(mdl, windows)
-            opt = training.AdamState(mdl.params)
+            opt = training.AdamState(mdl)
             cfg = training.TrainConfig(seed=3)
             training.train_step(windows[:2], mdl, cfg, opt,
                                 np.random.default_rng(9))
-            return {k: p.data.copy() for k, p in mdl.params.items()}
+            return {k: p.copy() for k, p in mdl.params.items()}
 
         a, b = one_run(), one_run()
         for k in a:
@@ -253,13 +254,11 @@ class TestTrainStep:
 
         def loss_and_grads(scale):
             rng = np.random.default_rng(4)
-            with nm.ComputationRecord():
-                total, _, _ = training.batch_losses(
-                    windows[:2], mdl, rng, (scale, scale, scale))
-            grads = nm.backward(total, mdl.params)
+            total, _, _ = training.batch_losses(windows[:2], mdl, rng, (scale, scale, scale))
+            grads = nm.backward(total)
             vec = np.concatenate([g.ravel().astype(np.float64)
                                   for _, g in sorted(grads.items())])
-            return total.item(), vec
+            return float(total[0]), vec
 
         l1, g1 = loss_and_grads(1.0)
         l3, g3 = loss_and_grads(3.0)
@@ -273,8 +272,8 @@ class TestTrainStep:
         windows = _windows()
         mdl = Model.initialize(MICRO, 0)
         mdl.norm = training.freeze_normalization(mdl, windows)
-        opt = training.AdamState(mdl.params)
-        mdl.params["den.out.b"] = nm.parameter(np.full(60, 1e30))
+        opt = training.AdamState(mdl)
+        mdl.params["den.out.b"][...] = 1e30
         with pytest.raises(nm.NumericsError, match="optimizer step"):
             training.train_step(windows[:1], mdl, training.TrainConfig(), opt,
                                 np.random.default_rng(0))
@@ -291,12 +290,12 @@ class TestRecordedDenoiser:
         def two_steps():
             mdl = Model.initialize(ModelConfig(), 5)
             mdl.norm = training.freeze_normalization(mdl, windows)
-            opt = training.AdamState(mdl.params)
+            opt = training.AdamState(mdl)
             cfg = training.TrainConfig(seed=5, denoiser_boost=2)
             for step in range(2):
                 training.train_step(windows[4 * step:4 * step + 4], mdl, cfg, opt,
                                     np.random.default_rng([5, 11, step]))
-            return ({k: p.data.tobytes() for k, p in mdl.params.items()},
+            return ({k: p.tobytes() for k, p in mdl.params.items()},
                     {k: a.tobytes() for k, a in opt.arrays().items()})
 
         params, moments = two_steps()
@@ -315,7 +314,7 @@ class TestRecordedDenoiser:
         windows = _windows()
         mdl = Model.initialize(MICRO, 0)
         mdl.norm = training.freeze_normalization(mdl, windows)
-        opt = training.AdamState(mdl.params)
+        opt = training.AdamState(mdl)
         rows = []
         counts = dict.fromkeys(["backward", "adam_update", "encode_windows",
                                 "convert_trajectory"], 0)
@@ -347,25 +346,30 @@ class TestRecordedDenoiser:
 
     def test_each_pass_records_one_entry(self, monkeypatch):
         # the joint pass over every parameter, then each of the 5 refreshes
-        # over the den.* parameters: one recorded operation each
+        # over the den.* parameters: one pass (``_make``) and one backward each
         windows = _windows()
         mdl = Model.initialize(MICRO, 0)
         mdl.norm = training.freeze_normalization(mdl, windows)
-        opt = training.AdamState(mdl.params)
-        passes = []
-        sweep = nm.backward
+        opt = training.AdamState(mdl)
+        passes, made = [], []
+        make, sweep = nm._make, nm.backward
 
-        def recording_backward(loss, params):
-            entries = loss._rec.entries
-            passes.append((len(entries), entries[0].inputs == tuple(params.values()),
-                           sorted(params)))
-            return sweep(loss, params)
+        def recording_make(loss, grad_fn):
+            made.append(loss)
+            return make(loss, grad_fn)
 
+        def recording_backward(training_pass):
+            grads = sweep(training_pass)
+            passes.append((len(made), sorted(grads)))
+            made.clear()
+            return grads
+
+        monkeypatch.setattr(nm, "_make", recording_make)
         monkeypatch.setattr(nm, "backward", recording_backward)
         training.train_step(windows[:3], mdl, training.TrainConfig(denoiser_boost=5), opt,
                             np.random.default_rng(0))
         den = sorted(k for k in mdl.params if k.startswith("den."))
-        assert passes == [(1, True, sorted(mdl.params))] + [(1, True, den)] * 5
+        assert passes == [(1, sorted(mdl.params))] + [(1, den)] * 5
 
 
 class TestSkippedInputGradients:
@@ -375,15 +379,15 @@ class TestSkippedInputGradients:
 
     @staticmethod
     def _grads(loss_fn, params, inputs, as_params):
-        wrap = nm.parameter if as_params else nm.constant
+        wrap = parameter if as_params else constant
         ids = {id(p) for p in params.values()}
-        with nm.ComputationRecord() as rec:
+        with ComputationRecord() as rec:
             loss = loss_fn(*(wrap(x) for x in inputs))
             readers = sum(any(id(t) in ids for t in e.inputs) for e in rec.entries)
             skipped = [e for e in rec.entries
                        if any(not t.requires_grad for t in e.inputs)]
             outs = [e.grad_fn(np.ones_like(e.out.data)) for e in skipped]
-        grads = nm.backward(loss, params)
+        grads = backward(loss, params)
         nones = sum(g is None for out in outs for g in out)
         return {k: g.tobytes() for k, g in grads.items()}, nones, readers
 
@@ -405,7 +409,7 @@ class TestSkippedInputGradients:
     def test_converter(self):
         # the converter's primitive tape, whose conv1d reads the constant future
         mdl = Model.initialize(MICRO, 4)
-        conv = {k: p for k, p in mdl.params.items() if k.startswith("conv.")}
+        conv = parameters({k: p for k, p in mdl.params.items() if k.startswith("conv.")})
         future = np.random.default_rng(5).normal(scale=0.3, size=(7, 12, 2))
 
         def loss_fn(fut):
@@ -419,7 +423,7 @@ class TestSkippedInputGradients:
     def test_encoder(self):
         # the history encoder's primitive tape
         mdl = Model.initialize(MICRO, 8)
-        hist = {k: p for k, p in mdl.params.items() if k.startswith("hist.")}
+        hist = parameters({k: p for k, p in mdl.params.items() if k.startswith("hist.")})
         observed = np.random.default_rng(9).normal(scale=0.3, size=(6, MICRO.t_obs, 2))
 
         def loss_fn(obs):
@@ -475,34 +479,32 @@ class TestFlatAdam:
         # updates, as in a training step with boost passes
         monkeypatch.setattr(training, "GRAD_CLIP", clip)
         mdl = Model.initialize(MICRO, 6)
-        params = dict(mdl.params)
-        ref = {k: p.data.copy() for k, p in params.items()}
+        ref = {k: p.copy() for k, p in mdl.params.items()}
         m = {k: np.zeros_like(p) for k, p in ref.items()}
         v = {k: np.zeros_like(p) for k, p in ref.items()}
-        opt = training.AdamState(params)
+        opt = training.AdamState(mdl)
         rng = np.random.default_rng(7)
         for step in range(1, 9):
             keys = list(ref) if step % 3 == 1 else [k for k in ref if k.startswith("den.")]
             grads = {k: rng.normal(size=ref[k].shape).astype(np.float32) for k in keys}
-            group = {k: params[k] for k in keys}
-            params.update(training.adam_update(group, grads, opt, 1e-2))
+            training.adam_update(mdl, grads, opt, 1e-2)
             ref.update(_reference_adam({k: ref[k] for k in keys}, grads, m, v,
                                        step, 1e-2, clip))
             assert opt.t == step
         for k in ref:
-            assert params[k].data.tobytes() == ref[k].tobytes()
+            assert mdl.params[k].tobytes() == ref[k].tobytes()
             assert opt.m[k].tobytes() == m[k].tobytes()
             assert opt.v[k].tobytes() == v[k].tobytes()
 
     def test_arrays_round_trip(self):
         mdl = Model.initialize(MICRO, 6)
-        opt = training.AdamState(mdl.params)
+        opt = training.AdamState(mdl)
         grads = {k: np.full(p.shape, 0.5, np.float32) for k, p in mdl.params.items()}
-        training.adam_update(mdl.params, grads, opt, 1e-3)
+        training.adam_update(mdl, grads, opt, 1e-3)
         arrays = opt.arrays()
         assert set(arrays) == {"adam.t"} | {f"adam.{s}.{k}" for s in "mv"
                                             for k in mdl.params}
-        back = training.AdamState.from_arrays(mdl.params, arrays)
+        back = training.AdamState.from_arrays(mdl, arrays)
         assert back.t == 1
         for name, arr in back.arrays().items():
             assert arr.shape == arrays[name].shape
@@ -510,32 +512,75 @@ class TestFlatAdam:
 
     def test_non_contiguous_group_rejected(self):
         mdl = Model.initialize(MICRO, 6)
-        opt = training.AdamState(mdl.params)
-        group = {k: mdl.params[k] for k in ("conv.b1", "den.in.b")}
-        grads = {k: np.zeros(p.shape, np.float32) for k, p in group.items()}
+        opt = training.AdamState(mdl)
+        grads = {k: np.zeros(mdl.params[k].shape, np.float32) for k in ("conv.b1", "den.in.b")}
         with pytest.raises(nm.NumericsError, match="contiguous"):
-            training.adam_update(group, grads, opt, 1e-3)
+            training.adam_update(mdl, grads, opt, 1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_gradient_raises_before_the_state_changes(self, bad):
         mdl = Model.initialize(MICRO, 6)
-        opt = training.AdamState(mdl.params)
+        opt = training.AdamState(mdl)
         rng = np.random.default_rng(8)
 
         def grads():
             return {k: rng.normal(size=p.shape).astype(np.float32)
-                    for k, p in opt.params.items()}
+                    for k, p in mdl.params.items()}
 
-        training.adam_update(opt.params, grads(), opt, 1e-3)      # non-zero moments
+        training.adam_update(mdl, grads(), opt, 1e-3)      # non-zero moments
         before = {k: a.tobytes() for k, a in opt.arrays().items()}
-        params = {k: p.data.tobytes() for k, p in opt.params.items()}
+        params = mdl.flat.tobytes()
         bad_grads = grads()
         bad_grads["den.in.w"][2, 3] = bad
         with pytest.raises(nm.NumericsError, match="non-finite gradient"):
-            training.adam_update(opt.params, bad_grads, opt, 1e-3)
+            training.adam_update(mdl, bad_grads, opt, 1e-3)
         assert {k: a.tobytes() for k, a in opt.arrays().items()} == before
-        assert {k: p.data.tobytes() for k, p in opt.params.items()} == params
+        assert mdl.flat.tobytes() == params
         assert opt.t == 1
+
+
+class TestParameterBuffer:
+    """Every parameter is a view into the model's one flat buffer, from
+    each way a model is made and after each way it is trained."""
+
+    @staticmethod
+    def _assert_views(mdl):
+        assert mdl.flat.size == mdl.n_parameters() == sum(p.size for p in mdl.params.values())
+        for k, p in mdl.params.items():
+            assert np.shares_memory(p, mdl.flat), k
+            assert p.dtype == mdl.flat.dtype == nm.default_dtype()
+
+    def test_initialize_and_load(self, tmp_path):
+        mdl = Model.initialize(MICRO, 0)
+        self._assert_views(mdl)
+        assert list(mdl.params) == list(MICRO.param_layout())
+        mdl.save(tmp_path / "m.tjdf")
+        loaded = Model.load(tmp_path / "m.tjdf")[0]
+        self._assert_views(loaded)
+        assert loaded.flat.tobytes() == mdl.flat.tobytes()
+
+    def test_train_step_with_boosts_updates_in_place(self):
+        windows = _windows()
+        mdl = Model.initialize(MICRO, 0)
+        mdl.norm = training.freeze_normalization(mdl, windows)
+        opt = training.AdamState(mdl)
+        flat, views, before = mdl.flat, dict(mdl.params), mdl.flat.copy()
+        training.train_step(windows[:3], mdl, training.TrainConfig(denoiser_boost=2), opt,
+                            np.random.default_rng(0))
+        assert mdl.flat is flat
+        assert all(mdl.params[k] is views[k] for k in views)
+        self._assert_views(mdl)
+        assert all(np.any(mdl.params[k] != before[mdl.spans[k]].reshape(views[k].shape))
+                   for k in ("conv.w2", "hist.proj.w", "den.out.w"))
+
+    def test_resume(self, tmp_path):
+        cfg = training.TrainConfig(batch_size=4, epochs=3, seed=0, checkpoint_every=2)
+        training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
+        mdl, opt, step = training._resume(str(tmp_path / "ckpt_000002.tjdf"), 9, MICRO)
+        assert step == 2
+        self._assert_views(mdl)
+        for k in mdl.params:
+            assert np.shares_memory(opt.m[k], opt._m) and np.shares_memory(opt.v[k], opt._v)
 
 
 class TestObjectiveGradients:
@@ -553,8 +598,8 @@ class TestObjectiveGradients:
             mdl.norm = training.freeze_normalization(mdl, windows)
 
             def f(params):
-                # the same step and noise draws on every call
-                mdl.params = params
+                # the same step and noise draws on every call; ``params``
+                # are the model's own views
                 return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
 
             report = finite_difference_check(f, mdl.params, step=1e-3,
@@ -602,8 +647,9 @@ class TestFit:
         with pytest.raises(ValueError):
             training.TrainConfig(batch_size=0).validate()
 
-    @pytest.mark.parametrize("change", [{"t_future": 0}, {"step_dim": 5}, {"kernel": 4}],
-                             ids=["t-future-0", "odd-step-dim", "even-kernel"])
+    @pytest.mark.parametrize("change", [{"t_future": 0}, {"step_dim": 5}, {"kernel": 4},
+                                        {"kernel": 1}],
+                             ids=["t-future-0", "odd-step-dim", "even-kernel", "kernel-1"])
     def test_unusable_model_settings_rejected_before_training(self, tmp_path, change):
         # without the check a t_future = 0 model fails at optimizer step 1
         # with a shape error
@@ -670,8 +716,7 @@ class TestFit:
         a, meta, _ = Model.load(final_a)
         b, _, _ = Model.load(final_b)
         for name in a.params:
-            np.testing.assert_array_equal(a.params[name].data,
-                                          b.params[name].data)
+            np.testing.assert_array_equal(a.params[name], b.params[name])
         # the resumed log holds each step once, with the straight-through losses
         def log_rows(run_dir):
             lines = (run_dir / "training_log.csv").read_text().splitlines()
@@ -725,6 +770,28 @@ class TestFit:
             training.fit(_windows(), replace(cfg, **change), MICRO, out_dir=str(tmp_path),
                          resume_from=str(tmp_path / "ckpt_000006.tjdf"))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("change", [{"denoiser_width": 16}, {"kernel": 5},
+                                        {"beta_end": 0.3}],
+                             ids=["width", "kernel", "beta-end"])
+    def test_other_model_settings_are_refused(self, tmp_path, change):
+        # a resume continues the checkpoint's model; settings that differ
+        # would be silently ignored, and the log's parameter count be wrong
+        cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
+        training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
+        for name in ("model.tjdf", "ckpt_000009.tjdf"):
+            os.remove(tmp_path / name)
+        field, value = next(iter(change.items()))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(training.ResumeError, match=f"has model {field} = "
+                           f"{getattr(MICRO, field)!r}, this run's is {value!r}"):
+            training.fit(_windows(), cfg, replace(MICRO, **change), out_dir=str(tmp_path),
+                         resume_from=str(tmp_path / "ckpt_000006.tjdf"))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # without settings the resume takes the checkpoint's
+        training.fit(_windows(), cfg, out_dir=str(tmp_path),
+                     resume_from=str(tmp_path / "ckpt_000006.tjdf"))
+        assert Model.load(tmp_path / "model.tjdf")[0].config == MICRO
 
     def test_killed_saves_leftovers_are_replaced(self, tmp_path):
         # a save killed before its rename leaves "<path>.tmp"; the next save
