@@ -11,7 +11,8 @@ key is skipped (``seed`` is read only from the command's own section,
 ``synth``, ``train`` or ``protocol``), and a key that no command has is a
 usage error.  Each config dataclass takes only its own section's settings, so
 the synthetic scenes of ``train``, ``eval`` and ``ablate`` keep seed 0.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
+(including an array too large for memory).
 """
 
 from __future__ import annotations
@@ -484,7 +485,9 @@ def main(argv=None) -> int:
     except (data.DataError, ContainerError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, ValueError) as exc:
+    except (NumericsError, ValueError, ArithmeticError, MemoryError) as exc:
+        # settings within their checks can still ask for arrays larger than
+        # memory or than numpy can index
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import MAX_COUNT
+
 T_OBSERVED = 8
 T_FUTURE = 12
 MAX_PEDS_PER_WINDOW = 32
@@ -276,7 +278,10 @@ class SynthConfig:
     box: float = 20.0
 
     def __post_init__(self):
-        for name in ("n_scenes", "peds_per_scene", "frames", "speed_min", "speed_max", "box"):
+        for name in ("n_scenes", "peds_per_scene", "frames"):
+            if not 0 < getattr(self, name) <= MAX_COUNT:
+                raise DataError(f"synth config {name} must be in 1..{MAX_COUNT}")
+        for name in ("speed_min", "speed_max", "box"):
             if not 0 < getattr(self, name) < math.inf:
                 raise DataError(f"synth config {name} must be positive and finite")
         if not (0 <= self.turn_noise < math.inf and 0 <= self.repulsion_gain < math.inf):

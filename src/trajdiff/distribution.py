@@ -8,13 +8,16 @@ turns raw statistics into valid Gaussian parameters:
     sigma1,2  softplus(raw) + SIGMA_FLOOR
     rho       RHO_CAP * tanh(raw)
 
-Diffusion always operates on the unconstrained raw values; the constraint
-map is applied whenever a state is read as a distribution.  The converter's
-sizes (conv_channels, kernel) are read from the model's ``ModelConfig``.
+Diffusion always operates on the unconstrained raw values, and a field of
+explicit Gaussians is a plain array of them; the constraint map
+(``constrain_array``) is applied whenever one is read as a distribution.
+The converter's sizes (conv_channels, kernel) are read from the model's
+``ModelConfig``.
 
 Every density and draw is vectorized over pedestrians and timesteps:
 ``log_pdf`` (the likelihood loss, with its gradient), ``mean_log_score``
-(self-likelihood selection) and ``sample_field`` (Gaussian draws).  The
+(self-likelihood selection) and ``sample_field`` (Gaussian draws); the last
+two also over leading run axes, so one call covers a window's runs.  The
 tests hold them to scalar closed-form references.  The converter is a
 forward and a backward on plain arrays (``convert_trajectory`` and
 ``converter_backward``), and so is the density (``log_pdf``); the training
@@ -46,28 +49,6 @@ def constrain_array(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     sig = np.logaddexp(0.0, raw[..., 2:4]) + SIGMA_FLOOR
     rho = RHO_CAP * np.tanh(raw[..., 4:5])
     return mu, sig, rho
-
-
-class StatsField:
-    """Per-pedestrian, per-timestep raw statistics with constrained views."""
-
-    def __init__(self, raw):
-        self.raw = np.asarray(raw, dtype=np.float64)
-        if self.raw.ndim != 3 or self.raw.shape[-1] != STAT_CHANNELS:
-            raise ValueError(f"raw stats must be [N, T', 5], got {self.raw.shape}")
-        self._mu, self._sig, self._rho = constrain_array(self.raw)
-
-    @property
-    def means(self) -> np.ndarray:
-        return self._mu
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return self._sig
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return self._rho[..., 0]
 
 
 def _center_mask(kernel: int) -> np.ndarray:
@@ -192,33 +173,37 @@ def log_pdf(y: np.ndarray, raw: np.ndarray):
     return terms, density_backward
 
 
-def sample_field(field: StatsField, rng: np.random.Generator,
+def sample_field(raw: np.ndarray, rng: np.random.Generator,
                  n: int | None = None) -> np.ndarray:
-    """One displacement trajectory per pedestrian [N, T', 2], or ``n`` of
-    them [n, N, T', 2], drawn independently per timestep through the 2x2
-    Cholesky factor of each covariance: x from ``u``, y from
-    ``rho u + sqrt(1 - rho^2) v``, with ``u`` and ``v`` standard normal
-    draws of shape [N, T'] taken in that order.  The ``n`` draws take their
-    (u, v) pairs from one call on ``rng``, the values of ``n`` calls
-    without a count."""
-    mu, sig, rho = field.means, field.sigmas, field.rhos
-    z = rng.standard_normal((1 if n is None else n, 2, *mu.shape[:2]))
-    u, v = z[:, 0], z[:, 1]
+    """One displacement trajectory [..., N, T', 2] from each field of raw
+    statistics ``raw`` [..., N, T', 5], or ``n`` of them [n, ..., N, T', 2],
+    drawn independently per timestep through the 2x2 Cholesky factor of
+    each covariance: x from ``u``, y from ``rho u + sqrt(1 - rho^2) v``, with
+    ``u`` and ``v`` standard normal draws of shape [N, T'] taken in that
+    order for each field in turn.  All of them come from one call on
+    ``rng``: the values of one call per field, and per draw."""
+    mu, sig, rho = constrain_array(raw)
+    rho = rho[..., 0]
+    lead = raw.shape[:-3] if n is None else (n, *raw.shape[:-3])
+    z = rng.standard_normal((*lead, 2, *raw.shape[-3:-1]))
+    u, v = z[..., 0, :, :], z[..., 1, :, :]
     out = np.empty(u.shape + (2,))
     out[..., 0] = mu[..., 0] + sig[..., 0] * u
     out[..., 1] = mu[..., 1] + sig[..., 1] * (rho * u + np.sqrt(1.0 - rho ** 2) * v)
-    return out[0] if n is None else out
+    return out
 
 
-def mean_log_score(field: StatsField) -> float:
-    """Log density of the field's own means: a GT-free confidence score.
+def mean_log_score(raw: np.ndarray) -> np.ndarray:
+    """Log density of each field's own means, a GT-free confidence score,
+    from raw statistics [..., N, T', 5]: one score per field [...].
 
     The quadratic term vanishes at the mean, leaving the (negative) log
     normalization summed over pedestrians and timesteps.
     """
-    omr2 = 1.0 - field.rhos ** 2
-    return float(-(LOG_2PI + np.log(field.sigmas[..., 0]) + np.log(field.sigmas[..., 1])
-                   + 0.5 * np.log(omr2)).sum())
+    _, sig, rho = constrain_array(raw)
+    omr2 = 1.0 - rho[..., 0] ** 2
+    return -(LOG_2PI + np.log(sig[..., 0]) + np.log(sig[..., 1])
+             + 0.5 * np.log(omr2)).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Hybrid sampling strategies and Best-of-N displacement-error evaluation.
 
 Candidate futures come from two noise sources: the initial draw of each
-reverse-diffusion run, and the explicit per-timestep Gaussians of a
-generated statistics field.  Three strategies cover the combinations:
+reverse-diffusion run, and the explicit per-timestep Gaussians that a run
+generates.  A window's runs are one array of raw statistics
+[runs, N, T', 5] (``Model.generate``).  Three strategies cover the
+combinations:
 
-    A   r1 reverse runs, pick the best field, then r2 Gaussian draws
-        plus that field's mean trajectory
+    A   r1 reverse runs, pick the best run, then r2 Gaussian draws
+        plus that run's mean trajectory
     B   r independent reverse runs, one Gaussian draw from each
     C   one reverse run, r Gaussian draws
 
 Selection for A is either ``gt-ade`` (argmin mean-trajectory ADE against
 the ground truth, standard Best-of-N practice) or ``self-likelihood``
-(argmax of the field's own mean log score, usable without ground truth).
+(argmax of the run's own mean log score, usable without ground truth);
+``select_best`` scores every run of a window at once, and each strategy
+takes its draws from one ``sample_field`` call per window.
 
 ``sample_windows`` is the one sampling path; evaluation and prediction
 both call it.  ``best_of_n`` is the one displacement metric: per
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data, distribution
+from . import numerics as nm
 from .model import Model
 
 SELECTIONS = ("gt-ade", "self-likelihood")
@@ -42,10 +47,12 @@ class SamplingStrategy:
     def validate(self):
         if self.kind not in ("A", "B", "C"):
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.kind == "A" and (self.r1 < 1 or self.r2 < 0):
-            raise ValueError("strategy A needs r1 >= 1 and r2 >= 0")
-        if self.kind in ("B", "C") and self.r < 1:
-            raise ValueError("strategies B/C need r >= 1")
+        # every count, not only the kind's: ``ablate --axis sampling`` runs
+        # all three kinds with these counts
+        for name, low in (("r1", 1), ("r2", 0), ("r", 1)):
+            if not low <= getattr(self, name) <= nm.MAX_COUNT:
+                raise ValueError(f"strategy {name} must be in {low}..{nm.MAX_COUNT}, "
+                                 f"got {getattr(self, name)}")
         return self
 
     @property
@@ -74,44 +81,44 @@ class PredictionSet:
         return self.candidates.shape[1]
 
 
-def select_best(fields: list[distribution.StatsField], criterion: str,
+def select_best(runs: np.ndarray, criterion: str,
                 gt_abs: np.ndarray | None = None,
                 origin: np.ndarray | None = None) -> int:
-    """Index of the preferred field; ties go to the lowest index."""
-    if not fields:
-        raise ValueError("select_best needs at least one field")
+    """Index of the preferred run of one window's raw statistics
+    ``runs`` [R, N, T', 5], every run scored at once; ties go to the lowest
+    index.  Each score reduces a run's contiguous [N, T'] block, so it
+    rounds as that run's score alone."""
+    if len(runs) == 0:
+        raise ValueError("select_best needs at least one run")
     if criterion == "gt-ade":
         if gt_abs is None or origin is None:
             raise ValueError("gt-ade selection needs ground truth and origins")
-        return int(np.argmin([np.linalg.norm(data.absolute_positions(f.means, origin)
-                                             - gt_abs, axis=-1).mean() for f in fields]))
+        placed = origin[:, None] + np.cumsum(runs[..., 0:2], axis=-2)
+        return int(np.argmin(np.linalg.norm(placed - gt_abs, axis=-1).mean(axis=(-2, -1))))
     if criterion == "self-likelihood":
-        return int(np.argmax([distribution.mean_log_score(f) for f in fields]))
+        return int(np.argmax(distribution.mean_log_score(runs)))
     raise ValueError(f"unknown selection criterion {criterion!r}")
 
 
-def _candidates(fields: list[distribution.StatsField], origin: np.ndarray,
-                strategy: SamplingStrategy, rng: np.random.Generator,
-                selection: str, gt_abs: np.ndarray | None) -> PredictionSet:
-    """The post-chain half of a strategy: select a field, draw Gaussians and
-    place one window's candidates, all at once: the displacements of every
-    candidate [N, M, T', 2], then one ``origin + cumsum`` over them."""
+def _candidates(runs: np.ndarray, origin: np.ndarray, strategy: SamplingStrategy,
+                rng: np.random.Generator, selection: str,
+                gt_abs: np.ndarray | None) -> PredictionSet:
+    """The post-chain half of a strategy on one window's runs [R, N, T', 5]:
+    select a run, draw Gaussians and place the candidates, all at once: the
+    displacements of every candidate [N, M, T', 2], then one
+    ``origin + cumsum`` over them."""
     if strategy.kind == "B":
-        disp = np.stack([distribution.sample_field(f, rng) for f in fields], axis=1)
-        provenance = [(i, 0) for i in range(len(fields))]
+        parts = [distribution.sample_field(runs, rng)]
+        provenance = [(i, 0) for i in range(len(runs))]
     else:
-        best, draws, means = 0, strategy.r, []
+        best, draws, kept = 0, strategy.r, []
         if strategy.kind == "A":
-            best = select_best(fields, selection, gt_abs=gt_abs, origin=origin)
+            best = select_best(runs, selection, gt_abs=gt_abs, origin=origin)
             draws = strategy.r2
-            means = range(len(fields)) if strategy.pool_run_means else [best]
-        n, length = fields[best].means.shape[:2]
-        disp = np.empty((n, len(means) + draws, length, 2))
-        for j, i in enumerate(means):
-            disp[:, j] = fields[i].means
-        disp[:, len(means):] = distribution.sample_field(fields[best], rng,
-                                                          draws).transpose(1, 0, 2, 3)
-        provenance = [(i, "mean") for i in means] + [(best, d) for d in range(draws)]
+            kept = list(range(len(runs))) if strategy.pool_run_means else [best]
+        parts = [runs[kept, ..., 0:2], distribution.sample_field(runs[best], rng, draws)]
+        provenance = [(i, "mean") for i in kept] + [(best, d) for d in range(draws)]
+    disp = np.concatenate([p.transpose(1, 0, 2, 3) for p in parts], axis=1)
     return PredictionSet(data.absolute_positions(disp, origin), provenance)
 
 
@@ -162,10 +169,10 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
             rngs = [np.random.default_rng([protocol.seed, 23, i])
                     for i in range(len(windows))]
             model.initial_noise(windows, rngs, strategy.runs)
-        out.append([_candidates(fields[:strategy.runs], w.origin, strategy, rng,
+        out.append([_candidates(runs[:strategy.runs], w.origin, strategy, rng,
                                 protocol.selection, gt)
-                    for w, rng, fields, gt in zip(windows, rngs, per_window, gts,
-                                                  strict=True)])
+                    for w, rng, runs, gt in zip(windows, rngs, per_window, gts,
+                                                strict=True)])
     return out if listed else out[0]
 
 

@@ -10,8 +10,9 @@ laid out in sorted name order; ``Model.params`` maps each name to a plain
 array view into it, which the backbones read and the optimizer updates in
 place (``training.adam_update``).
 
-``Model.generate`` is the one generator: it turns windows into statistics
-fields with one batched reverse chain and one noise generator per window.
+``Model.generate`` is the one generator: it turns windows into their runs'
+explicit Gaussians, one array of raw statistics [runs, N, T', 5] per
+window, with one batched reverse chain and one noise generator per window.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class ModelConfig:
         """The schedule, built once every other setting is checked: raise
         ValueError unless a model can be built from these settings.  The
         schedule settings get ``build_schedule``'s checks."""
+        for name in ("t_obs", "t_future", "conv_channels", "d_phi", "d_psi",
+                     "denoiser_width", "denoiser_blocks", "step_dim", "kernel", "k_total"):
+            if getattr(self, name) > nm.MAX_COUNT:
+                raise ValueError(f"model {name} must be <= {nm.MAX_COUNT}, "
+                                 f"got {getattr(self, name)}")
         for name in ("t_obs", "t_future", "conv_channels", "d_phi", "d_psi",
                      "denoiser_width"):
             if getattr(self, name) < 1:
@@ -136,16 +142,18 @@ class Model:
 
     def generate(self, windows, rngs: list[np.random.Generator], n_runs: int = 1,
                  steps: int | None = None,
-                 gamma_mode: str = "deterministic") -> list[list[distribution.StatsField]]:
-        """``n_runs`` statistics fields per window from one reverse chain
-        over every (window, run, pedestrian) row; ``steps`` overrides the
-        config's S, and ``gamma_mode`` sets the chain's per-step noise.
+                 gamma_mode: str = "deterministic") -> list[np.ndarray]:
+        """Each window's ``n_runs`` fields of denormalized raw statistics,
+        one float64 array [n_runs, n_peds, T', 5] per window, from one
+        reverse chain over every (window, run, pedestrian) row; ``steps``
+        overrides the config's S, and ``gamma_mode`` sets the chain's
+        per-step noise.
 
         Window i draws its runs' initial noise from ``rngs[i]`` in run
-        order, so with gamma = 0 its fields depend only on that generator's
+        order, so with gamma = 0 its runs depend only on that generator's
         state, its own rows and the parameters.  A ``ddpm-matching`` chain
         draws the in-chain noise of all rows from one fresh entropy-seeded
-        generator, so those fields differ on every call.
+        generator, so those runs differ on every call.
         """
         if n_runs < 1:
             raise NumericsError("n_runs must be >= 1")
@@ -162,8 +170,7 @@ class Model:
             self.config, np.random.default_rng() if gamma_mode == "ddpm-matching" else None)
         blocks = np.split(distribution.denormalize_stats(y, self.norm),
                           n_runs * ends[:-1])
-        return [[distribution.StatsField(b) for b in np.split(block, n_runs)]
-                for block in blocks]
+        return [block.reshape(n_runs, n, *y.shape[1:]) for block, n in zip(blocks, sizes)]
 
     def initial_noise(self, windows, rngs: list[np.random.Generator],
                       n_runs: int) -> np.ndarray:

@@ -24,6 +24,13 @@ class NumericsError(RuntimeError):
     """Raised for shape mismatches, non-finite values and bad settings."""
 
 
+# The largest value a count setting may take (scenes, pedestrians, frames,
+# epochs, denoiser boosts, layer sizes, K, runs, draws).  It is far above any
+# desk-scale run; a mistyped huge count would run without end or ask for
+# more memory than there is, so each config's check refuses it.
+MAX_COUNT = 10 ** 6
+
+
 # Default dtype is float32 (desk-scale models, fast tests).  The finite
 # difference harness switches to float64, where the central-difference
 # oracle is actually meaningful.

@@ -26,6 +26,7 @@ model's flat parameter buffer in place.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import math
 import os
 import time
@@ -51,8 +52,8 @@ HEAP_TOP_PAD = 64 << 20  # freed heap that glibc's malloc keeps once fit has run
 class ResumeError(ValueError):
     """A resume that cannot continue the run: the checkpoint's model
     settings differ from the run's, it is already at, or past, the run's
-    last step, or the training log is behind it or belongs to another
-    run."""
+    last step, its run record is missing or differs from the run's, or the
+    training log is behind it or belongs to another run."""
 
 
 @dataclass
@@ -80,12 +81,13 @@ class TrainConfig:
                              f"got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not 1 <= self.epochs <= nm.MAX_COUNT:
+            raise ValueError(f"epochs must be in 1..{nm.MAX_COUNT}, got {self.epochs}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.denoiser_boost < 0:
-            raise ValueError(f"denoiser_boost must be >= 0, got {self.denoiser_boost}")
+        if not 0 <= self.denoiser_boost <= nm.MAX_COUNT:
+            raise ValueError(f"denoiser_boost must be in 0..{nm.MAX_COUNT}, "
+                             f"got {self.denoiser_boost}")
         return self
 
 
@@ -391,15 +393,32 @@ def _trim_log(path: str, last_step: int, header: list[str]) -> None:
                      if not step.isdigit() or int(step) <= last_step)
 
 
-def _resume(path, total_steps: int,
+def _run_record(windows, cfg: TrainConfig, total_steps: int, freeze_at: int) -> dict:
+    """What a run's mid-run checkpoints record of it, and a resume must
+    match: every training setting but ``checkpoint_every``, the step
+    counts, and a SHA-256 of the training windows' arrays in order."""
+    digest = hashlib.sha256()
+    for w in windows:
+        for a in (w.observed, w.future, w.origin, w.neighbor_mask):
+            a = np.ascontiguousarray(a)
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.data)
+    record = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)
+              if f.name != "checkpoint_every"}
+    return {**record, "total_steps": total_steps, "freeze_at": freeze_at,
+            "data_sha256": digest.hexdigest()}
+
+
+def _resume(path, record: dict,
             model_cfg: ModelConfig | None) -> tuple[Model, AdamState, int]:
     """The model, optimizer state and step count a checkpoint continues
     from.  A ``train_step`` that is not a step count, or ``adam.*`` arrays
     whose names, shapes or dtypes differ from the config's layout, raise
     ``ContainerError``; a config that differs from ``model_cfg`` (unless
-    None), or a checkpoint at or past ``total_steps``, raises
-    ``ResumeError`` first, since a finished run's model holds no
-    ``adam.*`` arrays."""
+    None), a checkpoint at or past the run's ``total_steps``, or a run
+    record (``_run_record``) that is missing or differs from ``record``,
+    raises ``ResumeError`` first, since a finished run's model holds
+    neither ``adam.*`` arrays nor a run record."""
     mdl, meta, rest = Model.load(path)
     if model_cfg is not None and model_cfg != mdl.config:
         name = next(f.name for f in fields(ModelConfig)
@@ -409,9 +428,16 @@ def _resume(path, total_steps: int,
     step = meta.get("train_step")
     if type(step) is not int or step < 0:
         raise ContainerError(f"{path}: train_step {step!r} is not a step count")
-    if step >= total_steps:
+    if step >= record["total_steps"]:
         raise ResumeError(f"{path} is at step {step} and the run has "
-                          f"{total_steps} steps: nothing to resume")
+                          f"{record['total_steps']} steps: nothing to resume")
+    saved = meta.get("run")
+    if not isinstance(saved, dict):
+        raise ResumeError(f"{path} carries no run record to resume against")
+    for name, value in record.items():
+        if saved.get(name) != value:
+            raise ResumeError(f"{path} has run {name} = {saved.get(name)!r}, "
+                              f"this run's is {value!r}")
     shapes = {"adam.t": (1,)}
     for k, (shape, _) in mdl.config.param_layout().items():
         shapes[f"adam.m.{k}"] = shapes[f"adam.v.{k}"] = shape
@@ -451,10 +477,12 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     carries only the model.  ``resume_from`` restarts
     from a mid-training checkpoint and matches the straight-through run
     exactly under the same seed policy; a checkpoint with no step left to
-    run, model settings ``model_cfg`` that differ from its config, or a
-    log in ``out_dir`` that is behind it or whose header lines differ from
-    this run's, raises ``ResumeError`` before anything is written; a
-    resume with ``model_cfg`` None takes the checkpoint's settings.
+    run, model settings ``model_cfg`` that differ from its config, a run
+    record that differs from this run's (training settings but
+    ``checkpoint_every``, step counts, training data), or a log in
+    ``out_dir`` that is behind it or whose header lines differ from this
+    run's, raises ``ResumeError`` before anything is written; a resume
+    with ``model_cfg`` None takes the checkpoint's settings.
     Invalid model settings raise ``ValueError``.  On glibc it first
     makes malloc keep freed memory for the process (``_keep_freed_heap``).
     """
@@ -463,23 +491,24 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
         model_cfg = (model_cfg or ModelConfig()).validate()
     if not windows:
         raise ValueError("training dataset is empty")
-    os.makedirs(out_dir, exist_ok=True)
     _keep_freed_heap()
 
     spe = max(1, math.ceil(len(windows) / train_cfg.batch_size))
     total_steps = spe * train_cfg.epochs
-    if resume_from is not None:
-        mdl, opt, start_step = _resume(resume_from, total_steps, model_cfg)
-    else:
-        mdl = Model.initialize(model_cfg, train_cfg.seed)
-        opt = AdamState(mdl)
-        start_step = 0
     # Step at which channel normalization freezes.  The converter's output
     # distribution drifts sharply while its regression converges; freezing
     # too early leaves the noise-matching loss on wildly mis-scaled inputs.
     # Until this step the statistics are recomputed over the training set
     # every step.
     freeze_at = min(500, max(1, total_steps // 4))
+    record = _run_record(windows, train_cfg, total_steps, freeze_at)
+    if resume_from is not None:
+        mdl, opt, start_step = _resume(resume_from, record, model_cfg)
+    else:
+        mdl = Model.initialize(model_cfg, train_cfg.seed)
+        opt = AdamState(mdl)
+        start_step = 0
+    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "training_log.csv")
     header = [f"# seed: {train_cfg.seed}\n",
               f"# config: batch={train_cfg.batch_size} lr={train_cfg.learning_rate} "
@@ -519,7 +548,7 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
                 log.flush()
                 os.fsync(log.fileno())
                 mdl.save(os.path.join(out_dir, f"ckpt_{done:06d}.tjdf"),
-                         extra_meta={"train_step": done},
+                         extra_meta={"train_step": done, "run": record},
                          extra_arrays=opt.arrays())
 
     # the final model holds no optimizer state: a finished run is not resumed

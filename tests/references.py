@@ -26,12 +26,14 @@ the same as a boost pass's (value, backward) pair, and
 ``finite_difference_check`` is the central-difference gradient oracle and
 ``constant_velocity_baseline`` the classic extrapolation the acceptance
 suite compares against.  ``candidates_per_draw`` is one window's candidate
-set built one candidate at a time, that the batched draw and placement of
+set built one run and one candidate at a time (``select_per_run`` scores
+the runs one by one), that the batched selection, draw and placement of
 ``inference._candidates`` are held to.  ``log_pdf`` and ``sample_location``
 are the closed-form density and Cholesky draw of one bivariate Gaussian,
 given as (mu1, mu2, sigma1, sigma2, rho), that the package's vectorized
-density and sampler are held to; ``gaussian_at`` reads one location's parameters from a
-``StatsField`` and ``stats_field`` builds a field from them.
+density and sampler are held to; ``gaussian_at`` reads one location's
+parameters from a field of raw statistics [N, T', 5] and ``stats_field``
+builds such a field from them.
 ``reverse_chain_steps`` is the reverse chain written out as its parts, the
 noise estimate, ``reconstruct_clean`` and ``posterior_step``, that the
 package's folded affine step is held to.
@@ -45,7 +47,7 @@ from trajdiff import data, distribution, inference, training
 from trajdiff import numerics as nm
 from trajdiff.diffusion import denoiser_apply, step_embedding, transition
 from trajdiff.distribution import (LOG_2PI, RHO_CAP, SIGMA_FLOOR, STAT_CHANNELS,
-                                   StatsField, _center_mask)
+                                   _center_mask, constrain_array)
 
 
 # ---------------------------------------------------------------------------
@@ -742,30 +744,41 @@ def constant_velocity_baseline(window) -> np.ndarray:
     return data.absolute_positions(disp, window.origin)
 
 
-def candidates_per_draw(fields, origin, strategy, rng, selection, gt_abs):
-    """``inference._candidates`` one candidate at a time: each candidate's
-    displacements [N, T', 2] (a field's means, or one ``sample_field``
-    draw without a count) placed by ``data.absolute_positions``, then
-    stacked.  Returns (candidates [N, M, T', 2], provenance)."""
+def select_per_run(runs, selection, gt_abs=None, origin=None) -> int:
+    """``inference.select_best`` one run at a time: each run's [N, T', 5]
+    statistics placed and scored on their own, then the first best index."""
+    if selection == "gt-ade":
+        return int(np.argmin([np.linalg.norm(data.absolute_positions(r[..., 0:2], origin)
+                                             - gt_abs, axis=-1).mean() for r in runs]))
+    return int(np.argmax([distribution.mean_log_score(r) for r in runs]))
+
+
+def candidates_per_draw(runs, origin, strategy, rng, selection, gt_abs):
+    """``inference._candidates`` one candidate at a time, on a window's
+    runs [R, N, T', 5]: each candidate's displacements [N, T', 2] (a run's
+    means, or one ``sample_field`` draw from one run's [N, T', 5]
+    statistics without a count) placed by ``data.absolute_positions``,
+    then stacked.  Returns (candidates [N, M, T', 2], provenance)."""
     if strategy.kind == "B":
-        picks = [(distribution.sample_field(f, rng), (i, 0)) for i, f in enumerate(fields)]
+        picks = [(distribution.sample_field(r, rng), (i, 0)) for i, r in enumerate(runs)]
     else:
         best, draws, picks = 0, strategy.r, []
         if strategy.kind == "A":
-            best = inference.select_best(fields, selection, gt_abs=gt_abs, origin=origin)
+            best = select_per_run(runs, selection, gt_abs=gt_abs, origin=origin)
             draws = strategy.r2
-            means = range(len(fields)) if strategy.pool_run_means else [best]
-            picks = [(fields[i].means, (i, "mean")) for i in means]
-        picks += [(distribution.sample_field(fields[best], rng), (best, d))
+            means = range(len(runs)) if strategy.pool_run_means else [best]
+            picks = [(runs[i][..., 0:2], (i, "mean")) for i in means]
+        picks += [(distribution.sample_field(runs[best], rng), (best, d))
                   for d in range(draws)]
     return (np.stack([data.absolute_positions(d, origin) for d, _ in picks], axis=1),
             [p for _, p in picks])
 
 
-def gaussian_at(field, n: int, t: int) -> tuple[float, float, float, float, float]:
-    """(mu1, mu2, sigma1, sigma2, rho) of pedestrian ``n`` at timestep ``t``."""
-    (mu1, mu2), (s1, s2) = field.means[n, t], field.sigmas[n, t]
-    return float(mu1), float(mu2), float(s1), float(s2), float(field.rhos[n, t])
+def gaussian_at(raw, n: int, t: int) -> tuple[float, float, float, float, float]:
+    """(mu1, mu2, sigma1, sigma2, rho) of pedestrian ``n`` at timestep ``t``
+    of the raw statistics ``raw`` [N, T', 5]."""
+    (mu1, mu2), (s1, s2), (rho,) = (a[n, t] for a in constrain_array(raw))
+    return float(mu1), float(mu2), float(s1), float(s2), float(rho)
 
 
 def raw_stats(mu1, mu2, s1, s2, rho) -> np.ndarray:
@@ -775,10 +788,9 @@ def raw_stats(mu1, mu2, s1, s2, rho) -> np.ndarray:
     return np.array([mu1, mu2, *sig_raw, np.arctanh(rho / RHO_CAP)])
 
 
-def stats_field(mu1, mu2, s1, s2, rho, n: int = 1, t: int = 1) -> StatsField:
-    """A field [n, t] whose every location has these parameters."""
-    return StatsField(np.broadcast_to(raw_stats(mu1, mu2, s1, s2, rho),
-                                      (n, t, STAT_CHANNELS)))
+def stats_field(mu1, mu2, s1, s2, rho, n: int = 1, t: int = 1) -> np.ndarray:
+    """Raw statistics [n, t, 5] whose every location has these parameters."""
+    return np.broadcast_to(raw_stats(mu1, mu2, s1, s2, rho), (n, t, STAT_CHANNELS))
 
 
 def log_pdf(y, mu1, mu2, s1, s2, rho) -> float:

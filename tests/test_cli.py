@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import file_hash, one_candidate_errors
 from trajdiff import checkpoint, cli, data, diffusion, inference, training
@@ -243,6 +245,28 @@ class TestResume:
         assert os.listdir(out) == ["training_log.csv"]
         assert (out / "training_log.csv").read_bytes() == log
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--epochs", "3"], "epochs"),
+        (["--seed", "9", "--frames", "25"], "seed"),
+        (["--lr", "1e-2"], "learning_rate"),
+    ], ids=["epochs-same-dir", "seed-fewer-windows", "lr"])
+    def test_other_run_is_usage_error(self, mid_run, tmp_path, capsys, flags, field):
+        # the first case resumes in a copy of the run's own directory, the
+        # others into a fresh one
+        out = tmp_path / "run"
+        if field == "epochs":
+            out.mkdir()
+            for p in mid_run.iterdir():
+                (out / p.name).write_bytes(p.read_bytes())
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        rc = cli.main(["train", *RESUME_ARGS, *flags, "--out", str(out),
+                       "--resume", str(mid_run / "ckpt_000002.tjdf")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"has run {field} = " in err
+        after = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        assert after == before
+
     def test_only_mid_run_checkpoints_carry_adam_state(self, tmp_path):
         # a checkpoint after every step: ckpt_000001 to ckpt_000003
         out = tmp_path / "every"
@@ -382,6 +406,18 @@ class TestEval:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_counts_of_other_kinds_are_checked(self, trained, tmp_path, capsys):
+        # ablate --axis sampling runs A, B and C with the same counts, so a
+        # strategy-A run's --r 0 is a usage error, not a failure after the chain
+        ckpt, _ = trained
+        out = tmp_path / "ablate.csv"
+        rc = cli.main(["ablate", "--checkpoint", str(ckpt), "--data", "synthetic",
+                       "--axis", "sampling", "--r", "0", "--out", str(out),
+                       "--scenes", "2", "--peds", "3", "--frames", "30"])
+        assert rc == 1
+        assert "strategy r must be in 1.." in capsys.readouterr().err
+        assert not out.exists()
+
     def test_low_and_high_step_counts_both_run(self, trained):
         ckpt, tmp_path = trained
         for steps in ("2", "10"):
@@ -495,8 +531,10 @@ def _flag(key):
     ("train", "train", {"lambda1": "nan"}),
     ("train", "train", {"denoiser_boost": "-3"}),
     ("synth", "synth", {"speed_min": "5", "speed_max": "1"}),
+    ("train", "train", {"denoiser_boost": "1000000000000"}),
+    ("synth", "synth", {"scenes": "1000000000000"}),
 ], ids=["lr-nan", "lr-negative", "lambda1-nan", "denoiser-boost-negative",
-        "speed-min-above-max"])
+        "speed-min-above-max", "denoiser-boost-huge", "scenes-huge"])
 def test_bad_numeric_setting_is_usage_error(tmp_path, capsys, command, section, settings,
                                             source):
     # without the checks these fail at optimizer step 1 (exit 3), train
@@ -513,6 +551,110 @@ def test_bad_numeric_setting_is_usage_error(tmp_path, capsys, command, section, 
     assert cli.main([*argv, *given, "--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Every command's numeric settings, drawn as flags and as config keys: the
+# values a bad setting takes (0, negatives, nan, inf, huge, and ranges given
+# in the wrong order) on MICRO data.  Each run must exit with a documented
+# code without raising, and a usage error must leave --out unwritten.
+INT_VALUES = ["0", "-1", "-1000000000000", "1000000000000", "100000000000000000000",
+              "nan", "inf"]
+FLOAT_VALUES = ["0", "-1", "-1e300", "1e300", "nan", "inf", "-inf"]
+SWAPPED = {"synth.speed_min": ("2.0", "synth.speed_max", "1.0"),
+           "model.beta_start": ("0.3", "model.beta_end", "0.1"),
+           "model.steps": ("30", "model.k", "20")}
+MICRO_DATA = {"data.dir": "synthetic", "synth.scenes": "1", "synth.peds": "3",
+              "synth.frames": "25"}
+MICRO_PROTOCOL = {"protocol.r1": "2", "protocol.r2": "2", "protocol.r": "2",
+                  "protocol.steps": "2"}
+
+
+def _numeric_keys(command) -> dict[str, list[str]]:
+    """The bad values of each numeric settings flag of ``command``, by
+    config key: every flag whose type is int or float."""
+    actions = cli._config_keys(cli.build_parser())[command]
+    return {key: FLOAT_VALUES if a.type is float else INT_VALUES
+            for key, a in actions.items() if a.type is float or a.type is int
+            or getattr(a.type, "__name__", None) == "int"}
+
+
+@st.composite
+def _bad_settings(draw):
+    """A command, its MICRO settings with one or two numeric ones (and
+    maybe a swapped range) replaced by bad values, and each setting's
+    source."""
+    command = draw(st.sampled_from(["synth", "train", "eval", "ablate", "predict"]))
+    bad_values = _numeric_keys(command)
+    keys = draw(st.lists(st.sampled_from(sorted(bad_values)), min_size=1, max_size=2,
+                         unique=True))
+    bad = {k: draw(st.sampled_from(bad_values[k])) for k in keys}
+    swaps = [k for k in SWAPPED if k in bad_values]
+    if swaps and draw(st.booleans()):
+        low_key = draw(st.sampled_from(swaps))
+        low, high_key, high = SWAPPED[low_key]
+        bad.update({low_key: low, high_key: high})
+    sources = {k: draw(st.sampled_from(["flag", "config"])) for k in bad}
+    return command, bad, sources
+
+
+def _micro_settings(command, ckpt, scene) -> tuple[list[str], dict[str, str]]:
+    """Positional arguments and valid MICRO settings by config key."""
+    keys = {a.option_strings[0]: key
+            for key, a in cli._config_keys(cli.build_parser())["train"].items()}
+    train = {keys[flag]: value for flag, value in zip(TRAIN_ARGS[::2], TRAIN_ARGS[1::2])}
+    train["train.epochs"] = "1"
+    return {
+        "synth": (["synth"], {"synth.scenes": "1", "synth.peds": "2", "synth.frames": "25"}),
+        "train": (["train"], {**MICRO_DATA, **train}),
+        "eval": (["eval", "--checkpoint", str(ckpt)], {**MICRO_DATA, **MICRO_PROTOCOL}),
+        "ablate": (["ablate", "--checkpoint", str(ckpt), "--axis", "sampling"],
+                   {**MICRO_DATA, **MICRO_PROTOCOL}),
+        "predict": (["predict", "--checkpoint", str(ckpt), "--input", str(scene)],
+                    MICRO_PROTOCOL),
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def micro_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scene")
+    assert cli.main(["synth", "--out", str(out), "--scenes", "1", "--peds", "3",
+                     "--frames", "25"]) == 0
+    return out / "synth00.txt"
+
+
+@example(("train", {"train.denoiser_boost": "1000000000000"}, {"train.denoiser_boost": "flag"}))
+@example(("synth", {"synth.scenes": "1000000000000"}, {"synth.scenes": "config"}))
+@example(("synth", {"synth.peds": "1000000000000"}, {"synth.peds": "flag"}))
+@example(("train", {"model.blocks": "1000000000000"}, {"model.blocks": "flag"}))
+@example(("train", {"model.k": "1000000000000"}, {"model.k": "config"}))
+@example(("eval", {"protocol.r2": "1000000000000"}, {"protocol.r2": "flag"}))
+@given(case=_bad_settings())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_bad_settings_exit_with_documented_code(trained, micro_scene, case):
+    command, bad, sources = case
+    positional, given = _micro_settings(command, trained[0], micro_scene)
+    given = {**given, **bad}
+    actions = cli._config_keys(cli.build_parser())[command]
+    assert set(given) <= set(actions)
+    with tempfile.TemporaryDirectory() as tmp:
+        flags, sections = [], {}
+        for key, value in given.items():
+            if sources.get(key) == "config":
+                section, name = key.split(".")
+                sections.setdefault(section, []).append(f"{name} = {value}\n")
+            else:
+                flags.append(f"{actions[key].option_strings[0]}={value}")
+        if sections:
+            with open(os.path.join(tmp, "bad.ini"), "w", encoding="utf-8") as fh:
+                fh.writelines(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+            flags += ["--config", os.path.join(tmp, "bad.ini")]
+        out = os.path.join(tmp, "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main([*positional, *flags, "--out", out])
+        assert rc in (0, 1, 2, 3)
+        if rc == 1:
+            assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command,setting,flags", [
@@ -855,8 +997,8 @@ class TestPredict:
         assert not with_gt
         strategy = inference.SamplingStrategy(kind="A", r1=3, r2=2)
         rng = np.random.default_rng([4, 23, 0])
-        (fields,) = mdl.generate([window], [rng], n_runs=3)
-        pset = inference._candidates(fields, window.origin, strategy, rng,
+        (runs,) = mdl.generate([window], [rng], n_runs=3)
+        pset = inference._candidates(runs, window.origin, strategy, rng,
                                      "self-likelihood", None)
         want = [f"input,{ped},{m},{t + 1},{x:.6f},{y:.6f}"
                 for p, ped in enumerate(window.ped_ids)

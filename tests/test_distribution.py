@@ -72,8 +72,8 @@ def test_density_integrates_to_one():
 def test_covariance_determinant_positive():
     rng = np.random.default_rng(1)
     raw = rng.normal(scale=3.0, size=(4, 6, 5))
-    field = dist.StatsField(raw)
-    det = (field.sigmas[..., 0] * field.sigmas[..., 1]) ** 2 * (1 - field.rhos ** 2)
+    _, sig, rho = dist.constrain_array(raw)
+    det = (sig[..., 0] * sig[..., 1]) ** 2 * (1 - rho[..., 0] ** 2)
     assert det.shape == (4, 6) and (det > 0).all()
 
 
@@ -93,9 +93,9 @@ class TestSampling:
     def test_floor_sigma_sticks_to_mean(self):
         raw = np.tile([1.0, -2.0, -40.0, -40.0, np.arctanh(0.7 / dist.RHO_CAP)],
                       (100, 1, 1))
-        field = dist.StatsField(raw)
-        np.testing.assert_allclose(field.sigmas, dist.SIGMA_FLOOR, rtol=1e-12)
-        draws = dist.sample_field(field, np.random.default_rng(0))
+        np.testing.assert_allclose(dist.constrain_array(raw)[1], dist.SIGMA_FLOOR,
+                                   rtol=1e-12)
+        draws = dist.sample_field(raw, np.random.default_rng(0))
         assert (np.abs(draws[..., 0] - 1.0) < 1e-3).all()
         assert (np.abs(draws[..., 1] + 2.0) < 1e-3).all()
 
@@ -121,15 +121,14 @@ class TestSampling:
 
     def test_sample_field_matches_scalar_construction(self):
         raw = np.random.default_rng(2).normal(size=(3, 4, 5))
-        field = dist.StatsField(raw)
-        a = dist.sample_field(field, np.random.default_rng(11))
+        a = dist.sample_field(raw, np.random.default_rng(11))
         assert a.shape == (3, 4, 2)
         # the same draws through the same arithmetic give the same bytes
         rng = np.random.default_rng(11)
         u, v = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
         for n in range(3):
             for t in range(4):
-                want = sample_location(*gaussian_at(field, n, t), _Pair(u[n, t], v[n, t]))
+                want = sample_location(*gaussian_at(raw, n, t), _Pair(u[n, t], v[n, t]))
                 np.testing.assert_array_equal(a[n, t], want)
 
     @pytest.mark.parametrize("peds", [1, 2, 7, 16])
@@ -142,18 +141,32 @@ class TestSampling:
         raw[0, :3, 2:4] = -800.0        # softplus 0: sigma is the floor itself
         raw[-1, 3:6, 4] = 40.0          # tanh 1: rho is the cap itself
         raw[-1, 6:9, 4] = -40.0
-        field = dist.StatsField(raw)
-        assert (field.sigmas[0, :3] == dist.SIGMA_FLOOR).all()
-        assert (field.rhos[-1, 3:6] == dist.RHO_CAP).all()
-        assert (field.rhos[-1, 6:9] == -dist.RHO_CAP).all()
+        _, sig, rho = dist.constrain_array(raw)
+        assert (sig[0, :3] == dist.SIGMA_FLOOR).all()
+        assert (rho[-1, 3:6] == dist.RHO_CAP).all()
+        assert (rho[-1, 6:9] == -dist.RHO_CAP).all()
         for n in (0, 1, 5, 20):
             rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-            got = dist.sample_field(field, rng, n)
-            want = np.stack([dist.sample_field(field, ref) for _ in range(n)]) if n \
+            got = dist.sample_field(raw, rng, n)
+            want = np.stack([dist.sample_field(raw, ref) for _ in range(n)]) if n \
                 else np.empty((0, peds, 12, 2))
             assert got.shape == (n, peds, 12, 2) and got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+    @pytest.mark.parametrize("lead", [(1,), (4,), (2, 3)])
+    def test_one_call_per_field_set_equals_per_field_calls(self, lead):
+        """Fields with leading run axes [..., N, T', 5] and no count: one
+        draw per field from one generator call, the bytes of one call per
+        field in order, and the same generator state after (strategy B)."""
+        raw = np.random.default_rng(len(lead)).normal(size=(*lead, 3, 12, 5))
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = dist.sample_field(raw, rng)
+        want = np.stack([dist.sample_field(f, ref) for f in raw.reshape(-1, 3, 12, 5)])
+        assert got.shape == (*lead, 3, 12, 2)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestConverter:
@@ -179,9 +192,9 @@ class TestConverter:
         for seed in range(3):
             cfg, params = self._params(seed)
             fut = np.random.default_rng(seed).normal(scale=2.0, size=(4, 12, 2))
-            field = dist.StatsField(dist.convert_trajectory(fut, params))
-            assert (field.sigmas > 0).all()
-            assert (np.abs(field.rhos) <= dist.RHO_CAP).all()
+            _, sig, rho = dist.constrain_array(dist.convert_trajectory(fut, params))
+            assert (sig > 0).all()
+            assert (np.abs(rho) <= dist.RHO_CAP).all()
 
     def test_center_tap_never_leaks(self):
         # statistics at timestep t must not depend on the displacement at t
@@ -218,10 +231,9 @@ def test_array_log_pdf_matches_scalar_reference():
         raw = rng.normal(size=(3, 4, 5))
         y = rng.normal(size=(3, 4, 2))
         terms = dist.log_pdf(y, raw)[0][..., 0]
-        field = dist.StatsField(raw)
         for n in range(3):
             for t in range(4):
-                expected = log_pdf(y[n, t], *gaussian_at(field, n, t))
+                expected = log_pdf(y[n, t], *gaussian_at(raw, n, t))
                 assert math.isclose(terms[n, t], expected, rel_tol=1e-8, abs_tol=1e-8)
 
 
@@ -274,10 +286,18 @@ def test_log_pdf_matches_tape(dtype):
 
 def test_mean_log_score_matches_sum_of_mode_densities():
     raw = np.random.default_rng(12).normal(size=(2, 3, 5))
-    field = dist.StatsField(raw)
-    expected = sum(log_pdf(field.means[n, t], *gaussian_at(field, n, t))
+    expected = sum(log_pdf(raw[n, t, :2], *gaussian_at(raw, n, t))
                    for n in range(2) for t in range(3))
-    assert math.isclose(dist.mean_log_score(field), expected, rel_tol=1e-9)
+    assert math.isclose(dist.mean_log_score(raw), expected, rel_tol=1e-9)
+
+
+def test_mean_log_score_of_runs_equals_per_run_scores():
+    """Raw statistics with a leading run axis score each run as that run's
+    statistics alone, bit for bit."""
+    runs = np.random.default_rng(13).normal(size=(6, 5, 12, 5))
+    scores = dist.mean_log_score(runs)
+    assert scores.shape == (6,)
+    assert scores.tobytes() == np.array([dist.mean_log_score(r) for r in runs]).tobytes()
 
 
 class TestNormalization:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import one_candidate_errors
-from references import candidates_per_draw, constant_velocity_baseline
+from references import candidates_per_draw, constant_velocity_baseline, select_per_run
 from trajdiff import data, diffusion, distribution, inference, training
 from trajdiff.inference import EvalProtocol, PredictionSet, SamplingStrategy
 from trajdiff.model import Model, ModelConfig
@@ -82,22 +82,22 @@ class TestMetrics:
 def _field_with_means(means):
     raw = np.zeros(means.shape[:2] + (5,))
     raw[..., :2] = means
-    return distribution.StatsField(raw)
+    return raw
 
 
 class TestSelectBest:
     def test_singleton(self):
         f = _field_with_means(np.zeros((2, 3, 2)))
-        assert inference.select_best([f], "self-likelihood") == 0
+        assert inference.select_best(f[None], "self-likelihood") == 0
 
     def test_exact_means_win_under_gt_ade(self):
         rng = np.random.default_rng(0)
         gt_disp = rng.normal(size=(2, 3, 2))
         origin = rng.normal(size=(2, 2))
         gt_abs = origin[:, None, :] + np.cumsum(gt_disp, axis=1)
-        fields = [_field_with_means(gt_disp + 0.5),
-                  _field_with_means(gt_disp),
-                  _field_with_means(gt_disp - 0.3)]
+        fields = np.stack([_field_with_means(gt_disp + 0.5),
+                           _field_with_means(gt_disp),
+                           _field_with_means(gt_disp - 0.3)])
         assert inference.select_best(fields, "gt-ade", gt_abs, origin) == 1
 
     def test_tie_break_lowest_index(self):
@@ -105,24 +105,56 @@ class TestSelectBest:
         g = _field_with_means(np.ones((1, 3, 2)))
         gt_abs = np.zeros((1, 3, 2))
         origin = np.zeros((1, 2))
-        assert inference.select_best([f, g], "gt-ade", gt_abs, origin) == 0
+        assert inference.select_best(np.stack([f, g]), "gt-ade", gt_abs, origin) == 0
 
     def test_gt_required_for_gt_ade(self):
         with pytest.raises(ValueError, match="ground truth"):
-            inference.select_best([_field_with_means(np.zeros((1, 3, 2)))],
+            inference.select_best(_field_with_means(np.zeros((1, 3, 2)))[None],
                                   "gt-ade")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            inference.select_best([], "self-likelihood")
+            inference.select_best(np.zeros((0, 1, 3, 5)), "self-likelihood")
+
+    @pytest.mark.parametrize("criterion", inference.SELECTIONS)
+    def test_ties_go_to_lowest_index_as_per_run_loop(self, criterion):
+        """Runs that tie on window ADE or on self-likelihood, exactly (a
+        repeated run) or by the same values in another order (a run with
+        its pedestrians reversed, against a ground truth symmetric in
+        them), pick the index of the per-run loop: the lowest of the runs
+        whose scores round alike."""
+        rng = np.random.default_rng(5)
+        origin = np.zeros((4, 2))
+        for _ in range(50):
+            base = rng.normal(size=(3, 4, 12, 5))
+            base[[0, 2], ..., :4] += 4.0        # worse means and wider sigmas
+            runs = np.stack([base[0], base[1], base[1], base[1][::-1], base[2], base[1]])
+            gt_abs = rng.normal(size=(4, 12, 2))
+            gt_abs = gt_abs + gt_abs[::-1]
+            got = inference.select_best(runs, criterion, gt_abs, origin)
+            assert got == select_per_run(runs, criterion, gt_abs, origin)
+            assert got in (1, 3)
+        tied = np.stack([base[1]] * 3)
+        assert inference.select_best(tied, criterion, gt_abs, origin) == 0
+
+    @pytest.mark.parametrize("criterion", inference.SELECTIONS)
+    def test_random_runs_pick_the_per_run_index(self, criterion):
+        """Over random windows of up to 32 pedestrians and 12 timesteps,
+        scoring every run at once picks the per-run loop's index."""
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            r, n, t = rng.integers(1, 12), rng.integers(1, 33), rng.integers(1, 13)
+            runs = rng.normal(scale=rng.choice([0.01, 1.0, 3.0]), size=(r, n, t, 5))
+            origin, gt_abs = rng.normal(size=(n, 2)), rng.normal(size=(n, t, 2))
+            assert (inference.select_best(runs, criterion, gt_abs, origin)
+                    == select_per_run(runs, criterion, gt_abs, origin))
 
     def test_self_likelihood_prefers_tight_sigmas(self):
         tight = np.zeros((1, 3, 5))
         tight[..., 2:4] = -3.0
         wide = np.zeros((1, 3, 5))
         wide[..., 2:4] = 3.0
-        fields = [distribution.StatsField(wide), distribution.StatsField(tight)]
-        assert inference.select_best(fields, "self-likelihood") == 1
+        assert inference.select_best(np.stack([wide, tight]), "self-likelihood") == 1
 
 
 def _sample(mdl, window, strategy, selection="gt-ade", seed=0):
@@ -163,14 +195,12 @@ class TestHybridSample:
     def test_strategy_c_floor_sigma_sticks_to_mean(self):
         # all sigmas at the floor: every draw stays within 1e-3 of the mean
         # trajectory at each timestep
-        field = _field_with_means(np.random.default_rng(0).normal(size=(2, 12, 2)))
-        raw = field.raw.copy()
+        raw = _field_with_means(np.random.default_rng(0).normal(size=(2, 12, 2)))
         raw[..., 2:4] = -12.0      # softplus -> ~0, sigma ~ floor
-        field = distribution.StatsField(raw)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            draw = distribution.sample_field(field, rng)
-            assert np.abs(draw - field.means).max() < 1e-3
+            draw = distribution.sample_field(raw, rng)
+            assert np.abs(draw - raw[..., :2]).max() < 1e-3
 
     def test_strategy_c_single_draw(self, tiny_model_and_windows):
         mdl, windows = tiny_model_and_windows
@@ -297,8 +327,8 @@ def _per_window_reference(mdl, window, strategy, rng, gt_abs, steps):
                              for _ in range(runs)])
     y = diffusion.reverse_chain(y_init, np.tile(mdl.encode([window]), (runs, 1)),
                                 cfg.schedule(steps), mdl.params, cfg)
-    fields = [distribution.StatsField(b)
-              for b in np.split(distribution.denormalize_stats(y, mdl.norm), runs)]
+    fields = distribution.denormalize_stats(y, mdl.norm).reshape(runs, window.n_peds,
+                                                                   *y.shape[1:])
     return inference._candidates(fields, window.origin, strategy, rng, "gt-ade", gt_abs)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajdiff import checkpoint, data, diffusion, inference, training
+from trajdiff import checkpoint, data, diffusion, distribution, inference, training
 from trajdiff import numerics as nm
 from trajdiff.model import Model, ModelConfig
 
@@ -93,10 +93,13 @@ def test_predict_requests_on_model_only_checkpoint(workloads, tmp_path, monkeypa
 def test_traced_run_names_exist_and_are_patched():
     """The names a traced train run counts on: ``numerics.backward.calls``
     is checked per step, ``_make`` counts the finiteness checks, and the
-    denoiser and Adam are layers.  Each must exist and be patched."""
+    denoiser and Adam are layers; the traced eval and predict runs time
+    the Gaussian draws, the run selection and the Best-of-N metric.  Each
+    must exist and be patched."""
     tracing = _load("tracing")
     needed = ((nm, "_make"), (nm, "backward"), (diffusion, "denoiser_apply"),
-              (training, "adam_update"))
+              (training, "adam_update"), (distribution, "sample_field"),
+              (inference, "select_best"), (inference, "best_of_n"))
     patched = {(module, attr) for module, attr, _orig, _wrapper in tracing.Tracer()._patches}
     for module, name in needed:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"

@@ -75,10 +75,10 @@ def test_normalization_round_trip(raw_values, scales):
 @settings(max_examples=50, deadline=None)
 def test_constrained_stats_always_valid(raw_values):
     raw = np.array(raw_values, dtype=np.float64).reshape(2, 3, 5)
-    field = distribution.StatsField(raw)
-    assert (field.sigmas > 0).all()
-    assert (np.abs(field.rhos) <= distribution.RHO_CAP).all()
-    det = (field.sigmas[..., 0] * field.sigmas[..., 1]) ** 2 * (1 - field.rhos ** 2)
+    _, sig, rho = distribution.constrain_array(raw)
+    assert (sig > 0).all()
+    assert (np.abs(rho) <= distribution.RHO_CAP).all()
+    det = (sig[..., 0] * sig[..., 1]) ** 2 * (1 - rho[..., 0] ** 2)
     assert (det > 0).all()
 
 

@@ -6,7 +6,7 @@ import resource
 import signal
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,9 +17,9 @@ from references import (ComputationRecord, backward, batch_losses_tape, constant
                         mean, mul, parameter, parameters, sum_)
 import references
 import trajdiff
-from trajdiff import data, diffusion, distribution, guidance, training
+from trajdiff import checkpoint, data, diffusion, distribution, guidance, training
 from trajdiff import numerics as nm
-from trajdiff.distribution import SIGMA_FLOOR, StatsField
+from trajdiff.distribution import SIGMA_FLOOR
 from trajdiff.model import Model, ModelConfig
 
 MICRO = ModelConfig(conv_channels=4, d_phi=4, d_psi=4, denoiser_width=8,
@@ -130,11 +130,10 @@ class TestLossLikelihood:
         raw = rng.normal(size=(3, 12, 5))
         with nm.precision(np.float64):
             loss, _ = training.loss_likelihood(future, raw, n_windows=1)
-        field = StatsField(raw)
         naive = 0.0
         for n in range(3):
             for t in range(12):
-                naive -= log_pdf(future[n, t], *gaussian_at(field, n, t))
+                naive -= log_pdf(future[n, t], *gaussian_at(raw, n, t))
         assert abs(loss - naive) < 1e-5
 
 
@@ -576,7 +575,8 @@ class TestParameterBuffer:
     def test_resume(self, tmp_path):
         cfg = training.TrainConfig(batch_size=4, epochs=3, seed=0, checkpoint_every=2)
         training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
-        mdl, opt, step = training._resume(str(tmp_path / "ckpt_000002.tjdf"), 9, MICRO)
+        record = training._run_record(_windows(), cfg, total_steps=3, freeze_at=1)
+        mdl, opt, step = training._resume(str(tmp_path / "ckpt_000002.tjdf"), record, MICRO)
         assert step == 2
         self._assert_views(mdl)
         for k in mdl.params:
@@ -759,17 +759,20 @@ class TestFit:
                              ids=["lr", "seed", "boost"])
     def test_log_of_another_run_is_refused(self, tmp_path, change):
         # the log's "# seed"/"# config" lines name the run it belongs to;
-        # appending this run's rows to it would mix two runs in one log
+        # resuming a run into the directory of a run with other settings
+        # would append its rows to that run's log
         cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
-        training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
+        other, own = tmp_path / "other", tmp_path / "own"
+        training.fit(_windows(), replace(cfg, **change), MICRO, out_dir=str(other))
+        training.fit(_windows(), cfg, MICRO, out_dir=str(own))
         for name in ("model.tjdf", "ckpt_000009.tjdf"):
-            os.remove(tmp_path / name)
+            os.remove(other / name)
         line = 1 if "seed" in change else 2
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        before = {p.name: p.read_bytes() for p in other.iterdir()}
         with pytest.raises(training.ResumeError, match=f"training_log.csv line {line} is"):
-            training.fit(_windows(), replace(cfg, **change), MICRO, out_dir=str(tmp_path),
-                         resume_from=str(tmp_path / "ckpt_000006.tjdf"))
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+            training.fit(_windows(), cfg, MICRO, out_dir=str(other),
+                         resume_from=str(own / "ckpt_000006.tjdf"))
+        assert {p.name: p.read_bytes() for p in other.iterdir()} == before
 
     @pytest.mark.parametrize("change", [{"denoiser_width": 16}, {"kernel": 5},
                                         {"beta_end": 0.3}],
@@ -841,3 +844,105 @@ training.fit(_windows(), training.{cfg!r}, MICRO, out_dir={str(killed)!r})
             return [line.rsplit(",", 1)[0] if line[0].isdigit() else line
                     for line in (run_dir / "training_log.csv").read_text().splitlines()]
         assert log_without_wall_ms(killed) == log_without_wall_ms(straight)
+
+
+def _log_without_wall_ms(run_dir):
+    return [line.rsplit(",", 1)[0] if line[0].isdigit() else line
+            for line in (run_dir / "training_log.csv").read_text().splitlines()]
+
+
+class TestRunRecord:
+    """Mid-run checkpoints record the run they belong to, and a resume that
+    would continue another run is refused before anything is written."""
+
+    CFG = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
+    FIELDS = [f.name for f in fields(training.TrainConfig) if f.name != "checkpoint_every"]
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("record")
+        training.fit(_windows(), self.CFG, MICRO, out_dir=str(out))
+        return out
+
+    def test_record_is_in_mid_run_checkpoints_only(self, run):
+        meta = checkpoint.load_container(run / "ckpt_000006.tjdf")[0]
+        assert meta["run"] == training._run_record(_windows(), self.CFG, 10, 2)
+        assert sorted(meta["run"]) == sorted(self.FIELDS + ["total_steps", "freeze_at",
+                                                            "data_sha256"])
+        assert "run" not in checkpoint.load_container(run / "model.tjdf")[0]
+
+    @pytest.mark.parametrize("field", FIELDS + ["total_steps", "freeze_at", "data_sha256"])
+    def test_each_field_is_compared(self, run, tmp_path, field):
+        meta, arrays, _ = checkpoint.load_container(run / "ckpt_000006.tjdf")
+        value = meta["run"][field]
+        meta["run"][field] = "0" * 64 if field == "data_sha256" else value * 2 + 1
+        checkpoint.save_container(tmp_path / "other.tjdf", meta, arrays)
+        out = tmp_path / "out"
+        with pytest.raises(training.ResumeError, match=f"has run {field} = "
+                           f"{meta['run'][field]!r}, this run's is {value!r}"):
+            training.fit(_windows(), self.CFG, MICRO, out_dir=str(out),
+                         resume_from=str(tmp_path / "other.tjdf"))
+        assert not out.exists()
+
+    def test_checkpoint_without_record_is_refused(self, run, tmp_path):
+        meta, arrays, _ = checkpoint.load_container(run / "ckpt_000006.tjdf")
+        del meta["run"]
+        checkpoint.save_container(tmp_path / "bare.tjdf", meta, arrays)
+        with pytest.raises(training.ResumeError, match="carries no run record"):
+            training.fit(_windows(), self.CFG, MICRO, out_dir=str(tmp_path / "out"),
+                         resume_from=str(tmp_path / "bare.tjdf"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, field", [
+        ({"epochs": 5}, "epochs"), ({"learning_rate": 1e-2}, "learning_rate"),
+        ({"windows": 3, "seed": 9}, "seed"), ({"windows": 3}, "data_sha256"),
+    ], ids=["epochs", "lr", "seed-and-data", "data"])
+    def test_other_run_is_refused(self, run, tmp_path, change, field):
+        # a window fewer still makes 1 batch a step, so only the data differ
+        change = dict(change)
+        windows = _windows()[:change.pop("windows", None)]
+        with pytest.raises(training.ResumeError, match=f"has run {field} = "):
+            training.fit(windows, replace(self.CFG, **change), MICRO,
+                         out_dir=str(tmp_path / "out"),
+                         resume_from=str(run / "ckpt_000003.tjdf"))
+        assert not (tmp_path / "out").exists()
+
+    def test_other_checkpoint_interval_resumes(self, run, tmp_path):
+        final, _ = training.fit(_windows(), replace(self.CFG, checkpoint_every=4), MICRO,
+                                out_dir=str(tmp_path),
+                                resume_from=str(run / "ckpt_000003.tjdf"))
+        assert open(final, "rb").read() == (run / "model.tjdf").read_bytes()
+
+
+def test_resume_matrix_ends_at_straight_through_bytes(tmp_path):
+    """A run killed right after any of its checkpoints, before, at and after
+    ``freeze_at`` and on and off epoch boundaries, resumes to the
+    straight-through run: the same checkpoint and model bytes, and the
+    same log but for its ``wall_ms`` column."""
+    windows = _windows(n_scenes=3)          # 6 windows: 2 batches of 4 a step
+    cfg = training.TrainConfig(batch_size=4, epochs=6, seed=2, checkpoint_every=1)
+    straight = tmp_path / "straight"
+    training.fit(windows, cfg, MICRO, out_dir=str(straight))
+    # checkpoints 1-2 fall before freeze_at, 3 at it, 4-11 after it, and
+    # the even ones on epoch boundaries
+    record = checkpoint.load_container(straight / "ckpt_000001.tjdf")[0]["run"]
+    assert (record["total_steps"], record["freeze_at"]) == (12, 3)
+    log = (straight / "training_log.csv").read_text().splitlines(keepends=True)
+    names = sorted(p.name for p in straight.iterdir())
+    for step in range(1, 12):
+        killed = tmp_path / f"killed{step}"
+        killed.mkdir()
+        for k in range(1, step + 1):
+            name = f"ckpt_{k:06d}.tjdf"
+            (killed / name).write_bytes((straight / name).read_bytes())
+        # the rows up to the checkpoint reached the disk, and maybe the
+        # start of the next one
+        torn = log[3 + step][:3] if step % 2 else ""
+        (killed / "training_log.csv").write_text("".join(log[:3 + step]) + torn)
+        training.fit(windows, cfg, MICRO, out_dir=str(killed),
+                     resume_from=str(killed / f"ckpt_{step:06d}.tjdf"))
+        assert sorted(p.name for p in killed.iterdir()) == names
+        for name in names[:-1]:
+            assert (killed / name).read_bytes() == (straight / name).read_bytes(), \
+                (step, name)
+        assert _log_without_wall_ms(killed) == _log_without_wall_ms(straight)
