@@ -44,7 +44,7 @@ def _tag_for(arr: np.ndarray) -> int:
 
 def save_container(path, metadata: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write the container atomically: into ``<path>.tmp``, flushed to
-    disk, then renamed onto ``path``.  A write that fails leaves any
+    disk, then renamed onto ``path``, and the rename flushed.  A write that fails leaves any
     previous file at ``path`` untouched; the temporary file that a killed
     save leaves is truncated and renamed by the next save of ``path``."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
@@ -70,6 +70,12 @@ def save_container(path, metadata: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        # the rename survives a power loss only once its directory is flushed
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -18,12 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MAX_COUNT
+from .numerics import FLOAT32_MAX, MAX_COUNT
 
 T_OBSERVED = 8
 T_FUTURE = 12
 MAX_PEDS_PER_WINDOW = 32
 NEIGHBOR_RADIUS = 5.0
+# The largest coordinate magnitude a file may hold, in meters.  The model
+# holds a window's displacements in float32 and squares them in its losses;
+# a displacement between two coordinates within this bound is at most 2e18
+# m, whose square (4e36) float32 can hold (its largest value is 3.4e38).
+MAX_COORDINATE = 1e18
 
 
 class DataError(RuntimeError):
@@ -98,7 +103,7 @@ def ingest_benchmark_file(path, scene_id: str) -> list[RawTrack]:
     must be integers of magnitude below 2**53, where floats are exact, so
     no two ids merge.  Malformed lines, ids that are not such integers and
     duplicate (frame, ped) pairs raise ``DataError`` naming the offending
-    line.
+    line, and so do positions beyond ``MAX_COORDINATE``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,6 +132,9 @@ def ingest_benchmark_file(path, scene_id: str) -> list[RawTrack]:
         frame, ped = int(frame), int(ped)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DataError(f"{path}: line {lineno}: non-finite position")
+        if max(abs(x), abs(y)) > MAX_COORDINATE:
+            raise DataError(f"{path}: line {lineno}: position ({parts[2]}, {parts[3]}) "
+                            f"beyond the {MAX_COORDINATE:.0e} m the model can hold")
         if (frame, ped) in seen:
             raise DataError(f"{path}: line {lineno}: duplicate frame/ped pair ({frame}, {ped})")
         seen.add((frame, ped))
@@ -261,6 +269,7 @@ def neighbor_sets(window: SceneWindow, radius: float) -> np.ndarray:
 
 SYNTH_SCENE_PREFIX = "synth"    # scene ids are synth00, synth01, ...
 REPULSION_RADIUS = 1.0          # meters; closer pairs push each other apart
+REPULSION_FLOOR = 0.05          # meters; a closer pair pushes as if this far apart
 
 
 @dataclass
@@ -282,13 +291,21 @@ class SynthConfig:
             if not 0 < getattr(self, name) <= MAX_COUNT:
                 raise DataError(f"synth config {name} must be in 1..{MAX_COUNT}")
         for name in ("speed_min", "speed_max", "box"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise DataError(f"synth config {name} must be positive and finite")
-        if not (0 <= self.turn_noise < math.inf and 0 <= self.repulsion_gain < math.inf):
-            raise DataError("synth noise/repulsion must be non-negative and finite")
+            if not 0 < getattr(self, name) <= FLOAT32_MAX:
+                raise DataError(f"synth config {name} must be positive and at most "
+                                f"{FLOAT32_MAX:.6g}")
+        if not (0 <= self.turn_noise <= FLOAT32_MAX and 0 <= self.repulsion_gain <= FLOAT32_MAX):
+            raise DataError(f"synth noise/repulsion must be in 0..{FLOAT32_MAX:.6g}")
         if self.speed_min > self.speed_max:
             raise DataError(f"synth config speed_min {self.speed_min} exceeds "
                             f"speed_max {self.speed_max}")
+        # a walker moves at most speed_max plus a push of at most
+        # 1 / REPULSION_FLOOR per neighbour a frame; its scene must ingest
+        reach = self.box + (self.frames - 1) * (
+            self.speed_max + self.repulsion_gain * (self.peds_per_scene - 1) / REPULSION_FLOOR)
+        if reach > MAX_COORDINATE:
+            raise DataError(f"synth walkers could reach {reach:.3g} m, beyond "
+                            f"MAX_COORDINATE {MAX_COORDINATE:.0e} m")
 
 
 def synthesize_scenes(config: SynthConfig) -> list[RawTrack]:
@@ -314,7 +331,7 @@ def synthesize_scenes(config: SynthConfig) -> list[RawTrack]:
                 close = dist < REPULSION_RADIUS
                 if np.any(close):
                     push = np.where(close[:, :, None],
-                                    delta / np.maximum(dist, 0.05)[:, :, None] ** 2,
+                                    delta / np.maximum(dist, REPULSION_FLOOR)[:, :, None] ** 2,
                                     0.0)
                     step = step + config.repulsion_gain * push.sum(axis=1)
             pos = pos + step

@@ -14,9 +14,15 @@ runs on plain arrays; the denoiser is a forward and a backward
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 import warnings
+from concurrent import futures
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +36,9 @@ if TYPE_CHECKING:
 
 GAMMA_MODES = ("deterministic", "ddpm-matching")
 CHAIN_BLOCK_ROWS = 512     # rows per block of a reverse-chain denoiser step
+# blocks of a chain step of more than CHAIN_BLOCK_ROWS rows, at least: enough
+# for two workers to even out when the host slows one of them
+CHAIN_MIN_BLOCKS = 4
 
 
 @dataclass
@@ -271,6 +280,38 @@ def denoiser_backward(g_out: np.ndarray, params: dict[str, np.ndarray], cfg: Mod
             np.ascontiguousarray(g_in[:, sd + cfg.step_dim:]))
 
 
+@functools.cache
+def _blas_threads() -> int | None:
+    """numpy's bundled OpenBLAS thread count, read once; None if unreadable."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn()
+    return None
+
+
+def _chain_workers(rows: int) -> int:
+    """How many threads run a chain step's ``rows``: one per usable CPU, at
+    most one per ``CHAIN_BLOCK_ROWS``, when BLAS runs one thread; else one,
+    since threads on top of a threading BLAS slowed the chain."""
+    if rows <= CHAIN_BLOCK_ROWS or _blas_threads() != 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), -(-rows // CHAIN_BLOCK_ROWS))
+
+
+def _even_cuts(start: int, stop: int, n: int) -> list[tuple[int, int]]:
+    """``start:stop`` as max(n, 1) contiguous ranges of near-equal size."""
+    n = max(n, 1)
+    cuts = [start + (stop - start) * i // n for i in range(n + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+@functools.cache
+def _pool() -> futures.ThreadPoolExecutor:
+    return futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1, "chain")
+
+
 class _ChainTerms:
     """What every denoiser call of one reverse chain shares, made once.
 
@@ -281,9 +322,19 @@ class _ChainTerms:
     step embedding's projection plus ``in.b``) and the state weight
     ``w_x``.  A step then takes one K = T'*5 GEMM for both layers, adds
     its ``g`` rows and ``e`` row, and runs ``_trunk``.  Rows go through in
-    blocks of ``CHAIN_BLOCK_ROWS`` in buffers allocated here; each row's
-    bits do not depend on its block.  The result equals the per-call
-    denoiser's up to the rounding of the re-associated input-layer sum.
+    near-equal contiguous blocks of at most ``CHAIN_BLOCK_ROWS``, at least
+    ``CHAIN_MIN_BLOCKS`` of them when there are more rows than one block
+    holds, so no block has one row unless the chain has: numpy multiplies
+    a one-row block by gemv, which rounds otherwise.  The blocks depend on
+    the row count alone, since OpenBLAS picks its kernel by the product's
+    size and some of the small models' products round otherwise at
+    another block size.  The ``_chain_workers`` threads (the calling one,
+    the rest from ``_pool``) take a step's blocks in turn from one queue,
+    each into its own buffers allocated here, so one that the host slows
+    leaves its later blocks to the others instead of holding up the step,
+    and one that has not started when the blocks run out does not run.
+    The result equals the per-call denoiser's up to the rounding of the
+    re-associated input-layer sum.
     """
 
     def __init__(self, guidance_rows: np.ndarray, params: dict[str, np.ndarray],
@@ -297,24 +348,45 @@ class _ChainTerms:
         e[:, :width] += params["den.in.b"]
         self.e = dict(zip(schedule.tau.tolist(), e))
         self.weights, self.width = _trunk_weights(params, cfg), width
-        rows = min(CHAIN_BLOCK_ROWS, len(self.g))
-        self.x, self.clean = np.empty((rows, sd), dtype), np.empty((rows, sd), dtype)
-        self.z = np.empty((rows, width + sd), dtype)
-        # two residual states in turn and one inner activation
-        acts = np.empty((3, rows, width), dtype)
-        self.hs = [acts[i % 2] for i in range(cfg.denoiser_blocks + 1)]
-        self.rs = [acts[2]] * cfg.denoiser_blocks
         self.eps = np.empty((len(self.g), sd), dtype)
+        blocks = -(-len(self.g) // CHAIN_BLOCK_ROWS)
+        self.blocks = _even_cuts(0, len(self.g),
+                                 max(blocks, CHAIN_MIN_BLOCKS) if blocks > 1 else blocks)
+        rows, self.lock, self.bufs = max(b - a for a, b in self.blocks), threading.Lock(), []
+        for _ in range(_chain_workers(len(self.g))):
+            # two residual states in turn and one inner activation
+            acts = np.empty((3, rows, width), dtype)
+            self.bufs.append((np.empty((rows, sd), dtype), np.empty((rows, width + sd), dtype),
+                              [acts[i % 2] for i in range(cfg.denoiser_blocks + 1)],
+                              [acts[2]] * cfg.denoiser_blocks, np.empty((rows, sd), dtype)))
 
     def apply(self, state: np.ndarray, k: int, schedule: Schedule) -> np.ndarray:
         """The noise estimate [M, T'*5] of every row of ``state`` at step ``k``."""
-        e = self.e[k]
         gain, pull = _read_off(schedule, k, self.eps.dtype)
-        flat = state.reshape(len(self.eps), -1)
-        for start in range(0, len(flat), CHAIN_BLOCK_ROWS):
-            stop = min(start + CHAIN_BLOCK_ROWS, len(flat))
+        args = (iter(self.blocks), state.reshape(len(self.eps), -1), self.e[k], gain, pull)
+        rest = [_pool().submit(self._run, buf, *args) for buf in self.bufs[1:]]
+        try:
+            self._run(self.bufs[0], *args)
+        finally:
+            # a worker that has not started would find no block left (or apply
+            # raises), so it need not run; one that has may still write eps
+            rest = [f for f in rest if not f.cancel()]
+            futures.wait(rest)
+        for f in rest:
+            f.result()
+        return self.eps
+
+    def _run(self, buf, todo, flat, e, gain, pull) -> None:
+        """Run the blocks left in ``todo`` one by one in ``buf``."""
+        x_buf, z_buf, hs, rs, clean = buf
+        while True:
+            with self.lock:
+                block = next(todo, None)
+            if block is None:
+                return
+            start, stop = block
             b = stop - start
-            x, z = self.x[:b], self.z[:b]
+            x, z = x_buf[:b], z_buf[:b]
             x[...] = flat[start:stop]
             np.matmul(x, self.w_x, out=z)
             z += self.g[start:stop]
@@ -322,9 +394,7 @@ class _ChainTerms:
             # tanh moves the input layer's strided columns into a contiguous
             # h: in-place ufuncs on z[:, :width] run up to 4x slower
             _trunk(self.weights, z[:, :self.width], z[:, self.width:], x, gain, pull,
-                   [h[:b] for h in self.hs], [r[:b] for r in self.rs], self.clean[:b],
-                   self.eps[start:stop])
-        return self.eps
+                   [h[:b] for h in hs], [r[:b] for r in rs], clean[:b], self.eps[start:stop])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ class NumericsError(RuntimeError):
 # more memory than there is, so each config's check refuses it.
 MAX_COUNT = 10 ** 6
 
+# The largest value a float setting may take (the rate, the loss weights and
+# the synthetic speeds, box, turn noise and repulsion): float32's largest
+# finite value.  A setting scales float32 arrays, so a larger one is inf in
+# the model's arithmetic.  ``SynthConfig`` bounds its walkers tighter, by
+# ``data.MAX_COORDINATE``.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 # Default dtype is float32 (desk-scale models, fast tests).  The finite
 # difference harness switches to float64, where the central-difference

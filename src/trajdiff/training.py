@@ -74,10 +74,11 @@ class TrainConfig:
 
     def validate(self):
         lams = (self.lambda_diffusion, self.lambda_likelihood, self.lambda_consistency)
-        if not all(0 <= l < math.inf for l in lams) or not any(l > 0 for l in lams):
-            raise ValueError("loss weights must be finite, non-negative and not all zero")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning rate must be finite and > 0, "
+        if not all(0 <= l <= nm.FLOAT32_MAX for l in lams) or not any(l > 0 for l in lams):
+            raise ValueError(f"loss weights must be in 0..{nm.FLOAT32_MAX:.6g} "
+                             "and not all zero")
+        if not 0 < self.learning_rate <= nm.FLOAT32_MAX:
+            raise ValueError(f"learning rate must be > 0 and <= {nm.FLOAT32_MAX:.6g}, "
                              f"got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")

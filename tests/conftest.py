@@ -1,13 +1,15 @@
 """Shared test plumbing: the acceptance suite reports one line per criterion
 through the terminal summary so the lines survive output capture,
-``file_hash`` is the reference for the CLI's ``# checkpoint:`` headers, and
-``one_candidate_errors`` scores one trajectory with the package's metric."""
+``file_hash`` is the reference for the CLI's ``# checkpoint:`` headers,
+``one_candidate_errors`` scores one trajectory with the package's metric and
+``chain_workers`` sets how many workers a reverse chain may use."""
 
 import hashlib
 
 import numpy as np
+import pytest
 
-from trajdiff import inference
+from trajdiff import diffusion, inference
 
 ACCEPTANCE_LINES = []
 
@@ -25,6 +27,17 @@ def one_candidate_errors(pred, gt) -> tuple[float, float]:
     pset = inference.PredictionSet(np.asarray(pred, dtype=np.float64)[None, None])
     ade, fde = inference.best_of_n(pset, np.asarray(gt, dtype=np.float64)[None])
     return float(ade[0]), float(fde[0])
+
+
+@pytest.fixture
+def chain_workers(monkeypatch):
+    """``chain_workers(n)`` lets reverse chains split over up to ``n``
+    workers: n usable CPUs and one BLAS thread, or two BLAS threads for
+    ``n = 1``, whatever this host's are."""
+    def force(n: int) -> None:
+        monkeypatch.setattr(diffusion, "_blas_threads", lambda: 1 if n > 1 else 2)
+        monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: set(range(n)))
+    return force
 
 
 def record_acceptance(line: str) -> None:

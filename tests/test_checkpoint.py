@@ -1,5 +1,7 @@
 """Binary container round-trips and error handling."""
 
+import os
+import stat
 import struct
 from dataclasses import replace
 
@@ -87,6 +89,24 @@ def test_failed_write_keeps_previous_file(tmp_path):
         checkpoint.save_container(path, {"step": 2}, arrays)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.tjdf"]
+
+
+def test_rename_is_flushed_with_its_directory(tmp_path, monkeypatch):
+    # a power loss cannot be provoked here; the order of the calls can be seen
+    calls, fsync, replace_ = [], os.fsync, os.replace
+
+    def record_fsync(fd):
+        calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        fsync(fd)
+
+    def record_replace(src, dst):
+        calls.append("replace")
+        replace_(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", record_fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", record_replace)
+    checkpoint.save_container(tmp_path / "state.tjdf", {"step": 1}, _arrays())
+    assert calls == ["fsync file", "replace", "fsync dir"]
 
 
 def _one_array_container(meta=b"{}", name=b"w", dims=(2,), payload=b"\x00" * 8):

@@ -118,11 +118,20 @@ class TestTrain:
         assert rc == 3
 
     def test_abort_names_the_failed_optimizer_step(self, tmp_path, capsys):
-        # the first update overflows: no step completed before it
+        # a rate near float32's largest overflows the first update: no step
+        # completed before it
         rc = cli.main(["train", "--data", "synthetic", "--seed", "7",
-                       "--out", str(tmp_path / "blow"), *TRAIN_ARGS, "--lr", "1e39"])
+                       "--out", str(tmp_path / "blow"), *TRAIN_ARGS, "--lr", "3e38"])
         assert rc == 3
         assert "training aborted at optimizer step 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--lr", "--lambda1", "--lambda2", "--lambda3"])
+    def test_settings_beyond_float32_are_usage_errors(self, tmp_path, capsys, flag):
+        rc = cli.main(["train", "--data", "synthetic", "--out", str(tmp_path / "out"),
+                       *TRAIN_ARGS, flag, "1e39"])
+        assert rc == 1
+        assert "3.40282e+38" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_env_var_supplies_data_dir(self, tmp_path, monkeypatch):
         scenes = tmp_path / "envscenes"
@@ -324,7 +333,11 @@ class TestSynth:
         ["synth", "--scenes", "0"],
         ["synth", "--peds", "0"],
         ["train", "--data", "synthetic", *TRAIN_ARGS, "--scenes", "0"],
-    ], ids=["synth-scenes-zero", "synth-peds-zero", "train-scenes-zero"])
+        ["synth", "--speed-max", "1e300"],
+        ["synth", "--speed-max", "1e30"],
+        ["train", "--data", "synthetic", *TRAIN_ARGS, "--box", "1e37"],
+    ], ids=["synth-scenes-zero", "synth-peds-zero", "train-scenes-zero",
+            "synth-speed-beyond-float32", "synth-reach-beyond-ingest", "train-box-beyond-ingest"])
     def test_bad_synth_config_is_usage_error(self, tmp_path, capsys, argv):
         rc = cli.main([*argv, "--out", str(tmp_path / "out")])
         assert rc == 1
@@ -345,6 +358,30 @@ class TestEval:
         header = out_a.read_text().splitlines()
         assert header[0] == f"# checkpoint: {file_hash(ckpt)}"
         assert "scene,n_protocol,ade,fde,windows,pedestrians" in header
+
+    def test_two_chain_workers_write_the_same_bytes(self, trained, chain_workers,
+                                                    monkeypatch):
+        # a chain per scene of 3 windows of 4 pedestrians by 50 runs: 600 rows,
+        # in four blocks over two workers
+        ckpt, tmp_path = trained
+        args = ["eval", "--checkpoint", str(ckpt), "--data", "synthetic", "--seed", "7",
+                "--strategy", "A", "--r1", "50", "--r2", "2", "--stride", "4",
+                "--scenes", "2", "--peds", "4", "--frames", "30"]
+        workers, count = [], diffusion._chain_workers
+
+        def counted(rows):
+            workers.append(count(rows))
+            return workers[-1]
+
+        monkeypatch.setattr(diffusion, "_chain_workers", counted)
+        outputs = {}
+        for n in (2, 1):
+            chain_workers(n)
+            out = tmp_path / f"workers{n}.csv"
+            assert cli.main(args + ["--out", str(out)]) == 0
+            outputs[n] = out.read_bytes(), out.with_suffix(".json").read_bytes()
+        assert workers == [2, 2, 1, 1]
+        assert outputs[2] == outputs[1]
 
     def test_older_format_checkpoint_evaluates_the_same(self, trained):
         ckpt, tmp_path = trained
@@ -623,6 +660,9 @@ def micro_scene(tmp_path_factory):
 
 
 @example(("train", {"train.denoiser_boost": "1000000000000"}, {"train.denoiser_boost": "flag"}))
+@example(("train", {"train.lr": "1e39"}, {"train.lr": "flag"}))
+@example(("train", {"train.lambda2": "1e39"}, {"train.lambda2": "config"}))
+@example(("synth", {"synth.speed_max": "1e300"}, {"synth.speed_max": "flag"}))
 @example(("synth", {"synth.scenes": "1000000000000"}, {"synth.scenes": "config"}))
 @example(("synth", {"synth.peds": "1000000000000"}, {"synth.peds": "flag"}))
 @example(("train", {"model.blocks": "1000000000000"}, {"model.blocks": "flag"}))

@@ -57,6 +57,21 @@ class TestIngest:
                                                  f"'{frame}' and '{ped}'"):
             data.ingest_benchmark_file(path, "s")
 
+    def test_scene_beyond_float32_scale_is_refused_at_its_line(self, tmp_path):
+        # a valid synthetic scene with its coordinates scaled by 1e36 ingested,
+        # then failed training at its first step
+        tracks = data.synthesize_scenes(data.SynthConfig(n_scenes=1, peds_per_scene=3,
+                                                         frames=25, seed=2))
+        data.write_benchmark_file(tmp_path / "big.txt", [
+            data.RawTrack(t.scene_id, t.ped_id, t.frames, t.points * 1e36) for t in tracks])
+        with pytest.raises(data.DataError, match="big.txt: line 1: position .* beyond"):
+            data.ingest_benchmark_file(tmp_path / "big.txt", "s")
+
+    def test_coordinates_at_the_bound_ingest(self, tmp_path):
+        path = _write(tmp_path, f"0 1 {data.MAX_COORDINATE!r} {-data.MAX_COORDINATE!r}\n")
+        (track,) = data.ingest_benchmark_file(path, "s")
+        assert track.points.tolist() == [[data.MAX_COORDINATE, -data.MAX_COORDINATE]]
+
     def test_float_written_ids_accepted(self, tmp_path):
         path = _write(tmp_path, "0.0 1.0 0.0 0.0\n10 1 0.4 0.0\n1e1 -2.0 1 1\n")
         tracks = data.ingest_benchmark_file(path, "s")
@@ -252,6 +267,15 @@ class TestSynthetic:
             data.SynthConfig(n_scenes=0)
         with pytest.raises(data.DataError):
             data.SynthConfig(turn_noise=-1.0)
+        for field in ("speed_max", "box", "turn_noise", "repulsion_gain"):
+            with pytest.raises(data.DataError, match="3.40282e"):
+                data.SynthConfig(**{field: 1e39})
+
+    @pytest.mark.parametrize("settings", [{"speed_max": 1e17, "frames": 20},
+                                          {"box": 2e18}, {"repulsion_gain": 1e15}])
+    def test_walkers_that_could_leave_ingests_range_rejected(self, settings):
+        with pytest.raises(data.DataError, match="could reach .* beyond MAX_COORDINATE"):
+            data.SynthConfig(**settings)
 
 
 def test_benchmark_file_round_trip(tmp_path):

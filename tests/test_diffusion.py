@@ -1,7 +1,11 @@
 """Schedule construction, forward/reverse transitions, the denoiser and the
 full reverse chain."""
 
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -518,12 +522,140 @@ class TestChainTerms:
         assert np.abs(chain - args[0]).max() > 1.0
 
     def test_rows_keep_their_bits_across_blocks(self):
-        assert dff.CHAIN_BLOCK_ROWS == 512      # 600 rows end inside the second block
+        # 1,200 rows run in 4 blocks of 300, their first 600 alone in 4 of 150
+        assert (dff.CHAIN_BLOCK_ROWS, dff.CHAIN_MIN_BLOCKS) == (512, 4)
         y_init, g = self._inputs(1200)
         sched, params = self.CFG.schedule(), self._params()
         whole = dff.reverse_chain(y_init, g, sched, params, self.CFG)
         half = dff.reverse_chain(y_init[:600], g[:600], sched, params, self.CFG)
         assert whole[:600].tobytes() == half.tobytes()
+        # 513 rows in blocks of 512 and 1 would multiply the last by gemv
+        tail = dff.reverse_chain(y_init[1:513], g[1:513], sched, params, self.CFG)
+        odd = dff.reverse_chain(y_init[:513], g[:513], sched, params, self.CFG)
+        assert odd[1:].tobytes() == tail.tobytes()
+
+    @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
+    @pytest.mark.parametrize("rows, blocks", [(513, 3), (1100, 3), (1360, 3), (5440, 3),
+                                              (1100, 0)],
+                             ids=["513", "1100", "1360", "5440", "1100-no-blocks"])
+    def test_two_workers_equal_one(self, chain_workers, rows, blocks, gamma_mode):
+        cfg = replace(self.CFG, denoiser_blocks=blocks)
+        args = (*self._inputs(rows), cfg.schedule(), self._params(cfg), cfg)
+        chains = {}
+        for n in (2, 1):
+            chain_workers(n)
+            assert len(dff._ChainTerms(args[1], args[3], cfg, args[2]).bufs) == n
+            chains[n] = dff.reverse_chain(*args, _chain_rng(gamma_mode))
+        assert chains[2].tobytes() == chains[1].tobytes()
+
+    def test_more_workers_than_cores_equal_one_worker(self, chain_workers, monkeypatch):
+        # eight workers on eight threads, switching often: each writes only its blocks
+        args = (*self._inputs(5440), self.CFG.schedule(), self._params(), self.CFG)
+        chain_workers(1)
+        one = dff.reverse_chain(*args)
+        chain_workers(8)
+        pool = futures.ThreadPoolExecutor(8)
+        monkeypatch.setattr(dff, "_pool", lambda: pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert len(dff._ChainTerms(args[1], args[3], self.CFG, args[2]).bufs) == 8
+            eight = dff.reverse_chain(*args)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert eight.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("rows, workers, blocks", [(5440, 2, 11), (1360, 2, 4),
+                                                       (513, 2, 4), (512, 1, 1), (0, 1, 1)])
+    def test_blocks_are_even_at_most_512_and_do_not_depend_on_workers(
+            self, chain_workers, rows, workers, blocks):
+        made = {}
+        for n in (2, 1):
+            chain_workers(n)
+            made[n] = dff._ChainTerms(self._inputs(rows)[1], self._params(), self.CFG,
+                                      self.CFG.schedule())
+        assert (len(made[2].bufs), len(made[1].bufs)) == (workers, 1)
+        assert len(made[2].blocks) == blocks and made[2].blocks == made[1].blocks
+        starts, stops = zip(*made[2].blocks)
+        assert starts[0] == 0 and stops[-1] == rows and starts[1:] == stops[:-1]
+        sizes = [b - a for a, b in made[2].blocks]
+        assert max(sizes) <= dff.CHAIN_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+
+    def test_a_slow_worker_leaves_its_blocks_to_the_others(self, chain_workers,
+                                                          monkeypatch):
+        y_init, g = self._inputs(1360)
+        sched, params = self.CFG.schedule(), self._params()
+        k = int(sched.tau[-1])
+        chain_workers(1)
+        one = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched).copy()
+        chain_workers(2)
+        taken, run = [], dff._ChainTerms._run
+
+        def logged(todo, worker):
+            for block in todo:
+                taken.append(worker)
+                yield block
+
+        def slow(terms, buf, todo, *args):
+            worker = [b is buf for b in terms.bufs].index(True)
+            if worker:
+                threading.Event().wait(0.2)
+            run(terms, buf, logged(todo, worker), *args)
+
+        monkeypatch.setattr(dff._ChainTerms, "_run", slow)
+        two = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched)
+        assert taken == [0, 0, 0, 0]
+        assert two.tobytes() == one.tobytes()
+
+    def test_a_worker_that_has_not_started_does_not_run(self, chain_workers, monkeypatch):
+        y_init, g = self._inputs(1360)
+        sched, params = self.CFG.schedule(), self._params()
+        k = int(sched.tau[-1])
+        chain_workers(1)
+        one = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched).copy()
+        chain_workers(2)
+        pool, busy = futures.ThreadPoolExecutor(1), threading.Event()
+        pool.submit(busy.wait, 10)          # the pool's one thread is taken
+        monkeypatch.setattr(dff, "_pool", lambda: pool)
+        ran, run = [], dff._ChainTerms._run
+
+        def logged(terms, buf, *args):
+            ran.append(buf is terms.bufs[0])
+            run(terms, buf, *args)
+
+        monkeypatch.setattr(dff._ChainTerms, "_run", logged)
+        try:
+            two = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched)
+        finally:
+            busy.set()
+            pool.shutdown()
+        assert ran == [True]
+        assert two.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("blas_threads", [2, 4, None], ids=["2", "4", "unreadable"])
+    def test_free_or_unknown_blas_keeps_one_worker(self, monkeypatch, blas_threads):
+        monkeypatch.setattr(dff, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(dff.os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert dff._chain_workers(5440) == 1
+        monkeypatch.setattr(dff, "_blas_threads", lambda: 1)
+        assert dff._chain_workers(5440) == 8 and dff._chain_workers(1100) == 3
+
+    def test_small_chain_starts_no_thread(self, chain_workers, monkeypatch):
+        chain_workers(2)
+        monkeypatch.setattr(dff, "_pool", lambda: pytest.fail("a 512-row chain used the pool"))
+        threads = threading.active_count()
+        dff.reverse_chain(*self._inputs(512), self.CFG.schedule(), self._params(), self.CFG)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blas_thread_count_is_read_from_openblas(self, threads):
+        # the reader runs in a fresh process, where the environment sets it
+        code = "from trajdiff import diffusion; print(diffusion._blas_threads())"
+        env = {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": ":".join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.strip()
+        assert out in (threads, "None")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -541,3 +673,37 @@ class TestChainTerms:
         with pytest.raises(nm.NumericsError, match=f"reverse chain failed at step "
                            f"{sched.K}: non-finite denoiser output"):
             dff.reverse_chain(y_init, g, sched, params, self.CFG)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_guidance_in_the_last_block_raises_naming_the_step(self,
+                                                                         chain_workers):
+        chain_workers(2)
+        y_init, g = self._inputs(1100)
+        g[1000, 7] = np.nan
+        sched = self.CFG.schedule()
+        with pytest.raises(nm.NumericsError, match=f"reverse chain failed at step "
+                           f"{sched.K}: non-finite denoiser output"):
+            dff.reverse_chain(y_init, g, sched, self._params(), self.CFG)
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "worker"])
+    def test_apply_waits_for_every_worker_before_raising(self, chain_workers, monkeypatch,
+                                                         failing):
+        chain_workers(2)
+        started, finished, run = threading.Event(), [], dff._ChainTerms._run
+
+        def worker(terms, buf, *args):
+            if buf is terms.bufs[0]:
+                assert started.wait(10)     # the pool's worker is running
+            else:
+                started.set()
+            if buf is terms.bufs[failing]:
+                raise MemoryError("worker failed")
+            threading.Event().wait(0.2)
+            run(terms, buf, *args)
+            finished.append(buf)
+
+        monkeypatch.setattr(dff._ChainTerms, "_run", worker)
+        with pytest.raises(MemoryError, match="worker failed"):
+            dff.reverse_chain(*self._inputs(1100), self.CFG.schedule(), self._params(),
+                              self.CFG)
+        assert len(finished) == 1

@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import one_candidate_errors
@@ -114,6 +114,24 @@ def test_any_text_line_parses_or_is_data_error_naming_it(line):
             data.ingest_benchmark_file(path, "scene")
         except data.DataError as exc:
             assert "line 1:" in str(exc)
+
+
+@given(st.integers(0, 4), st.floats(data.MAX_COORDINATE, exclude_min=True,
+                                    allow_infinity=False),
+       st.booleans(), st.booleans())
+@example(2, 1.3e37, False, False)       # a scene's coordinates scaled by 1e36
+@settings(max_examples=100, deadline=None)
+def test_huge_coordinate_is_data_error_naming_its_line(at, size, negative, in_y):
+    lines = [f"{10 * f} 1 0.5 {f}.25" for f in range(5)]
+    value = -size if negative else size
+    x, y = (0.5, value) if in_y else (value, 0.5)
+    lines.insert(at, f"0 2 {x!r} {y!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(data.DataError, match=f"scene.txt: line {at + 1}: position"):
+            data.ingest_benchmark_file(path, "scene")
 
 
 # ---------------------------------------------------------------------------
