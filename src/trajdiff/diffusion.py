@@ -84,22 +84,23 @@ def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.0
 def forward_marginal(y0, k, epsilon, schedule: Schedule,
                      keep: dict | None = None) -> np.ndarray:
     """Closed-form noisy state sqrt(a_k) y0 + sqrt(1 - a_k) eps at step k,
-    one step or one per row of ``y0``, in the default dtype and
+    one step or one per row of ``y0``, in ``y0``'s dtype and
     ``numerics.checked``.  ``keep``, when given, receives ``c0``, the
     sqrt(a_k) by which the state's gradient scales the noisy state's.
     """
     ks = np.asarray(k, dtype=np.int64)
     if np.any(ks < 0) or np.any(ks > schedule.K):
         raise NumericsError(f"step {k} outside schedule 0..{schedule.K}")
-    dtype = nm.default_dtype()
-    y0, epsilon = np.asarray(y0, dtype), np.asarray(epsilon, dtype)
+    y0 = np.asarray(y0)
+    dtype = y0.dtype
+    epsilon = np.asarray(epsilon, dtype)
     if y0.shape != epsilon.shape:
         raise NumericsError(f"noise shape {epsilon.shape} != state shape {y0.shape}")
     a = schedule.alpha[ks].reshape(ks.shape + (1,) * (y0.ndim - ks.ndim))
     c0, c1 = np.sqrt(a).astype(dtype), np.sqrt(1.0 - a).astype(dtype)
     if keep is not None:
         keep["c0"] = c0
-    return nm.checked(c0 * y0 + c1 * epsilon, "noisy state")
+    return nm.checked(c0 * y0 + c1 * epsilon, dtype, "noisy state")
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +159,9 @@ def denoiser_apply(state, ks, guidance, params: dict[str, np.ndarray],
     reproduce the badly conditioned per-step gain itself.
 
     Both modes run one body, ``_trunk``, from the input layer's
-    pre-activation to the noise estimate, and ``numerics.checked`` their
-    result.  ``keep``, when given, receives what ``denoiser_backward`` reads.
+    pre-activation to the noise estimate, in the parameters' dtype, and
+    ``numerics.checked`` their result.  ``keep``, when given, receives
+    what ``denoiser_backward`` reads.
 
     ``chain`` carries what the calls of one ``reverse_chain`` share
     (``_ChainTerms``, built from the same guidance rows); ``ks`` is then
@@ -175,10 +177,10 @@ def denoiser_apply(state, ks, guidance, params: dict[str, np.ndarray],
         ks = np.asarray(ks)
     if np.any(ks < 1) or np.any(ks > schedule.K):
         raise NumericsError("denoiser steps must lie in 1..K")
+    dtype, sd = params["den.in.w"].dtype, cfg.state_dim
     if chain is not None:
-        eps = nm.checked(chain.apply(state, ks, schedule), "denoiser output")
+        eps = nm.checked(chain.apply(state, ks, schedule), dtype, "denoiser output")
         return eps.reshape(state.shape)
-    dtype, sd = nm.default_dtype(), cfg.state_dim
     flat = np.asarray(state, dtype).reshape(n, sd)
     # the step embedding is computed once per distinct step
     steps, rows = np.unique(np.broadcast_to(ks, (n,)), return_inverse=True)
@@ -193,7 +195,7 @@ def denoiser_apply(state, ks, guidance, params: dict[str, np.ndarray],
                  flat, gain, pull, hs, rs, np.empty((n, sd), dtype), np.empty((n, sd), dtype))
     if keep is not None:
         keep.update(x_in=x_in, hs=hs, rs=rs, gain=gain, pull=pull)
-    return nm.checked(eps.reshape(state.shape), "denoiser output")
+    return nm.checked(eps.reshape(state.shape), dtype, "denoiser output")
 
 
 def _read_off(schedule: Schedule, ks, dtype) -> tuple:
@@ -339,7 +341,7 @@ class _ChainTerms:
 
     def __init__(self, guidance_rows: np.ndarray, params: dict[str, np.ndarray],
                  cfg: ModelConfig, schedule: Schedule):
-        dtype = nm.default_dtype()
+        dtype = params["den.in.w"].dtype
         sd, width, emb_end = cfg.state_dim, cfg.denoiser_width, cfg.state_dim + cfg.step_dim
         w = np.concatenate([params["den.in.w"], params["den.skip.w"]], axis=1)
         self.w_x = w[:sd]

@@ -71,7 +71,7 @@ def converter_layout(cfg: ModelConfig) -> dict[str, tuple]:
 def convert_trajectory(future, params: dict[str, np.ndarray], keep: dict | None = None
                        ) -> np.ndarray:
     """Map future displacements [N, T', 2] to raw statistics [N, T', 5],
-    on plain arrays in the default dtype.
+    on plain arrays in the parameters' dtype.
 
     Deterministic given parameters.  The first convolution's center tap is
     masked out, so each timestep's statistics are predicted from its
@@ -84,7 +84,7 @@ def convert_trajectory(future, params: dict[str, np.ndarray], keep: dict | None 
     ``numerics.checked``'s dtype and finiteness check.  ``keep``, when
     given, receives what ``converter_backward`` reads.
     """
-    dtype = nm.default_dtype()
+    dtype = params["conv.w1"].dtype
     x = np.asarray(future, dtype=dtype)
     n, length = x.shape[0], x.shape[1]
     k = params["conv.w1"].shape[2]
@@ -94,7 +94,7 @@ def convert_trajectory(future, params: dict[str, np.ndarray], keep: dict | None 
     w2 = params["conv.w2"]
     raw = (h @ w2.reshape(len(w2), -1).T).reshape(n, length, STAT_CHANNELS)
     raw += params["conv.b2"]
-    nm.checked(raw, "converter output")
+    nm.checked(raw, dtype, "converter output")
     if keep is not None:
         keep.update(cols=cols, h=h, w1=w1)
     return raw
@@ -135,9 +135,9 @@ def log_pdf(y: np.ndarray, raw: np.ndarray):
     reciprocal is exp(-log x).  Every value rounds as the primitive tape of
     the constraint map and this formula (kept in the tests as the
     reference): where the tape sums several gradients of one value, they
-    are summed in its order.
+    are summed in its order.  It computes in ``raw``'s dtype.
     """
-    f = nm.default_dtype()
+    f = raw.dtype.type
     mu, s_raw, r_raw = raw[..., 0:2], raw[..., 2:4], raw[..., 4:5]
     sig = np.logaddexp(0.0, s_raw) + f(SIGMA_FLOOR)
     th = np.tanh(r_raw)
@@ -239,7 +239,7 @@ def denormalize_stats(normed: np.ndarray, stats: NormStats) -> np.ndarray:
 
 
 def normalize_stats(raw: np.ndarray, stats: NormStats) -> np.ndarray:
-    """``denormalize_stats``' inverse in the default dtype: (raw - mean) /
+    """``denormalize_stats``' inverse in ``raw``'s dtype: (raw - mean) /
     scale, rounded as (raw + -mean) * (1 / scale)."""
-    dtype = nm.default_dtype()
+    dtype = raw.dtype
     return (raw + (-stats.mean).astype(dtype)) * (1.0 / stats.scale).astype(dtype)

@@ -156,19 +156,19 @@ def encode_windows(windows, params: dict[str, np.ndarray], cfg: ModelConfig,
 
     Pedestrian rows are concatenated across windows (neighbor aggregation
     happens per window, everything learned is per pedestrian).  Row order
-    follows the window order.  The embedding gets ``numerics.checked``'s
-    dtype and finiteness check.  ``keep``, when given, receives what
-    ``encoder_backward`` reads.
+    follows the window order.  The encoders compute in their parameters'
+    dtype, and the embedding gets ``numerics.checked``'s check for it.
+    ``keep``, when given, receives what ``encoder_backward`` reads.
     """
     obs = np.concatenate([np.asarray(w.observed) for w in windows], axis=0)
     if obs.ndim != 3 or obs.shape[1:] != (cfg.t_obs, 2):
         raise nm.NumericsError(f"expected [N, {cfg.t_obs}, 2] history, got {obs.shape}")
-    dtype = nm.default_dtype()
+    dtype = params["hist.proj.w"].dtype
     hist, hist_keep = _forward(obs.astype(dtype), params, "hist", cfg)
     nbr, nbr_keep = _forward(aggregate_neighbors(windows).astype(dtype), params, "nbr", cfg)
     if keep is not None:
         keep.update(hist=hist_keep, nbr=nbr_keep)
-    return nm.checked(np.concatenate([hist, nbr], axis=1), "guidance embedding")
+    return nm.checked(np.concatenate([hist, nbr], axis=1), dtype, "guidance embedding")
 
 
 def encoder_backward(g: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,

@@ -5,10 +5,12 @@ is the one description of the model: the encoders, the converter and the
 denoiser read their sizes from it, the schedule is built from it
 (``ModelConfig.schedule``), and checkpoints store it as metadata.
 
-A ``Model`` owns its parameters as one flat buffer of the default dtype,
-laid out in sorted name order; ``Model.params`` maps each name to a plain
-array view into it, which the backbones read and the optimizer updates in
-place (``training.adam_update``).
+A ``Model`` owns its parameters as one flat buffer, laid out in sorted
+name order, whose dtype is the model's: ``Model.initialize``'s ``dtype``,
+or the dtype of the arrays it is built from, so a float64 file loads as a
+float64 model.  ``Model.params`` maps each name to a plain array view into
+it, which the backbones read and the optimizer updates in place
+(``training.adam_update``).
 
 ``Model.generate`` is the one generator: it turns windows into their runs'
 explicit Gaussians, one array of raw statistics [runs, N, T', 5] per
@@ -106,15 +108,17 @@ class Model:
                  norm: distribution.NormStats | None = None,
                  schedule: diffusion.Schedule | None = None):
         """``params``, arrays by every name of ``config.param_layout()``,
-        are copied into the model's flat buffer; ``schedule`` is
-        ``config.schedule()``, built here when not given."""
+        are copied into the model's flat buffer, of their dtype (the
+        widest, if they differ); ``schedule`` is ``config.schedule()``,
+        built here when not given."""
         self.config = config
         self._shapes = {k: shape for k, (shape, _) in config.param_layout().items()}
         self.spans, end = {}, 0
         for k in sorted(self._shapes):
             self.spans[k] = slice(end, end + math.prod(self._shapes[k]))
             end = self.spans[k].stop
-        self.flat = np.empty(end, dtype=nm.default_dtype())
+        dtype = np.result_type(*{params[k].dtype for k in self.spans})
+        self.flat = np.empty(end, dtype=dtype)
         self.params = self.views(self.flat)
         for k, view in self.params.items():
             view[...] = params[k]
@@ -122,9 +126,10 @@ class Model:
         self.norm = norm or distribution.NormStats.identity()
 
     @classmethod
-    def initialize(cls, config: ModelConfig, seed: int) -> "Model":
+    def initialize(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "Model":
+        """A new model of ``dtype``, its parameters drawn from ``seed``."""
         rng = np.random.default_rng([seed, 0xA11CE])
-        return cls(config, nm.init_params(config.param_layout(), rng))
+        return cls(config, nm.init_params(config.param_layout(), rng, dtype))
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's view, by name in layout order, into ``flat``, an

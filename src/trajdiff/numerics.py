@@ -1,21 +1,21 @@
-"""The default dtype, the one finiteness check, a training pass and the
-array helpers the hand-written backwards share.
+"""The one finiteness check, a training pass and the array helpers the
+hand-written backwards share.
 
 Every module is a forward and a backward on plain arrays; parameters are
-plain arrays too, views into the model's one flat buffer.  ``checked`` is
-the one dtype and finiteness check: each array a pass or a chain step
-hands on, and each pass's loss, goes through it once and raises
-``NumericsError``, so NaN/Inf and silent float64 promotion never
-propagate.  A training pass is its loss with the backward that maps the
-loss's gradient to every parameter's by name (``_make``), and
-``backward`` runs that backward once.  ``conv1d_columns``,
-``conv1d_weight_grad`` and ``tanh_grad`` are array helpers the backwards
-share.
+plain arrays too, views into the model's one flat buffer, whose dtype
+(``Model.initialize``'s ``dtype``) is the model's: each backbone computes
+in its parameters' dtype and each parameter-free helper in its inputs'.
+``checked`` is the one dtype and finiteness check: each array a pass or a
+chain step hands on goes through it once against the dtype it should
+have, and each pass's loss for finiteness; it raises ``NumericsError``, so
+NaN/Inf and silent float64 promotion never propagate.  A training pass is its loss
+with the backward that maps the loss's gradient to every parameter's by
+name (``_make``), and ``backward`` runs that backward once.
+``conv1d_columns``, ``conv1d_weight_grad`` and ``tanh_grad`` are array
+helpers the backwards share.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -38,59 +38,39 @@ MAX_COUNT = 10 ** 6
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-# Default dtype is float32 (desk-scale models, fast tests).  The finite
-# difference harness switches to float64, where the central-difference
-# oracle is actually meaningful.
-_DTYPE = np.float32
-
-
-def default_dtype():
-    return _DTYPE
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily change the dtype of new parameters and computations."""
-    global _DTYPE
-    prev = _DTYPE
-    _DTYPE = np.dtype(dtype).type
-    try:
-        yield
-    finally:
-        _DTYPE = prev
-
-
-def init_params(layout: dict[str, tuple], rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Parameter arrays of the default dtype for ``layout`` (name -> (shape,
+def init_params(layout: dict[str, tuple], rng: np.random.Generator,
+                dtype) -> dict[str, np.ndarray]:
+    """Parameter arrays of ``dtype`` for ``layout`` (name -> (shape,
     fan_in)), drawn in layout order from N(0, 1/fan_in), or zeros where
     fan_in is None."""
     return {name: np.asarray(np.zeros(shape) if fan_in is None
                              else rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape),
-                             dtype=_DTYPE)
+                             dtype=dtype)
             for name, (shape, fan_in) in layout.items()}
 
 
-def checked(out: np.ndarray, what: str) -> np.ndarray:
-    """``out``; ``NumericsError`` unless it is finite and of the active dtype."""
-    if out.dtype != _DTYPE:
-        raise NumericsError(f"{what} is {out.dtype}, not {np.dtype(_DTYPE)}")
+def checked(out: np.ndarray, dtype, what: str) -> np.ndarray:
+    """``out``; ``NumericsError`` unless it is finite and of ``dtype``."""
+    if out.dtype != dtype:
+        raise NumericsError(f"{what} is {out.dtype}, not {np.dtype(dtype)}")
     if not np.isfinite(out).all():
         raise NumericsError(f"non-finite {what}")
     return out
 
 
 def _make(loss, backward) -> tuple:
-    """A training pass: its scalar ``loss``, ``checked``, and ``backward``,
-    which maps the loss's gradient to gradient arrays by parameter name."""
-    return checked(loss, "loss"), backward
+    """A training pass: its scalar ``loss``, ``checked`` for finiteness,
+    and ``backward``, which maps the loss's gradient to gradient arrays by
+    parameter name."""
+    return checked(loss, loss.dtype, "loss"), backward
 
 
 def backward(training_pass: tuple) -> dict[str, np.ndarray]:
     """Run a pass's backward once from the gradient 1 of its loss; returns
-    its gradient arrays by name, in the default dtype and unchecked
+    its gradient arrays by name, in the loss's dtype and unchecked
     (``training.adam_update`` checks their norm)."""
     loss, grad_fn = training_pass
-    return {name: np.asarray(g, dtype=_DTYPE)
+    return {name: np.asarray(g, dtype=loss.dtype)
             for name, g in grad_fn(np.ones_like(loss)).items()}
 
 

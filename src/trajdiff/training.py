@@ -99,7 +99,7 @@ class TrainConfig:
 def loss_diffusion(y0_norm: np.ndarray, guidance_emb: np.ndarray, ks: np.ndarray,
                    eps: np.ndarray, schedule, params, model_cfg: ModelConfig):
     """Per-element mean squared error between predicted and drawn noise:
-    (value, backward).
+    (value, backward), in ``y0_norm``'s dtype.
 
     ``ks`` holds one schedule step per pedestrian row (rows from the same
     window share their step); ``eps`` is the standard normal draw, mixed
@@ -109,12 +109,12 @@ def loss_diffusion(y0_norm: np.ndarray, guidance_emb: np.ndarray, ks: np.ndarray
     gradient to (``den.*`` gradients, y0_norm's, guidance_emb's), the last
     two None without ``inputs``.
     """
-    eps = np.asarray(eps, dtype=nm.default_dtype())
+    eps = np.asarray(eps, dtype=y0_norm.dtype)
     marginal, den = {}, {}
     noisy = diffusion.forward_marginal(y0_norm, ks, eps, schedule, marginal)
     pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule,
                                     keep=den)
-    diff = pred + eps * nm.default_dtype()(-1.0)
+    diff = pred + eps * eps.dtype.type(-1.0)
     sq = diff * diff
 
     def backward(g, inputs=True):
@@ -134,7 +134,7 @@ def loss_likelihood(y: np.ndarray, raw: np.ndarray, n_windows: int = 1):
     windows: (value, backward), where backward maps the value's gradient
     to the gradients of raw's (means, sigmas, rho) channels."""
     terms, density_backward = distribution.log_pdf(y, raw)
-    scale = nm.default_dtype()(-1.0 / n_windows)
+    scale = raw.dtype.type(-1.0 / n_windows)
 
     def backward(g):
         return density_backward(np.broadcast_to(g * scale, terms.shape))
@@ -146,13 +146,14 @@ def loss_consistency(y: np.ndarray, raw: np.ndarray):
     """Squared error between the first predicted mean and the first true
     displacement, averaged over pedestrians: (value, backward), where
     backward maps the value's gradient to the gradient of raw[:, :1, :2]."""
-    d = y[:, 0:1] + raw[:, 0:1, 0:2] * nm.default_dtype()(-1.0)
+    minus = raw.dtype.type(-1.0)
+    d = y[:, 0:1] + raw[:, 0:1, 0:2] * minus
     per_ped = (d * d).sum(axis=2)
 
     def backward(g):
         g_sq = np.broadcast_to((np.broadcast_to(g, per_ped.shape) / per_ped.size)[..., None],
                                d.shape)
-        return (g_sq * d + g_sq * d) * nm.default_dtype()(-1.0)
+        return (g_sq * d + g_sq * d) * minus
 
     return per_ped.mean(), backward
 
@@ -173,13 +174,13 @@ def converter_losses(future, params: dict[str, np.ndarray], norm: NormStats,
     g_con, g_y0n)`` sums raw's gradient from the normalization, consistency
     and likelihood in that order, then runs ``converter_backward``.
     """
-    dtype = nm.default_dtype()
+    dtype = params["conv.w1"].dtype
     y = np.asarray(future, dtype=dtype)
     keep = {}
     raw = distribution.convert_trajectory(y, params, keep)
     llh, llh_backward = loss_likelihood(y, raw, n_windows)
     con, con_backward = loss_consistency(y, raw)
-    y0n = nm.checked(distribution.normalize_stats(raw, norm), "normalized statistics")
+    y0n = nm.checked(distribution.normalize_stats(raw, norm), dtype, "normalized statistics")
     inv_scale = (1.0 / norm.scale).astype(dtype)
 
     def backward(g_llh, g_con, g_y0n):
@@ -309,7 +310,7 @@ def batch_losses(batch, model: Model, rng: np.random.Generator,
     ks, eps = draw_step_noise([w.n_peds for w in batch], model.schedule, rng, cfg.t_future)
     l_diff, diffusion_backward = loss_diffusion(y0n, emb, ks, eps, model.schedule, params,
                                                 cfg)
-    lam = np.array(weights, dtype=nm.default_dtype())
+    lam = np.array(weights, dtype=model.flat.dtype)
 
     def backward(g):
         grads, g_y0n, g_emb = diffusion_backward(g * lam[0])

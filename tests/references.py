@@ -57,15 +57,15 @@ from trajdiff.distribution import (LOG_2PI, RHO_CAP, SIGMA_FLOOR, STAT_CHANNELS,
 class Tensor:
     """Immutable dense array plus a gradient-tracking flag.
 
-    ``data`` is a C-contiguous (row-major) numpy array of the default
-    dtype.  Recorded operations never mutate their inputs; each allocates
-    its output.
+    ``data`` is a C-contiguous (row-major) numpy array of ``dtype``, by
+    default its data's own (float64 for Python floats).  Recorded
+    operations never mutate their inputs; each allocates its output.
     """
 
     __slots__ = ("data", "requires_grad", "_rec")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=nm.default_dtype())
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
+        arr = np.asarray(data, dtype=dtype)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         if not np.isfinite(arr).all():
@@ -77,6 +77,10 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def ndim(self):
@@ -92,17 +96,17 @@ class Tensor:
         return float(self.data.reshape(()))
 
 
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+def parameter(data, dtype=None) -> Tensor:
+    return Tensor(data, requires_grad=True, dtype=dtype)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
+def constant(data, dtype=None) -> Tensor:
+    return Tensor(data, requires_grad=False, dtype=dtype)
 
 
 def parameters(arrays: dict) -> dict[str, Tensor]:
-    """A parameter Tensor per array, by name; each shares its array's
-    memory when that array already has the default dtype."""
+    """A parameter Tensor per array, by name; each shares its (float,
+    C-contiguous) array's memory."""
     return {k: parameter(a) for k, a in arrays.items()}
 
 
@@ -146,10 +150,14 @@ class _Entry:
 
 
 def _make(out_data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
-    """Wrap an operation's result, ``nm.checked``, recording it with
-    ``grad_fn``, which maps the output's gradient to one gradient (or None)
-    per input."""
-    nm.checked(out_data, "operation output")
+    """Wrap an operation's result, ``nm.checked`` against the one dtype of
+    its inputs, recording it with ``grad_fn``, which maps the output's
+    gradient to one gradient (or None) per input."""
+    dtypes = {t.dtype for t in inputs} or {out_data.dtype}
+    if len(dtypes) > 1:
+        names = " and ".join(sorted(map(str, dtypes)))
+        raise nm.NumericsError(f"operation inputs mix {names}")
+    nm.checked(out_data, dtypes.pop(), "operation output")
     out = Tensor.__new__(Tensor)
     if not out_data.flags["C_CONTIGUOUS"]:
         out_data = np.ascontiguousarray(out_data)
@@ -165,9 +173,9 @@ def _make(out_data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
 def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Single reverse sweep from a scalar loss.
 
-    Returns one gradient array per entry of ``params``, in the default
-    dtype; parameters the loss does not depend on map to zeros.  The
-    record behind ``loss`` may be swept only once; afterwards it holds no
+    Returns one gradient array per entry of ``params``, in its dtype;
+    parameters the loss does not depend on map to zeros.  The record
+    behind ``loss`` may be swept only once; afterwards it holds no
     entries, so the forward's intermediate values are freed as soon as the
     caller drops them.
     """
@@ -195,7 +203,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         finally:
             rec.entries.clear()
     return {name: np.zeros_like(p.data) if id(p) not in grads
-            else np.asarray(grads[id(p)], dtype=nm.default_dtype())
+            else np.asarray(grads[id(p)], dtype=p.dtype)
             for name, p in params.items()}
 
 
@@ -218,6 +226,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """``a`` and ``b`` as Tensors; a Python scalar takes the other
+    operand's dtype, as the package's scalars take their arrays'."""
+    if isinstance(a, (int, float)):
+        return constant(a, _as_tensor(b).dtype), _as_tensor(b)
+    a = _as_tensor(a)
+    return a, constant(b, a.dtype) if isinstance(b, (int, float)) else _as_tensor(b)
+
+
 def _broadcast_shapes(sa, sb):
     if sa == sb:
         return sa
@@ -236,7 +253,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_shapes(a.shape, b.shape)
 
     def grad_fn(g):
@@ -246,7 +263,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_shapes(a.shape, b.shape)
     ad, bd = a.data, b.data
 
@@ -479,14 +496,15 @@ def reciprocal_positive(x: Tensor) -> Tensor:
 
 
 def denoiser_tape(state, ks, guidance, params, cfg, schedule):
-    """``diffusion.denoiser_apply`` as recorded Tensor primitives; call it
-    under a ``ComputationRecord`` (shape checks are left to the
-    package's version)."""
-    x = state if isinstance(state, Tensor) else constant(state)
-    g = guidance if isinstance(guidance, Tensor) else constant(guidance)
+    """``diffusion.denoiser_apply`` as recorded Tensor primitives, in the
+    parameters' dtype; call it under a ``ComputationRecord`` (shape checks
+    are left to the package's version)."""
+    dtype = params["den.in.w"].dtype
+    x = state if isinstance(state, Tensor) else constant(state, dtype)
+    g = guidance if isinstance(guidance, Tensor) else constant(guidance, dtype)
     n = x.shape[0]
     ks_arr = np.full(n, ks, dtype=np.int64) if np.isscalar(ks) else np.asarray(ks)
-    emb = constant(step_embedding(ks_arr, cfg.step_dim))
+    emb = constant(step_embedding(ks_arr, cfg.step_dim), dtype)
     flat = reshape(x, (n, cfg.state_dim))
     x_in = concat([flat, emb, g], axis=1)
     h = tanh(add(matmul(x_in, params["den.in.w"]), params["den.in.b"]))
@@ -498,9 +516,9 @@ def denoiser_tape(state, ks, guidance, params, cfg, schedule):
                 params["den.out.b"])
     a = schedule.alpha[ks_arr]
     gain = constant(np.broadcast_to(
-        (1.0 / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy())
+        (1.0 / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy(), dtype)
     pull = constant(np.broadcast_to(
-        (-np.sqrt(a) / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy())
+        (-np.sqrt(a) / np.sqrt(1.0 - a))[:, None], (n, cfg.state_dim)).copy(), dtype)
     eps_hat = add(mul(flat, gain), mul(clean, pull))
     return reshape(eps_hat, (n, cfg.t_future, STAT_CHANNELS))
 
@@ -537,19 +555,23 @@ def encoder_tape(x, params, prefix, cfg):
 
 
 def encode_windows_tape(windows, params, cfg):
-    """``guidance.encode_windows`` as recorded Tensor primitives."""
-    obs = constant(np.concatenate([np.asarray(w.observed) for w in windows]))
+    """``guidance.encode_windows`` as recorded Tensor primitives, in the
+    parameters' dtype."""
+    dtype = params["hist.proj.w"].dtype
+    obs = constant(np.concatenate([np.asarray(w.observed) for w in windows]), dtype)
     agg = np.concatenate([aggregate_window_neighbors(w.observed, w.neighbor_mask)
                           for w in windows])
     return concat([encoder_tape(obs, params, "hist", cfg),
-                   encoder_tape(constant(agg), params, "nbr", cfg)], axis=1)
+                   encoder_tape(constant(agg, dtype), params, "nbr", cfg)], axis=1)
 
 
 def convert_tape(future, params):
-    """``distribution.convert_trajectory`` as recorded Tensor primitives."""
-    x = future if isinstance(future, Tensor) else constant(future)
+    """``distribution.convert_trajectory`` as recorded Tensor primitives, in
+    the parameters' dtype."""
+    dtype = params["conv.w1"].dtype
+    x = future if isinstance(future, Tensor) else constant(future, dtype)
     k = params["conv.w1"].shape[2]
-    w1 = mul(params["conv.w1"], constant(_center_mask(k)))
+    w1 = mul(params["conv.w1"], constant(_center_mask(k), dtype))
     h = transpose(x, (0, 2, 1))                          # [N, 2, T']
     h = conv1d(h, w1)
     h = transpose(h, (0, 2, 1))                          # [N, T', C]
@@ -573,7 +595,7 @@ def log_pdf_terms(y, mu, sigma, rho):
     """Per-location log densities [..., 1] of ``y`` [..., 2] (constant)
     under ``mu`` [..., 2], ``sigma`` [..., 2] positive and ``rho`` [..., 1]
     with |rho| < 1."""
-    y = y if isinstance(y, Tensor) else constant(y)
+    y = y if isinstance(y, Tensor) else constant(y, mu.dtype)
     d = add(y, mul(mu, -1.0))
     u = mul(d, reciprocal_positive(sigma))               # standardized residuals
     u1 = slice_(u, (Ellipsis, slice(0, 1)))
@@ -587,7 +609,8 @@ def log_pdf_terms(y, mu, sigma, rho):
 
 
 def normalize_tensor(raw, stats):
-    return mul(add(raw, constant(-stats.mean)), constant(1.0 / stats.scale))
+    return mul(add(raw, constant(-stats.mean, raw.dtype)),
+               constant(1.0 / stats.scale, raw.dtype))
 
 
 def loss_likelihood(future, raw, n_windows=1):
@@ -596,7 +619,7 @@ def loss_likelihood(future, raw, n_windows=1):
 
 
 def loss_consistency(future, raw):
-    fut = future if isinstance(future, Tensor) else constant(future)
+    fut = future if isinstance(future, Tensor) else constant(future, raw.dtype)
     d = add(slice_(fut, (slice(None), slice(0, 1), slice(None))),
             mul(slice_(raw, (slice(None), slice(0, 1), slice(0, 2))), -1.0))
     return mean(sum_(mul(d, d), axis=2))
@@ -605,7 +628,7 @@ def loss_consistency(future, raw):
 def converter_losses_tape(future, params, norm, n_windows):
     """``training.converter_losses``' values as recorded Tensor primitives:
     the vector [likelihood, consistency, *normalized statistics]."""
-    fut = constant(future)
+    fut = constant(future, params["conv.w1"].dtype)
     raw = convert_tape(fut, params)
     return concat([reshape(loss_likelihood(fut, raw, n_windows), (1,)),
                    reshape(loss_consistency(fut, raw), (1,)),
@@ -616,14 +639,14 @@ def forward_marginal_tape(y0, ks, eps, schedule):
     """``diffusion.forward_marginal`` as recorded Tensor primitives, one
     step per row of ``y0``."""
     a = schedule.alpha[np.asarray(ks)].reshape(-1, *(1,) * (len(y0.shape) - 1))
-    c0, c1 = (constant(np.broadcast_to(c, y0.shape)) for c in (np.sqrt(a),
-                                                                  np.sqrt(1.0 - a)))
+    c0, c1 = (constant(np.broadcast_to(c, y0.shape), y0.dtype)
+              for c in (np.sqrt(a), np.sqrt(1.0 - a)))
     return add(mul(y0, c0), mul(eps, c1))
 
 
 def noise_matching_tape(y0_norm, guidance_emb, ks, eps, schedule, params, model_cfg):
     """``training.loss_diffusion``'s value as recorded Tensor primitives."""
-    eps_t = constant(eps)
+    eps_t = constant(eps, y0_norm.dtype)
     noisy = forward_marginal_tape(y0_norm, ks, eps_t, schedule)
     pred = denoiser_tape(noisy, ks, guidance_emb, params, model_cfg, schedule)
     diff = add(pred, mul(eps_t, -1.0))
@@ -654,7 +677,7 @@ def batch_losses_tape(batch, model, rng, weights=(1.0, 1.0, 1.0)):
     params = parameters(model.params)
     with ComputationRecord():
         emb = encode_windows_tape(batch, params, model.config)
-        fut = constant(np.concatenate([w.future for w in batch], axis=0))
+        fut = constant(np.concatenate([w.future for w in batch], axis=0), model.flat.dtype)
         raw = convert_tape(fut, params)
         l_llh = loss_likelihood(fut, raw, n_windows=len(batch))
         l_con = loss_consistency(fut, raw)
@@ -690,8 +713,8 @@ def finite_difference_check(f, params, step: float = 1e-3,
     ``entries``, when given, maps parameter names to the flat indices to
     check; by default every entry of every parameter is.  Relative errors
     use a denominator floored at 1e-6; the check passes iff the worst
-    element stays within ``tolerance``.  Run under
-    ``nm.precision(np.float64)`` for trustworthy numerics.
+    element stays within ``tolerance``.  Give it float64 parameters (and a
+    float64 model) for trustworthy numerics.
     """
 
     def eval_scalar():

@@ -108,52 +108,51 @@ def test_criterion_gradient_correctness():
     windows = data.window_scenes(data.synthesize_scenes(cfg), t_fut=3, stride=11)
     assert windows[0].n_peds == 2
 
-    with nm.precision(np.float64):
-        mdl = Model.initialize(micro, 0)
-        mdl.norm = training.freeze_normalization(mdl, windows)
-        ks, eps = training.draw_step_noise([w.n_peds for w in windows],
-                                           mdl.schedule,
-                                           np.random.default_rng(5), 3)
-        fut_arr = np.concatenate([w.future for w in windows])
-        zero = np.float64(0.0)
+    mdl = Model.initialize(micro, 0, np.float64)
+    mdl.norm = training.freeze_normalization(mdl, windows)
+    ks, eps = training.draw_step_noise([w.n_peds for w in windows],
+                                       mdl.schedule,
+                                       np.random.default_rng(5), 3)
+    fut_arr = np.concatenate([w.future for w in windows])
+    zero = np.float64(0.0)
 
-        def converter_losses(params):
-            return training.converter_losses(fut_arr, params, mdl.norm, len(windows))
+    def converter_losses(params):
+        return training.converter_losses(fut_arr, params, mdl.norm, len(windows))
 
-        def diffusion_term(params):
-            (_, _, y0n), converter_backward = converter_losses(params)
-            keep = {}
-            emb = guidance.encode_windows(windows, params, mdl.config, keep)
-            value, diffusion_backward = training.loss_diffusion(
-                y0n, emb, ks, eps, mdl.schedule, params, mdl.config)
+    def diffusion_term(params):
+        (_, _, y0n), converter_backward = converter_losses(params)
+        keep = {}
+        emb = guidance.encode_windows(windows, params, mdl.config, keep)
+        value, diffusion_backward = training.loss_diffusion(
+            y0n, emb, ks, eps, mdl.schedule, params, mdl.config)
 
-            def backward(g):
-                den, g_y0n, g_emb = diffusion_backward(g)
-                return {**den, **converter_backward(zero, zero, g_y0n),
-                        **guidance.encoder_backward(g_emb, params, mdl.config, keep)}
+        def backward(g):
+            den, g_y0n, g_emb = diffusion_backward(g)
+            return {**den, **converter_backward(zero, zero, g_y0n),
+                    **guidance.encoder_backward(g_emb, params, mdl.config, keep)}
 
-            return value, backward
+        return value, backward
 
-        def likelihood_term(params):
-            (llh, _, y0n), backward = converter_losses(params)
-            return llh, lambda g: backward(g, zero, np.zeros_like(y0n))
+    def likelihood_term(params):
+        (llh, _, y0n), backward = converter_losses(params)
+        return llh, lambda g: backward(g, zero, np.zeros_like(y0n))
 
-        def consistency_term(params):
-            (_, con, y0n), backward = converter_losses(params)
-            return con, lambda g: backward(zero, g, np.zeros_like(y0n))
+    def consistency_term(params):
+        (_, con, y0n), backward = converter_losses(params)
+        return con, lambda g: backward(zero, g, np.zeros_like(y0n))
 
-        def full_objective(params):
-            # the same step and noise draws as ks and eps; ``params`` are
-            # the model's own views, perturbed in place
-            return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
+    def full_objective(params):
+        # the same step and noise draws as ks and eps; ``params`` are
+        # the model's own views, perturbed in place
+        return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
 
-        worst = 0.0
-        for term in (diffusion_term, likelihood_term, consistency_term,
-                     full_objective):
-            report = finite_difference_check(term, mdl.params, step=1e-3,
-                                             tolerance=1e-2)
-            assert report["pass"], (term.__name__, report)
-            worst = max(worst, report["max_relative_error"])
+    worst = 0.0
+    for term in (diffusion_term, likelihood_term, consistency_term,
+                 full_objective):
+        report = finite_difference_check(term, mdl.params, step=1e-3,
+                                         tolerance=1e-2)
+        assert report["pass"], (term.__name__, report)
+        worst = max(worst, report["max_relative_error"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _report("gradient-correctness", t0, f"(max rel err {worst:.2e})")
@@ -168,13 +167,11 @@ def test_criterion_diffusion_identities():
     y0 = rng.normal(size=(2, 3, 5))
 
     # (a) endpoints
-    with nm.precision(np.float64):
-        out0 = diffusion.forward_marginal(y0, 0, np.zeros_like(y0), sched)
+    out0 = diffusion.forward_marginal(y0, 0, np.zeros_like(y0), sched)
     np.testing.assert_allclose(out0, y0)
     near_noise = diffusion.Schedule(1, np.array([1.0, 1e-12]), np.array([1]))
     eps = rng.normal(size=y0.shape)
-    with nm.precision(np.float64):
-        outk = diffusion.forward_marginal(y0, 1, eps, near_noise)
+    outk = diffusion.forward_marginal(y0, 1, eps, near_noise)
     np.testing.assert_allclose(outk, eps, atol=1e-4)
 
     # (b) degenerate reverse transitions
@@ -191,8 +188,7 @@ def test_criterion_diffusion_identities():
     for j, i in ((50, 20), (35, 34)):
         base = np.full((n, 1), 0.8)
         eps = mrng.standard_normal((n, 1))
-        with nm.precision(np.float64):
-            y_j = diffusion.forward_marginal(base, j, eps, sched)
+        y_j = diffusion.forward_marginal(base, j, eps, sched)
         y_i = posterior_step(y_j, base, j, i, sched, rng=mrng)
         want_mean = math.sqrt(sched.alpha[i]) * 0.8
         want_var = 1.0 - sched.alpha[i]
@@ -236,10 +232,9 @@ def test_criterion_gaussian_head():
     """Closed-form density values, quadrature normalization, and sampled
     covariance at 1e5 draws."""
     t0 = time.perf_counter()
-    with nm.precision(np.float64):
-        std, corr = distribution.log_pdf(
-            np.zeros((2, 2)), np.stack([raw_stats(0.0, 0.0, 1.0, 1.0, rho)
-                                        for rho in (0.0, 0.5)]))[0][:, 0]
+    std, corr = distribution.log_pdf(
+        np.zeros((2, 2)), np.stack([raw_stats(0.0, 0.0, 1.0, 1.0, rho)
+                                    for rho in (0.0, 0.5)]))[0][:, 0]
     assert math.isclose(std, -math.log(2 * math.pi), abs_tol=1e-9)
     assert math.isclose(corr, -1.694036, abs_tol=1e-6)
 

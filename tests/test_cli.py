@@ -593,7 +593,8 @@ def test_bad_numeric_setting_is_usage_error(tmp_path, capsys, command, section, 
 # Every command's numeric settings, drawn as flags and as config keys: the
 # values a bad setting takes (0, negatives, nan, inf, huge, and ranges given
 # in the wrong order) on MICRO data.  Each run must exit with a documented
-# code without raising, and a usage error must leave --out unwritten.
+# code without raising, a nan or infinite value is a usage error (exit 1),
+# and a usage error must leave --out unwritten.
 INT_VALUES = ["0", "-1", "-1000000000000", "1000000000000", "100000000000000000000",
               "nan", "inf"]
 FLOAT_VALUES = ["0", "-1", "-1e300", "1e300", "nan", "inf", "-inf"]
@@ -693,6 +694,9 @@ def test_bad_settings_exit_with_documented_code(trained, micro_scene, case):
             warnings.simplefilter("ignore")
             rc = cli.main([*positional, *flags, "--out", out])
         assert rc in (0, 1, 2, 3)
+        # a non-finite value is a usage error for every numeric setting
+        if {"nan", "inf", "-inf"} & set(bad.values()):
+            assert rc == 1, (command, bad)
         if rc == 1:
             assert not os.path.exists(out)
 

@@ -83,8 +83,7 @@ class TestSchedule:
 
 def _marginal(y0, k, eps, s) -> np.ndarray:
     """``forward_marginal`` on arrays, in float64."""
-    with nm.precision(np.float64):
-        return dff.forward_marginal(y0, k, eps, s)
+    return dff.forward_marginal(np.asarray(y0, np.float64), k, eps, s)
 
 
 class TestForwardMarginal:
@@ -113,25 +112,24 @@ class TestForwardMarginal:
             _marginal(np.zeros(3), 1, np.zeros(4), s)
 
     def test_tensor_path_matches_array_path(self):
-        # the default dtype against float64
+        # float32 against float64
         s = dff.build_schedule(10, beta_end=0.3)
         y0 = np.random.default_rng(2).normal(size=(2, 5))
         eps = np.random.default_rng(3).normal(size=(2, 5))
-        out = dff.forward_marginal(y0, 4, eps, s)
-        assert out.dtype == nm.default_dtype()
+        out = dff.forward_marginal(y0.astype(np.float32), 4, eps, s)
+        assert out.dtype == np.float32
         np.testing.assert_allclose(out, _marginal(y0, 4, eps, s), rtol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_row_steps_equal_scalar_calls(self, dtype):
         s = dff.build_schedule(10, beta_end=0.3)
-        y0 = np.random.default_rng(4).normal(size=(4, 3, 5))
+        y0 = np.random.default_rng(4).normal(size=(4, 3, 5)).astype(dtype)
         eps = np.random.default_rng(5).normal(size=(4, 3, 5))
         ks = np.array([0, 3, 3, 10])
-        with nm.precision(dtype):
-            rows_t = dff.forward_marginal(y0, ks, eps, s)
-            for i, k in enumerate(ks):
-                one = dff.forward_marginal(y0[i:i + 1], k, eps[i:i + 1], s)
-                np.testing.assert_array_equal(rows_t[i], one[0])
+        rows_t = dff.forward_marginal(y0, ks, eps, s)
+        for i, k in enumerate(ks):
+            one = dff.forward_marginal(y0[i:i + 1], k, eps[i:i + 1], s)
+            np.testing.assert_array_equal(rows_t[i], one[0])
         assert rows_t.dtype == dtype
 
     def test_step_outside_schedule(self):
@@ -144,7 +142,7 @@ class TestForwardMarginal:
 def den_setup():
     cfg = ModelConfig(t_future=12, d_phi=4, d_psi=4, denoiser_width=16,
                       denoiser_blocks=2, step_dim=8)
-    params = nm.init_params(dff.denoiser_layout(cfg), np.random.default_rng(0))
+    params = nm.init_params(dff.denoiser_layout(cfg), np.random.default_rng(0), np.float32)
     sched = dff.build_schedule(50, beta_end=0.2, steps=25)
     return cfg, params, sched
 
@@ -197,12 +195,11 @@ def _dense_denoiser(dtype, blocks: int = ModelConfig.denoiser_blocks):
     """Default-size denoiser (``blocks`` residual blocks) with every
     parameter non-zero, so that each bias add and the skip path move the
     output."""
-    with nm.precision(dtype):
-        cfg = ModelConfig(denoiser_blocks=blocks)
-        rng = np.random.default_rng(5)
-        params = nm.init_params(dff.denoiser_layout(cfg), rng)
-        for p in params.values():
-            p += rng.normal(0.0, 0.1, p.shape).astype(p.dtype)
+    cfg = ModelConfig(denoiser_blocks=blocks)
+    rng = np.random.default_rng(5)
+    params = nm.init_params(dff.denoiser_layout(cfg), rng, dtype)
+    for p in params.values():
+        p += rng.normal(0.0, 0.1, p.shape).astype(p.dtype)
     return cfg, params
 
 
@@ -222,13 +219,12 @@ class TestGradientFreePath:
         state = rng.normal(size=(rows, cfg.t_future, 5))
         g = rng.normal(size=(rows, cfg.d_phi + cfg.d_psi))
         steps = (1, sched.K // 2, sched.K, rng.integers(1, sched.K + 1, rows))
-        with nm.precision(dtype):
-            for ks in steps:
-                fast = dff.denoiser_apply(state, ks, g, params, cfg, sched)
-                with ComputationRecord():
-                    ref = denoiser_tape(state, ks, g, params, cfg, sched)
-                assert fast.dtype == ref.data.dtype == dtype
-                assert fast.tobytes() == ref.data.tobytes()
+        for ks in steps:
+            fast = dff.denoiser_apply(state, ks, g, params, cfg, sched)
+            with ComputationRecord():
+                ref = denoiser_tape(state, ks, g, params, cfg, sched)
+            assert fast.dtype == ref.data.dtype == dtype
+            assert fast.tobytes() == ref.data.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("where", ["state", "guidance", "output"])
@@ -275,23 +271,22 @@ class TestFusedDenoiser:
         cfg, params = _dense_denoiser(dtype, blocks)
         rng = np.random.default_rng(rows)
         sched = TestFusedDenoiser.SCHED
-        with nm.precision(dtype):
-            params = parameters(params)
-            wrap = {False: constant, True: parameter}
-            state = wrap[inputs in ("state", "both")](
-                rng.normal(size=(rows, cfg.t_future, 5)))
-            guid = wrap[inputs in ("guidance", "both")](
-                rng.normal(size=(rows, cfg.d_phi + cfg.d_psi)))
-            # 8 pedestrians per window share a step, as in training
-            ks = (np.repeat(rng.choice(sched.tau, -(-rows // 8)), 8)[:rows]
-                  if per_row else 37)
-            target = constant(rng.normal(size=(rows, cfg.t_future, 5)))
-            with ComputationRecord() as rec:
-                out = apply(state, ks, guid, params, cfg, sched)
-                d = add(out, mul(target, -1.0))
-                loss = mean(mul(d, d))
-                entries = len(rec.entries)
-            grads = backward(loss, {**params, "state": state, "guidance": guid})
+        params = parameters(params)
+        wrap = {False: constant, True: parameter}
+        state = wrap[inputs in ("state", "both")](
+            rng.normal(size=(rows, cfg.t_future, 5)), dtype)
+        guid = wrap[inputs in ("guidance", "both")](
+            rng.normal(size=(rows, cfg.d_phi + cfg.d_psi)), dtype)
+        # 8 pedestrians per window share a step, as in training
+        ks = (np.repeat(rng.choice(sched.tau, -(-rows // 8)), 8)[:rows]
+              if per_row else 37)
+        target = constant(rng.normal(size=(rows, cfg.t_future, 5)), dtype)
+        with ComputationRecord() as rec:
+            out = apply(state, ks, guid, params, cfg, sched)
+            d = add(out, mul(target, -1.0))
+            loss = mean(mul(d, d))
+            entries = len(rec.entries)
+        grads = backward(loss, {**params, "state": state, "guidance": guid})
         return out.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}, entries
 
     @pytest.mark.parametrize("inputs", ["constant", "state", "guidance", "both"])
@@ -474,7 +469,8 @@ class TestReverseGenerate:
         cfg = ModelConfig(t_future=12, d_phi=2, d_psi=2, denoiser_width=16,
                           denoiser_blocks=1, step_dim=8)
         rng = np.random.default_rng(0)
-        y0 = rng.normal(size=(3, 12, 5))
+        # float32 statistics, as a float32 model's converter hands on
+        y0 = rng.normal(size=(3, 12, 5)).astype(np.float32)
         g = rng.normal(size=(3, 4))
         ks = np.array([10, 20, 40])
         eps = rng.standard_normal((3, 12, 5))
@@ -495,7 +491,8 @@ class TestChainTerms:
     def _params(cfg=CFG):
         # every parameter non-zero, so each term of the split input layer
         # and each bias moves the output
-        params = nm.init_params(dff.denoiser_layout(cfg), np.random.default_rng(5))
+        params = nm.init_params(dff.denoiser_layout(cfg), np.random.default_rng(5),
+                                np.float32)
         rng = np.random.default_rng(6)
         for p in params.values():
             p += rng.normal(0.0, 0.01, p.shape).astype(p.dtype)

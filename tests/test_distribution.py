@@ -16,9 +16,8 @@ from trajdiff.model import ModelConfig
 
 def _log_density(y, mu1, mu2, s1, s2, rho) -> float:
     """``distribution.log_pdf`` at one location, in float64."""
-    with nm.precision(np.float64):
-        terms, _ = dist.log_pdf(np.array([y], dtype=np.float64),
-                                raw_stats(mu1, mu2, s1, s2, rho)[None])
+    terms, _ = dist.log_pdf(np.array([y], dtype=np.float64),
+                            raw_stats(mu1, mu2, s1, s2, rho)[None])
     return float(terms[0, 0])
 
 
@@ -172,14 +171,15 @@ class TestSampling:
 class TestConverter:
     def _params(self, seed=0):
         cfg = ModelConfig(conv_channels=8, kernel=5)
-        return cfg, nm.init_params(dist.converter_layout(cfg), np.random.default_rng(seed))
+        return cfg, nm.init_params(dist.converter_layout(cfg), np.random.default_rng(seed),
+                                   np.float32)
 
     def test_output_shape(self):
         cfg, params = self._params()
         fut = np.random.default_rng(1).normal(size=(3, 12, 2))
         raw = dist.convert_trajectory(fut, params)
         assert raw.shape == (3, 12, 5)
-        assert raw.dtype == nm.default_dtype()
+        assert raw.dtype == np.float32
 
     def test_deterministic(self):
         cfg, params = self._params()
@@ -216,7 +216,8 @@ class TestConverter:
             with pytest.raises(ValueError, match="odd"):
                 ModelConfig(kernel=kernel).validate()
         cfg = ModelConfig(conv_channels=8, kernel=4)
-        params = nm.init_params(dist.converter_layout(cfg), np.random.default_rng(0))
+        params = nm.init_params(dist.converter_layout(cfg), np.random.default_rng(0),
+                                np.float32)
         fut = np.random.default_rng(4).normal(size=(1, 12, 2))
         fut2 = fut.copy()
         fut2[0, 6, :] += 100.0
@@ -227,14 +228,13 @@ class TestConverter:
 
 def test_array_log_pdf_matches_scalar_reference():
     rng = np.random.default_rng(9)
-    with nm.precision(np.float64):
-        raw = rng.normal(size=(3, 4, 5))
-        y = rng.normal(size=(3, 4, 2))
-        terms = dist.log_pdf(y, raw)[0][..., 0]
-        for n in range(3):
-            for t in range(4):
-                expected = log_pdf(y[n, t], *gaussian_at(raw, n, t))
-                assert math.isclose(terms[n, t], expected, rel_tol=1e-8, abs_tol=1e-8)
+    raw = rng.normal(size=(3, 4, 5))
+    y = rng.normal(size=(3, 4, 2))
+    terms = dist.log_pdf(y, raw)[0][..., 0]
+    for n in range(3):
+        for t in range(4):
+            expected = log_pdf(y[n, t], *gaussian_at(raw, n, t))
+            assert math.isclose(terms[n, t], expected, rel_tol=1e-8, abs_tol=1e-8)
 
 
 def _density_op(y, raw: Tensor) -> Tensor:
@@ -247,11 +247,10 @@ def _density_op(y, raw: Tensor) -> Tensor:
 
 def test_log_pdf_gradients():
     # d log N / d(raw means, sigmas, rho) against central differences
-    with nm.precision(np.float64):
-        params = {"raw": parameter([[0.4, -0.2, 0.3, -0.1, 0.25]])}
-        y = np.array([[0.9, 0.1]])
-        report = finite_difference_check(lambda p: _density_op(y, p["raw"]), params,
-                                         step=1e-4, tolerance=1e-2)
+    params = {"raw": parameter([[0.4, -0.2, 0.3, -0.1, 0.25]], np.float64)}
+    y = np.array([[0.9, 0.1]])
+    report = finite_difference_check(lambda p: _density_op(y, p["raw"]), params,
+                                     step=1e-4, tolerance=1e-2)
     assert report["pass"], report
 
 
@@ -265,17 +264,16 @@ def test_log_pdf_matches_tape(dtype):
     proj = rng.normal(size=(6, 12, 1))
 
     def run(density):
-        with nm.precision(dtype):
-            raw = parameter(raw_np)
-            with ComputationRecord():
-                loss = sum_(mul(density(raw), constant(proj)))
-            return loss.data, backward(loss, {"raw": raw})["raw"]
+        raw = parameter(raw_np, dtype)
+        with ComputationRecord():
+            loss = sum_(mul(density(raw), constant(proj, dtype)))
+        return loss.data, backward(loss, {"raw": raw})["raw"]
 
     def tape(raw):
-        return log_pdf_terms(constant(y), *constrain_tensors(raw))
+        return log_pdf_terms(constant(y, dtype), *constrain_tensors(raw))
 
     def op(raw):
-        terms, density_backward = dist.log_pdf(constant(y).data, raw.data)
+        terms, density_backward = dist.log_pdf(constant(y, dtype).data, raw.data)
         return _make(terms, (raw,), lambda g: (np.concatenate(density_backward(g), axis=-1),))
 
     (a, ga), (b, gb) = run(op), run(tape)
@@ -303,8 +301,7 @@ def test_mean_log_score_of_runs_equals_per_run_scores():
 class TestNormalization:
     @staticmethod
     def _normalize(raw, stats):
-        with nm.precision(np.float64):
-            return dist.normalize_stats(raw, stats)
+        return dist.normalize_stats(np.asarray(raw, np.float64), stats)
 
     def test_identity_stats_unchanged(self):
         raw = np.random.default_rng(0).normal(size=(2, 3, 5))

@@ -18,7 +18,7 @@ CFG = ModelConfig(t_obs=8, conv_channels=4, kernel=3, d_phi=6, d_psi=6)
 
 @pytest.fixture
 def params():
-    return nm.init_params(guidance.guidance_layout(CFG), np.random.default_rng(0))
+    return nm.init_params(guidance.guidance_layout(CFG), np.random.default_rng(0), np.float32)
 
 
 def _observed(n=4, seed=1):
@@ -157,18 +157,17 @@ def test_encoder_gradients_pass_finite_differences():
     cfg = ModelConfig(t_obs=8, conv_channels=2, kernel=3, d_phi=3, d_psi=3)
     obs = np.random.default_rng(5).normal(scale=0.3, size=(2, 8, 2))
     mask = np.array([[False, True], [True, False]])
-    with nm.precision(np.float64):
-        params = nm.init_params(guidance.guidance_layout(cfg), np.random.default_rng(1))
-        proj = np.random.default_rng(2).normal(size=(2, 6))
+    params = nm.init_params(guidance.guidance_layout(cfg), np.random.default_rng(1),
+                            np.float64)
+    proj = np.random.default_rng(2).normal(size=(2, 6))
 
-        def f(p):
-            keep = {}
-            emb = guidance.encode_windows(
-                [SimpleNamespace(observed=obs, neighbor_mask=mask)], p, cfg, keep)
-            return (emb * proj).sum(), lambda g: guidance.encoder_backward(g * proj, p, cfg,
-                                                                           keep)
+    def f(p):
+        keep = {}
+        emb = guidance.encode_windows(
+            [SimpleNamespace(observed=obs, neighbor_mask=mask)], p, cfg, keep)
+        return (emb * proj).sum(), lambda g: guidance.encoder_backward(g * proj, p, cfg, keep)
 
-        report = finite_difference_check(f, params, step=1e-4, tolerance=1e-2)
+    report = finite_difference_check(f, params, step=1e-4, tolerance=1e-2)
     assert report["pass"], report
 
 
@@ -179,7 +178,7 @@ def _eight_convolutions(x, params, prefix, cfg):
     output t reads inputs t - k + 1 .. t."""
     n, t = x.shape[0], cfg.t_obs
     xc = transpose(x, (0, 2, 1))                         # [N, 2, T]
-    xc = concat([constant(np.zeros((n, 2, (cfg.kernel - 1) // 2))), xc], axis=2)
+    xc = concat([constant(np.zeros((n, 2, (cfg.kernel - 1) // 2)), x.dtype), xc], axis=2)
     tokens = []
     for j in range(t):
         h = conv1d(xc, params[f"{prefix}.conv{j}.w"])
@@ -197,10 +196,11 @@ def _eight_convolutions(x, params, prefix, cfg):
 
 def _convolution_pipeline(windows, params, cfg):
     """``encode_windows`` with each encoder as ``_eight_convolutions``."""
+    dtype = params["hist.proj.w"].dtype
     obs = np.concatenate([w.observed for w in windows])
     agg = guidance.aggregate_neighbors(windows)
-    return concat([_eight_convolutions(constant(obs), params, "hist", cfg),
-                   _eight_convolutions(constant(agg), params, "nbr", cfg)], axis=1)
+    return concat([_eight_convolutions(constant(obs, dtype), params, "hist", cfg),
+                   _eight_convolutions(constant(agg, dtype), params, "nbr", cfg)], axis=1)
 
 
 def _encode_op(windows, params, cfg):
@@ -217,17 +217,17 @@ class TestCollapsedEncoder:
     body."""
 
     @staticmethod
-    def _values_and_grads(encode, rows, cfg):
+    def _values_and_grads(encode, rows, cfg, dtype=np.float32):
         rng = np.random.default_rng(rows)
         obs = rng.normal(scale=0.3, size=(rows, cfg.t_obs, 2))
         mask = np.triu(rng.random((rows, rows)) < 0.5, 1)
         windows = [_window(obs, mask | mask.T)]
         params = parameters(nm.init_params(guidance.guidance_layout(cfg),
-                                           np.random.default_rng(rows)))
+                                           np.random.default_rng(rows), dtype))
         proj = np.random.default_rng(rows + 1).normal(size=(rows, cfg.d_phi + cfg.d_psi))
         with ComputationRecord():
             out = encode(windows, params, cfg)
-            loss = sum_(mul(out, constant(proj)))
+            loss = sum_(mul(out, constant(proj, dtype)))
         grads = backward(loss, params)
         return [out.data] + [grads[name] for name in sorted(params)]
 
@@ -237,9 +237,8 @@ class TestCollapsedEncoder:
     def test_matches_convolution_pipeline(self, kernel, rows, dtype):
         # kernel 9 > t_obs: the reference's last output reads causal padding
         cfg = ModelConfig(kernel=kernel)
-        with nm.precision(dtype):
-            ref = self._values_and_grads(_convolution_pipeline, rows, cfg)
-            new = self._values_and_grads(_encode_op, rows, cfg)
+        ref = self._values_and_grads(_convolution_pipeline, rows, cfg, dtype)
+        new = self._values_and_grads(_encode_op, rows, cfg, dtype)
         assert len(new) == len(ref) == 1 + 2 * (2 * cfg.t_obs + 5)
         for a, b in zip(new, ref):
             assert a.dtype == b.dtype

@@ -148,7 +148,7 @@ def test_reciprocal_positive():
 def _scalarize(out, rng):
     # project to a scalar with a fixed random weighting so every output
     # element influences the loss
-    w = constant(rng.normal(size=out.shape))
+    w = constant(rng.normal(size=out.shape), out.dtype)
     return sum_(mul(out, w))
 
 
@@ -194,11 +194,10 @@ def _primitive_cases():
 def test_primitive_backward_matches_finite_differences(name):
     build, raw_params = _primitive_cases()[name]
     assert sum(np.size(v) for v in raw_params.values()) <= 3 * 64
-    with nm.precision(np.float64):
-        params = {k: parameter(v) for k, v in raw_params.items()}
-        report = finite_difference_check(
-            lambda p: _scalarize(build(p), np.random.default_rng(5)),
-            params, step=1e-4, tolerance=1e-2)
+    params = {k: parameter(v, np.float64) for k, v in raw_params.items()}
+    report = finite_difference_check(
+        lambda p: _scalarize(build(p), np.random.default_rng(5)),
+        params, step=1e-4, tolerance=1e-2)
     assert report["pass"], f"{name}: {report}"
 
 
@@ -250,13 +249,15 @@ def test_a_pass_is_its_checked_loss_and_one_backward():
 def test_only_numerics_and_training_know_the_tape():
     # the tape lives in the tests; every module is a forward and a backward
     # on plain arrays, and only numerics and training name a training
-    # pass's ``_make`` and ``backward``
+    # pass's ``_make`` and ``backward``; no module names a process-wide
+    # dtype, since a model's dtype is its parameters'
     tape = {"Tensor", "ComputationRecord", "constant", "parameter", "requires_grad"}
     training_pass = {"_make", "backward"}
+    process_dtype = {"precision", "default_dtype", "_DTYPE"}
     found = []
     for path in sorted(Path(nm.__file__).parent.glob("*.py")):
-        banned = tape | (set() if path.name in ("numerics.py", "training.py")
-                         else training_pass)
+        banned = tape | process_dtype | (set() if path.name in ("numerics.py", "training.py")
+                                         else training_pass)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = {getattr(node, "id", None), getattr(node, "attr", None),
                      getattr(node, "name", None)}
@@ -266,48 +267,42 @@ def test_only_numerics_and_training_know_the_tape():
     assert found == []
 
 
-def test_precision_context():
-    with nm.precision(np.float64):
-        t = constant([1.0])
-        assert t.data.dtype == np.float64
-    assert constant([1.0]).data.dtype == np.float32
-
-
 def test_tensor_values_are_row_major():
     t = transpose(constant(np.arange(6.0).reshape(2, 3)), (1, 0))
     assert t.data.flags["C_CONTIGUOUS"]
 
 
 # ---------------------------------------------------------------------------
-# Dtypes: every primitive keeps the active precision, forward and backward
+# Dtypes: every primitive keeps its operands' dtype, forward and backward
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("name", sorted(_primitive_cases()))
 def test_primitive_keeps_dtype(name, dtype):
     build, raw_params = _primitive_cases()[name]
-    with nm.precision(dtype):
-        params = {k: parameter(v) for k, v in raw_params.items()}
-        with ComputationRecord() as rec:
-            out = build(params)
-        assert out.data.dtype == dtype
-        assert rec.entries
-        for entry in rec.entries:
-            grads = entry.grad_fn(np.ones_like(entry.out.data))
-            for t, g in zip(entry.inputs, grads):
-                if t.requires_grad:
-                    assert g.dtype == dtype, f"{name}: gradient is {g.dtype}"
+    params = {k: parameter(v, dtype) for k, v in raw_params.items()}
+    with ComputationRecord() as rec:
+        out = build(params)
+    assert out.data.dtype == dtype
+    assert rec.entries
+    for entry in rec.entries:
+        grads = entry.grad_fn(np.ones_like(entry.out.data))
+        for t, g in zip(entry.inputs, grads):
+            if t.requires_grad:
+                assert g.dtype == dtype, f"{name}: gradient is {g.dtype}"
 
 
 def test_make_rejects_a_promoted_output():
-    with nm.precision(np.float64):
-        wide = constant([1.0, 2.0])
+    # a float64 operand in a float32 operation, a float64 result of float32
+    # operands, and a float64 array where a float32 pass expects its own
+    narrow, wide = constant(np.ones(2, np.float32)), constant([1.0, 2.0])
+    assert mul(wide, 2.0).dtype == np.float64 and mul(narrow, 2.0).dtype == np.float32
+    with pytest.raises(nm.NumericsError, match="mix float32 and float64"):
+        mul(narrow, wide)
     with pytest.raises(nm.NumericsError, match="float64"):
-        mul(wide, 2.0)
-    with pytest.raises(nm.NumericsError, match="float64"):
-        _make(np.zeros(3), (), None)
-    with pytest.raises(nm.NumericsError, match="loss is float64"):
-        nm._make(np.float64(1.0), None)
+        _make(np.zeros(3), (narrow,), None)
+    with pytest.raises(nm.NumericsError, match="loss is float64, not float32"):
+        nm.checked(np.float64(1.0), np.float32, "loss")
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +332,11 @@ def _einsum_attention(q, k, v, g):
 def test_attention_matches_einsum_reference(shape, dtype, tol):
     rng = np.random.default_rng(shape[0])
     q, k, v, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
-    with nm.precision(dtype):
-        params = {"q": parameter(q), "k": parameter(k), "v": parameter(v)}
-        with ComputationRecord():
-            out = scaled_dot_attention(params["q"], params["k"], params["v"])
-            loss = sum_(mul(out, constant(g)))
-        grads = backward(loss, params)
+    params = {"q": parameter(q), "k": parameter(k), "v": parameter(v)}
+    with ComputationRecord():
+        out = scaled_dot_attention(params["q"], params["k"], params["v"])
+        loss = sum_(mul(out, constant(g)))
+    grads = backward(loss, params)
     got = [out.data, grads["q"], grads["k"], grads["v"]]
     for a, b in zip(got, _einsum_attention(q, k, v, g)):
         assert a.dtype == dtype

@@ -226,16 +226,15 @@ def test_joint_pass_matches_primitive_tape(dtype, drawn, seed):
     cfg, windows = drawn
 
     def model():
-        mdl = Model.initialize(cfg, 1)
+        mdl = Model.initialize(cfg, 1, dtype)
         mdl.norm = training.freeze_normalization(mdl, windows)
         return mdl
 
     def run(batch_losses):
-        with nm.precision(dtype):
-            mdl = model()
-            total, parts, cache = batch_losses(windows, mdl, np.random.default_rng(2),
-                                               (1.0, 0.5, 2.0))
-            grads = nm.backward(total)
+        mdl = model()
+        total, parts, cache = batch_losses(windows, mdl, np.random.default_rng(2),
+                                           (1.0, 0.5, 2.0))
+        grads = nm.backward(total)
         assert total[0].dtype == dtype
         return (total[0].tobytes(), parts, cache["guidance"].tobytes(),
                 cache["y0n"].tobytes(), {k: g.tobytes() for k, g in grads.items()})
@@ -247,17 +246,16 @@ def test_joint_pass_matches_primitive_tape(dtype, drawn, seed):
     assert got == want
     if dtype != np.float64:
         return
-    with nm.precision(dtype):
-        mdl = model()
+    mdl = model()
 
-        def total(params):
-            # ``params`` are the model's own views, perturbed in place
-            return training.batch_losses(windows, mdl, np.random.default_rng(2),
-                                         (1.0, 0.5, 2.0))[0]
+    def total(params):
+        # ``params`` are the model's own views, perturbed in place
+        return training.batch_losses(windows, mdl, np.random.default_rng(2),
+                                     (1.0, 0.5, 2.0))[0]
 
-        # a step of 1e-5 keeps the truncation error of the central
-        # difference well inside the tolerance
-        report = finite_difference_check(
-            total, mdl.params, step=1e-5, tolerance=1e-2,
-            entries=_sampled_entries(mdl.params, np.random.default_rng(seed)))
+    # a step of 1e-5 keeps the truncation error of the central
+    # difference well inside the tolerance
+    report = finite_difference_check(
+        total, mdl.params, step=1e-5, tolerance=1e-2,
+        entries=_sampled_entries(mdl.params, np.random.default_rng(seed)))
     assert report["pass"], report

@@ -48,8 +48,9 @@ class TestLossDiffusion:
         sched = diffusion.build_schedule(20, beta_end=0.4, steps=10)
         cfg = ModelConfig(t_future=12, d_phi=2, d_psi=2, denoiser_width=8,
                           denoiser_blocks=1, step_dim=4)
-        params = nm.init_params(diffusion.denoiser_layout(cfg), rng)
-        y0 = rng.normal(size=(rows, 12, 5))
+        params = nm.init_params(diffusion.denoiser_layout(cfg), rng, np.float32)
+        # float32 statistics, as a float32 model's converter hands on
+        y0 = rng.normal(size=(rows, 12, 5)).astype(np.float32)
         g = rng.normal(size=(rows, 4))
         ks = sched.tau[rng.integers(0, 10, size=rows)]
         eps = rng.standard_normal((rows, 12, 5))
@@ -128,8 +129,7 @@ class TestLossLikelihood:
         rng = np.random.default_rng(2)
         future = rng.normal(size=(3, 12, 2))
         raw = rng.normal(size=(3, 12, 5))
-        with nm.precision(np.float64):
-            loss, _ = training.loss_likelihood(future, raw, n_windows=1)
+        loss, _ = training.loss_likelihood(future, raw, n_windows=1)
         naive = 0.0
         for n in range(3):
             for t in range(12):
@@ -171,24 +171,23 @@ def test_converter_losses_match_tape(dtype):
     proj = np.random.default_rng(3).normal(size=2 + future.size // 2 * 5)
 
     def model():
-        mdl = Model.initialize(ModelConfig(), 4)
+        mdl = Model.initialize(ModelConfig(), 4, dtype)
         mdl.norm = training.freeze_normalization(mdl, windows)
         return mdl
 
-    with nm.precision(dtype):
-        mdl, g = model(), proj.astype(dtype)
-        (llh, con, y0n), losses_backward = training.converter_losses(
-            future, mdl.params, mdl.norm, len(windows))
-        grads = losses_backward(g[0], g[1], g[2:].reshape(y0n.shape))
-        got = [np.concatenate([np.array([llh, con], dtype), y0n.reshape(-1)])]
-        got += [grads[k] for k in sorted(grads)]
-        mdl = model()
-        params = parameters(mdl.params)
-        with ComputationRecord():
-            out = converter_losses_tape(future, params, mdl.norm, len(windows))
-            loss = sum_(mul(out, constant(proj)))
-        ref = backward(loss, params)
-        want = [out.data] + [ref[k] for k in sorted(ref) if k.startswith("conv.")]
+    mdl, g = model(), proj.astype(dtype)
+    (llh, con, y0n), losses_backward = training.converter_losses(
+        future, mdl.params, mdl.norm, len(windows))
+    grads = losses_backward(g[0], g[1], g[2:].reshape(y0n.shape))
+    got = [np.concatenate([np.array([llh, con], dtype), y0n.reshape(-1)])]
+    got += [grads[k] for k in sorted(grads)]
+    mdl = model()
+    params = parameters(mdl.params)
+    with ComputationRecord():
+        out = converter_losses_tape(future, params, mdl.norm, len(windows))
+        loss = sum_(mul(out, constant(proj, dtype)))
+    ref = backward(loss, params)
+    want = [out.data] + [ref[k] for k in sorted(ref) if k.startswith("conv.")]
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype == dtype
         assert a.tobytes() == b.tobytes()
@@ -380,8 +379,9 @@ class TestSkippedInputGradients:
     def _grads(loss_fn, params, inputs, as_params):
         wrap = parameter if as_params else constant
         ids = {id(p) for p in params.values()}
+        dtype = next(iter(params.values())).dtype
         with ComputationRecord() as rec:
-            loss = loss_fn(*(wrap(x) for x in inputs))
+            loss = loss_fn(*(wrap(x, dtype) for x in inputs))
             readers = sum(any(id(t) in ids for t in e.inputs) for e in rec.entries)
             skipped = [e for e in rec.entries
                        if any(not t.requires_grad for t in e.inputs)]
@@ -394,7 +394,8 @@ class TestSkippedInputGradients:
         mdl = Model.initialize(MICRO, 2)
         den = {k: p for k, p in mdl.params.items() if k.startswith("den.")}
         rng = np.random.default_rng(3)
-        y0n = rng.normal(size=(9, 12, 5))
+        # float32 statistics, as a float32 model's converter hands on
+        y0n = rng.normal(size=(9, 12, 5)).astype(np.float32)
         guid = rng.normal(size=(9, MICRO.d_phi + MICRO.d_psi))
         ks, eps = training.draw_step_noise([4, 5], mdl.schedule, rng, 12)
         _, backward = training.loss_diffusion(y0n, guid, ks, eps, mdl.schedule, den, MICRO)
@@ -547,15 +548,19 @@ class TestParameterBuffer:
         assert mdl.flat.size == mdl.n_parameters() == sum(p.size for p in mdl.params.values())
         for k, p in mdl.params.items():
             assert np.shares_memory(p, mdl.flat), k
-            assert p.dtype == mdl.flat.dtype == nm.default_dtype()
+            assert p.dtype == mdl.flat.dtype
 
-    def test_initialize_and_load(self, tmp_path):
-        mdl = Model.initialize(MICRO, 0)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_initialize_and_load(self, tmp_path, dtype):
+        # a model saves and loads in its own dtype, with the same bytes
+        mdl = Model.initialize(MICRO, 0, dtype)
         self._assert_views(mdl)
+        assert mdl.flat.dtype == dtype
         assert list(mdl.params) == list(MICRO.param_layout())
         mdl.save(tmp_path / "m.tjdf")
         loaded = Model.load(tmp_path / "m.tjdf")[0]
         self._assert_views(loaded)
+        assert loaded.flat.dtype == dtype
         assert loaded.flat.tobytes() == mdl.flat.tobytes()
 
     def test_train_step_with_boosts_updates_in_place(self):
@@ -593,18 +598,47 @@ class TestObjectiveGradients:
         windows = data.window_scenes(data.synthesize_scenes(cfg), t_fut=3,
                                      stride=11)
         assert windows and windows[0].n_peds == 2
-        with nm.precision(np.float64):
-            mdl = Model.initialize(micro, 0)
-            mdl.norm = training.freeze_normalization(mdl, windows)
+        mdl = Model.initialize(micro, 0, np.float64)
+        mdl.norm = training.freeze_normalization(mdl, windows)
 
-            def f(params):
-                # the same step and noise draws on every call; ``params``
-                # are the model's own views
-                return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
+        def f(params):
+            # the same step and noise draws on every call; ``params``
+            # are the model's own views
+            return training.batch_losses(windows, mdl, np.random.default_rng(5))[0]
 
-            report = finite_difference_check(f, mdl.params, step=1e-3,
-                                             tolerance=1e-2)
+        report = finite_difference_check(f, mdl.params, step=1e-3,
+                                         tolerance=1e-2)
         assert report["pass"], report
+
+    def test_float64_check_beside_float32_training(self):
+        # one process holds a float32 model and a float64 one: a float64
+        # gradient check between two float32 training steps leaves the
+        # float32 model's bytes as the two steps alone write them
+        windows = _windows()
+        cfg = training.TrainConfig(denoiser_boost=1)
+
+        def two_steps(between):
+            mdl = Model.initialize(MICRO, 0)
+            mdl.norm = training.freeze_normalization(mdl, windows)
+            opt = training.AdamState(mdl)
+            training.train_step(windows[:2], mdl, cfg, opt, np.random.default_rng(0))
+            between()
+            training.train_step(windows[2:], mdl, cfg, opt, np.random.default_rng(1))
+            assert mdl.flat.dtype == np.float32
+            return mdl.flat.tobytes()
+
+        def float64_check():
+            wide = Model.initialize(MICRO, 1, np.float64)
+            wide.norm = training.freeze_normalization(wide, windows)
+            report = finite_difference_check(
+                lambda params: training.batch_losses(windows[:2], wide,
+                                                     np.random.default_rng(5))[0],
+                wide.params, step=1e-3, tolerance=1e-2,
+                entries={k: range(min(p.size, 3)) for k, p in wide.params.items()})
+            assert wide.flat.dtype == np.float64
+            assert report["pass"], report
+
+        assert two_steps(float64_check) == two_steps(lambda: None)
 
 
 @pytest.mark.parametrize("model", ["MICRO", "ModelConfig()"], ids=["micro", "default"])
