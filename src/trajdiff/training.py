@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import math
 import os
 import time
@@ -50,10 +51,9 @@ HEAP_TOP_PAD = 64 << 20  # freed heap that glibc's malloc keeps once fit has run
 
 
 class ResumeError(ValueError):
-    """A resume that cannot continue the run: the checkpoint's model
-    settings differ from the run's, it is already at, or past, the run's
-    last step, its run record is missing or differs from the run's, or the
-    training log is behind it or belongs to another run."""
+    """A resume that cannot continue the run: its checkpoint's model settings
+    differ from the run's, it is at or past the run's last step, it has no log
+    rows, or its run record or the log's ``# run:`` one is missing or differs."""
 
 
 @dataclass
@@ -99,7 +99,8 @@ class TrainConfig:
 def loss_diffusion(y0_norm: np.ndarray, guidance_emb: np.ndarray, ks: np.ndarray,
                    eps: np.ndarray, schedule, params, model_cfg: ModelConfig):
     """Per-element mean squared error between predicted and drawn noise:
-    (value, backward), in ``y0_norm``'s dtype.
+    (value, backward), in the parameters' dtype.  ``y0_norm`` or
+    ``guidance_emb`` in another dtype raises ``NumericsError``.
 
     ``ks`` holds one schedule step per pedestrian row (rows from the same
     window share their step); ``eps`` is the standard normal draw, mixed
@@ -109,7 +110,11 @@ def loss_diffusion(y0_norm: np.ndarray, guidance_emb: np.ndarray, ks: np.ndarray
     gradient to (``den.*`` gradients, y0_norm's, guidance_emb's), the last
     two None without ``inputs``.
     """
-    eps = np.asarray(eps, dtype=y0_norm.dtype)
+    dtype = params["den.in.w"].dtype
+    if {y0_norm.dtype, guidance_emb.dtype} != {dtype}:
+        raise NumericsError(f"diffusion loss inputs {y0_norm.dtype}/{guidance_emb.dtype}, "
+                            f"parameters {dtype}")
+    eps = np.asarray(eps, dtype=dtype)
     marginal, den = {}, {}
     noisy = diffusion.forward_marginal(y0_norm, ks, eps, schedule, marginal)
     pred = diffusion.denoiser_apply(noisy, ks, guidance_emb, params, model_cfg, schedule,
@@ -371,34 +376,14 @@ def freeze_normalization(model: Model, windows) -> NormStats:
 
 
 LOG_COLUMNS = ("step", "total", "diffusion", "likelihood", "consistency", "wall_ms")
-
-
-def _trim_log(path: str, last_step: int, header: list[str]) -> None:
-    """Drop the rows after ``last_step`` (comments and header stay) and a
-    last line without its newline, which a killed run leaves half written,
-    so that a resumed run logs every step once.  A log without a complete
-    line, or whose rows stop before ``last_step``, is behind the checkpoint,
-    and one whose first lines are not ``header`` belongs to another run:
-    both raise ``ResumeError`` and leave the file as it was."""
-    with open(path, encoding="utf-8") as f:
-        rows = [(line, line.split(",", 1)[0]) for line in f if line.endswith("\n")]
-    logged = max((int(step) for _, step in rows if step.isdigit()), default=0)
-    if not rows or logged < last_step:
-        raise ResumeError(f"{path} is behind its checkpoint: the log's last step is "
-                          f"{logged}, the checkpoint's is {last_step}")
-    for number, (want, (line, _)) in enumerate(zip(header, rows), 1):
-        if line != want:
-            raise ResumeError(f"{path} line {number} is {line.strip()!r}, this run's "
-                              f"is {want.strip()!r}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(line for line, step in rows
-                     if not step.isdigit() or int(step) <= last_step)
+LOG_ROW = "{},{:.6f},{:.6f},{:.6f},{:.6f},"   # a row but its wall_ms
+RUN_LINE = "# run:"
 
 
 def _run_record(windows, cfg: TrainConfig, total_steps: int, freeze_at: int) -> dict:
-    """What a run's mid-run checkpoints record of it, and a resume must
-    match: every training setting but ``checkpoint_every``, the step
-    counts, and a SHA-256 of the training windows' arrays in order."""
+    """What a run's log header and mid-run checkpoints record of it, and a
+    resume must match: every training setting but ``checkpoint_every``, the
+    step counts, and a SHA-256 of the training windows' arrays in order."""
     digest = hashlib.sha256()
     for w in windows:
         for a in (w.observed, w.future, w.origin, w.neighbor_mask):
@@ -411,40 +396,62 @@ def _run_record(windows, cfg: TrainConfig, total_steps: int, freeze_at: int) -> 
             "data_sha256": digest.hexdigest()}
 
 
-def _resume(path, record: dict,
-            model_cfg: ModelConfig | None) -> tuple[Model, AdamState, int]:
-    """The model, optimizer state and step count a checkpoint continues
-    from.  A ``train_step`` that is not a step count, or ``adam.*`` arrays
+def _check_same(source, kind: str, found: dict, want: dict) -> None:
+    """Raise ``ResumeError`` naming the first field of ``want`` that ``found`` differs in."""
+    for name, value in want.items():
+        if found.get(name) != value:
+            raise ResumeError(f"{source} has {kind} {name} = {found.get(name)!r}, "
+                              f"this run's is {value!r}")
+
+
+def _logged_run(log_path) -> dict:
+    """The run record on a log's first line; ``ResumeError`` if it has none."""
+    try:
+        with open(log_path, encoding="utf-8") as f:
+            line = f.readline()
+        logged = json.loads(line[len(RUN_LINE):]) if line.startswith(RUN_LINE) else None
+    except ValueError:              # not UTF-8, or not JSON
+        logged = None
+    if not isinstance(logged, dict):
+        raise ResumeError(f"{log_path} has no '{RUN_LINE}' line: it is no run's log")
+    return logged
+
+
+def _resume(path, record: dict, model_cfg: ModelConfig | None,
+            log_path) -> tuple[Model, AdamState, list]:
+    """The model, optimizer state and log rows (but ``wall_ms``) a
+    checkpoint continues from.  A ``train_step`` that is not a step count,
+    a ``log`` that is not the rows of steps 1 to it, or ``adam.*`` arrays
     whose names, shapes or dtypes differ from the config's layout, raise
     ``ContainerError``; a config that differs from ``model_cfg`` (unless
-    None), a checkpoint at or past the run's ``total_steps``, or a run
-    record (``_run_record``) that is missing or differs from ``record``,
-    raises ``ResumeError`` first, since a finished run's model holds
-    neither ``adam.*`` arrays nor a run record."""
+    None), a checkpoint at or past the run's ``total_steps``, no run record
+    or log, or a record that differs from ``record``, on the checkpoint (a
+    finished run's holds none) or on ``log_path``, raises ``ResumeError``."""
     mdl, meta, rest = Model.load(path)
-    if model_cfg is not None and model_cfg != mdl.config:
-        name = next(f.name for f in fields(ModelConfig)
-                    if getattr(model_cfg, f.name) != getattr(mdl.config, f.name))
-        raise ResumeError(f"{path} has model {name} = {getattr(mdl.config, name)!r}, "
-                          f"this run's is {getattr(model_cfg, name)!r}")
+    if model_cfg is not None:
+        _check_same(path, "model", vars(mdl.config), vars(model_cfg))
     step = meta.get("train_step")
     if type(step) is not int or step < 0:
         raise ContainerError(f"{path}: train_step {step!r} is not a step count")
     if step >= record["total_steps"]:
         raise ResumeError(f"{path} is at step {step} and the run has "
                           f"{record['total_steps']} steps: nothing to resume")
-    saved = meta.get("run")
-    if not isinstance(saved, dict):
-        raise ResumeError(f"{path} carries no run record to resume against")
-    for name, value in record.items():
-        if saved.get(name) != value:
-            raise ResumeError(f"{path} has run {name} = {saved.get(name)!r}, "
-                              f"this run's is {value!r}")
+    saved, rows = meta.get("run"), meta.get("log")
+    if not isinstance(saved, dict) or rows is None:
+        raise ResumeError(f"{path} carries no run record and log to resume against")
+    _check_same(path, "run", saved, record)
+    if not (isinstance(rows, list) and len(rows) == step
+            and all(isinstance(r, list) and len(r) == 5 and type(r[0]) is int and r[0] == n
+                    and {type(v) for v in r[1:]} <= {int, float}
+                    for n, r in enumerate(rows, 1))):
+        raise ContainerError(f"{path}: log is not the rows of steps 1 to {step}")
     shapes = {"adam.t": (1,)}
     for k, (shape, _) in mdl.config.param_layout().items():
         shapes[f"adam.m.{k}"] = shapes[f"adam.v.{k}"] = shape
     check_layout(path, rest, "adam.", shapes, ints=("adam.t",))
-    return mdl, AdamState.from_arrays(mdl, rest), step
+    if os.path.exists(log_path):
+        _check_same(log_path, "run", _logged_run(log_path), record)
+    return mdl, AdamState.from_arrays(mdl, rest), rows
 
 
 def _keep_freed_heap() -> bool:
@@ -472,21 +479,22 @@ def _keep_freed_heap() -> bool:
 def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
         out_dir: str = "runs", resume_from=None):
     """Epoch loop with shuffled batches, periodic checkpoints and a CSV log
-    (``training_log.csv`` in ``out_dir``).
+    (``training_log.csv`` in ``out_dir``) headed by the ``# run:`` line.
 
-    Returns (final checkpoint path, log rows).  Mid-run checkpoints
-    (``ckpt_<step>.tjdf``) carry the Adam state; the final ``model.tjdf``
-    carries only the model.  ``resume_from`` restarts
-    from a mid-training checkpoint and matches the straight-through run
+    Returns (final checkpoint path, log rows but ``wall_ms``).  Mid-run
+    checkpoints (``ckpt_<step>.tjdf``) carry the Adam state, the run record
+    and the log rows; the final ``model.tjdf`` carries only the model.
+    ``resume_from`` restarts from a mid-training checkpoint, rewrites the
+    log from it (with no ``wall_ms``) and matches the straight-through run
     exactly under the same seed policy; a checkpoint with no step left to
     run, model settings ``model_cfg`` that differ from its config, a run
     record that differs from this run's (training settings but
-    ``checkpoint_every``, step counts, training data), or a log in
-    ``out_dir`` that is behind it or whose header lines differ from this
-    run's, raises ``ResumeError`` before anything is written; a resume
-    with ``model_cfg`` None takes the checkpoint's settings.
-    Invalid model settings raise ``ValueError``.  On glibc it first
-    makes malloc keep freed memory for the process (``_keep_freed_heap``).
+    ``checkpoint_every``, step counts, training data), or a log whose
+    ``# run:`` line is missing or not this run's, raises ``ResumeError``
+    before anything is written; a resume with ``model_cfg`` None takes the
+    checkpoint's settings.  Invalid model settings raise ``ValueError``.
+    On glibc it first makes malloc keep freed memory for the process
+    (``_keep_freed_heap``).
     """
     train_cfg.validate()
     if model_cfg is not None or resume_from is None:
@@ -504,30 +512,25 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     # every step.
     freeze_at = min(500, max(1, total_steps // 4))
     record = _run_record(windows, train_cfg, total_steps, freeze_at)
+    log_path = os.path.join(out_dir, "training_log.csv")
     if resume_from is not None:
-        mdl, opt, start_step = _resume(resume_from, record, model_cfg)
+        mdl, opt, rows = _resume(resume_from, record, model_cfg, log_path)
     else:
         mdl = Model.initialize(model_cfg, train_cfg.seed)
-        opt = AdamState(mdl)
-        start_step = 0
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "training_log.csv")
-    header = [f"# seed: {train_cfg.seed}\n",
-              f"# config: batch={train_cfg.batch_size} lr={train_cfg.learning_rate} "
-              f"lambdas=({train_cfg.lambda_diffusion},{train_cfg.lambda_likelihood},"
-              f"{train_cfg.lambda_consistency}) boost={train_cfg.denoiser_boost} "
-              f"params={mdl.n_parameters()}\n",
-              ",".join(LOG_COLUMNS) + "\n"]
-    log_rows = []
+        opt, rows = AdamState(mdl), []
     order = None
 
-    mode = "a" if resume_from is not None and os.path.exists(log_path) else "w"
-    if mode == "a":
-        _trim_log(log_path, start_step, header)
-    with open(log_path, mode, encoding="utf-8") as log:
-        if mode == "w":
-            log.writelines(header)
-        for step in range(start_step, total_steps):
+    os.makedirs(out_dir, exist_ok=True)
+    # the header and the checkpoint's rows replace the log whole, and reach
+    # the disk before a checkpoint that a resume checks them against
+    with open(f"{log_path}.tmp", "w", encoding="utf-8") as log:
+        log.write(f"{RUN_LINE} {json.dumps(record, sort_keys=True)}\n"
+                  f"# params: {mdl.n_parameters()}\n{','.join(LOG_COLUMNS)}\n")
+        log.writelines(LOG_ROW.format(*row) + "\n" for row in rows)
+        log.flush()
+        os.fsync(log.fileno())
+        os.replace(log.name, log_path)
+        for step in range(len(rows), total_steps):
             epoch, pos = divmod(step, spe)
             if pos == 0 or order is None:
                 order = np.random.default_rng([train_cfg.seed, 7, epoch]).permutation(
@@ -540,20 +543,16 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
             t0 = time.perf_counter()
             parts = train_step(batch, mdl, train_cfg, opt, rng)
             ms = (time.perf_counter() - t0) * 1000.0
-            row = (step + 1, parts["total"], parts["diffusion"],
-                   parts["likelihood"], parts["consistency"], ms)
-            log_rows.append(row)
-            log.write("{},{:.6f},{:.6f},{:.6f},{:.6f},{:.3f}\n".format(*row))
+            rows.append([step + 1, parts["total"], parts["diffusion"],
+                         parts["likelihood"], parts["consistency"]])
+            log.write(LOG_ROW.format(*rows[-1]) + f"{ms:.3f}\n")
             done = step + 1
             if done % train_cfg.checkpoint_every == 0 and done < total_steps:
-                # a checkpoint's rows reach the disk before the checkpoint does
-                log.flush()
-                os.fsync(log.fileno())
                 mdl.save(os.path.join(out_dir, f"ckpt_{done:06d}.tjdf"),
-                         extra_meta={"train_step": done, "run": record},
+                         extra_meta={"train_step": done, "run": record, "log": rows},
                          extra_arrays=opt.arrays())
 
     # the final model holds no optimizer state: a finished run is not resumed
     final_path = os.path.join(out_dir, "model.tjdf")
     mdl.save(final_path, extra_meta={"train_step": total_steps})
-    return final_path, log_rows
+    return final_path, rows

@@ -186,10 +186,21 @@ class TestResume:
         assert (out / "model.tjdf").read_bytes() == (mid_run / "model.tjdf").read_bytes()
 
     @pytest.mark.parametrize("case", ["no-adam", "no-train-step", "adam-shape",
-                                      "adam-m-int", "adam-v-byte", "adam-t-float"])
+                                      "adam-m-int", "adam-v-byte", "adam-t-float", "no-log",
+                                      "log-rows", "log-steps", "log-cell"])
     def test_unusable_checkpoint_exit_2(self, mid_run, tmp_path, capsys, case):
+        # a checkpoint without a log is refused like one without a run
+        # record, a usage error (exit 1); the rest are data errors
         meta, arrays, _ = checkpoint.load_container(mid_run / "ckpt_000002.tjdf")
-        if case == "no-adam":
+        if case == "no-log":
+            del meta["log"]
+        elif case == "log-rows":
+            meta["log"] = meta["log"][:1]
+        elif case == "log-steps":
+            meta["log"][1][0] = 3
+        elif case == "log-cell":
+            meta["log"][1][2] = "0.5"
+        elif case == "no-adam":
             arrays = {k: a for k, a in arrays.items() if not k.startswith("adam.")}
         elif case == "no-train-step":
             del meta["train_step"]
@@ -205,20 +216,23 @@ class TestResume:
         checkpoint.save_container(bad, meta, arrays)
         out = tmp_path / "resumed"
         rc = cli.main(["train", *RESUME_ARGS, "--out", str(out), "--resume", str(bad)])
-        assert rc == 2
         err = capsys.readouterr().err
-        assert "data error" in err
-        assert ("train_step" if case == "no-train-step" else "adam.") in err
-        assert not (out / "model.tjdf").exists()
+        if case == "no-log":
+            assert rc == 1 and "usage error" in err and "carries no run record and log" in err
+        else:
+            assert rc == 2 and "data error" in err
+            assert ("train_step" if case == "no-train-step"
+                    else "log is not" if case.startswith("log") else "adam.") in err
+        assert not out.exists()
 
-    def test_log_behind_checkpoint_is_usage_error(self, mid_run, tmp_path, capsys):
-        out = tmp_path / "behind"
+    def test_log_without_run_line_is_usage_error(self, mid_run, tmp_path, capsys):
+        out = tmp_path / "empty"
         out.mkdir()
         (out / "training_log.csv").write_bytes(b"")
         rc = cli.main(["train", *RESUME_ARGS, "--out", str(out),
                        "--resume", str(mid_run / "ckpt_000002.tjdf")])
         assert rc == 1
-        assert "behind its checkpoint" in capsys.readouterr().err
+        assert "has no '# run:' line" in capsys.readouterr().err
         assert os.listdir(out) == ["training_log.csv"]
         assert (out / "training_log.csv").read_bytes() == b""
 
@@ -234,8 +248,8 @@ class TestResume:
                        "--resume", str(mid_run / "ckpt_000002.tjdf")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "usage error" in err and "training_log.csv line 2 is" in err
-        assert "lr=0.002" in err and "lr=0.001" in err
+        assert "usage error" in err
+        assert "training_log.csv has run learning_rate = 0.002, this run's is 0.001" in err
         assert os.listdir(out) == ["training_log.csv"]
         assert (out / "training_log.csv").read_bytes() == log
 

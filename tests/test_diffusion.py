@@ -471,12 +471,13 @@ class TestReverseGenerate:
         rng = np.random.default_rng(0)
         # float32 statistics, as a float32 model's converter hands on
         y0 = rng.normal(size=(3, 12, 5)).astype(np.float32)
-        g = rng.normal(size=(3, 4))
+        g = rng.normal(size=(3, 4)).astype(np.float32)
         ks = np.array([10, 20, 40])
         eps = rng.standard_normal((3, 12, 5))
+        params = nm.init_params(dff.denoiser_layout(cfg), np.random.default_rng(1), np.float32)
         monkeypatch.setattr(dff, "denoiser_apply",
                             lambda noisy, k, guid, p, c, s, keep: eps.astype(np.float32))
-        loss, _ = loss_diffusion(y0, g, ks, eps, sched, {}, cfg)
+        loss, _ = loss_diffusion(y0, g, ks, eps, sched, params, cfg)
         assert loss == 0.0
 
 

@@ -1,5 +1,6 @@
 """Loss components, optimizer behavior, the fit loop and resumption."""
 
+import json
 import math
 import os
 import resource
@@ -51,7 +52,7 @@ class TestLossDiffusion:
         params = nm.init_params(diffusion.denoiser_layout(cfg), rng, np.float32)
         # float32 statistics, as a float32 model's converter hands on
         y0 = rng.normal(size=(rows, 12, 5)).astype(np.float32)
-        g = rng.normal(size=(rows, 4))
+        g = rng.normal(size=(rows, 4)).astype(np.float32)
         ks = sched.tau[rng.integers(0, 10, size=rows)]
         eps = rng.standard_normal((rows, 12, 5))
         return y0, g, ks, eps, sched, params, cfg
@@ -80,6 +81,18 @@ class TestLossDiffusion:
         loss_p, _ = training.loss_diffusion(y0[perm], g[perm], ks[perm], eps[perm], sched,
                                             params, cfg)
         assert math.isclose(loss, loss_p, rel_tol=1e-5)
+
+    @pytest.mark.parametrize("which", ["y0", "guidance"])
+    def test_float64_inputs_into_float32_parameters_raise(self, which):
+        # a float64 input would run a mixed pass: float64 loss, gradients of
+        # both dtypes
+        y0, g, ks, eps, sched, params, cfg = self._inputs()
+        if which == "y0":
+            y0 = y0.astype(np.float64)
+        else:
+            g = g.astype(np.float64)
+        with pytest.raises(nm.NumericsError, match="float64"):
+            training.loss_diffusion(y0, g, ks, eps, sched, params, cfg)
 
 
 
@@ -396,7 +409,7 @@ class TestSkippedInputGradients:
         rng = np.random.default_rng(3)
         # float32 statistics, as a float32 model's converter hands on
         y0n = rng.normal(size=(9, 12, 5)).astype(np.float32)
-        guid = rng.normal(size=(9, MICRO.d_phi + MICRO.d_psi))
+        guid = rng.normal(size=(9, MICRO.d_phi + MICRO.d_psi)).astype(np.float32)
         ks, eps = training.draw_step_noise([4, 5], mdl.schedule, rng, 12)
         _, backward = training.loss_diffusion(y0n, guid, ks, eps, mdl.schedule, den, MICRO)
         fast, *skipped = backward(np.float32(1.0), inputs=False)
@@ -581,8 +594,9 @@ class TestParameterBuffer:
         cfg = training.TrainConfig(batch_size=4, epochs=3, seed=0, checkpoint_every=2)
         training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
         record = training._run_record(_windows(), cfg, total_steps=3, freeze_at=1)
-        mdl, opt, step = training._resume(str(tmp_path / "ckpt_000002.tjdf"), record, MICRO)
-        assert step == 2
+        mdl, opt, rows = training._resume(str(tmp_path / "ckpt_000002.tjdf"), record, MICRO,
+                                          str(tmp_path / "training_log.csv"))
+        assert [row[0] for row in rows] == [1, 2]
         self._assert_views(mdl)
         for k in mdl.params:
             assert np.shares_memory(opt.m[k], opt._m) and np.shares_memory(opt.v[k], opt._v)
@@ -701,6 +715,9 @@ class TestFit:
         spe = math.ceil(len(windows) / 4)
         assert len(rows) == 2 * spe
         log = (tmp_path / "training_log.csv").read_text().splitlines()
+        record = training._run_record(windows, cfg, len(rows), 1)
+        assert log[:2] == [f"# run: {json.dumps(record, sort_keys=True)}",
+                           f"# params: {Model.initialize(MICRO, 0).n_parameters()}"]
         assert log[2] == ",".join(training.LOG_COLUMNS)
         assert len(log) == 3 + len(rows)
         for row in rows:
@@ -760,50 +777,67 @@ class TestFit:
         assert [row[0] for row in resumed] == steps
         assert [row[:5] for row in resumed] == [row[:5] for row in straight]
 
-    def test_trim_log_drops_a_torn_last_line(self, tmp_path):
-        # a killed run can leave the start of its next row: "1" of "13,..."
-        # would otherwise read as step 1 and prefix the next appended row
-        path = tmp_path / "training_log.csv"
-        header = ["# seed: 0\n", "# config: batch=4\n", ",".join(training.LOG_COLUMNS) + "\n"]
-        rows = "".join(f"{s},1.0,0.5,0.25,0.25,3.0\n" for s in range(1, 13))
-        path.write_text("".join(header) + rows + "1")
-        training._trim_log(str(path), 12, header)
-        assert path.read_text() == "".join(header) + rows
+    @pytest.mark.parametrize("damage", ["deleted", "cut-back", "torn", "long"])
+    def test_log_is_restored_from_its_checkpoint(self, tmp_path, damage):
+        # a 10-step run with a checkpoint every 3 steps, resumed from each
+        # checkpoint k with its log deleted, cut back to rows 1..k-2, torn
+        # in row k or left with all 10 rows: the resume rewrites the log
+        # from the checkpoint, rows 1..k without their wall_ms
+        cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
+        straight = tmp_path / "straight"
+        training.fit(_windows(), cfg, MICRO, out_dir=str(straight))
+        log = (straight / "training_log.csv").read_text().splitlines(keepends=True)
+        for k in (3, 6, 9):
+            run = tmp_path / f"from{k}"
+            run.mkdir()
+            ckpt = run / f"ckpt_{k:06d}.tjdf"
+            ckpt.write_bytes((straight / ckpt.name).read_bytes())
+            damaged = {"deleted": None, "cut-back": log[:1 + k], "long": log,
+                       "torn": log[:2 + k] + [log[2 + k][:5]]}[damage]
+            if damaged is not None:
+                (run / "training_log.csv").write_text("".join(damaged))
+            training.fit(_windows(), cfg, MICRO, out_dir=str(run), resume_from=str(ckpt))
+            assert (run / "model.tjdf").read_bytes() == (straight / "model.tjdf").read_bytes()
+            assert _log_without_wall_ms(run) == _log_without_wall_ms(straight)
+            rows = (run / "training_log.csv").read_text().splitlines()[3:]
+            assert [row.endswith(",") for row in rows] == [True] * k + [False] * (10 - k)
 
-    @pytest.mark.parametrize("kept", [3, 0], ids=["rows-1-3", "empty"])
-    def test_log_behind_its_checkpoint_is_refused(self, tmp_path, kept):
-        # a 10-step run with a checkpoint every 3 steps, its log cut back to
-        # rows 1-3 or to 0 bytes: appending from step 7 would skip rows 4-6
+    @pytest.mark.parametrize("text", [b"", b"# seed: 5\n# config: batch=4\nstep,total\n",
+                                      b'# run: {"seed": 5\n', b"\xff\n"],
+                             ids=["empty", "older-format", "torn-run-line", "not-utf8"])
+    def test_log_without_run_line_is_refused(self, tmp_path, text):
+        # a log without a valid "# run:" line is of no run this resume could
+        # continue: an older format, or another program's file
         cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
         training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
         for name in ("model.tjdf", "ckpt_000009.tjdf"):
             os.remove(tmp_path / name)
-        log = tmp_path / "training_log.csv"
-        lines = log.read_text().splitlines(keepends=True)
-        log.write_text("".join(lines[:3 + kept]) if kept else "")
+        (tmp_path / "training_log.csv").write_bytes(text)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        with pytest.raises(training.ResumeError,
-                           match=f"last step is {kept}, the checkpoint's is 6"):
+        with pytest.raises(training.ResumeError, match="has no '# run:' line"):
             training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path),
                          resume_from=str(tmp_path / "ckpt_000006.tjdf"))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize("change", [{"learning_rate": 2e-3}, {"seed": 6},
-                                        {"denoiser_boost": 2}],
-                             ids=["lr", "seed", "boost"])
-    def test_log_of_another_run_is_refused(self, tmp_path, change):
-        # the log's "# seed"/"# config" lines name the run it belongs to;
-        # resuming a run into the directory of a run with other settings
-        # would append its rows to that run's log
+    @pytest.mark.parametrize("change, field", [
+        ({"learning_rate": 2e-3}, "learning_rate"), ({"seed": 6}, "seed"),
+        ({"denoiser_boost": 2}, "denoiser_boost"), ({"epochs": 12}, "epochs"),
+        ({"windows": 3}, "data_sha256"),
+    ], ids=["lr", "seed", "boost", "epochs", "data"])
+    def test_log_of_another_run_is_refused(self, tmp_path, change, field):
+        # the log's "# run:" line names the run it belongs to; resuming a
+        # run into the directory of a run with other settings or data would
+        # mix the two runs' rows and overwrite its checkpoints.  A window
+        # fewer still makes 1 batch a step, so only the data differ.
         cfg = training.TrainConfig(batch_size=4, epochs=10, seed=5, checkpoint_every=3)
         other, own = tmp_path / "other", tmp_path / "own"
-        training.fit(_windows(), replace(cfg, **change), MICRO, out_dir=str(other))
+        change = dict(change)
+        windows = _windows()[:change.pop("windows", None)]
+        training.fit(windows, replace(cfg, **change), MICRO, out_dir=str(other))
         training.fit(_windows(), cfg, MICRO, out_dir=str(own))
-        for name in ("model.tjdf", "ckpt_000009.tjdf"):
-            os.remove(other / name)
-        line = 1 if "seed" in change else 2
         before = {p.name: p.read_bytes() for p in other.iterdir()}
-        with pytest.raises(training.ResumeError, match=f"training_log.csv line {line} is"):
+        with pytest.raises(training.ResumeError,
+                           match=f"training_log.csv has run {field} = "):
             training.fit(_windows(), cfg, MICRO, out_dir=str(other),
                          resume_from=str(own / "ckpt_000006.tjdf"))
         assert {p.name: p.read_bytes() for p in other.iterdir()} == before
