@@ -71,7 +71,7 @@ def _settings(p, section: str):
 
 def _add_common(p, section: str):
     p.add_argument("--config", help="INI config file; flags override its values")
-    _settings(p, section)("--seed", type=_int_at_least(0))
+    _settings(p, section)("--seed", type=int)
 
 
 def _add_synth(p):
@@ -240,19 +240,16 @@ def parse_args(argv=None) -> argparse.Namespace:
 def _config(args, cls, section: str):
     """A ``cls`` from the settings of config section ``section`` given as
     flags or in the config file; the dataclass supplies every other field.
-    A setting the dataclass rejects is a usage error."""
+    A setting the dataclass refuses at construction is a usage error."""
     names = {f.name for f in fields(cls)}
     given = {a.dest: getattr(args, a.dest)
              for key, a in _config_keys(build_parser())[args.command].items()
              if key.startswith(f"{section}.") and a.dest in names
              and getattr(args, a.dest) is not None}
     try:
-        cfg = cls(**given)
-        if hasattr(cfg, "validate"):
-            cfg.validate()
-    except (ValueError, data.DataError) as exc:
+        return cls(**given)
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return cfg
 
 
 def _load_tracks(args, scene: str | None = None) -> list[data.RawTrack]:
@@ -312,9 +309,10 @@ def _write_csv(path, ckpt_hash: str, protocol: inference.EvalProtocol, desc: str
 def _protocol(args, mdl: Model) -> inference.EvalProtocol:
     """The evaluation protocol; every invalid setting is a usage error."""
     strategy = _config(args, inference.SamplingStrategy, "protocol")
-    if args.steps is not None and not 1 <= args.steps <= mdl.schedule.K:
-        raise UsageError(f"--steps {args.steps} outside 1..K={mdl.schedule.K}")
-    return replace(_config(args, inference.EvalProtocol, "protocol"), strategy=strategy)
+    protocol = _config(args, inference.EvalProtocol, "protocol")
+    if protocol.steps is not None and protocol.steps > mdl.schedule.K:
+        raise UsageError(f"--steps {protocol.steps} outside 1..K={mdl.schedule.K}")
+    return replace(protocol, strategy=strategy)
 
 
 def _protocol_desc(protocol: inference.EvalProtocol) -> str:

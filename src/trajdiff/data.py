@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FLOAT32_MAX, MAX_COUNT
+from .numerics import FLOAT32_MAX, check_settings, setting
 
 T_OBSERVED = 8
 T_FUTURE = 12
@@ -276,36 +276,28 @@ REPULSION_FLOOR = 0.05          # meters; a closer pair pushes as if this far ap
 class SynthConfig:
     """Noisy constant-velocity walkers with pairwise repulsion in a 20 m box."""
 
-    n_scenes: int = 4
-    peds_per_scene: int = 6
-    frames: int = 40
-    speed_min: float = 0.2      # meters per frame
-    speed_max: float = 0.5
-    turn_noise: float = 0.1     # radians per frame
-    repulsion_gain: float = 0.05
-    seed: int = 0
-    box: float = 20.0
+    n_scenes: int = setting(4, 1)
+    peds_per_scene: int = setting(6, 1)
+    frames: int = setting(40, 1)
+    speed_min: float = setting(0.2, 0.0, FLOAT32_MAX, above=True)   # meters per frame
+    speed_max: float = setting(0.5, 0.0, FLOAT32_MAX, above=True)
+    turn_noise: float = setting(0.1, 0.0, FLOAT32_MAX)              # radians per frame
+    repulsion_gain: float = setting(0.05, 0.0, FLOAT32_MAX)
+    seed: int = setting(0, 0, math.inf)
+    box: float = setting(20.0, 0.0, FLOAT32_MAX, above=True)
 
     def __post_init__(self):
-        for name in ("n_scenes", "peds_per_scene", "frames"):
-            if not 0 < getattr(self, name) <= MAX_COUNT:
-                raise DataError(f"synth config {name} must be in 1..{MAX_COUNT}")
-        for name in ("speed_min", "speed_max", "box"):
-            if not 0 < getattr(self, name) <= FLOAT32_MAX:
-                raise DataError(f"synth config {name} must be positive and at most "
-                                f"{FLOAT32_MAX:.6g}")
-        if not (0 <= self.turn_noise <= FLOAT32_MAX and 0 <= self.repulsion_gain <= FLOAT32_MAX):
-            raise DataError(f"synth noise/repulsion must be in 0..{FLOAT32_MAX:.6g}")
+        check_settings(self, "synth")
         if self.speed_min > self.speed_max:
-            raise DataError(f"synth config speed_min {self.speed_min} exceeds "
-                            f"speed_max {self.speed_max}")
+            raise ValueError(f"synth speed_min {self.speed_min} exceeds "
+                             f"speed_max {self.speed_max}")
         # a walker moves at most speed_max plus a push of at most
         # 1 / REPULSION_FLOOR per neighbour a frame; its scene must ingest
         reach = self.box + (self.frames - 1) * (
             self.speed_max + self.repulsion_gain * (self.peds_per_scene - 1) / REPULSION_FLOOR)
         if reach > MAX_COORDINATE:
-            raise DataError(f"synth walkers could reach {reach:.3g} m, beyond "
-                            f"MAX_COORDINATE {MAX_COORDINATE:.0e} m")
+            raise ValueError(f"synth walkers could reach {reach:.3g} m, beyond "
+                             f"MAX_COORDINATE {MAX_COORDINATE:.0e} m")
 
 
 def synthesize_scenes(config: SynthConfig) -> list[RawTrack]:

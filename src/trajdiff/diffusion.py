@@ -64,15 +64,24 @@ def _even_tau(k_total: int, s: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.05,
-                   steps: int | None = None) -> Schedule:
-    """Linear-beta schedule with an evenly spaced execution sub-sequence."""
+def schedule_alpha(k_total: int, beta_start: float, beta_end: float) -> np.ndarray:
+    """The linear-beta schedule's alpha [K+1]; ``NumericsError`` unless
+    0 < beta_start < beta_end < 1 and alpha falls strictly within (0, 1]
+    (a beta that 1 - beta rounds away, or a product that underflows, does
+    not)."""
     if not (0.0 < beta_start < beta_end < 1.0):
         raise NumericsError("need 0 < beta_start < beta_end < 1")
     betas = np.linspace(beta_start, beta_end, k_total)
     alpha = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     if np.any(np.diff(alpha) >= 0) or np.any(alpha <= 0):
         raise NumericsError("alpha must be strictly decreasing within (0, 1]")
+    return alpha
+
+
+def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.05,
+                   steps: int | None = None) -> Schedule:
+    """Linear-beta schedule with an evenly spaced execution sub-sequence."""
+    alpha = schedule_alpha(k_total, beta_start, beta_end)
     tau = _even_tau(k_total, k_total if steps is None else steps)
     if alpha[k_total] >= 0.05:
         # short test chains legitimately end above the target; warn only

@@ -79,7 +79,7 @@ def convert_trajectory(future, params: dict[str, np.ndarray], keep: dict | None 
     mask the layer can learn a pass-through and the likelihood term then
     collapses every sigma to the floor, which destroys the location
     distributions that the samplers rely on.  Only an odd kernel has a
-    center tap (``ModelConfig.validate`` rejects an even one).  The second
+    center tap (``ModelConfig`` refuses an even one).  The second
     layer is pointwise (2 -> C -> 5 channels overall).  The result gets
     ``numerics.checked``'s dtype and finiteness check.  ``keep``, when
     given, receives what ``converter_backward`` reads.

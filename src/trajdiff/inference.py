@@ -25,6 +25,7 @@ best candidate and the FDE (final-timestep error) of that same candidate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,22 +39,18 @@ SELECTIONS = ("gt-ade", "self-likelihood")
 
 @dataclass
 class SamplingStrategy:
-    kind: str = "A"              # A, B or C
-    r1: int = 10                 # reverse runs (A)
-    r2: int = 10                 # Gaussian draws from the selected field (A)
-    r: int = 20                  # runs (B) or draws (C)
-    pool_run_means: bool = False  # A only: also keep every run's mean trajectory
+    kind: str = "A"                       # A, B or C
+    # every count, not only the kind's: ``ablate --axis sampling`` runs all
+    # three kinds with these counts
+    r1: int = nm.setting(10, 1)           # reverse runs (A)
+    r2: int = nm.setting(10, 0)           # Gaussian draws from the selected field (A)
+    r: int = nm.setting(20, 1)            # runs (B) or draws (C)
+    pool_run_means: bool = False          # A only: also keep every run's mean trajectory
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("A", "B", "C"):
             raise ValueError(f"unknown strategy {self.kind!r}")
-        # every count, not only the kind's: ``ablate --axis sampling`` runs
-        # all three kinds with these counts
-        for name, low in (("r1", 1), ("r2", 0), ("r", 1)):
-            if not low <= getattr(self, name) <= nm.MAX_COUNT:
-                raise ValueError(f"strategy {name} must be in {low}..{nm.MAX_COUNT}, "
-                                 f"got {getattr(self, name)}")
-        return self
+        nm.check_settings(self, "protocol")
 
     @property
     def runs(self) -> int:
@@ -135,9 +132,12 @@ def best_of_n(pset: PredictionSet, gt_abs: np.ndarray) -> tuple[np.ndarray, np.n
 class EvalProtocol:
     strategy: SamplingStrategy = field(default_factory=SamplingStrategy)
     selection: str = "gt-ade"
-    steps: int | None = None
-    seed: int = 0
+    steps: int | None = nm.setting(None, 1)
+    seed: int = nm.setting(0, 0, math.inf)
     gamma_mode: str = "deterministic"   # the reverse chain's per-step noise
+
+    def __post_init__(self):
+        nm.check_settings(self, "protocol")
 
 
 def sample_windows(model: Model, windows, protocol: EvalProtocol,
@@ -157,7 +157,7 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
     its candidates are those of a call with it alone.
     """
     listed = strategies is not None
-    strategies = [s.validate() for s in (strategies if listed else [protocol.strategy])]
+    strategies = strategies if listed else [protocol.strategy]
     if protocol.selection == "gt-ade" and any(gt is None for gt in gts):
         raise ValueError("gt-ade selection requires ground truth")
     n_runs = max(s.runs for s in strategies)

@@ -24,27 +24,47 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import checkpoint, diffusion, distribution, guidance
+from . import checkpoint, data, diffusion, distribution, guidance
 from . import numerics as nm
 from .numerics import NumericsError
 
 
 @dataclass
 class ModelConfig:
-    t_obs: int = 8
-    t_future: int = 12
-    conv_channels: int = 32
-    kernel: int = 3
-    d_phi: int = 32
-    d_psi: int = 32
-    denoiser_width: int = 128
-    denoiser_blocks: int = 3
-    step_dim: int = 32
-    neighbor_radius: float = 5.0
-    k_total: int = 200
-    steps: int = 100
-    beta_start: float = 1e-4
-    beta_end: float = 0.05
+    t_obs: int = nm.setting(data.T_OBSERVED, 1)
+    t_future: int = nm.setting(data.T_FUTURE, 1)
+    conv_channels: int = nm.setting(32, 1)
+    kernel: int = nm.setting(3, 3)
+    d_phi: int = nm.setting(32, 1)
+    d_psi: int = nm.setting(32, 1)
+    denoiser_width: int = nm.setting(128, 1)
+    denoiser_blocks: int = nm.setting(3, 0)
+    step_dim: int = nm.setting(32, 2)
+    neighbor_radius: float = nm.setting(data.NEIGHBOR_RADIUS, 0.0, nm.FLOAT32_MAX,
+                                        above=True)
+    k_total: int = nm.setting(200, 1)
+    steps: int = nm.setting(100, 1)
+    beta_start: float = nm.setting(1e-4, 0.0, 1.0, above=True)
+    beta_end: float = nm.setting(0.05, 0.0, 1.0, above=True)
+
+    def __post_init__(self):
+        """Raise ValueError unless a model can be built from these settings."""
+        nm.check_settings(self, "model")
+        if self.step_dim % 2:
+            # the sinusoidal step embedding has 2 * (step_dim // 2) columns
+            raise ValueError(f"model step_dim must be even, got {self.step_dim}")
+        if self.kernel % 2 == 0:
+            # the converter masks tap kernel // 2; only for an odd kernel is
+            # that the center tap, the one that reads the timestep itself
+            # (and a kernel of 1 has no other tap, so reads no input at all)
+            raise ValueError(f"model kernel must be odd, got {self.kernel}")
+        if self.steps > self.k_total:
+            raise ValueError(f"model steps must be at most k_total {self.k_total}, "
+                             f"got {self.steps}")
+        try:
+            diffusion.schedule_alpha(self.k_total, self.beta_start, self.beta_end)
+        except NumericsError as exc:
+            raise ValueError(f"model schedule: {exc}") from None
 
     @property
     def state_dim(self) -> int:
@@ -63,54 +83,13 @@ class ModelConfig:
         return diffusion.build_schedule(self.k_total, self.beta_start, self.beta_end,
                                         self.steps if steps is None else steps)
 
-    def validate(self):
-        """Raise ValueError unless a model can be built from these settings
-        (``checked_schedule``); returns the settings."""
-        self.checked_schedule()
-        return self
-
-    def checked_schedule(self) -> diffusion.Schedule:
-        """The schedule, built once every other setting is checked: raise
-        ValueError unless a model can be built from these settings.  The
-        schedule settings get ``build_schedule``'s checks."""
-        for name in ("t_obs", "t_future", "conv_channels", "d_phi", "d_psi",
-                     "denoiser_width", "denoiser_blocks", "step_dim", "kernel", "k_total"):
-            if getattr(self, name) > nm.MAX_COUNT:
-                raise ValueError(f"model {name} must be <= {nm.MAX_COUNT}, "
-                                 f"got {getattr(self, name)}")
-        for name in ("t_obs", "t_future", "conv_channels", "d_phi", "d_psi",
-                     "denoiser_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"model {name} must be >= 1, got {getattr(self, name)}")
-        if self.step_dim < 2 or self.step_dim % 2:
-            # the sinusoidal step embedding has 2 * (step_dim // 2) columns
-            raise ValueError(f"model step_dim must be even and >= 2, got {self.step_dim}")
-        if self.kernel < 3 or self.kernel % 2 == 0:
-            # the converter masks tap kernel // 2; only for an odd kernel is
-            # that the center tap, the one that reads the timestep itself,
-            # and a kernel of 1 has no other tap, so reads no input at all
-            raise ValueError(f"model kernel must be odd and >= 3, got {self.kernel}")
-        if self.denoiser_blocks < 0:
-            raise ValueError(f"model denoiser_blocks must be >= 0, "
-                             f"got {self.denoiser_blocks}")
-        if not 0 < self.neighbor_radius < math.inf:
-            # nan would pass a ``<= 0`` check and then neighbor no one
-            raise ValueError(f"model neighbor_radius must be finite and > 0, "
-                             f"got {self.neighbor_radius}")
-        try:
-            return self.schedule()
-        except (NumericsError, ValueError) as exc:
-            raise ValueError(f"model schedule: {exc}") from None
-
 
 class Model:
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
-                 norm: distribution.NormStats | None = None,
-                 schedule: diffusion.Schedule | None = None):
+                 norm: distribution.NormStats | None = None):
         """``params``, arrays by every name of ``config.param_layout()``,
         are copied into the model's flat buffer, of their dtype (the
-        widest, if they differ); ``schedule`` is ``config.schedule()``,
-        built here when not given."""
+        widest, if they differ); the schedule is ``config.schedule()``."""
         self.config = config
         self._shapes = {k: shape for k, (shape, _) in config.param_layout().items()}
         self.spans, end = {}, 0
@@ -122,7 +101,7 @@ class Model:
         self.params = self.views(self.flat)
         for k, view in self.params.items():
             view[...] = params[k]
-        self.schedule = config.schedule() if schedule is None else schedule
+        self.schedule = config.schedule()
         self.norm = norm or distribution.NormStats.identity()
 
     @classmethod
@@ -226,7 +205,6 @@ class Model:
             config = dict(meta["config"])
             config.pop("gamma_mode", None)
             config = ModelConfig(**config)
-            schedule = config.checked_schedule()
             norm = distribution.NormStats(np.array(meta["norm_mean"]),
                                           np.array(meta["norm_scale"]))
         except KeyError as exc:
@@ -235,7 +213,7 @@ class Model:
             raise checkpoint.ContainerError(f"{path}: bad model metadata: {exc}") from None
         shapes = {f"param.{k}": shape for k, (shape, _) in config.param_layout().items()}
         checkpoint.check_layout(path, arrays, "param.", shapes)
-        model = cls(config, {k[len("param."):]: arrays[k] for k in shapes}, norm, schedule)
+        model = cls(config, {k[len("param."):]: arrays[k] for k in shapes}, norm)
         if not np.isfinite(model.flat).all():
             bad = next(k for k, p in model.params.items() if not np.isfinite(p).all())
             raise checkpoint.ContainerError(f"{path}: param.{bad} is not finite")

@@ -12,10 +12,13 @@ NaN/Inf and silent float64 promotion never propagate.  A training pass is its lo
 with the backward that maps the loss's gradient to every parameter's by
 name (``_make``), and ``backward`` runs that backward once.
 ``conv1d_columns``, ``conv1d_weight_grad`` and ``tanh_grad`` are array
-helpers the backwards share.
+helpers the backwards share.  ``setting`` declares a settings field with
+its range, and ``check_settings`` is the one check of those ranges.
 """
 
 from __future__ import annotations
+
+from dataclasses import field, fields
 
 import numpy as np
 
@@ -25,9 +28,9 @@ class NumericsError(RuntimeError):
 
 
 # The largest value a count setting may take (scenes, pedestrians, frames,
-# epochs, denoiser boosts, layer sizes, K, runs, draws).  It is far above any
-# desk-scale run; a mistyped huge count would run without end or ask for
-# more memory than there is, so each config's check refuses it.
+# epochs, batches, denoiser boosts, layer sizes, K, S, runs, draws).  It is
+# far above any desk-scale run; a mistyped huge count would run without end
+# or ask for more memory than there is, so it is each count's default bound.
 MAX_COUNT = 10 ** 6
 
 # The largest value a float setting may take (the rate, the loss weights and
@@ -36,6 +39,27 @@ MAX_COUNT = 10 ** 6
 # the model's arithmetic.  ``SynthConfig`` bounds its walkers tighter, by
 # ``data.MAX_COORDINATE``.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def setting(default, low, high=MAX_COUNT, *, above=False):
+    """A dataclass field of ``default`` whose value must lie in
+    ``low``..``high``, and above ``low`` when ``above``."""
+    return field(default=default, metadata={"range": (low, high, above)})
+
+
+def check_settings(cfg, what: str) -> None:
+    """Raise ValueError naming the first field of the dataclass ``cfg``
+    outside its ``setting`` range, as ``<what> <field> must be in
+    <low>..<high>, got <value>``.  NaN fails every range; None passes."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "range" not in f.metadata or value is None:
+            continue
+        low, high, above = f.metadata["range"]
+        if not ((low < value) if above else (low <= value)) or not value <= high:
+            lo, hi = (f"{b:.6g}" if isinstance(b, float) else b for b in (low, high))
+            raise ValueError(f"{what} {f.name} must be in {lo}..{hi}"
+                             f"{f', above {lo}' if above else ''}, got {value}")
 
 
 def init_params(layout: dict[str, tuple], rng: np.random.Generator,

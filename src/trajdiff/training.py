@@ -58,38 +58,27 @@ class ResumeError(ValueError):
 
 @dataclass
 class TrainConfig:
-    lambda_diffusion: float = 1.0
-    lambda_likelihood: float = 1.0
-    lambda_consistency: float = 1.0
-    learning_rate: float = 1e-3
-    batch_size: int = 8
-    epochs: int = 10
-    seed: int = 0
-    checkpoint_every: int = 500
+    lambda_diffusion: float = nm.setting(1.0, 0.0, nm.FLOAT32_MAX)
+    lambda_likelihood: float = nm.setting(1.0, 0.0, nm.FLOAT32_MAX)
+    lambda_consistency: float = nm.setting(1.0, 0.0, nm.FLOAT32_MAX)
+    # from float32's smallest positive value: a smaller rate is 0 in the
+    # optimizer's float32 arithmetic and would train nothing
+    learning_rate: float = nm.setting(1e-3, float(np.finfo(np.float32).smallest_subnormal),
+                                      nm.FLOAT32_MAX)
+    batch_size: int = nm.setting(8, 1)
+    epochs: int = nm.setting(10, 1)
+    seed: int = nm.setting(0, 0, math.inf)
+    checkpoint_every: int = nm.setting(500, 1)
     # Extra denoiser-only updates per joint step, reusing the joint pass's
     # guidance and statistics with fresh step/noise draws.  The denoiser is
     # by far the slowest learner of the four modules and these updates cost
     # a few matmuls each, no encoder work.
-    denoiser_boost: int = 3
+    denoiser_boost: int = nm.setting(3, 0)
 
-    def validate(self):
-        lams = (self.lambda_diffusion, self.lambda_likelihood, self.lambda_consistency)
-        if not all(0 <= l <= nm.FLOAT32_MAX for l in lams) or not any(l > 0 for l in lams):
-            raise ValueError(f"loss weights must be in 0..{nm.FLOAT32_MAX:.6g} "
-                             "and not all zero")
-        if not 0 < self.learning_rate <= nm.FLOAT32_MAX:
-            raise ValueError(f"learning rate must be > 0 and <= {nm.FLOAT32_MAX:.6g}, "
-                             f"got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if not 1 <= self.epochs <= nm.MAX_COUNT:
-            raise ValueError(f"epochs must be in 1..{nm.MAX_COUNT}, got {self.epochs}")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if not 0 <= self.denoiser_boost <= nm.MAX_COUNT:
-            raise ValueError(f"denoiser_boost must be in 0..{nm.MAX_COUNT}, "
-                             f"got {self.denoiser_boost}")
-        return self
+    def __post_init__(self):
+        nm.check_settings(self, "train")
+        if not (self.lambda_diffusion or self.lambda_likelihood or self.lambda_consistency):
+            raise ValueError("train loss weights must not all be zero")
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +481,11 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     ``checkpoint_every``, step counts, training data), or a log whose
     ``# run:`` line is missing or not this run's, raises ``ResumeError``
     before anything is written; a resume with ``model_cfg`` None takes the
-    checkpoint's settings.  Invalid model settings raise ``ValueError``.
-    On glibc it first makes malloc keep freed memory for the process
-    (``_keep_freed_heap``).
+    checkpoint's settings.  On glibc it first makes malloc keep freed
+    memory for the process (``_keep_freed_heap``).
     """
-    train_cfg.validate()
-    if model_cfg is not None or resume_from is None:
-        model_cfg = (model_cfg or ModelConfig()).validate()
+    if model_cfg is None and resume_from is None:
+        model_cfg = ModelConfig()
     if not windows:
         raise ValueError("training dataset is empty")
     _keep_freed_heap()

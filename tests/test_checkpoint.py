@@ -202,20 +202,23 @@ def test_predict_on_bad_model_metadata_exits_2(tmp_path, capsys, case):
 @pytest.mark.parametrize("change", [{"step_dim": 5}, {"step_dim": 1}, {"t_future": 0},
                                     {"t_obs": 0}, {"neighbor_radius": float("nan")},
                                     {"neighbor_radius": float("inf")},
+                                    {"neighbor_radius": 1e39},
                                     {"neighbor_radius": 0.0}],
                          ids=["odd-step-dim", "step-dim-1", "t-future-0", "t-obs-0",
-                              "radius-nan", "radius-inf", "radius-0"])
+                              "radius-nan", "radius-inf", "radius-above-float32",
+                              "radius-0"])
 def test_predict_on_unusable_model_settings_exits_2(tmp_path, capsys, change):
-    """A model initialized from settings that ``validate`` rejects (the
-    step embedding has an even width; a model predicts at least one step;
-    a nan radius would neighbor no one) saves, but does not load:
-    predicting from it is a data error."""
-    cfg = replace(TINY, **change)
+    """A checkpoint whose config no model can be built from (the step
+    embedding has an even width; a model predicts at least one step; a nan
+    radius would neighbor no one, and a radius float32 cannot hold is inf
+    in the model's arithmetic) does not load: predicting from it is a data
+    error."""
     with pytest.raises(ValueError, match=next(iter(change))):
-        cfg.validate()
+        replace(TINY, **change)
     path = tmp_path / "model.tjdf"
-    with np.errstate(divide="ignore"):     # t_obs = 0: encoder weights of fan-in 0
-        Model.initialize(cfg, 0).save(path)
+    Model.initialize(TINY, 0).save(path)
+    meta, arrays, _ = checkpoint.load_container(path)
+    checkpoint.save_container(path, {**meta, "config": {**meta["config"], **change}}, arrays)
     inp = tmp_path / "in.txt"
     data.write_benchmark_file(inp, data.synthesize_scenes(
         data.SynthConfig(n_scenes=1, peds_per_scene=2, frames=20, seed=3)))

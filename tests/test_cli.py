@@ -1,5 +1,8 @@
 """Command line surface: artifacts, determinism, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -466,7 +469,7 @@ class TestEval:
                        "--axis", "sampling", "--r", "0", "--out", str(out),
                        "--scenes", "2", "--peds", "3", "--frames", "30"])
         assert rc == 1
-        assert "strategy r must be in 1.." in capsys.readouterr().err
+        assert "protocol r must be in 1.." in capsys.readouterr().err
         assert not out.exists()
 
     def test_low_and_high_step_counts_both_run(self, trained):
@@ -607,8 +610,9 @@ def test_bad_numeric_setting_is_usage_error(tmp_path, capsys, command, section, 
 # Every command's numeric settings, drawn as flags and as config keys: the
 # values a bad setting takes (0, negatives, nan, inf, huge, and ranges given
 # in the wrong order) on MICRO data.  Each run must exit with a documented
-# code without raising, a nan or infinite value is a usage error (exit 1),
-# and a usage error must leave --out unwritten.
+# code without raising; a value outside its field's declared range, one its
+# flag's type refuses, and a range in the wrong order are usage errors
+# (exit 1), and a usage error must leave --out unwritten.
 INT_VALUES = ["0", "-1", "-1000000000000", "1000000000000", "100000000000000000000",
               "nan", "inf"]
 FLOAT_VALUES = ["0", "-1", "-1e300", "1e300", "nan", "inf", "-inf"]
@@ -619,6 +623,38 @@ MICRO_DATA = {"data.dir": "synthetic", "synth.scenes": "1", "synth.peds": "3",
               "synth.frames": "25"}
 MICRO_PROTOCOL = {"protocol.r1": "2", "protocol.r2": "2", "protocol.r": "2",
                   "protocol.steps": "2"}
+
+
+# The dataclasses whose fields each section's settings flags store into; the
+# [data] flags are command line plumbing.
+SECTION_CLASSES = {
+    "synth": (data.SynthConfig,),
+    "model": (ModelConfig,),
+    "train": (training.TrainConfig,),
+    "protocol": (inference.SamplingStrategy, inference.EvalProtocol),
+}
+
+
+def _setting_field(key, action):
+    """The dataclass field that the settings flag ``action`` of config key
+    ``key`` stores into, or None for a [data] flag."""
+    return next((f for cls in SECTION_CLASSES.get(key.split(".")[0], ())
+                 for f in fields(cls) if f.name == action.dest), None)
+
+
+def _refused(action, key, value: str) -> bool:
+    """Whether the settings flag ``action`` (config key ``key``) refuses
+    ``value``: its type does not parse it, or it lies outside the range its
+    field declares."""
+    try:
+        value = action.type(value)
+    except (ValueError, argparse.ArgumentTypeError):
+        return True
+    f = _setting_field(key, action)
+    if f is None:
+        return False
+    low, high, above = f.metadata["range"]
+    return not ((low < value) if above else (low <= value)) or not value <= high
 
 
 def _numeric_keys(command) -> dict[str, list[str]]:
@@ -683,6 +719,7 @@ def micro_scene(tmp_path_factory):
 @example(("train", {"model.blocks": "1000000000000"}, {"model.blocks": "flag"}))
 @example(("train", {"model.k": "1000000000000"}, {"model.k": "config"}))
 @example(("eval", {"protocol.r2": "1000000000000"}, {"protocol.r2": "flag"}))
+@example(("train", {"train.lr": "1e-50"}, {"train.lr": "flag"}))
 @given(case=_bad_settings())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_bad_settings_exit_with_documented_code(trained, micro_scene, case):
@@ -704,15 +741,28 @@ def test_bad_settings_exit_with_documented_code(trained, micro_scene, case):
                 fh.writelines(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
             flags += ["--config", os.path.join(tmp, "bad.ini")]
         out = os.path.join(tmp, "out")
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
             warnings.simplefilter("ignore")
             rc = cli.main([*positional, *flags, "--out", out])
         assert rc in (0, 1, 2, 3)
-        # a non-finite value is a usage error for every numeric setting
-        if {"nan", "inf", "-inf"} & set(bad.values()):
+        swapped = any(bad.get(k) == low and bad.get(high_key) == high
+                      for k, (low, high_key, high) in SWAPPED.items())
+        if swapped or any(_refused(actions[k], k, v) for k, v in bad.items()):
             assert rc == 1, (command, bad)
+            assert "usage error" in err.getvalue()
         if rc == 1:
             assert not os.path.exists(out)
+
+
+def test_every_numeric_flag_declares_its_range():
+    # the property above reads each flag's range from its field; only the
+    # [data] plumbing's --stride is checked by its flag's type instead
+    for command in cli.build_parser().commands:
+        actions = cli._config_keys(cli.build_parser())[command]
+        for key in _numeric_keys(command):
+            f = _setting_field(key, actions[key])
+            assert key == "data.stride" or (f is not None and "range" in f.metadata), \
+                (command, key)
 
 
 @pytest.mark.parametrize("command,setting,flags", [
@@ -765,15 +815,8 @@ CONFIG_KEYS = {
     "protocol.pool_means", "protocol.selection", "protocol.steps",
     "protocol.seed", "protocol.gamma_mode",
 }
-# The dataclass whose fields each section's settings flags store into; the
-# [data] flags are command line plumbing.
-SECTION_FIELDS = {
-    "synth": {f.name for f in fields(data.SynthConfig)},
-    "model": {f.name for f in fields(ModelConfig)},
-    "train": {f.name for f in fields(training.TrainConfig)},
-    "protocol": {f.name for cls in (inference.SamplingStrategy, inference.EvalProtocol)
-                 for f in fields(cls)},
-}
+SECTION_FIELDS = {section: {f.name for cls in classes for f in fields(cls)}
+                  for section, classes in SECTION_CLASSES.items()}
 
 
 def _derived_keys():

@@ -263,18 +263,18 @@ class TestSynthetic:
             assert track.points.max() <= cfg.box
 
     def test_bad_config_rejected(self):
-        with pytest.raises(data.DataError):
+        with pytest.raises(ValueError, match="synth n_scenes must be in 1.."):
             data.SynthConfig(n_scenes=0)
-        with pytest.raises(data.DataError):
+        with pytest.raises(ValueError, match="synth turn_noise must be in 0\\.\\.3.40282e"):
             data.SynthConfig(turn_noise=-1.0)
         for field in ("speed_max", "box", "turn_noise", "repulsion_gain"):
-            with pytest.raises(data.DataError, match="3.40282e"):
+            with pytest.raises(ValueError, match=f"{field} must be in .*3.40282e"):
                 data.SynthConfig(**{field: 1e39})
 
     @pytest.mark.parametrize("settings", [{"speed_max": 1e17, "frames": 20},
                                           {"box": 2e18}, {"repulsion_gain": 1e15}])
     def test_walkers_that_could_leave_ingests_range_rejected(self, settings):
-        with pytest.raises(data.DataError, match="could reach .* beyond MAX_COORDINATE"):
+        with pytest.raises(ValueError, match="could reach .* beyond MAX_COORDINATE"):
             data.SynthConfig(**settings)
 
 

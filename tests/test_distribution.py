@@ -211,11 +211,12 @@ class TestConverter:
         # an even kernel has no center tap: the masked tap k // 2 is not the
         # one that reads timestep t, so t's statistics see its own value
         for kernel in (3, 5):
-            ModelConfig(kernel=kernel).validate()
+            ModelConfig(kernel=kernel)
         for kernel in (2, 4):
-            with pytest.raises(ValueError, match="odd"):
-                ModelConfig(kernel=kernel).validate()
-        cfg = ModelConfig(conv_channels=8, kernel=4)
+            with pytest.raises(ValueError, match="kernel"):
+                ModelConfig(kernel=kernel)
+        cfg = ModelConfig(conv_channels=8)
+        cfg.kernel = 4          # past the construction check
         params = nm.init_params(dist.converter_layout(cfg), np.random.default_rng(0),
                                 np.float32)
         fut = np.random.default_rng(4).normal(size=(1, 12, 2))

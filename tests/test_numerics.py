@@ -1,10 +1,12 @@
 """The reference tape (its primitives, `_make` and `backward`), which
-package modules may name a pass's `_make` and `backward`, and gradient
-correctness."""
+package modules may name a pass's `_make` and `backward`, gradient
+correctness, and the settings ranges."""
 
 import ast
 import gc
+import math
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -341,3 +343,34 @@ def test_attention_matches_einsum_reference(shape, dtype, tol):
     for a, b in zip(got, _einsum_attention(q, k, v, g)):
         assert a.dtype == dtype
         assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+@dataclass
+class _Settings:
+    count: int = nm.setting(2, 1)
+    rate: float = nm.setting(0.5, 0.0, 1.0, above=True)
+    seed: int = nm.setting(0, 0, math.inf)
+    steps: int | None = nm.setting(None, 1)
+    name: str = "x"
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"count": 0}, "demo count must be in 1..1000000, got 0"),
+    ({"count": 10 ** 6 + 1}, "demo count must be in 1..1000000, got 1000001"),
+    ({"rate": 0.0}, "demo rate must be in 0..1, above 0, got 0.0"),
+    ({"rate": float("nan")}, "demo rate must be in 0..1, above 0, got nan"),
+    ({"seed": -1}, "demo seed must be in 0..inf, got -1"),
+    ({"steps": 0}, "demo steps must be in 1..1000000, got 0"),
+    ({"count": 0, "seed": -1}, "demo count must be"),
+])
+def test_check_settings_names_the_first_field_outside_its_range(change, message):
+    cfg = _Settings()
+    nm.check_settings(cfg, "demo")        # None passes, and undeclared fields
+    cfg.__dict__.update(change)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        nm.check_settings(cfg, "demo")
+
+
+def test_check_settings_takes_the_bounds():
+    cfg = _Settings(count=10 ** 6, rate=1.0, seed=10 ** 30, steps=1)
+    nm.check_settings(cfg, "demo")

@@ -36,7 +36,7 @@ def workloads():
 
 
 def test_train_config(workloads):
-    cfg = workloads.train_config().validate()
+    cfg = workloads.train_config()
     assert cfg.denoiser_boost == workloads.JOINT_PASSES - 1
     assert cfg.checkpoint_every == workloads.CHECKPOINT_EVERY
 
@@ -57,7 +57,7 @@ def _protocol(workloads):
 
 def test_eval_protocol(workloads):
     protocol = _protocol(workloads)
-    assert protocol.strategy.validate().runs == workloads.R1
+    assert protocol.strategy.runs == workloads.R1
     assert protocol.selection in inference.SELECTIONS
 
 

@@ -689,11 +689,11 @@ class TestFit:
             training.fit([], training.TrainConfig(), MICRO)
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not all be zero"):
             training.TrainConfig(lambda_diffusion=0, lambda_likelihood=0,
-                                 lambda_consistency=0).validate()
-        with pytest.raises(ValueError):
-            training.TrainConfig(batch_size=0).validate()
+                                 lambda_consistency=0)
+        with pytest.raises(ValueError, match="train batch_size must be in 1.."):
+            training.TrainConfig(batch_size=0)
 
     @pytest.mark.parametrize("change", [{"t_future": 0}, {"step_dim": 5}, {"kernel": 4},
                                         {"kernel": 1}],
