@@ -32,6 +32,8 @@ from .numerics import NumericsError
 from .distribution import STAT_CHANNELS
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .model import ModelConfig
 
 GAMMA_MODES = ("deterministic", "ddpm-matching")
@@ -39,6 +41,9 @@ CHAIN_BLOCK_ROWS = 512     # rows per block of a reverse-chain denoiser step
 # blocks of a chain step of more than CHAIN_BLOCK_ROWS rows, at least: enough
 # for two workers to even out when the host slows one of them
 CHAIN_MIN_BLOCKS = 4
+# steps of a stochastic chain per round: the round's noise for every row is
+# drawn before it starts
+CHAIN_ROUND_STEPS = 10
 
 
 @dataclass
@@ -149,7 +154,7 @@ def step_embedding(ks, dim: int) -> np.ndarray:
 
 def denoiser_apply(state, ks, guidance, params: dict[str, np.ndarray],
                    cfg: ModelConfig, schedule: Schedule, *,
-                   chain: _ChainTerms | None = None,
+                   chain: Callable[[np.ndarray, int], np.ndarray] | None = None,
                    keep: dict | None = None) -> np.ndarray:
     """Predict the noise component of ``state`` conditioned on step and guidance.
 
@@ -172,24 +177,28 @@ def denoiser_apply(state, ks, guidance, params: dict[str, np.ndarray],
     ``numerics.checked`` their result.  ``keep``, when given, receives
     what ``denoiser_backward`` reads.
 
-    ``chain`` carries what the calls of one ``reverse_chain`` share
-    (``_ChainTerms``, built from the same guidance rows); ``ks`` is then
-    one of its steps and the result is the chain's buffer, overwritten by
-    the next call.
+    ``chain``, given by ``reverse_chain``, computes the estimate of one
+    block of the chain's rows from what all its calls share
+    (``_ChainTerms``): ``state`` and ``guidance`` are then the block's
+    rows, ``ks`` one of the chain's steps, and the result is the block's
+    buffer, overwritten by its next call.
     """
     n = state.shape[0]
     if guidance.shape[0] != n:
         raise NumericsError(f"guidance rows {guidance.shape[0]} != state rows {n}")
     if state.shape[1:] != (cfg.t_future, STAT_CHANNELS):
         raise NumericsError(f"state shape {state.shape} does not match config")
-    if not np.isscalar(ks):
+    if np.isscalar(ks):
+        # the negation of the array test below, so NaN is refused by neither
+        bad = ks < 1 or ks > schedule.K
+    else:
         ks = np.asarray(ks)
-    if np.any(ks < 1) or np.any(ks > schedule.K):
+        bad = np.any(ks < 1) or np.any(ks > schedule.K)
+    if bad:
         raise NumericsError("denoiser steps must lie in 1..K")
     dtype, sd = params["den.in.w"].dtype, cfg.state_dim
     if chain is not None:
-        eps = nm.checked(chain.apply(state, ks, schedule), dtype, "denoiser output")
-        return eps.reshape(state.shape)
+        return nm.checked(chain(state, ks), dtype, "denoiser output").reshape(state.shape)
     flat = np.asarray(state, dtype).reshape(n, sd)
     # the step embedding is computed once per distinct step
     steps, rows = np.unique(np.broadcast_to(ks, (n,)), return_inverse=True)
@@ -303,7 +312,7 @@ def _blas_threads() -> int | None:
 
 
 def _chain_workers(rows: int) -> int:
-    """How many threads run a chain step's ``rows``: one per usable CPU, at
+    """How many threads carry a chain's ``rows``: one per usable CPU, at
     most one per ``CHAIN_BLOCK_ROWS``, when BLAS runs one thread; else one,
     since threads on top of a threading BLAS slowed the chain."""
     if rows <= CHAIN_BLOCK_ROWS or _blas_threads() != 1:
@@ -324,72 +333,110 @@ def _pool() -> futures.ThreadPoolExecutor:
 
 
 class _ChainTerms:
-    """What every denoiser call of one reverse chain shares, made once.
+    """What every step of one reverse chain shares, made once, and the
+    workers that carry the chain's rows through its steps.
 
     The input layer and the linear shortcut read the same input row
     [state | step embedding | guidance], so ``[den.in.w | den.skip.w]``,
     split by input columns, gives three terms: the guidance projection
-    ``g`` of every row, a table ``e`` with one row per step of ``tau`` (the
-    step embedding's projection plus ``in.b``) and the state weight
-    ``w_x``.  A step then takes one K = T'*5 GEMM for both layers, adds
-    its ``g`` rows and ``e`` row, and runs ``_trunk``.  Rows go through in
-    near-equal contiguous blocks of at most ``CHAIN_BLOCK_ROWS``, at least
-    ``CHAIN_MIN_BLOCKS`` of them when there are more rows than one block
-    holds, so no block has one row unless the chain has: numpy multiplies
-    a one-row block by gemv, which rounds otherwise.  The blocks depend on
-    the row count alone, since OpenBLAS picks its kernel by the product's
-    size and some of the small models' products round otherwise at
-    another block size.  The ``_chain_workers`` threads (the calling one,
-    the rest from ``_pool``) take a step's blocks in turn from one queue,
-    each into its own buffers allocated here, so one that the host slows
-    leaves its later blocks to the others instead of holding up the step,
-    and one that has not started when the blocks run out does not run.
-    The result equals the per-call denoiser's up to the rounding of the
-    re-associated input-layer sum.
+    ``g`` of every row, one row ``e`` per step of ``tau`` (the step
+    embedding's projection plus ``in.b``) and the state weight ``w_x``.
+    A denoiser call then takes one K = T'*5 GEMM for both layers, adds its
+    ``g`` rows and ``e`` row, and runs ``_trunk`` with the trunk biases
+    tiled to a block's rows.  ``steps`` holds the chain's steps in order,
+    each as (k_from, A, B, gamma) of its affine update.
+
+    Rows go through in near-equal contiguous blocks of at most
+    ``CHAIN_BLOCK_ROWS``, at least ``CHAIN_MIN_BLOCKS`` of them when there
+    are more rows than one block holds, so no block has one row unless the
+    chain has: numpy multiplies a one-row block by gemv, which rounds
+    otherwise.  The blocks depend on the row count alone, since OpenBLAS
+    picks its kernel by the product's size and some of the small models'
+    products round otherwise at another block size.  In ``run``, the
+    ``_chain_workers`` threads (the calling one, the rest from ``_pool``)
+    take the blocks in turn from one queue, each into its own buffers
+    allocated here, and carry each block through every step of the round
+    before taking the next: per step one ``denoiser_apply`` call on the
+    block's rows, the float64 affine update and the state's finiteness
+    check.  No worker waits for another between steps; one that the host
+    slows leaves its later blocks to the others, and one that has not
+    started when the blocks run out does not run.  The result equals the
+    per-call denoiser's up to the rounding of the re-associated
+    input-layer sum.
     """
 
     def __init__(self, guidance_rows: np.ndarray, params: dict[str, np.ndarray],
-                 cfg: ModelConfig, schedule: Schedule):
+                 cfg: ModelConfig, schedule: Schedule, stochastic: bool = False):
         dtype = params["den.in.w"].dtype
         sd, width, emb_end = cfg.state_dim, cfg.denoiser_width, cfg.state_dim + cfg.step_dim
+        self.guidance, self.params, self.cfg, self.schedule = (guidance_rows, params, cfg,
+                                                               schedule)
         w = np.concatenate([params["den.in.w"], params["den.skip.w"]], axis=1)
         self.w_x = w[:sd]
         self.g = np.asarray(guidance_rows, dtype=dtype) @ w[emb_end:]
         e = step_embedding(schedule.tau, cfg.step_dim).astype(dtype) @ w[sd:emb_end]
         e[:, :width] += params["den.in.b"]
-        self.e = dict(zip(schedule.tau.tolist(), e))
-        self.weights, self.width = _trunk_weights(params, cfg), width
-        self.eps = np.empty((len(self.g), sd), dtype)
+        tau = schedule.tau.tolist()
+        self.read_off = {k: (row, *_read_off(schedule, k, dtype)) for k, row in zip(tau, e)}
+        self.steps = []
+        for k_from, k_to in zip(tau[::-1], [*tau[:-1][::-1], 0]):
+            try:
+                c_y, c_c, gamma = transition(schedule, k_from, k_to, stochastic)
+            except NumericsError as exc:
+                raise NumericsError(f"reverse chain failed at step {k_from}: {exc}") from exc
+            a = float(schedule.alpha[k_from])
+            # B is a float64 scalar: a Python float times float32 eps_hat stays float32
+            self.steps.append((k_from, c_y + c_c / math.sqrt(a),
+                               np.float64(-c_c * math.sqrt(1.0 - a) / math.sqrt(a)), gamma))
         blocks = -(-len(self.g) // CHAIN_BLOCK_ROWS)
         self.blocks = _even_cuts(0, len(self.g),
                                  max(blocks, CHAIN_MIN_BLOCKS) if blocks > 1 else blocks)
-        rows, self.lock, self.bufs = max(b - a for a, b in self.blocks), threading.Lock(), []
+        rows, self.width = max(b - a for a, b in self.blocks), width
+        trunk, w_out, b_out = _trunk_weights(params, cfg)
+        # a bias add then runs over two arrays of one shape, not a broadcast row
+        tile = functools.partial(np.tile, reps=(rows, 1))
+        self.weights = ([(w1, tile(b1), w2, tile(b2)) for w1, b1, w2, b2 in trunk],
+                        w_out, tile(b_out))
+        self.lock, self.bufs = threading.Lock(), []
         for _ in range(_chain_workers(len(self.g))):
             # two residual states in turn and one inner activation
             acts = np.empty((3, rows, width), dtype)
             self.bufs.append((np.empty((rows, sd), dtype), np.empty((rows, width + sd), dtype),
                               [acts[i % 2] for i in range(cfg.denoiser_blocks + 1)],
-                              [acts[2]] * cfg.denoiser_blocks, np.empty((rows, sd), dtype)))
+                              [acts[2]] * cfg.denoiser_blocks, np.empty((rows, sd), dtype),
+                              np.empty((rows, sd), dtype), np.empty((rows, sd), np.float64)))
 
-    def apply(self, state: np.ndarray, k: int, schedule: Schedule) -> np.ndarray:
-        """The noise estimate [M, T'*5] of every row of ``state`` at step ``k``."""
-        gain, pull = _read_off(schedule, k, self.eps.dtype)
-        args = (iter(self.blocks), state.reshape(len(self.eps), -1), self.e[k], gain, pull)
+    def run(self, y: np.ndarray, steps: list[tuple], noise: list | None = None) -> None:
+        """Carry every row of the float64 state ``y`` [M, T', 5] through
+        ``steps`` (consecutive entries of ``self.steps``), in place;
+        ``noise[j]`` is step j's standard normal z [M, T', 5] where its
+        gamma is not 0.  Raises once every worker has stopped; a
+        ``NumericsError`` names the earliest failing step in chain order,
+        and at one step a non-finite denoiser output before a non-finite
+        state, as a step-by-step chain over all rows would."""
+        failures = []
+        args = (iter(self.blocks), y, steps, noise, failures)
         rest = [_pool().submit(self._run, buf, *args) for buf in self.bufs[1:]]
         try:
             self._run(self.bufs[0], *args)
         finally:
-            # a worker that has not started would find no block left (or apply
-            # raises), so it need not run; one that has may still write eps
+            # a worker that has not started would find no block left (or run
+            # raises), so it need not run; one that has may still write y
             rest = [f for f in rest if not f.cancel()]
             futures.wait(rest)
         for f in rest:
             f.result()
-        return self.eps
+        if failures:
+            _, _, message, cause = min(failures, key=lambda f: f[:2])
+            raise NumericsError(message) from cause
 
-    def _run(self, buf, todo, flat, e, gain, pull) -> None:
-        """Run the blocks left in ``todo`` one by one in ``buf``."""
-        x_buf, z_buf, hs, rs, clean = buf
+    def _run(self, buf, todo, y, steps, noise, failures) -> None:
+        """Carry the blocks left in ``todo`` one by one through ``steps`` in
+        ``buf``; a block that fails stops, noting (step index, 0 for the
+        denoiser or 1 for the state, message, cause) in ``failures``, and
+        no block goes past the earliest step noted."""
+        x_buf, z_buf, hs, rs, clean, eps, upd = buf
+        blocks, w_out, b_out = self.weights
         while True:
             with self.lock:
                 block = next(todo, None)
@@ -397,15 +444,43 @@ class _ChainTerms:
                 return
             start, stop = block
             b = stop - start
-            x, z = x_buf[:b], z_buf[:b]
-            x[...] = flat[start:stop]
-            np.matmul(x, self.w_x, out=z)
-            z += self.g[start:stop]
-            z += e
-            # tanh moves the input layer's strided columns into a contiguous
-            # h: in-place ufuncs on z[:, :width] run up to 4x slower
-            _trunk(self.weights, z[:, :self.width], z[:, self.width:], x, gain, pull,
-                   [h[:b] for h in hs], [r[:b] for r in rs], clean[:b], self.eps[start:stop])
+            weights = ([(w1, b1[:b], w2, b2[:b]) for w1, b1, w2, b2 in blocks],
+                       w_out, b_out[:b])
+            chain = functools.partial(
+                self._denoise, start, x_buf[:b], z_buf[:b], [h[:b] for h in hs],
+                [r[:b] for r in rs], clean[:b], eps[:b], weights)
+            rows, guidance = y[start:stop], self.guidance[start:stop]
+            step = upd[:b].reshape(rows.shape)
+            for j, (k, a_mul, b_mul, gamma) in enumerate(steps):
+                if failures and j > min(f[0] for f in failures):
+                    break       # a failure here could not be the earliest
+                try:
+                    eps_hat = denoiser_apply(rows, k, guidance, self.params, self.cfg,
+                                             self.schedule, chain=chain)
+                except NumericsError as exc:
+                    failures.append((j, 0, f"reverse chain failed at step {k}: {exc}", exc))
+                    break
+                rows *= a_mul
+                rows += np.multiply(b_mul, eps_hat, out=step)
+                if gamma > 0.0:
+                    rows += np.multiply(gamma, noise[j][start:stop], out=step)
+                if not np.all(np.isfinite(rows)):
+                    failures.append((j, 1, f"non-finite state after step {k}", None))
+                    break
+
+    def _denoise(self, start, x, z, hs, rs, clean, eps, weights, state, k) -> np.ndarray:
+        """The noise estimate [b, T'*5] of the block of rows from ``start``
+        with state ``state`` at step ``k``, written into the block's views
+        of its worker's buffers."""
+        e, gain, pull = self.read_off[k]
+        x[...] = state.reshape(len(x), -1)
+        np.matmul(x, self.w_x, out=z)
+        z += self.g[start:start + len(z)]
+        z += e
+        # tanh moves the input layer's strided columns into a contiguous
+        # h: in-place ufuncs on z[:, :width] run up to 4x slower
+        return _trunk(weights, z[:, :self.width], z[:, self.width:], x, gain, pull,
+                      hs, rs, clean, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +518,28 @@ def transition(schedule: Schedule, k_from: int, k_to: int,
 def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
                   params: dict[str, np.ndarray], cfg: ModelConfig,
                   chain_rng: np.random.Generator | None = None) -> np.ndarray:
-    """Run the reverse chain down ``tau`` from ``y_init`` [M, T', 5], in S
-    denoiser calls over all M rows; guidance row i conditions state row i.
-    Each k_from -> k_to step is one affine update of the float64 state,
-    y <- A y + B eps_hat (+ gamma z): the ``transition`` mean c_y y + c_c y0
-    with the clean-state reconstruction y0 = (y - sqrt(1 - a) eps_hat) /
-    sqrt(a), a = alpha[k_from], folded in.  The denoiser terms that no step
-    changes (``_ChainTerms``) are made once per call.  The chain is
-    stochastic exactly when it is given ``chain_rng``: each step then draws
-    its ddpm-matching noise z for all rows from it."""
-    tau = schedule.tau.tolist()
+    """Run the reverse chain down ``tau`` from ``y_init`` [M, T', 5];
+    guidance row i conditions state row i.  Each k_from -> k_to step is
+    one affine update of the float64 state, y <- A y + B eps_hat
+    (+ gamma z): the ``transition`` mean c_y y + c_c y0 with the
+    clean-state reconstruction y0 = (y - sqrt(1 - a) eps_hat) / sqrt(a),
+    a = alpha[k_from], folded in.  What no step changes (``_ChainTerms``)
+    is made once per call, and the rows go through in blocks, each block
+    through every step of a round with one denoiser call per step on its
+    rows; rows are independent, so the order does not change a value.  A
+    deterministic chain is one round.  The chain is stochastic exactly
+    when it is given ``chain_rng``: it then runs in rounds of
+    ``CHAIN_ROUND_STEPS`` steps, and before each round draws the
+    ddpm-matching noise z of the round's steps for all rows, step after
+    step, which gives the values of one draw per step."""
     y = np.array(y_init, dtype=np.float64)
-    terms = _ChainTerms(guidance_rows, params, cfg, schedule)
-    step = np.empty_like(y)
-    for k_from, k_to in zip(tau[::-1], [*tau[:-1][::-1], 0]):
-        try:
-            c_y, c_c, gamma = transition(schedule, k_from, k_to, chain_rng is not None)
-            eps_hat = denoiser_apply(y, k_from, guidance_rows, params, cfg, schedule,
-                                     chain=terms)
-        except NumericsError as exc:
-            raise NumericsError(f"reverse chain failed at step {k_from}: {exc}") from exc
-        a = float(schedule.alpha[k_from])
-        y *= c_y + c_c / math.sqrt(a)
-        # a float64 scalar: a Python float times float32 eps_hat stays float32
-        y += np.multiply(np.float64(-c_c * math.sqrt(1.0 - a) / math.sqrt(a)), eps_hat,
-                         out=step)
-        if gamma > 0.0:
-            y += gamma * chain_rng.standard_normal(y.shape)
-        if not np.all(np.isfinite(y)):
-            raise NumericsError(f"non-finite state after step {k_from}")
+    terms = _ChainTerms(guidance_rows, params, cfg, schedule, chain_rng is not None)
+    size = len(terms.steps) if chain_rng is None else CHAIN_ROUND_STEPS
+    for i in range(0, len(terms.steps), size):
+        steps, noise = terms.steps[i:i + size], None
+        if chain_rng is not None:
+            draws = iter(chain_rng.standard_normal(
+                (sum(gamma > 0.0 for *_, gamma in steps), *y.shape)))
+            noise = [next(draws) if gamma > 0.0 else None for *_, gamma in steps]
+        terms.run(y, steps, noise)
     return y

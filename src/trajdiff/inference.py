@@ -32,6 +32,7 @@ import numpy as np
 
 from . import data, distribution
 from . import numerics as nm
+from .diffusion import GAMMA_MODES
 from .model import Model
 
 SELECTIONS = ("gt-ade", "self-likelihood")
@@ -137,6 +138,10 @@ class EvalProtocol:
     gamma_mode: str = "deterministic"   # the reverse chain's per-step noise
 
     def __post_init__(self):
+        for name, choices in (("selection", SELECTIONS), ("gamma_mode", GAMMA_MODES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"protocol {name} must be one of {', '.join(choices)}, "
+                                 f"got {getattr(self, name)!r}")
         nm.check_settings(self, "protocol")
 
 

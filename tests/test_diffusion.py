@@ -180,6 +180,24 @@ class TestDenoiser:
         solo5 = dff.denoiser_apply(state[:1], 5, g[:1], params, cfg, sched)
         np.testing.assert_allclose(both[0], solo5[0], atol=1e-5)
 
+    @pytest.mark.parametrize("step, ok", [
+        (5, True), (np.int64(5), True), (True, True), (0, False), ("K+1", False),
+        (np.array([1, 5]), True), (np.array([1, 0]), False)],
+        ids=["int", "int64", "True", "0", "K+1", "rows", "rows-with-0"])
+    def test_steps_outside_1_to_k_are_refused(self, den_setup, step, ok):
+        cfg, params, sched = den_setup
+        step = sched.K + 1 if isinstance(step, str) else step
+        args = (np.zeros((2, 12, 5)), step, np.zeros((2, 8)), params, cfg, sched)
+        try:
+            out = dff.denoiser_apply(*args)
+        except nm.NumericsError as exc:
+            assert not ok and str(exc) == "denoiser steps must lie in 1..K"
+        except ValueError:
+            # True passes the check as 1 does, then indexes alpha as a mask
+            assert step is True
+        else:
+            assert ok and out.shape == (2, 12, 5)
+
     def test_guidance_row_mismatch(self, den_setup):
         cfg, params, sched = den_setup
         with pytest.raises(nm.NumericsError, match="rows"):
@@ -580,13 +598,18 @@ class TestChainTerms:
         sizes = [b - a for a, b in made[2].blocks]
         assert max(sizes) <= dff.CHAIN_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
 
+    def _first_step(self, y_init, g, params, sched):
+        """The state after the chain's first step, run by ``_ChainTerms.run``."""
+        terms, y = dff._ChainTerms(g, params, self.CFG, sched), np.array(y_init)
+        terms.run(y, terms.steps[:1])
+        return y
+
     def test_a_slow_worker_leaves_its_blocks_to_the_others(self, chain_workers,
                                                           monkeypatch):
         y_init, g = self._inputs(1360)
         sched, params = self.CFG.schedule(), self._params()
-        k = int(sched.tau[-1])
         chain_workers(1)
-        one = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched).copy()
+        one = self._first_step(y_init, g, params, sched)
         chain_workers(2)
         taken, run = [], dff._ChainTerms._run
 
@@ -602,16 +625,15 @@ class TestChainTerms:
             run(terms, buf, logged(todo, worker), *args)
 
         monkeypatch.setattr(dff._ChainTerms, "_run", slow)
-        two = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched)
+        two = self._first_step(y_init, g, params, sched)
         assert taken == [0, 0, 0, 0]
         assert two.tobytes() == one.tobytes()
 
     def test_a_worker_that_has_not_started_does_not_run(self, chain_workers, monkeypatch):
         y_init, g = self._inputs(1360)
         sched, params = self.CFG.schedule(), self._params()
-        k = int(sched.tau[-1])
         chain_workers(1)
-        one = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched).copy()
+        one = self._first_step(y_init, g, params, sched)
         chain_workers(2)
         pool, busy = futures.ThreadPoolExecutor(1), threading.Event()
         pool.submit(busy.wait, 10)          # the pool's one thread is taken
@@ -624,7 +646,7 @@ class TestChainTerms:
 
         monkeypatch.setattr(dff._ChainTerms, "_run", logged)
         try:
-            two = dff._ChainTerms(g, params, self.CFG, sched).apply(y_init, k, sched)
+            two = self._first_step(y_init, g, params, sched)
         finally:
             busy.set()
             pool.shutdown()
@@ -682,6 +704,84 @@ class TestChainTerms:
         with pytest.raises(nm.NumericsError, match=f"reverse chain failed at step "
                            f"{sched.K}: non-finite denoiser output"):
             dff.reverse_chain(y_init, g, sched, self._params(), self.CFG)
+
+    @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
+    def test_a_chain_submits_one_pool_task_per_round(self, chain_workers, monkeypatch,
+                                                     gamma_mode):
+        # 1,360 rows, 100 steps on 2 workers: a step-by-step chain submitted 100
+        assert dff.CHAIN_ROUND_STEPS == 10
+        args = (*self._inputs(1360), self.CFG.schedule(), self._params(), self.CFG)
+        steps = len(args[2].tau)
+        assert steps == 100
+        chain_workers(2)
+        pool, submitted = dff._pool(), []
+
+        class Counted:
+            def submit(self, *task):
+                submitted.append(task[0].__name__)
+                return pool.submit(*task)
+
+        class Drawn:
+            """The chain's generator, recording every draw."""
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(1), []
+
+            def standard_normal(self, shape):
+                self.draws.append(self.rng.standard_normal(shape))
+                return self.draws[-1]
+
+        monkeypatch.setattr(dff, "_pool", Counted)
+        rng = Drawn() if gamma_mode == "ddpm-matching" else None
+        dff.reverse_chain(*args, rng)
+        if rng is None:
+            assert submitted == ["_run"]
+            return
+        assert submitted == ["_run"] * (steps // dff.CHAIN_ROUND_STEPS)
+        assert [len(z) for z in rng.draws] == [10] * 9 + [9]   # the jump to 0 draws none
+        assert all(z.shape[1:] == (1360, 12, 5) for z in rng.draws)
+        whole = np.random.default_rng(1).standard_normal((steps - 1, 1360, 12, 5))
+        assert np.concatenate(rng.draws).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("faults, message", [
+        # (block start, step index, what fails): the earliest step wins
+        ([(1020, 2, "denoiser"), (0, 5, "denoiser")], "reverse chain failed at step {2}: "
+         "non-finite denoiser output"),
+        ([(0, 6, "denoiser"), (680, 3, "state")], "non-finite state after step {3}"),
+        # at one step, the denoiser before the state, as over all rows at once
+        ([(340, 4, "state"), (1020, 4, "denoiser")], "reverse chain failed at step {4}: "
+         "non-finite denoiser output"),
+        ([(0, 4, "state"), (1020, 7, "denoiser")], "non-finite state after step {4}"),
+    ], ids=["denoiser-denoiser", "denoiser-state", "same-step", "state-denoiser"])
+    def test_blocks_failing_at_different_steps_raise_the_earliest(
+            self, chain_workers, monkeypatch, workers, faults, message):
+        y_init, g = self._inputs(1360)
+        sched = self.CFG.schedule().with_steps(10)
+        terms = dff._ChainTerms(g, self._params(), self.CFG, sched, stochastic=True)
+        assert [a for a, _ in terms.blocks] == [0, 340, 680, 1020]
+        ks = [k for k, *_ in terms.steps]
+        denoise = dff._ChainTerms._denoise
+
+        def failing(terms, start, *args):
+            eps = denoise(terms, start, *args)
+            if (start, ks.index(args[-1]), "denoiser") in faults:
+                eps[0, 0] = np.nan
+            return eps
+
+        class Noise:
+            """Zero noise, but inf where a fault sits in the state."""
+            def standard_normal(self, shape):
+                z = np.zeros(shape)
+                for start, j, what in faults:
+                    if what == "state":
+                        z[j, start + 1] = np.inf
+                return z
+
+        monkeypatch.setattr(dff._ChainTerms, "_denoise", failing)
+        chain_workers(workers)
+        with pytest.raises(nm.NumericsError) as err:
+            dff.reverse_chain(y_init, g, sched, self._params(), self.CFG, Noise())
+        assert str(err.value) == message.format(*ks)
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "worker"])
     def test_apply_waits_for_every_worker_before_raising(self, chain_workers, monkeypatch,

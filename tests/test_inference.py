@@ -259,6 +259,17 @@ class TestBestOfN:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("name, choices", [("selection", inference.SELECTIONS),
+                                               ("gamma_mode", diffusion.GAMMA_MODES)])
+    def test_protocol_refuses_an_unknown_choice_at_construction(self, name, choices):
+        # before any chain runs, as ValueError naming the field
+        for value in choices:
+            assert getattr(EvalProtocol(**{name: value}), name) == value
+        for value in ("bogus", choices[0].upper(), None):
+            with pytest.raises(ValueError, match=f"protocol {name} must be one of "
+                               f"{', '.join(choices)}, got {value!r}"):
+                EvalProtocol(**{name: value})
+
     def test_empty_set_rejected(self, tiny_model_and_windows):
         mdl, _ = tiny_model_and_windows
         with pytest.raises(ValueError, match="empty"):

@@ -158,10 +158,12 @@ def test_traced_evaluation_counts_denoiser_rows(workloads):
     assert (calls, rows) == (steps, step_rows * steps)
 
 
-def test_traced_evaluation_above_block_size_counts_denoiser_rows(workloads):
-    """As above with 7 windows, 560 rows: more than one of the chain's row
-    blocks, which still go to the denoiser in one call per step."""
+def test_traced_evaluation_above_block_size_counts_denoiser_rows(workloads, chain_workers):
+    """As above with 7 windows, 560 rows on two workers: the chain's
+    CHAIN_MIN_BLOCKS row blocks each go to the denoiser once per step, from
+    either worker, and the rows still add up to every row at every step."""
+    chain_workers(2)
     calls, rows, step_rows = _traced_evaluation(workloads, 7)
     steps = _protocol(workloads).steps
-    assert step_rows > diffusion.CHAIN_BLOCK_ROWS
-    assert (calls, rows) == (steps, step_rows * steps)
+    assert diffusion.CHAIN_BLOCK_ROWS < step_rows <= 2 * diffusion.CHAIN_BLOCK_ROWS
+    assert (calls, rows) == (steps * diffusion.CHAIN_MIN_BLOCKS, step_rows * steps)
