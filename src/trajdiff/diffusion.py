@@ -41,9 +41,6 @@ CHAIN_BLOCK_ROWS = 512     # rows per block of a reverse-chain denoiser step
 # blocks of a chain step of more than CHAIN_BLOCK_ROWS rows, at least: enough
 # for two workers to even out when the host slows one of them
 CHAIN_MIN_BLOCKS = 4
-# steps of a stochastic chain per round: the round's noise for every row is
-# drawn before it starts
-CHAIN_ROUND_STEPS = 10
 
 
 @dataclass
@@ -188,12 +185,13 @@ def denoiser_apply(state, ks, guidance, params: dict[str, np.ndarray],
         raise NumericsError(f"guidance rows {guidance.shape[0]} != state rows {n}")
     if state.shape[1:] != (cfg.t_future, STAT_CHANNELS):
         raise NumericsError(f"state shape {state.shape} does not match config")
+    # a bool is no step, though it compares as 0 or 1; the range tests are
+    # the array tests' negations, so NaN is refused by neither
     if np.isscalar(ks):
-        # the negation of the array test below, so NaN is refused by neither
-        bad = ks < 1 or ks > schedule.K
+        bad = isinstance(ks, (bool, np.bool_)) or ks < 1 or ks > schedule.K
     else:
         ks = np.asarray(ks)
-        bad = np.any(ks < 1) or np.any(ks > schedule.K)
+        bad = ks.dtype == bool or np.any(ks < 1) or np.any(ks > schedule.K)
     if bad:
         raise NumericsError("denoiser steps must lie in 1..K")
     dtype, sd = params["den.in.w"].dtype, cfg.state_dim
@@ -342,8 +340,7 @@ class _ChainTerms:
     ``g`` of every row, one row ``e`` per step of ``tau`` (the step
     embedding's projection plus ``in.b``) and the state weight ``w_x``.
     A denoiser call then takes one K = T'*5 GEMM for both layers, adds its
-    ``g`` rows and ``e`` row, and runs ``_trunk`` with the trunk biases
-    tiled to a block's rows.  ``steps`` holds the chain's steps in order,
+    ``g`` rows and ``e`` row, and runs ``_trunk``.  ``steps`` holds the chain's steps in order,
     each as (k_from, A, B, gamma) of its affine update.
 
     Rows go through in near-equal contiguous blocks of at most
@@ -392,12 +389,7 @@ class _ChainTerms:
         self.blocks = _even_cuts(0, len(self.g),
                                  max(blocks, CHAIN_MIN_BLOCKS) if blocks > 1 else blocks)
         rows, self.width = max(b - a for a, b in self.blocks), width
-        trunk, w_out, b_out = _trunk_weights(params, cfg)
-        # a bias add then runs over two arrays of one shape, not a broadcast row
-        tile = functools.partial(np.tile, reps=(rows, 1))
-        self.weights = ([(w1, tile(b1), w2, tile(b2)) for w1, b1, w2, b2 in trunk],
-                        w_out, tile(b_out))
-        self.lock, self.bufs = threading.Lock(), []
+        self.weights, self.lock, self.bufs = _trunk_weights(params, cfg), threading.Lock(), []
         for _ in range(_chain_workers(len(self.g))):
             # two residual states in turn and one inner activation
             acts = np.empty((3, rows, width), dtype)
@@ -406,16 +398,16 @@ class _ChainTerms:
                               [acts[2]] * cfg.denoiser_blocks, np.empty((rows, sd), dtype),
                               np.empty((rows, sd), dtype), np.empty((rows, sd), np.float64)))
 
-    def run(self, y: np.ndarray, steps: list[tuple], noise: list | None = None) -> None:
+    def run(self, y: np.ndarray, steps: list[tuple], z: np.ndarray | None = None) -> None:
         """Carry every row of the float64 state ``y`` [M, T', 5] through
-        ``steps`` (consecutive entries of ``self.steps``), in place;
-        ``noise[j]`` is step j's standard normal z [M, T', 5] where its
-        gamma is not 0.  Raises once every worker has stopped; a
+        ``steps`` (consecutive entries of ``self.steps``), in place; ``z``
+        is the standard normal noise [M, T', 5] of a step whose gamma is
+        not 0, so only a one-step round has such a step.  Raises once every worker has stopped; a
         ``NumericsError`` names the earliest failing step in chain order,
         and at one step a non-finite denoiser output before a non-finite
         state, as a step-by-step chain over all rows would."""
         failures = []
-        args = (iter(self.blocks), y, steps, noise, failures)
+        args = (iter(self.blocks), y, steps, z, failures)
         rest = [_pool().submit(self._run, buf, *args) for buf in self.bufs[1:]]
         try:
             self._run(self.bufs[0], *args)
@@ -430,13 +422,12 @@ class _ChainTerms:
             _, _, message, cause = min(failures, key=lambda f: f[:2])
             raise NumericsError(message) from cause
 
-    def _run(self, buf, todo, y, steps, noise, failures) -> None:
+    def _run(self, buf, todo, y, steps, z, failures) -> None:
         """Carry the blocks left in ``todo`` one by one through ``steps`` in
         ``buf``; a block that fails stops, noting (step index, 0 for the
         denoiser or 1 for the state, message, cause) in ``failures``, and
         no block goes past the earliest step noted."""
         x_buf, z_buf, hs, rs, clean, eps, upd = buf
-        blocks, w_out, b_out = self.weights
         while True:
             with self.lock:
                 block = next(todo, None)
@@ -444,11 +435,9 @@ class _ChainTerms:
                 return
             start, stop = block
             b = stop - start
-            weights = ([(w1, b1[:b], w2, b2[:b]) for w1, b1, w2, b2 in blocks],
-                       w_out, b_out[:b])
             chain = functools.partial(
                 self._denoise, start, x_buf[:b], z_buf[:b], [h[:b] for h in hs],
-                [r[:b] for r in rs], clean[:b], eps[:b], weights)
+                [r[:b] for r in rs], clean[:b], eps[:b])
             rows, guidance = y[start:stop], self.guidance[start:stop]
             step = upd[:b].reshape(rows.shape)
             for j, (k, a_mul, b_mul, gamma) in enumerate(steps):
@@ -463,12 +452,12 @@ class _ChainTerms:
                 rows *= a_mul
                 rows += np.multiply(b_mul, eps_hat, out=step)
                 if gamma > 0.0:
-                    rows += np.multiply(gamma, noise[j][start:stop], out=step)
+                    rows += np.multiply(gamma, z[start:stop], out=step)
                 if not np.all(np.isfinite(rows)):
                     failures.append((j, 1, f"non-finite state after step {k}", None))
                     break
 
-    def _denoise(self, start, x, z, hs, rs, clean, eps, weights, state, k) -> np.ndarray:
+    def _denoise(self, start, x, z, hs, rs, clean, eps, state, k) -> np.ndarray:
         """The noise estimate [b, T'*5] of the block of rows from ``start``
         with state ``state`` at step ``k``, written into the block's views
         of its worker's buffers."""
@@ -479,7 +468,7 @@ class _ChainTerms:
         z += e
         # tanh moves the input layer's strided columns into a contiguous
         # h: in-place ufuncs on z[:, :width] run up to 4x slower
-        return _trunk(weights, z[:, :self.width], z[:, self.width:], x, gain, pull,
+        return _trunk(self.weights, z[:, :self.width], z[:, self.width:], x, gain, pull,
                       hs, rs, clean, eps)
 
 
@@ -528,18 +517,14 @@ def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
     through every step of a round with one denoiser call per step on its
     rows; rows are independent, so the order does not change a value.  A
     deterministic chain is one round.  The chain is stochastic exactly
-    when it is given ``chain_rng``: it then runs in rounds of
-    ``CHAIN_ROUND_STEPS`` steps, and before each round draws the
-    ddpm-matching noise z of the round's steps for all rows, step after
-    step, which gives the values of one draw per step."""
+    when it is given ``chain_rng``: each step is then a round of its own,
+    which first draws the step's ddpm-matching noise z for all rows."""
     y = np.array(y_init, dtype=np.float64)
     terms = _ChainTerms(guidance_rows, params, cfg, schedule, chain_rng is not None)
-    size = len(terms.steps) if chain_rng is None else CHAIN_ROUND_STEPS
-    for i in range(0, len(terms.steps), size):
-        steps, noise = terms.steps[i:i + size], None
-        if chain_rng is not None:
-            draws = iter(chain_rng.standard_normal(
-                (sum(gamma > 0.0 for *_, gamma in steps), *y.shape)))
-            noise = [next(draws) if gamma > 0.0 else None for *_, gamma in steps]
-        terms.run(y, steps, noise)
+    if chain_rng is None:
+        terms.run(y, terms.steps)
+    else:
+        for step in terms.steps:
+            gamma = step[-1]
+            terms.run(y, [step], chain_rng.standard_normal(y.shape) if gamma > 0.0 else None)
     return y
