@@ -340,8 +340,9 @@ class _ChainTerms:
     ``g`` of every row, one row ``e`` per step of ``tau`` (the step
     embedding's projection plus ``in.b``) and the state weight ``w_x``.
     A denoiser call then takes one K = T'*5 GEMM for both layers, adds its
-    ``g`` rows and ``e`` row, and runs ``_trunk``.  ``steps`` holds the chain's steps in order,
-    each as (k_from, A, B, gamma) of its affine update.
+    ``g`` rows and ``e`` row, and runs ``_trunk``.  ``steps`` holds the
+    chain's steps in order, each as (k_from, A, B, gamma) of its affine
+    update.
 
     Rows go through in near-equal contiguous blocks of at most
     ``CHAIN_BLOCK_ROWS``, at least ``CHAIN_MIN_BLOCKS`` of them when there
@@ -402,10 +403,11 @@ class _ChainTerms:
         """Carry every row of the float64 state ``y`` [M, T', 5] through
         ``steps`` (consecutive entries of ``self.steps``), in place; ``z``
         is the standard normal noise [M, T', 5] of a step whose gamma is
-        not 0, so only a one-step round has such a step.  Raises once every worker has stopped; a
-        ``NumericsError`` names the earliest failing step in chain order,
-        and at one step a non-finite denoiser output before a non-finite
-        state, as a step-by-step chain over all rows would."""
+        not 0, so only a one-step round has such a step.  Raises once
+        every worker has stopped; a ``NumericsError`` names the earliest
+        failing step in chain order, and at one step a non-finite
+        denoiser output before a non-finite state, as a step-by-step
+        chain over all rows would."""
         failures = []
         args = (iter(self.blocks), y, steps, z, failures)
         rest = [_pool().submit(self._run, buf, *args) for buf in self.bufs[1:]]
