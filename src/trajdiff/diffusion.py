@@ -66,24 +66,18 @@ def _even_tau(k_total: int, s: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def schedule_alpha(k_total: int, beta_start: float, beta_end: float) -> np.ndarray:
-    """The linear-beta schedule's alpha [K+1]; ``NumericsError`` unless
-    0 < beta_start < beta_end < 1 and alpha falls strictly within (0, 1]
-    (a beta that 1 - beta rounds away, or a product that underflows, does
-    not)."""
+def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.05,
+                   steps: int | None = None) -> Schedule:
+    """Linear-beta schedule with an evenly spaced execution sub-sequence;
+    ``NumericsError`` unless 0 < beta_start < beta_end < 1 and alpha falls
+    strictly within (0, 1] (a beta that 1 - beta rounds away, or a product
+    that underflows, does not)."""
     if not (0.0 < beta_start < beta_end < 1.0):
         raise NumericsError("need 0 < beta_start < beta_end < 1")
     betas = np.linspace(beta_start, beta_end, k_total)
     alpha = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     if np.any(np.diff(alpha) >= 0) or np.any(alpha <= 0):
         raise NumericsError("alpha must be strictly decreasing within (0, 1]")
-    return alpha
-
-
-def build_schedule(k_total: int, beta_start: float = 1e-4, beta_end: float = 0.05,
-                   steps: int | None = None) -> Schedule:
-    """Linear-beta schedule with an evenly spaced execution sub-sequence."""
-    alpha = schedule_alpha(k_total, beta_start, beta_end)
     tau = _even_tau(k_total, k_total if steps is None else steps)
     if alpha[k_total] >= 0.05:
         # short test chains legitimately end above the target; warn only
@@ -327,7 +321,7 @@ def _even_cuts(start: int, stop: int, n: int) -> list[tuple[int, int]]:
 
 @functools.cache
 def _pool() -> futures.ThreadPoolExecutor:
-    return futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1, "chain")
+    return futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)), "chain")
 
 
 class _ChainTerms:
@@ -351,16 +345,16 @@ class _ChainTerms:
     otherwise.  The blocks depend on the row count alone, since OpenBLAS
     picks its kernel by the product's size and some of the small models'
     products round otherwise at another block size.  In ``run``, the
-    ``_chain_workers`` threads (the calling one, the rest from ``_pool``)
-    take the blocks in turn from one queue, each into its own buffers
-    allocated here, and carry each block through every step of the round
-    before taking the next: per step one ``denoiser_apply`` call on the
-    block's rows, the float64 affine update and the state's finiteness
-    check.  No worker waits for another between steps; one that the host
-    slows leaves its later blocks to the others, and one that has not
-    started when the blocks run out does not run.  The result equals the
-    per-call denoiser's up to the rounding of the re-associated
-    input-layer sum.
+    ``_chain_workers`` workers (one ``_pool`` task each, while the calling
+    thread waits; one worker runs on the calling thread) take the blocks
+    in turn from one queue, each into its own buffers allocated here, and
+    carry each block through every step of the round before taking the
+    next: per step one ``denoiser_apply`` call on the block's rows, the
+    float64 affine update and the state's finiteness check.  No worker
+    waits for another between steps; one that the host slows leaves its
+    later blocks to the others, and one that starts after the blocks run
+    out takes none.  The result equals the per-call denoiser's up to the
+    rounding of the re-associated input-layer sum.
     """
 
     def __init__(self, guidance_rows: np.ndarray, params: dict[str, np.ndarray],
@@ -410,16 +404,14 @@ class _ChainTerms:
         chain over all rows would."""
         failures = []
         args = (iter(self.blocks), y, steps, z, failures)
-        rest = [_pool().submit(self._run, buf, *args) for buf in self.bufs[1:]]
-        try:
+        if len(self.bufs) == 1:
             self._run(self.bufs[0], *args)
-        finally:
-            # a worker that has not started would find no block left (or run
-            # raises), so it need not run; one that has may still write y
-            rest = [f for f in rest if not f.cancel()]
-            futures.wait(rest)
-        for f in rest:
-            f.result()
+        else:
+            tasks = [_pool().submit(self._run, buf, *args) for buf in self.bufs]
+            # no chain runs on a pool thread, so this wait cannot deadlock
+            futures.wait(tasks)
+            for task in tasks:
+                task.result()
         if failures:
             _, _, message, cause = min(failures, key=lambda f: f[:2])
             raise NumericsError(message) from cause
@@ -427,8 +419,7 @@ class _ChainTerms:
     def _run(self, buf, todo, y, steps, z, failures) -> None:
         """Carry the blocks left in ``todo`` one by one through ``steps`` in
         ``buf``; a block that fails stops, noting (step index, 0 for the
-        denoiser or 1 for the state, message, cause) in ``failures``, and
-        no block goes past the earliest step noted."""
+        denoiser or 1 for the state, message, cause) in ``failures``."""
         x_buf, z_buf, hs, rs, clean, eps, upd = buf
         while True:
             with self.lock:
@@ -443,8 +434,6 @@ class _ChainTerms:
             rows, guidance = y[start:stop], self.guidance[start:stop]
             step = upd[:b].reshape(rows.shape)
             for j, (k, a_mul, b_mul, gamma) in enumerate(steps):
-                if failures and j > min(f[0] for f in failures):
-                    break       # a failure here could not be the earliest
                 try:
                     eps_hat = denoiser_apply(rows, k, guidance, self.params, self.cfg,
                                              self.schedule, chain=chain)
@@ -517,7 +506,8 @@ def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
     a = alpha[k_from], folded in.  What no step changes (``_ChainTerms``)
     is made once per call, and the rows go through in blocks, each block
     through every step of a round with one denoiser call per step on its
-    rows; rows are independent, so the order does not change a value.  A
+    rows, on the workers of ``_ChainTerms.run``; rows are independent, so
+    neither the order nor the worker changes a value.  A
     deterministic chain is one round.  The chain is stochastic exactly
     when it is given ``chain_rng``: each step is then a round of its own,
     which first draws the step's ddpm-matching noise z for all rows."""

@@ -152,8 +152,9 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
 
     All windows share one reverse chain.  Window i draws from its own
     ``[seed, 23, i]`` generator: first the initial noise of its reverse
-    runs, then its Gaussian draws.  ``gts[i]`` is window i's absolute
-    future, or None when it is unknown (``gt-ade`` selection needs it).
+    runs, then its Gaussian draws; a ``ddpm-matching`` chain draws its
+    noise from one ``[seed, 29]`` generator.  ``gts[i]`` is window i's
+    absolute future, or None when it is unknown (``gt-ade`` needs it).
 
     Given a list of ``strategies`` sharing ``protocol``'s other settings,
     returns one such list per strategy from one chain of the largest run
@@ -167,7 +168,9 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
         raise ValueError("gt-ade selection requires ground truth")
     n_runs = max(s.runs for s in strategies)
     rngs = [np.random.default_rng([protocol.seed, 23, i]) for i in range(len(windows))]
-    per_window = model.generate(windows, rngs, n_runs, protocol.steps, protocol.gamma_mode)
+    chain_rng = (np.random.default_rng([protocol.seed, 29])
+                 if protocol.gamma_mode == "ddpm-matching" else None)
+    per_window = model.generate(windows, rngs, n_runs, protocol.steps, chain_rng)
     out = []
     for j, strategy in enumerate(strategies):
         if j or strategy.runs < n_runs:   # ``generate`` drew n_runs blocks from rngs

@@ -2,8 +2,8 @@
 guidance encoders, the distribution converter and the denoiser, plus the
 diffusion schedule and the frozen channel normalization.  ``ModelConfig``
 is the one description of the model: the encoders, the converter and the
-denoiser read their sizes from it, the schedule is built from it
-(``ModelConfig.schedule``), and checkpoints store it as metadata.
+denoiser read their sizes from it, it builds the schedule once, when it is
+built (``ModelConfig.schedule``), and checkpoints store it as metadata.
 
 A ``Model`` owns its parameters as one flat buffer, laid out in sorted
 name order, whose dtype is the model's: ``Model.initialize``'s ``dtype``,
@@ -29,7 +29,7 @@ from . import numerics as nm
 from .numerics import NumericsError
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     t_obs: int = nm.setting(data.T_OBSERVED, 1)
     t_future: int = nm.setting(data.T_FUTURE, 1)
@@ -62,7 +62,9 @@ class ModelConfig:
             raise ValueError(f"model steps must be at most k_total {self.k_total}, "
                              f"got {self.steps}")
         try:
-            diffusion.schedule_alpha(self.k_total, self.beta_start, self.beta_end)
+            # frozen, so the schedule cannot go stale
+            object.__setattr__(self, "_schedule", diffusion.build_schedule(
+                self.k_total, self.beta_start, self.beta_end, self.steps))
         except NumericsError as exc:
             raise ValueError(f"model schedule: {exc}") from None
 
@@ -79,9 +81,8 @@ class ModelConfig:
                 **diffusion.denoiser_layout(self)}
 
     def schedule(self, steps: int | None = None) -> diffusion.Schedule:
-        """The diffusion schedule these settings describe; ``steps`` overrides S."""
-        return diffusion.build_schedule(self.k_total, self.beta_start, self.beta_end,
-                                        self.steps if steps is None else steps)
+        """The schedule these settings describe, built once; ``steps`` overrides S."""
+        return self._schedule if steps is None else self._schedule.with_steps(steps)
 
 
 class Model:
@@ -126,32 +127,26 @@ class Model:
 
     def generate(self, windows, rngs: list[np.random.Generator], n_runs: int = 1,
                  steps: int | None = None,
-                 gamma_mode: str = "deterministic") -> list[np.ndarray]:
+                 chain_rng: np.random.Generator | None = None) -> list[np.ndarray]:
         """Each window's ``n_runs`` fields of denormalized raw statistics,
         one float64 array [n_runs, n_peds, T', 5] per window, from one
         reverse chain over every (window, run, pedestrian) row; ``steps``
-        overrides the config's S, and ``gamma_mode`` sets the chain's
-        per-step noise.
-
+        overrides the config's S.
         Window i draws its runs' initial noise from ``rngs[i]`` in run
         order, so with gamma = 0 its runs depend only on that generator's
-        state, its own rows and the parameters.  A ``ddpm-matching`` chain
-        draws the in-chain noise of all rows from one fresh entropy-seeded
-        generator, so those runs differ on every call.
+        state, its own rows and the parameters.  Given ``chain_rng``, the
+        chain is stochastic (ddpm-matching) and draws the in-chain noise of
+        all rows from it, so the runs depend on its state too.
         """
         if n_runs < 1:
             raise NumericsError("n_runs must be >= 1")
-        if gamma_mode not in diffusion.GAMMA_MODES:
-            raise NumericsError(f"unknown gamma mode {gamma_mode!r}")
         sizes = [w.n_peds for w in windows]
         ends = np.cumsum(sizes)
         rows = np.concatenate([np.tile(np.arange(e - n, e), n_runs)
                                for n, e in zip(sizes, ends)])
-        y_init = self.initial_noise(windows, rngs, n_runs)
-        schedule = self.schedule if steps is None else self.schedule.with_steps(steps)
-        y = diffusion.reverse_chain(
-            y_init, self.encode(windows)[rows], schedule, self.params,
-            self.config, np.random.default_rng() if gamma_mode == "ddpm-matching" else None)
+        y = diffusion.reverse_chain(self.initial_noise(windows, rngs, n_runs),
+                                    self.encode(windows)[rows], self.config.schedule(steps),
+                                    self.params, self.config, chain_rng)
         blocks = np.split(distribution.denormalize_stats(y, self.norm),
                           n_runs * ends[:-1])
         return [block.reshape(n_runs, n, *y.shape[1:]) for block, n in zip(blocks, sizes)]

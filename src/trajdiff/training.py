@@ -31,7 +31,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -418,7 +418,7 @@ def _resume(path, record: dict, model_cfg: ModelConfig | None,
     finished run's holds none) or on ``log_path``, raises ``ResumeError``."""
     mdl, meta, rest = Model.load(path)
     if model_cfg is not None:
-        _check_same(path, "model", vars(mdl.config), vars(model_cfg))
+        _check_same(path, "model", asdict(mdl.config), asdict(model_cfg))
     step = meta.get("train_step")
     if type(step) is not int or step < 0:
         raise ContainerError(f"{path}: train_step {step!r} is not a step count")

@@ -1,10 +1,13 @@
 """Shared test plumbing: the acceptance suite reports one line per criterion
 through the terminal summary so the lines survive output capture,
 ``file_hash`` is the reference for the CLI's ``# checkpoint:`` headers,
-``one_candidate_errors`` scores one trajectory with the package's metric and
-``chain_workers`` sets how many workers a reverse chain may use."""
+``one_candidate_errors`` scores one trajectory with the package's metric,
+``chain_workers`` sets how many workers a reverse chain may use and
+``far_from_noise`` lets a test build a short schedule.  Any other warning
+fails the suite (``filterwarnings`` in pyproject.toml)."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +30,14 @@ def one_candidate_errors(pred, gt) -> tuple[float, float]:
     pset = inference.PredictionSet(np.asarray(pred, dtype=np.float64)[None, None])
     ade, fde = inference.best_of_n(pset, np.asarray(gt, dtype=np.float64)[None])
     return float(ade[0]), float(fde[0])
+
+
+def far_from_noise(alpha_k: str) -> pytest.MarkDecorator:
+    """Ignore the exact warning of a schedule whose alpha[K] prints as
+    ``alpha_k``, as a short test schedule's does."""
+    return pytest.mark.filterwarnings(
+        f"ignore:alpha\\[K\\] = {re.escape(alpha_k)}; the final state is far from "
+        "standard noise$:RuntimeWarning")
 
 
 @pytest.fixture

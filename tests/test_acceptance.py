@@ -201,7 +201,7 @@ def test_criterion_diffusion_identities():
 
 def test_criterion_determinism(trained_models, tmp_path):
     """Deterministic chains are bit-identical across runs; the stochastic
-    (ddpm-matching) chain is not."""
+    (ddpm-matching) chain moves with its noise generator, and only with it."""
     t0 = time.perf_counter()
     mdl, ckpt = trained_models["models"][TRAIN_SEEDS[0]]
     windows = trained_models["test"][:2]
@@ -220,9 +220,10 @@ def test_criterion_determinism(trained_models, tmp_path):
     assert cli.main(eval_args + ["--out", str(csv_b)]) == 0
     assert csv_a.read_bytes() == csv_b.read_bytes()
 
-    ga, gb = (mdl.generate(windows[:1], [np.random.default_rng(3)], steps=10,
-                           gamma_mode="ddpm-matching")[0] for _ in range(2))
+    ga, gb, gc = (mdl.generate(windows[:1], [np.random.default_rng(3)], steps=10,
+                               chain_rng=np.random.default_rng(seed))[0] for seed in (1, 2, 1))
     assert np.abs(ga[0] - gb[0]).max() > 1e-9
+    assert ga.tobytes() == gc.tobytes()
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report("determinism", t0)

@@ -114,12 +114,14 @@ class TestTrain:
         rc = cli.main(["train", "--data", str(tmp_path / "nope"), *TRAIN_ARGS])
         assert rc == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply$:RuntimeWarning")
     def test_numeric_failure_exit_code(self, tmp_path):
         rc = cli.main(["train", "--data", "synthetic", "--seed", "7",
                        "--out", str(tmp_path / "blow"), *TRAIN_ARGS,
                        "--lr", "1e18"])
         assert rc == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply$:RuntimeWarning")
     def test_abort_names_the_failed_optimizer_step(self, tmp_path, capsys):
         # a rate near float32's largest overflows the first update: no step
         # completed before it
@@ -376,14 +378,15 @@ class TestEval:
         assert header[0] == f"# checkpoint: {file_hash(ckpt)}"
         assert "scene,n_protocol,ade,fde,windows,pedestrians" in header
 
+    @pytest.mark.parametrize("gamma_mode", diffusion.GAMMA_MODES)
     def test_two_chain_workers_write_the_same_bytes(self, trained, chain_workers,
-                                                    monkeypatch):
+                                                    monkeypatch, gamma_mode):
         # a chain per scene of 3 windows of 4 pedestrians by 50 runs: 600 rows,
         # in four blocks over two workers
         ckpt, tmp_path = trained
         args = ["eval", "--checkpoint", str(ckpt), "--data", "synthetic", "--seed", "7",
                 "--strategy", "A", "--r1", "50", "--r2", "2", "--stride", "4",
-                "--scenes", "2", "--peds", "4", "--frames", "30"]
+                "--scenes", "2", "--peds", "4", "--frames", "30", "--gamma-mode", gamma_mode]
         workers, count = [], diffusion._chain_workers
 
         def counted(rows):
@@ -432,17 +435,22 @@ class TestEval:
         assert bodies[0] == bodies[1] == bodies[2]
         assert bodies[0][1].endswith("gamma=deterministic")
 
-    def test_stochastic_chain_runs_differ(self, trained):
+    def test_stochastic_chain_is_reproducible_given_the_seed(self, trained):
+        # the chain's noise comes from the seed: equal seeds write equal
+        # bytes, another seed other rows, and gamma still moves the rows
         ckpt, tmp_path = trained
         args = ["eval", "--checkpoint", str(ckpt), "--data", "synthetic",
-                "--seed", "7", "--strategy", "C", "--r", "2",
-                "--selection", "self-likelihood",
-                "--gamma-mode", "ddpm-matching",
+                "--strategy", "C", "--r", "2", "--selection", "self-likelihood",
                 "--scenes", "2", "--peds", "3", "--frames", "30"]
-        out_a, out_b = tmp_path / "sto_a.csv", tmp_path / "sto_b.csv"
-        assert cli.main(args + ["--out", str(out_a)]) == 0
-        assert cli.main(args + ["--out", str(out_b)]) == 0
-        assert out_a.read_bytes() != out_b.read_bytes()
+        runs = [("7", "ddpm-matching"), ("7", "ddpm-matching"), ("8", "ddpm-matching"),
+                ("7", "deterministic")]
+        outs = [tmp_path / f"sto_{i}.csv" for i in range(len(runs))]
+        for out, (seed, mode) in zip(outs, runs):
+            assert cli.main(args + ["--seed", seed, "--gamma-mode", mode,
+                                    "--out", str(out)]) == 0
+        a, b, other, det = (out.read_text().splitlines() for out in outs)
+        assert a == b
+        assert other[4:] != a[4:] and det[4:] != a[4:]
 
     def test_steps_must_fit_checkpoint(self, trained):
         ckpt, _ = trained
@@ -960,6 +968,15 @@ class TestAblate:
         assert lines[2].startswith("# protocol:")
         assert lines[2].endswith("gamma=deterministic")
 
+    def test_gamma_axis_is_reproducible(self, trained, tmp_path):
+        ckpt, _ = trained
+        outs = [tmp_path / "ga_a.csv", tmp_path / "ga_b.csv"]
+        for out in outs:
+            assert cli.main(["ablate", "--checkpoint", str(ckpt), "--data", "synthetic",
+                             "--axis", "gamma", "--seed", "5", "--out", str(out),
+                             "--scenes", "2", "--peds", "3", "--frames", "30"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_unknown_axis_is_usage_error(self, trained):
         ckpt, _ = trained
         assert cli.main(["ablate", "--checkpoint", str(ckpt),
@@ -1003,14 +1020,17 @@ class TestPredict:
     def test_gamma_mode_is_a_predict_setting(self, trained, tmp_path):
         ckpt, _ = trained
         inp = self._scene_file(tmp_path, frames=20, peds=2)
-        outs = [tmp_path / f"g{i}.csv" for i in range(3)]
-        for out, mode in zip(outs, ("ddpm-matching", "ddpm-matching", "deterministic")):
+        runs = [("1", "ddpm-matching"), ("1", "ddpm-matching"), ("2", "ddpm-matching"),
+                ("1", "deterministic")]
+        outs = [tmp_path / f"g{i}.csv" for i in range(len(runs))]
+        for out, (seed, mode) in zip(outs, runs):
             assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp),
                              "--out", str(out), "--strategy", "C", "--r", "2",
-                             "--seed", "1", "--gamma-mode", mode]) == 0
-        a, b, det = (out.read_text().splitlines() for out in outs)
+                             "--seed", seed, "--gamma-mode", mode]) == 0
+        a, b, other, det = (out.read_text().splitlines() for out in outs)
         assert a[2].endswith("gamma=ddpm-matching") and det[2].endswith("gamma=deterministic")
-        assert a[:4] == b[:4] and a[4:] != b[4:]
+        assert a == b
+        assert other[4:] != a[4:] and det[4:] != a[4:]
 
     def test_short_history_is_data_error(self, trained, tmp_path):
         ckpt, _ = trained

@@ -6,11 +6,12 @@ import sys
 import threading
 import warnings
 from concurrent import futures
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from conftest import far_from_noise
 from references import (ComputationRecord, add, backward, constant, denoiser_tape, mean, mul,
                         parameter, parameters, posterior_step, recorded,
                         reverse_chain_steps)
@@ -22,6 +23,7 @@ from trajdiff.model import Model, ModelConfig
 
 
 class TestSchedule:
+    @far_from_noise("0.0782")
     def test_default_linear_schedule(self):
         s = dff.build_schedule(100)
         assert s.alpha[0] == 1.0
@@ -63,6 +65,32 @@ class TestSchedule:
         with pytest.raises(nm.NumericsError):
             dff.build_schedule(10, beta_start=0.3, beta_end=0.2)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"beta_start": 0.3, "beta_end": 0.2}, "need 0 < beta_start < beta_end < 1"),
+        ({"k_total": 100_000}, "alpha must be strictly decreasing")],
+        ids=["beta-range", "alpha-underflow"])
+    def test_a_config_refuses_a_bad_schedule(self, settings, message):
+        with pytest.raises(ValueError, match=f"^model schedule: {message}"):
+            ModelConfig(**settings)
+
+    def test_a_loaded_model_builds_its_schedule_once(self, tmp_path, monkeypatch):
+        cfg = ModelConfig(conv_channels=4, d_phi=2, d_psi=2, denoiser_width=8,
+                          denoiser_blocks=1, step_dim=8, k_total=40, steps=10, beta_end=0.25)
+        Model.initialize(cfg, seed=0).save(tmp_path / "m.tjdf")
+        built, build = [], dff.build_schedule
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(dff, "build_schedule", counting)
+        mdl = Model.load(tmp_path / "m.tjdf")[0]
+        assert built == [(40, 1e-4, 0.25, 10)]
+        assert mdl.schedule is mdl.config.schedule()
+        np.testing.assert_array_equal(mdl.config.schedule(5).tau, [8, 16, 24, 32, 40])
+        assert mdl.config.schedule(5).alpha is mdl.schedule.alpha and len(built) == 1
+        with pytest.raises(FrozenInstanceError):    # which would leave it stale
+            mdl.config.k_total = 10
+
     def test_ddpm_matching_jump_gamma_satisfies_bound(self):
         # every jump the chain makes, down tau and then to 0
         for steps in (200, 100, 10):
@@ -87,6 +115,7 @@ def _marginal(y0, k, eps, s) -> np.ndarray:
 
 
 class TestForwardMarginal:
+    @far_from_noise("0.1845")
     def test_identity_at_step_zero(self):
         s = dff.build_schedule(10, beta_end=0.3)
         y0 = np.random.default_rng(0).normal(size=(2, 3, 5))
@@ -106,11 +135,13 @@ class TestForwardMarginal:
         out = _marginal(y0, 1, eps, s)
         np.testing.assert_allclose(out, eps, atol=2e-2)
 
+    @far_from_noise("0.1845")
     def test_shape_mismatch(self):
         s = dff.build_schedule(10, beta_end=0.3)
         with pytest.raises(nm.NumericsError, match="shape"):
             _marginal(np.zeros(3), 1, np.zeros(4), s)
 
+    @far_from_noise("0.1845")
     def test_tensor_path_matches_array_path(self):
         # float32 against float64
         s = dff.build_schedule(10, beta_end=0.3)
@@ -120,6 +151,7 @@ class TestForwardMarginal:
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, _marginal(y0, 4, eps, s), rtol=1e-6)
 
+    @far_from_noise("0.1845")
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_row_steps_equal_scalar_calls(self, dtype):
         s = dff.build_schedule(10, beta_end=0.3)
@@ -132,6 +164,7 @@ class TestForwardMarginal:
             np.testing.assert_array_equal(rows_t[i], one[0])
         assert rows_t.dtype == dtype
 
+    @far_from_noise("0.1845")
     def test_step_outside_schedule(self):
         s = dff.build_schedule(10, beta_end=0.3)
         with pytest.raises(nm.NumericsError, match="outside"):
@@ -436,15 +469,13 @@ class TestReverseGenerate:
         assert (np.abs(rho) <= 0.99).all()
 
     def test_stochastic_chain_differs_across_calls(self):
+        # the in-chain noise comes from the generator given, and from it alone
         mdl, w = self._setup()
-        ((a,),) = mdl.generate(w, [np.random.default_rng(42)], gamma_mode="ddpm-matching")
-        ((b,),) = mdl.generate(w, [np.random.default_rng(42)], gamma_mode="ddpm-matching")
+        (((a,),), ((b,),), ((c,),)) = (
+            mdl.generate(w, [np.random.default_rng(42)], chain_rng=np.random.default_rng(s))
+            for s in (1, 2, 1))
         assert np.abs(a - b).max() > 1e-8
-
-    def test_unknown_gamma_mode(self):
-        mdl, w = self._setup()
-        with pytest.raises(nm.NumericsError, match="gamma mode 'bogus'"):
-            mdl.generate(w, [np.random.default_rng(42)], gamma_mode="bogus")
+        assert a.tobytes() == c.tobytes()
 
     def test_stochastic_chain_reproducible_with_pinned_chain_rng(self):
         mdl, w = self._setup()
@@ -628,28 +659,32 @@ class TestChainTerms:
         assert taken == [0, 0, 0, 0]
         assert two.tobytes() == one.tobytes()
 
-    def test_a_worker_that_has_not_started_does_not_run(self, chain_workers, monkeypatch):
+    def test_a_worker_that_starts_after_the_blocks_run_out_takes_none(self, chain_workers,
+                                                                      monkeypatch):
         y_init, g = self._inputs(1360)
         sched, params = self.CFG.schedule(), self._params()
         chain_workers(1)
         one = self._first_step(y_init, g, params, sched)
         chain_workers(2)
-        pool, busy = futures.ThreadPoolExecutor(1), threading.Event()
-        pool.submit(busy.wait, 10)          # the pool's one thread is taken
+        pool = futures.ThreadPoolExecutor(1)    # the second task starts after the first
         monkeypatch.setattr(dff, "_pool", lambda: pool)
-        ran, run = [], dff._ChainTerms._run
+        ran, taken, run = [], [], dff._ChainTerms._run
 
-        def logged(terms, buf, *args):
-            ran.append(buf is terms.bufs[0])
-            run(terms, buf, *args)
+        def logged(todo, worker):
+            for block in todo:
+                taken.append(worker)
+                yield block
 
-        monkeypatch.setattr(dff._ChainTerms, "_run", logged)
+        def counted(terms, buf, todo, *args):
+            ran.append([b is buf for b in terms.bufs].index(True))
+            run(terms, buf, logged(todo, ran[-1]), *args)
+
+        monkeypatch.setattr(dff._ChainTerms, "_run", counted)
         try:
             two = self._first_step(y_init, g, params, sched)
         finally:
-            busy.set()
             pool.shutdown()
-        assert ran == [True]
+        assert ran == [0, 1] and taken == [0, 0, 0, 0]
         assert two.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("blas_threads", [2, 4, None], ids=["2", "4", "unreadable"])
@@ -705,12 +740,12 @@ class TestChainTerms:
             dff.reverse_chain(y_init, g, sched, self._params(), self.CFG)
 
     @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
-    def test_a_chain_submits_one_pool_task_per_round(self, chain_workers, monkeypatch,
-                                                     gamma_mode):
-        # 1,360 rows, 100 steps on 2 workers: a step-by-step chain submitted 100;
-        # a stochastic one still does, one round and one noise draw per step
-        args = (*self._inputs(1360), self.CFG.schedule(), self._params(), self.CFG)
-        steps = len(args[2].tau)
+    def test_a_chain_submits_one_pool_task_per_worker_and_round(self, chain_workers,
+                                                                monkeypatch, gamma_mode):
+        # 1,360 rows, 100 steps on 2 workers: a deterministic chain is one
+        # round; a stochastic one is a round and one noise draw per step
+        sched, params = self.CFG.schedule(), self._params()
+        steps = len(sched.tau)
         assert steps == 100
         chain_workers(2)
         pool, submitted = dff._pool(), []
@@ -730,14 +765,13 @@ class TestChainTerms:
                 return self.draws[-1]
 
         monkeypatch.setattr(dff, "_pool", Counted)
-        rng = Drawn() if gamma_mode == "ddpm-matching" else None
-        dff.reverse_chain(*args, rng)
-        if rng is None:
-            assert submitted == ["_run"]
-            return
-        assert submitted == ["_run"] * steps
-        # the jump to alpha = 1 draws none
-        assert [z.shape for z in rng.draws] == [(1360, 12, 5)] * (steps - 1)
+        for rows, tasks in ((1360, 2), (512, 0)):   # 512 rows run on the calling thread
+            submitted.clear()
+            rng = Drawn() if gamma_mode == "ddpm-matching" else None
+            dff.reverse_chain(*self._inputs(rows), sched, params, self.CFG, rng)
+            assert submitted == ["_run"] * tasks * (1 if rng is None else steps)
+            # the jump to alpha = 1 draws none
+            assert rng is None or [z.shape for z in rng.draws] == [(rows, 12, 5)] * (steps - 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("faults, message", [
@@ -775,15 +809,17 @@ class TestChainTerms:
             dff.reverse_chain(y_init, g, sched, self._params(), self.CFG)
         assert str(err.value) == message.format(*ks)
 
-    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "worker"])
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first-worker", "second-worker"])
     def test_apply_waits_for_every_worker_before_raising(self, chain_workers, monkeypatch,
                                                          failing):
         chain_workers(2)
+        pool = futures.ThreadPoolExecutor(2)    # both workers run at once
+        monkeypatch.setattr(dff, "_pool", lambda: pool)
         started, finished, run = threading.Event(), [], dff._ChainTerms._run
 
         def worker(terms, buf, *args):
             if buf is terms.bufs[0]:
-                assert started.wait(10)     # the pool's worker is running
+                assert started.wait(10)     # the other worker is running
             else:
                 started.set()
             if buf is terms.bufs[failing]:
@@ -793,7 +829,10 @@ class TestChainTerms:
             finished.append(buf)
 
         monkeypatch.setattr(dff._ChainTerms, "_run", worker)
-        with pytest.raises(MemoryError, match="worker failed"):
-            dff.reverse_chain(*self._inputs(1100), self.CFG.schedule(), self._params(),
-                              self.CFG)
+        try:
+            with pytest.raises(MemoryError, match="worker failed"):
+                dff.reverse_chain(*self._inputs(1100), self.CFG.schedule(), self._params(),
+                                  self.CFG)
+        finally:
+            pool.shutdown()
         assert len(finished) == 1

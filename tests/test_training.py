@@ -8,10 +8,12 @@ import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import far_from_noise
 from references import (ComputationRecord, backward, batch_losses_tape, constant,
                         convert_tape, converter_losses_tape, denoiser_tape, encoder_tape,
                         finite_difference_check, gaussian_at, log_pdf, loss_diffusion_tape,
@@ -106,7 +108,10 @@ def _draw_step_noise_per_window(window_sizes, schedule, rng, t_future, channels=
     return np.asarray(ks, dtype=np.int64), eps
 
 
-@pytest.mark.parametrize("k_total,steps", [(20, 10), (100, 100), (100, 7), (1000, 50)])
+@pytest.mark.parametrize("k_total,steps", [
+    pytest.param(20, 10, marks=far_from_noise("0.6006")),
+    pytest.param(100, 100, marks=far_from_noise("0.0782")),
+    pytest.param(100, 7, marks=far_from_noise("0.0782")), (1000, 50)])
 def test_draw_step_noise_equals_per_window_draws(k_total, steps):
     schedule = diffusion.build_schedule(k_total, steps=steps)
     for seed in range(20):
@@ -279,6 +284,7 @@ class TestTrainStep:
         assert math.isclose(np.linalg.norm(g3), 3 * np.linalg.norm(g1),
                             rel_tol=1e-4)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply$:RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostics(self):
         windows = _windows()
         mdl = Model.initialize(MICRO, 0)
@@ -749,7 +755,7 @@ class TestFit:
                                       out_dir=str(tmp_path / f"from{start}"),
                                       resume_from=str(fresh / f"ckpt_{start:06d}.tjdf"))
             assert len(calls) == refreshes
-            assert open(resumed, "rb").read() == open(final, "rb").read()
+            assert Path(resumed).read_bytes() == Path(final).read_bytes()
 
     def test_resume_matches_straight_through(self, tmp_path):
         windows = _windows()
@@ -979,7 +985,7 @@ class TestRunRecord:
         final, _ = training.fit(_windows(), replace(self.CFG, checkpoint_every=4), MICRO,
                                 out_dir=str(tmp_path),
                                 resume_from=str(run / "ckpt_000003.tjdf"))
-        assert open(final, "rb").read() == (run / "model.tjdf").read_bytes()
+        assert Path(final).read_bytes() == (run / "model.tjdf").read_bytes()
 
 
 def test_resume_matrix_ends_at_straight_through_bytes(tmp_path):
