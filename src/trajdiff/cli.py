@@ -329,8 +329,8 @@ def _protocol_desc(protocol: inference.EvalProtocol) -> str:
 
 def cmd_synth(args) -> int:
     cfg = _config(args, data.SynthConfig, "synth")
-    tracks = data.synthesize_scenes(cfg)
     os.makedirs(args.out, exist_ok=True)
+    tracks = data.synthesize_scenes(cfg)
     by_scene: dict[str, list] = {}
     for t in tracks:
         by_scene.setdefault(t.scene_id, []).append(t)
@@ -356,15 +356,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args) -> tuple[Model, str]:
-    """The checkpoint's model and the hash of the bytes it was read from."""
+def _load_model(args, *outputs) -> tuple[Model, str]:
+    """The checkpoint's model and the hash of the bytes it was read from,
+    read only once each output path given has a directory to go in."""
+    for path in filter(None, outputs):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise data.DataError(f"cannot write {path}: {parent} is not a directory")
     meta, arrays, ckpt_hash = checkpoint.load_container(args.checkpoint)
     mdl, _meta, _rest = Model.from_container(meta, arrays, args.checkpoint)
     return mdl, ckpt_hash
 
 
 def cmd_eval(args) -> int:
-    mdl, ckpt_hash = _load_model(args)
+    json_path = os.path.splitext(args.out or "")[0] + ".json"
+    if json_path == args.out:
+        raise UsageError(f"--out {args.out} is its own JSON summary path")
+    mdl, ckpt_hash = _load_model(args, args.out)
     protocol = _protocol(args, mdl)
     report = inference.evaluate_scenes(mdl, _scene_windows(args, mdl.config, True),
                                        protocol)
@@ -386,7 +394,6 @@ def cmd_eval(args) -> int:
                    "scene,n_protocol,ade,fde,windows,pedestrians", "".join(rows))
         summary = {"checkpoint": ckpt_hash, "seed": protocol.seed, "protocol": desc,
                    "report": report}
-        json_path = os.path.splitext(args.out)[0] + ".json"
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         print(f"metrics written to {args.out} (summary: {json_path})")
@@ -394,7 +401,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    mdl, ckpt_hash = _load_model(args)
+    mdl, ckpt_hash = _load_model(args, args.out)
     protocol = _protocol(args, mdl)
     windows = [w for ws in _scene_windows(args, mdl.config, True).values()
                for w in ws]
@@ -425,7 +432,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    mdl, ckpt_hash = _load_model(args)
+    mdl, ckpt_hash = _load_model(args, args.out, args.plot)
     protocol = _protocol(args, mdl)
     scene = os.path.splitext(os.path.basename(args.input))[0]
     tracks = data.ingest_benchmark_file(args.input, scene)

@@ -270,11 +270,12 @@ def neighbor_sets(window: SceneWindow, radius: float) -> np.ndarray:
 SYNTH_SCENE_PREFIX = "synth"    # scene ids are synth00, synth01, ...
 REPULSION_RADIUS = 1.0          # meters; closer pairs push each other apart
 REPULSION_FLOOR = 0.05          # meters; a closer pair pushes as if this far apart
+SYNTH_GROUP_PAIRS = 2 ** 16     # pedestrian pairs of the scenes stepped together
 
 
 @dataclass
 class SynthConfig:
-    """Noisy constant-velocity walkers with pairwise repulsion in a 20 m box."""
+    """Noisy constant-velocity walkers with pairwise repulsion in a ``box`` m square."""
 
     n_scenes: int = setting(4, 1)
     peds_per_scene: int = setting(6, 1)
@@ -301,52 +302,59 @@ class SynthConfig:
 
 
 def synthesize_scenes(config: SynthConfig) -> list[RawTrack]:
-    """Deterministic synthetic tracks in benchmark form (frame step 10)."""
+    """Deterministic synthetic tracks in benchmark form (frame step 10).
+
+    Scene ``s`` draws its walkers from its own ``default_rng([seed, s])``.
+    Scenes are stepped together frame by frame, in groups of at most
+    ``SYNTH_GROUP_PAIRS`` pedestrian pairs (one scene at the least), by one
+    scene's per-element operations: its bytes do not depend on the others."""
+    n = config.peds_per_scene
+    group = max(1, SYNTH_GROUP_PAIRS // (n * n))
     tracks = []
-    for s in range(config.n_scenes):
-        rng = np.random.default_rng([config.seed, s])
-        n = config.peds_per_scene
-        pos = rng.uniform(0.0, config.box, size=(n, 2))
-        heading = rng.uniform(-np.pi, np.pi, size=n)
-        speed = config.speed_min + rng.uniform(0.0, 1.0, size=n) * (
-            config.speed_max - config.speed_min)
-        turns = rng.normal(0.0, 1.0, size=(config.frames - 1, n))
-        history = np.empty((config.frames, n, 2))
-        history[0] = pos
-        for f in range(1, config.frames):
-            heading = heading + config.turn_noise * turns[f - 1]
-            step = speed[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1)
-            if config.repulsion_gain > 0:
-                delta = pos[:, None, :] - pos[None, :, :]
-                dist = np.linalg.norm(delta, axis=-1)
-                np.fill_diagonal(dist, np.inf)
-                close = dist < REPULSION_RADIUS
-                if np.any(close):
-                    push = np.where(close[:, :, None],
-                                    delta / np.maximum(dist, REPULSION_FLOOR)[:, :, None] ** 2,
-                                    0.0)
-                    step = step + config.repulsion_gain * push.sum(axis=1)
-            pos = pos + step
-            # reflect off the box walls
-            for axis in range(2):
-                low = pos[:, axis] < 0
-                pos[low, axis] = -pos[low, axis]
-                high = pos[:, axis] > config.box
-                pos[high, axis] = 2 * config.box - pos[high, axis]
-            history[f] = pos
-        scene_id = f"{SYNTH_SCENE_PREFIX}{s:02d}"
-        frames = np.arange(config.frames, dtype=np.int64) * 10
-        for p in range(n):
-            tracks.append(RawTrack(scene_id, p, frames, history[:, p, :]))
+    for first in range(0, config.n_scenes, group):
+        scenes = range(first, min(first + group, config.n_scenes))
+        history = _walk(config, [np.random.default_rng([config.seed, s]) for s in scenes])
+        for g, s in enumerate(scenes):
+            frames = np.arange(config.frames, dtype=np.int64) * 10
+            tracks += [RawTrack(f"{SYNTH_SCENE_PREFIX}{s:02d}", p, frames, history[:, g, p])
+                       for p in range(n)]
     return tracks
 
 
+def _walk(config: SynthConfig, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Positions [frames, scenes, peds, 2] of one scene per generator."""
+    n = config.peds_per_scene
+    draws = [(rng.uniform(0.0, config.box, size=(n, 2)), rng.uniform(-np.pi, np.pi, size=n),
+              rng.uniform(0.0, 1.0, size=n), rng.normal(0.0, 1.0, size=(config.frames - 1, n)))
+             for rng in rngs]
+    pos, heading, unit, turns = (np.stack(d) for d in zip(*draws))
+    speed = config.speed_min + unit * (config.speed_max - config.speed_min)
+    history = np.empty((config.frames, *pos.shape))
+    history[0] = pos
+    for f in range(1, config.frames):
+        heading = heading + config.turn_noise * turns[:, f - 1]
+        step = speed[..., None] * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
+        if config.repulsion_gain > 0:
+            delta = pos[:, :, None, :] - pos[:, None, :, :]        # [scenes, n, n, 2]
+            dist = np.linalg.norm(delta, axis=-1)
+            dist[:, np.arange(n), np.arange(n)] = np.inf
+            close = dist < REPULSION_RADIUS
+            if np.any(close):           # a scene without a close pair keeps its step
+                push = np.where(close[..., None],
+                                delta / np.maximum(dist, REPULSION_FLOOR)[..., None] ** 2, 0.0)
+                step = np.where(close.any(axis=(1, 2))[:, None, None],
+                                step + config.repulsion_gain * push.sum(axis=2), step)
+        pos = pos + step
+        # reflect off the low walls, then off the high ones
+        pos = np.where(pos < 0, -pos, pos)
+        pos = np.where(pos > config.box, 2 * config.box - pos, pos)
+        history[f] = pos
+    return history
+
+
 def write_benchmark_file(path, tracks: list[RawTrack]) -> None:
-    rows = []
-    for tr in tracks:
-        for f, (x, y) in zip(tr.frames, tr.points):
-            rows.append((int(f), tr.ped_id, x, y))
-    rows.sort()
+    """One ``frame ped x y`` line per point, sorted by frame, then ped."""
+    rows = sorted((f, tr.ped_id, x, y) for tr in tracks
+                  for f, (x, y) in zip(tr.frames.tolist(), tr.points.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        for frame, ped, x, y in rows:
-            fh.write(f"{frame} {ped} {x:.6f} {y:.6f}\n")
+        fh.write("%d %s %.6f %.6f\n" * len(rows) % tuple(v for row in rows for v in row))

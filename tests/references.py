@@ -37,6 +37,10 @@ builds such a field from them.
 ``reverse_chain_steps`` is the reverse chain written out as its parts, the
 noise estimate, ``reconstruct_clean`` and ``posterior_step``, that the
 package's folded affine step is held to.
+``synthesize_scenes_one_by_one`` steps each synthetic scene's walkers on
+their own, the generator the grouped ``data.synthesize_scenes`` is held to
+byte for byte, and ``write_benchmark_file_by_row`` formats each line with
+its own f-string, as ``data.write_benchmark_file``'s one template must.
 """
 
 import math
@@ -867,3 +871,56 @@ def reverse_chain_steps(y_init, guidance_rows, schedule, params, cfg,
         y0_hat = reconstruct_clean(y, eps_hat, k_from, schedule)
         y = posterior_step(y, y0_hat, k_from, k_to, schedule, rng=chain_rng)
     return y
+
+
+def synthesize_scenes_one_by_one(config) -> list:
+    """``data.synthesize_scenes`` with one scene's walkers stepped at a time."""
+    tracks = []
+    for s in range(config.n_scenes):
+        rng = np.random.default_rng([config.seed, s])
+        n = config.peds_per_scene
+        pos = rng.uniform(0.0, config.box, size=(n, 2))
+        heading = rng.uniform(-np.pi, np.pi, size=n)
+        speed = config.speed_min + rng.uniform(0.0, 1.0, size=n) * (
+            config.speed_max - config.speed_min)
+        turns = rng.normal(0.0, 1.0, size=(config.frames - 1, n))
+        history = np.empty((config.frames, n, 2))
+        history[0] = pos
+        for f in range(1, config.frames):
+            heading = heading + config.turn_noise * turns[f - 1]
+            step = speed[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1)
+            if config.repulsion_gain > 0:
+                delta = pos[:, None, :] - pos[None, :, :]
+                dist = np.linalg.norm(delta, axis=-1)
+                np.fill_diagonal(dist, np.inf)
+                close = dist < data.REPULSION_RADIUS
+                if np.any(close):
+                    push = np.where(close[:, :, None],
+                                    delta / np.maximum(dist, data.REPULSION_FLOOR)[:, :, None] ** 2,
+                                    0.0)
+                    step = step + config.repulsion_gain * push.sum(axis=1)
+            pos = pos + step
+            # reflect off the box walls
+            for axis in range(2):
+                low = pos[:, axis] < 0
+                pos[low, axis] = -pos[low, axis]
+                high = pos[:, axis] > config.box
+                pos[high, axis] = 2 * config.box - pos[high, axis]
+            history[f] = pos
+        scene_id = f"{data.SYNTH_SCENE_PREFIX}{s:02d}"
+        frames = np.arange(config.frames, dtype=np.int64) * 10
+        for p in range(n):
+            tracks.append(data.RawTrack(scene_id, p, frames, history[:, p, :]))
+    return tracks
+
+
+def write_benchmark_file_by_row(path, tracks) -> None:
+    """``data.write_benchmark_file`` with one f-string per line."""
+    rows = []
+    for tr in tracks:
+        for f, (x, y) in zip(tr.frames, tr.points):
+            rows.append((int(f), tr.ped_id, x, y))
+    rows.sort()
+    with open(path, "w", encoding="utf-8") as fh:
+        for frame, ped, x, y in rows:
+            fh.write(f"{frame} {ped} {x:.6f} {y:.6f}\n")

@@ -333,6 +333,27 @@ class TestSynth:
                                             "synth00")
         assert len(tracks) == 2
 
+    def test_out_is_made_before_the_scenes_are_synthesized(self, tmp_path, monkeypatch):
+        out, synthesize = tmp_path / "scenes", data.synthesize_scenes
+
+        def checked(cfg):
+            assert out.is_dir()
+            return synthesize(cfg)
+
+        monkeypatch.setattr(data, "synthesize_scenes", checked)
+        assert cli.main(["synth", "--out", str(out), "--scenes", "2", "--frames", "3"]) == 0
+        assert sorted(os.listdir(out)) == ["synth00.txt", "synth01.txt"]
+
+    def test_unusable_out_is_refused_before_synthesis(self, tmp_path, capsys, monkeypatch):
+        def unused(cfg):
+            raise AssertionError("scenes were synthesized")
+
+        monkeypatch.setattr(data, "synthesize_scenes", unused)
+        (tmp_path / "a_file").write_text("")
+        assert cli.main(["synth", "--out", str(tmp_path / "a_file" / "scenes")]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert _files_under(tmp_path) == ["a_file"]
+
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_command_seed_does_not_seed_the_scenes(self, command):
         # --seed seeds training or sampling; ``synth --seed N`` makes other worlds
@@ -547,6 +568,42 @@ def test_data_exit_codes(trained, tmp_path, capsys, command, extra, code):
     assert rc == code
     assert ("usage error" if code == 1 else "data error") in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _files_under(root):
+    return sorted(os.path.relpath(os.path.join(d, n), root)
+                  for d, _dirs, names in os.walk(root) for n in names)
+
+
+@pytest.mark.parametrize("command,outputs,code", [
+    ("eval", ["--out", "missing/x.csv"], 2),
+    ("eval", ["--out", "a_file/x.csv"], 2),
+    ("eval", ["--out", "m.json"], 1),
+    ("ablate", ["--out", "missing/x.csv"], 2),
+    ("predict", ["--out", "missing/x.csv"], 2),
+    ("predict", ["--out", "ok.csv", "--plot", "missing/x.svg"], 2),
+    ("predict", ["--out", "ok.csv", "--plot", "a_file/x.svg"], 2),
+], ids=["eval-missing-dir", "eval-dir-is-a-file", "eval-out-is-its-summary",
+        "ablate-missing-dir", "predict-missing-dir", "predict-plot-missing-dir",
+        "predict-plot-dir-is-a-file"])
+def test_bad_destination_is_refused_before_the_checkpoint_is_read(
+        tmp_path, capsys, monkeypatch, command, outputs, code):
+    def unread(*args, **kw):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(checkpoint, "load_container", unread)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "input.txt").write_text("0 1 0.0 0.0\n")
+    argv = [command, "--checkpoint", "model.tjdf", *outputs]
+    argv += {"eval": ["--data", "synthetic"], "ablate": ["--data", "synthetic", "--axis", "steps"],
+             "predict": ["--input", "input.txt"]}[command]
+    before = _files_under(tmp_path)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert ("usage error: --out m.json is its own JSON summary path" if code == 1
+            else "data error: cannot write") in err
+    assert _files_under(tmp_path) == before
 
 
 def test_test_scene_reads_only_its_file(trained, tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Ingestion, windowing, neighbor rules and synthetic scenes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from references import synthesize_scenes_one_by_one, write_benchmark_file_by_row
 from trajdiff import data
 
 
@@ -276,6 +279,113 @@ class TestSynthetic:
     def test_walkers_that_could_leave_ingests_range_rejected(self, settings):
         with pytest.raises(ValueError, match="could reach .* beyond MAX_COORDINATE"):
             data.SynthConfig(**settings)
+
+
+# perfbench's workload scenes (its ``SYNTH``): 20 scenes of 8 walkers in a 6 m box
+PERFBENCH_SYNTH = data.SynthConfig(n_scenes=20, peds_per_scene=8, frames=100, seed=11,
+                                   box=6.0, turn_noise=0.04, repulsion_gain=0.4,
+                                   speed_min=0.2, speed_max=0.4)
+SYNTH_MATRIX = {
+    "default": data.SynthConfig(),
+    "perfbench": PERFBENCH_SYNTH,
+    "one-walker": data.SynthConfig(n_scenes=1, peds_per_scene=1),
+    "one-frame": data.SynthConfig(frames=1),
+    "two-frames": data.SynthConfig(frames=2),
+    "no-repulsion": data.SynthConfig(repulsion_gain=0.0),
+    # many close pairs and wall hits every frame
+    "dense": data.SynthConfig(n_scenes=3, peds_per_scene=30, frames=60, box=3.0,
+                              repulsion_gain=0.3, seed=4),
+    # perfbench's predict requests: one scene, 20 frames
+    **{f"predict-{n}": data.SynthConfig(n_scenes=1, peds_per_scene=n, frames=20, seed=40 + n,
+                                        box=6.0, turn_noise=0.04, repulsion_gain=0.4,
+                                        speed_min=0.2, speed_max=0.4)
+       for n in range(1, 17)},
+}
+
+
+def _track_bytes(tracks):
+    return [(t.scene_id, t.ped_id, t.frames.tobytes(), t.points.tobytes()) for t in tracks]
+
+
+class TestGroupedSynthesis:
+    """The scenes stepped together give each scene's one-by-one bytes."""
+
+    @pytest.mark.parametrize("name", sorted(SYNTH_MATRIX))
+    def test_bytes_equal_the_one_by_one_reference(self, name):
+        cfg = SYNTH_MATRIX[name]
+        got = data.synthesize_scenes(cfg)
+        want = synthesize_scenes_one_by_one(cfg)
+        assert len(got) == cfg.n_scenes * cfg.peds_per_scene
+        assert _track_bytes(got) == _track_bytes(want)
+        assert all(t.points.dtype == np.float64 and t.frames.dtype == np.int64 for t in got)
+
+    def test_a_scene_does_not_depend_on_the_scenes_after_it(self):
+        full = data.synthesize_scenes(PERFBENCH_SYNTH)
+        n = PERFBENCH_SYNTH.peds_per_scene
+        for s in (0, 7, 19):
+            fewer = data.synthesize_scenes(replace(PERFBENCH_SYNTH, n_scenes=s + 1))
+            assert _track_bytes(fewer[s * n:]) == _track_bytes(full[s * n:(s + 1) * n])
+
+    @pytest.mark.parametrize("name", ["perfbench", "dense", "default"])
+    def test_one_scene_per_group_gives_the_same_bytes(self, monkeypatch, name):
+        cfg = SYNTH_MATRIX[name]
+        grouped = data.synthesize_scenes(cfg)
+        monkeypatch.setattr(data, "SYNTH_GROUP_PAIRS", 1)
+        assert _track_bytes(data.synthesize_scenes(cfg)) == _track_bytes(grouped)
+
+    def test_groups_hold_at_most_the_pair_budget(self, monkeypatch):
+        walks = []
+        walk = data._walk
+        monkeypatch.setattr(data, "_walk",
+                            lambda cfg, rngs: walks.append(len(rngs)) or walk(cfg, rngs))
+        data.synthesize_scenes(PERFBENCH_SYNTH)
+        assert walks == [20]                        # 20 x 64 pairs fit in one group
+        walks.clear()
+        data.synthesize_scenes(data.SynthConfig(n_scenes=3, peds_per_scene=257, frames=2))
+        assert walks == [1, 1, 1]                   # above 256 walkers, a group each
+        walks.clear()
+        data.synthesize_scenes(data.SynthConfig(n_scenes=5, peds_per_scene=128, frames=2))
+        assert walks == [4, 1]
+
+
+class TestBenchmarkFileWriter:
+    def _tracks(self):
+        # given unsorted, ids of several widths, negative coordinates
+        return [
+            data.RawTrack("s", 1234, np.array([20, 30]), [[-1.25, 3.0000004], [2.5, -0.0]]),
+            data.RawTrack("s", -7, np.array([0, 10, 20]),
+                          [[1e6 / 3, -2.0 / 3], [-123.4567894, 0.1], [9.9999995, -9.9999995]]),
+            data.RawTrack("s", 5, np.array([10, 20, 40]),
+                          [[0.0, 0.0], [-5e-7, 5e-7], [17.0, -17.0]]),
+            data.RawTrack("s", np.int64(42), np.array([0]), [[3.14159265, -2.71828183]]),
+        ]
+
+    def test_bytes_equal_the_per_row_reference(self, tmp_path):
+        tracks = self._tracks()
+        data.write_benchmark_file(tmp_path / "a.txt", tracks)
+        write_benchmark_file_by_row(tmp_path / "b.txt", tracks)
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        for cfg in (PERFBENCH_SYNTH, SYNTH_MATRIX["dense"]):
+            tracks = data.synthesize_scenes(replace(cfg, n_scenes=1))[::-1]
+            data.write_benchmark_file(tmp_path / "a.txt", tracks)
+            write_benchmark_file_by_row(tmp_path / "b.txt", tracks)
+            assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_no_tracks_write_an_empty_file(self, tmp_path):
+        data.write_benchmark_file(tmp_path / "a.txt", [])
+        assert (tmp_path / "a.txt").read_bytes() == b""
+
+    def test_round_trip_rounds_each_point_to_six_decimals(self, tmp_path):
+        tracks = self._tracks()
+        data.write_benchmark_file(tmp_path / "a.txt", tracks)
+        loaded = data.ingest_benchmark_file(tmp_path / "a.txt", "s")
+        by_ped = {int(t.ped_id): t for t in tracks}
+        assert [t.ped_id for t in loaded] == sorted(by_ped)
+        for t in loaded:
+            want = by_ped[t.ped_id]
+            assert t.frames.tolist() == want.frames.tolist()
+            assert t.points.tolist() == [[float(f"{v:.6f}") for v in row]
+                                         for row in want.points.tolist()]
 
 
 def test_benchmark_file_round_trip(tmp_path):
