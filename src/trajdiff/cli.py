@@ -358,9 +358,11 @@ def cmd_train(args) -> int:
 
 def _load_model(args, *outputs) -> tuple[Model, str]:
     """The checkpoint's model and the hash of the bytes it was read from,
-    read only once each output path given has a directory to go in."""
-    for path in filter(None, outputs):
+    read only once each output given is a file path in a directory."""
+    for path in (p for p in outputs if p is not None):
         parent = os.path.dirname(path) or "."
+        if not path or os.path.isdir(path):
+            raise data.DataError(f"cannot write {path!r}: not a file path")
         if not os.path.isdir(parent):
             raise data.DataError(f"cannot write {path}: {parent} is not a directory")
     meta, arrays, ckpt_hash = checkpoint.load_container(args.checkpoint)
@@ -372,7 +374,7 @@ def cmd_eval(args) -> int:
     json_path = os.path.splitext(args.out or "")[0] + ".json"
     if json_path == args.out:
         raise UsageError(f"--out {args.out} is its own JSON summary path")
-    mdl, ckpt_hash = _load_model(args, args.out)
+    mdl, ckpt_hash = _load_model(args, args.out, args.out and json_path)
     protocol = _protocol(args, mdl)
     report = inference.evaluate_scenes(mdl, _scene_windows(args, mdl.config, True),
                                        protocol)

@@ -5,8 +5,9 @@ marginal perturbs clean statistics with Gaussian noise scaled by a strictly
 decreasing cumulative-alpha schedule; generation runs the learned reverse
 transitions down an execution sub-sequence ``tau`` of the K Markovian
 steps.  A chain given a noise generator adds the ddpm-matching per-jump
-noise ``gamma``, the stochastic Markovian sampler; without one, gamma is 0
-and the chain is deterministic.  The schedule (K, alpha and tau) and the
+noise ``gamma``, the stochastic Markovian sampler, drawn by each block of
+rows from its own child of that generator; without one, gamma is 0 and
+the chain is deterministic.  The schedule (K, alpha and tau) and the
 denoiser's sizes are read from the model's ``ModelConfig``.  Everything
 runs on plain arrays; the denoiser is a forward and a backward
 (``denoiser_apply``, ``denoiser_backward``), joined in training's loss.
@@ -348,9 +349,10 @@ class _ChainTerms:
     ``_chain_workers`` workers (one ``_pool`` task each, while the calling
     thread waits; one worker runs on the calling thread) take the blocks
     in turn from one queue, each into its own buffers allocated here, and
-    carry each block through every step of the round before taking the
+    carry each block through every step of the chain before taking the
     next: per step one ``denoiser_apply`` call on the block's rows, the
-    float64 affine update and the state's finiteness check.  No worker
+    float64 affine update (with, if gamma is not 0, noise from the
+    block's own generator) and the state's finiteness check.  No worker
     waits for another between steps; one that the host slows leaves its
     later blocks to the others, and one that starts after the blocks run
     out takes none.  The result equals the per-call denoiser's up to the
@@ -393,17 +395,16 @@ class _ChainTerms:
                               [acts[2]] * cfg.denoiser_blocks, np.empty((rows, sd), dtype),
                               np.empty((rows, sd), dtype), np.empty((rows, sd), np.float64)))
 
-    def run(self, y: np.ndarray, steps: list[tuple], z: np.ndarray | None = None) -> None:
+    def run(self, y: np.ndarray, rngs: list[np.random.Generator] | None = None) -> None:
         """Carry every row of the float64 state ``y`` [M, T', 5] through
-        ``steps`` (consecutive entries of ``self.steps``), in place; ``z``
-        is the standard normal noise [M, T', 5] of a step whose gamma is
-        not 0, so only a one-step round has such a step.  Raises once
-        every worker has stopped; a ``NumericsError`` names the earliest
-        failing step in chain order, and at one step a non-finite
-        denoiser output before a non-finite state, as a step-by-step
-        chain over all rows would."""
+        every step of ``self.steps``, in place; ``rngs``, one generator
+        per block of ``self.blocks``, draws the block's noise at each
+        step whose gamma is not 0.  Raises once every worker has stopped;
+        a ``NumericsError`` names the earliest failing step in chain
+        order, and at one step a non-finite denoiser output before a
+        non-finite state, as a step-by-step chain over all rows would."""
         failures = []
-        args = (iter(self.blocks), y, steps, z, failures)
+        args = (zip(self.blocks, rngs or [None] * len(self.blocks)), y, failures)
         if len(self.bufs) == 1:
             self._run(self.bufs[0], *args)
         else:
@@ -416,24 +417,24 @@ class _ChainTerms:
             _, _, message, cause = min(failures, key=lambda f: f[:2])
             raise NumericsError(message) from cause
 
-    def _run(self, buf, todo, y, steps, z, failures) -> None:
-        """Carry the blocks left in ``todo`` one by one through ``steps`` in
-        ``buf``; a block that fails stops, noting (step index, 0 for the
+    def _run(self, buf, todo, y, failures) -> None:
+        """Carry the (block, generator) pairs left in ``todo`` one by one
+        in ``buf``; a block that fails stops, noting (step index, 0 for the
         denoiser or 1 for the state, message, cause) in ``failures``."""
         x_buf, z_buf, hs, rs, clean, eps, upd = buf
         while True:
             with self.lock:
-                block = next(todo, None)
-            if block is None:
+                item = next(todo, None)
+            if item is None:
                 return
-            start, stop = block
+            (start, stop), rng = item
             b = stop - start
             chain = functools.partial(
                 self._denoise, start, x_buf[:b], z_buf[:b], [h[:b] for h in hs],
                 [r[:b] for r in rs], clean[:b], eps[:b])
             rows, guidance = y[start:stop], self.guidance[start:stop]
             step = upd[:b].reshape(rows.shape)
-            for j, (k, a_mul, b_mul, gamma) in enumerate(steps):
+            for j, (k, a_mul, b_mul, gamma) in enumerate(self.steps):
                 try:
                     eps_hat = denoiser_apply(rows, k, guidance, self.params, self.cfg,
                                              self.schedule, chain=chain)
@@ -443,7 +444,7 @@ class _ChainTerms:
                 rows *= a_mul
                 rows += np.multiply(b_mul, eps_hat, out=step)
                 if gamma > 0.0:
-                    rows += np.multiply(gamma, z[start:stop], out=step)
+                    rows += np.multiply(gamma, rng.standard_normal(out=step), out=step)
                 if not np.all(np.isfinite(rows)):
                     failures.append((j, 1, f"non-finite state after step {k}", None))
                     break
@@ -505,18 +506,13 @@ def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
     clean-state reconstruction y0 = (y - sqrt(1 - a) eps_hat) / sqrt(a),
     a = alpha[k_from], folded in.  What no step changes (``_ChainTerms``)
     is made once per call, and the rows go through in blocks, each block
-    through every step of a round with one denoiser call per step on its
-    rows, on the workers of ``_ChainTerms.run``; rows are independent, so
-    neither the order nor the worker changes a value.  A
-    deterministic chain is one round.  The chain is stochastic exactly
-    when it is given ``chain_rng``: each step is then a round of its own,
-    which first draws the step's ddpm-matching noise z for all rows."""
+    through every step with one denoiser call per step on its rows, in
+    one ``_ChainTerms.run``; rows are independent, so neither the order
+    nor the worker changes a value.  The chain is stochastic exactly when
+    it is given ``chain_rng``: block b of ``_ChainTerms.blocks`` then draws
+    its ddpm-matching noise z from child b of ``chain_rng.spawn``, so the
+    noise depends on the row count, and not on the workers."""
     y = np.array(y_init, dtype=np.float64)
     terms = _ChainTerms(guidance_rows, params, cfg, schedule, chain_rng is not None)
-    if chain_rng is None:
-        terms.run(y, terms.steps)
-    else:
-        for step in terms.steps:
-            gamma = step[-1]
-            terms.run(y, [step], chain_rng.standard_normal(y.shape) if gamma > 0.0 else None)
+    terms.run(y, None if chain_rng is None else chain_rng.spawn(len(terms.blocks)))
     return y

@@ -152,9 +152,9 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
 
     All windows share one reverse chain.  Window i draws from its own
     ``[seed, 23, i]`` generator: first the initial noise of its reverse
-    runs, then its Gaussian draws; a ``ddpm-matching`` chain draws its
-    noise from one ``[seed, 29]`` generator.  ``gts[i]`` is window i's
-    absolute future, or None when it is unknown (``gt-ade`` needs it).
+    runs, then its Gaussian draws; a ``ddpm-matching`` chain's row blocks
+    draw noise from children of one ``[seed, 29]`` generator.  ``gts[i]``
+    is window i's absolute future, or None if unknown (``gt-ade`` needs it).
 
     Given a list of ``strategies`` sharing ``protocol``'s other settings,
     returns one such list per strategy from one chain of the largest run

@@ -135,8 +135,8 @@ class Model:
         Window i draws its runs' initial noise from ``rngs[i]`` in run
         order, so with gamma = 0 its runs depend only on that generator's
         state, its own rows and the parameters.  Given ``chain_rng``, the
-        chain is stochastic (ddpm-matching) and draws the in-chain noise of
-        all rows from it, so the runs depend on its state too.
+        chain is stochastic (ddpm-matching): each row block draws its noise
+        from its own child of it, so runs depend on it and the row count.
         """
         if n_runs < 1:
             raise NumericsError("n_runs must be >= 1")

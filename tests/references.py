@@ -35,8 +35,8 @@ density and sampler are held to; ``gaussian_at`` reads one location's
 parameters from a field of raw statistics [N, T', 5] and ``stats_field``
 builds such a field from them.
 ``reverse_chain_steps`` is the reverse chain written out as its parts, the
-noise estimate, ``reconstruct_clean`` and ``posterior_step``, that the
-package's folded affine step is held to.
+noise estimate, ``reconstruct_clean`` and ``posterior_step``, one block of
+rows at a time, that the package's folded affine step is held to.
 ``synthesize_scenes_one_by_one`` steps each synthetic scene's walkers on
 their own, the generator the grouped ``data.synthesize_scenes`` is held to
 byte for byte, and ``write_benchmark_file_by_row`` formats each line with
@@ -49,7 +49,7 @@ import numpy as np
 
 from trajdiff import data, distribution, inference, training
 from trajdiff import numerics as nm
-from trajdiff.diffusion import denoiser_apply, step_embedding, transition
+from trajdiff.diffusion import _ChainTerms, denoiser_apply, step_embedding, transition
 from trajdiff.distribution import (LOG_2PI, RHO_CAP, SIGMA_FLOOR, STAT_CHANNELS,
                                    _center_mask, constrain_array)
 
@@ -860,16 +860,21 @@ def posterior_step(y_k, y0_hat, k_from: int, k_to: int, schedule,
 
 def reverse_chain_steps(y_init, guidance_rows, schedule, params, cfg,
                         chain_rng: np.random.Generator | None = None) -> np.ndarray:
-    """``diffusion.reverse_chain`` unfolded: per step the noise estimate,
-    its clean-state reconstruction and the transition, stochastic exactly
-    when given ``chain_rng``, from which it draws the same noise in the
-    same order."""
+    """``diffusion.reverse_chain`` unfolded: per block of the chain's rows
+    and per step the noise estimate, its clean-state reconstruction and
+    the transition, stochastic exactly when given ``chain_rng``; block b
+    draws its noise from child b of ``chain_rng.spawn``, in step order."""
     tau = schedule.tau.tolist()
-    y = np.asarray(y_init, dtype=np.float64)
-    for k_from, k_to in zip(tau[::-1], [*tau[:-1][::-1], 0]):
-        eps_hat = denoiser_apply(y, k_from, guidance_rows, params, cfg, schedule)
-        y0_hat = reconstruct_clean(y, eps_hat, k_from, schedule)
-        y = posterior_step(y, y0_hat, k_from, k_to, schedule, rng=chain_rng)
+    y = np.array(y_init, dtype=np.float64)
+    blocks = _ChainTerms(guidance_rows, params, cfg, schedule).blocks
+    rngs = [None] * len(blocks) if chain_rng is None else chain_rng.spawn(len(blocks))
+    for (start, stop), rng in zip(blocks, rngs):
+        rows, guidance = y[start:stop], guidance_rows[start:stop]
+        for k_from, k_to in zip(tau[::-1], [*tau[:-1][::-1], 0]):
+            eps_hat = denoiser_apply(rows, k_from, guidance, params, cfg, schedule)
+            y0_hat = reconstruct_clean(rows, eps_hat, k_from, schedule)
+            rows = posterior_step(rows, y0_hat, k_from, k_to, schedule, rng=rng)
+        y[start:stop] = rows
     return y
 
 

@@ -583,9 +583,21 @@ def _files_under(root):
     ("predict", ["--out", "missing/x.csv"], 2),
     ("predict", ["--out", "ok.csv", "--plot", "missing/x.svg"], 2),
     ("predict", ["--out", "ok.csv", "--plot", "a_file/x.svg"], 2),
+    ("eval", ["--out", "a_dir"], 2),
+    ("eval", ["--out", "a_dir/"], 2),
+    ("eval", ["--out", "summary.csv"], 2),
+    ("ablate", ["--out", "a_dir"], 2),
+    ("predict", ["--out", "a_dir"], 2),
+    ("predict", ["--out", "ok.csv", "--plot", "a_dir"], 2),
+    ("eval", ["--out", ""], 2),
+    ("predict", ["--out", ""], 2),
+    ("predict", ["--out", "ok.csv", "--plot", ""], 2),
 ], ids=["eval-missing-dir", "eval-dir-is-a-file", "eval-out-is-its-summary",
         "ablate-missing-dir", "predict-missing-dir", "predict-plot-missing-dir",
-        "predict-plot-dir-is-a-file"])
+        "predict-plot-dir-is-a-file", "eval-out-is-a-dir", "eval-out-is-a-dir-slash",
+        "eval-summary-is-a-dir", "ablate-out-is-a-dir", "predict-out-is-a-dir",
+        "predict-plot-is-a-dir", "eval-out-empty", "predict-out-empty",
+        "predict-plot-empty"])
 def test_bad_destination_is_refused_before_the_checkpoint_is_read(
         tmp_path, capsys, monkeypatch, command, outputs, code):
     def unread(*args, **kw):
@@ -594,6 +606,8 @@ def test_bad_destination_is_refused_before_the_checkpoint_is_read(
     monkeypatch.setattr(checkpoint, "load_container", unread)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "summary.json").mkdir()
     (tmp_path / "input.txt").write_text("0 1 0.0 0.0\n")
     argv = [command, "--checkpoint", "model.tjdf", *outputs]
     argv += {"eval": ["--data", "synthetic"], "ablate": ["--data", "synthetic", "--axis", "steps"],

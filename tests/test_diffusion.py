@@ -594,11 +594,14 @@ class TestChainTerms:
             chains[n] = dff.reverse_chain(*args, _chain_rng(gamma_mode))
         assert chains[2].tobytes() == chains[1].tobytes()
 
-    def test_more_workers_than_cores_equal_one_worker(self, chain_workers, monkeypatch):
-        # eight workers on eight threads, switching often: each writes only its blocks
+    @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
+    def test_more_workers_than_cores_equal_one_worker(self, chain_workers, monkeypatch,
+                                                      gamma_mode):
+        # eight workers on eight threads, switching often: each writes only
+        # its blocks, with its blocks' noise
         args = (*self._inputs(5440), self.CFG.schedule(), self._params(), self.CFG)
         chain_workers(1)
-        one = dff.reverse_chain(*args)
+        one = dff.reverse_chain(*args, _chain_rng(gamma_mode))
         chain_workers(8)
         pool = futures.ThreadPoolExecutor(8)
         monkeypatch.setattr(dff, "_pool", lambda: pool)
@@ -606,7 +609,7 @@ class TestChainTerms:
         sys.setswitchinterval(1e-6)
         try:
             assert len(dff._ChainTerms(args[1], args[3], self.CFG, args[2]).bufs) == 8
-            eight = dff.reverse_chain(*args)
+            eight = dff.reverse_chain(*args, _chain_rng(gamma_mode))
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
@@ -631,7 +634,8 @@ class TestChainTerms:
     def _first_step(self, y_init, g, params, sched):
         """The state after the chain's first step, run by ``_ChainTerms.run``."""
         terms, y = dff._ChainTerms(g, params, self.CFG, sched), np.array(y_init)
-        terms.run(y, terms.steps[:1])
+        terms.steps = terms.steps[:1]
+        terms.run(y)
         return y
 
     def test_a_slow_worker_leaves_its_blocks_to_the_others(self, chain_workers,
@@ -740,10 +744,11 @@ class TestChainTerms:
             dff.reverse_chain(y_init, g, sched, self._params(), self.CFG)
 
     @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
-    def test_a_chain_submits_one_pool_task_per_worker_and_round(self, chain_workers,
-                                                                monkeypatch, gamma_mode):
-        # 1,360 rows, 100 steps on 2 workers: a deterministic chain is one
-        # round; a stochastic one is a round and one noise draw per step
+    def test_a_chain_submits_one_pool_task_per_worker(self, chain_workers, monkeypatch,
+                                                      gamma_mode):
+        # 1,360 rows, 100 steps on 2 workers: either chain is one round; a
+        # stochastic one spawns one generator per block, and each block
+        # draws its own noise at every step
         sched, params = self.CFG.schedule(), self._params()
         steps = len(sched.tau)
         assert steps == 100
@@ -756,22 +761,31 @@ class TestChainTerms:
                 return pool.submit(*task)
 
         class Drawn:
-            """The chain's generator, recording every draw."""
-            def __init__(self):
-                self.rng, self.draws = np.random.default_rng(1), []
+            """A generator that records every call made of it; its children
+            record theirs too."""
+            def __init__(self, rng):
+                self.rng, self.calls, self.children = rng, [], []
 
-            def standard_normal(self, shape):
-                self.draws.append(self.rng.standard_normal(shape))
-                return self.draws[-1]
+            def spawn(self, n):
+                self.calls.append("spawn")
+                self.children = [Drawn(child) for child in self.rng.spawn(n)]
+                return self.children
+
+            def standard_normal(self, *, out):
+                self.calls.append(out.shape)
+                return self.rng.standard_normal(out=out)
 
         monkeypatch.setattr(dff, "_pool", Counted)
-        for rows, tasks in ((1360, 2), (512, 0)):   # 512 rows run on the calling thread
+        for rows, tasks, blocks in ((1360, 2, 4), (512, 0, 1)):   # 512 rows: the calling thread
             submitted.clear()
-            rng = Drawn() if gamma_mode == "ddpm-matching" else None
+            rng = Drawn(np.random.default_rng(1)) if gamma_mode == "ddpm-matching" else None
             dff.reverse_chain(*self._inputs(rows), sched, params, self.CFG, rng)
-            assert submitted == ["_run"] * tasks * (1 if rng is None else steps)
-            # the jump to alpha = 1 draws none
-            assert rng is None or [z.shape for z in rng.draws] == [(rows, 12, 5)] * (steps - 1)
+            assert submitted == ["_run"] * tasks
+            if rng is not None:
+                assert rng.calls == ["spawn"] and len(rng.children) == blocks
+                # the jump to alpha = 1 draws none
+                assert [child.calls for child in rng.children] == [
+                    [(rows // blocks, 12, 5)] * (steps - 1)] * blocks
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("faults, message", [
