@@ -252,26 +252,31 @@ def _config(args, cls, section: str):
         raise UsageError(str(exc)) from None
 
 
-def _load_tracks(args, scene: str | None = None) -> list[data.RawTrack]:
-    """Tracks from the data source; from a directory, only ``scene``'s file
-    when one is named."""
+def _data_files(args, scene: str | None = None) -> list[str]:
+    """The benchmark files the data source names, none for ``synthetic``;
+    from a directory, only ``scene``'s file when one is named."""
     source = args.data if args.data is not None else os.environ.get(ENV_DATA_DIR)
     if source is None:
         raise UsageError("no data source: pass --data, set it in the config, "
                          f"or export {ENV_DATA_DIR}")
     if source == "synthetic":
-        return data.synthesize_scenes(_config(args, data.SynthConfig, "synth"))
+        return []
     if not os.path.isdir(source):
         raise data.DataError(f"data directory {source} does not exist")
     names = ([f"{scene}.txt"] if scene is not None
              else sorted(n for n in os.listdir(source) if n.endswith(".txt")))
-    tracks = []
-    for name in names:
-        tracks.extend(data.ingest_benchmark_file(os.path.join(source, name),
-                                                 os.path.splitext(name)[0]))
-    if not tracks and scene is None:    # _scene_windows names an empty scene
+    if not names:
         raise data.DataError(f"no .txt benchmark files under {source}")
-    return tracks
+    return [os.path.join(source, name) for name in names]
+
+
+def _load_tracks(args, scene: str | None = None) -> list[data.RawTrack]:
+    """Tracks from the files ``_data_files`` names, or the synthetic scenes."""
+    paths = _data_files(args, scene)
+    if not paths:
+        return data.synthesize_scenes(_config(args, data.SynthConfig, "synth"))
+    return [t for path in paths for t in data.ingest_benchmark_file(
+        path, os.path.splitext(os.path.basename(path))[0])]
 
 
 def _scene_windows(args, model_cfg: ModelConfig, test_side: bool) -> dict[str, list]:
@@ -356,15 +361,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args, *outputs) -> tuple[Model, str]:
+def _load_model(args, outputs, inputs=()) -> tuple[Model, str]:
     """The checkpoint's model and the hash of the bytes it was read from,
-    read only once each output given is a file path in a directory."""
+    read only once each output given is a file path in a directory, and
+    none of the checkpoint, ``--config``, ``inputs`` or the other outputs."""
+    used = {os.path.realpath(p): p for p in (args.checkpoint, args.config, *inputs) if p}
     for path in (p for p in outputs if p is not None):
         parent = os.path.dirname(path) or "."
         if not path or os.path.isdir(path):
             raise data.DataError(f"cannot write {path!r}: not a file path")
         if not os.path.isdir(parent):
             raise data.DataError(f"cannot write {path}: {parent} is not a directory")
+        if (real := os.path.realpath(path)) in used:
+            raise UsageError(f"output {path} is {used[real]}, "
+                             "which the command also reads or writes")
+        used[real] = path
     meta, arrays, ckpt_hash = checkpoint.load_container(args.checkpoint)
     mdl, _meta, _rest = Model.from_container(meta, arrays, args.checkpoint)
     return mdl, ckpt_hash
@@ -374,7 +385,8 @@ def cmd_eval(args) -> int:
     json_path = os.path.splitext(args.out or "")[0] + ".json"
     if json_path == args.out:
         raise UsageError(f"--out {args.out} is its own JSON summary path")
-    mdl, ckpt_hash = _load_model(args, args.out, args.out and json_path)
+    mdl, ckpt_hash = _load_model(args, (args.out, args.out and json_path),
+                                 _data_files(args, args.test_scene))
     protocol = _protocol(args, mdl)
     report = inference.evaluate_scenes(mdl, _scene_windows(args, mdl.config, True),
                                        protocol)
@@ -403,8 +415,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    mdl, ckpt_hash = _load_model(args, args.out)
+    mdl, ckpt_hash = _load_model(args, (args.out,), _data_files(args, args.test_scene))
     protocol = _protocol(args, mdl)
+    # the steps and gamma axes: one evaluation per changed protocol setting
+    sweep = ({f"S={s}": {"steps": s} for s in (10, 25, 50, 100) if s <= mdl.schedule.K}
+             if args.axis == "steps" else {m: {"gamma_mode": m} for m in GAMMA_MODES})
+    if not sweep:
+        raise UsageError(f"--axis steps sweeps S of 10 to 100, all above K={mdl.schedule.K}")
     windows = [w for ws in _scene_windows(args, mdl.config, True).values()
                for w in ws]
     if args.axis == "sampling":
@@ -413,9 +430,6 @@ def cmd_ablate(args) -> int:
             mdl, windows, protocol, [replace(protocol.strategy, kind=k) for k in kinds])
         rows = [("sampling", kind, r) for kind, r in zip(kinds, reports)]
     else:
-        # the steps and gamma axes: one evaluation per changed protocol setting
-        sweep = ({f"S={s}": {"steps": s} for s in (10, 25, 50, 100) if s <= mdl.schedule.K}
-                 if args.axis == "steps" else {m: {"gamma_mode": m} for m in GAMMA_MODES})
         rows = [(args.axis, setting,
                  inference.evaluate_windows(mdl, windows, replace(protocol, **change)))
                 for setting, change in sweep.items()]
@@ -434,7 +448,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    mdl, ckpt_hash = _load_model(args, args.out, args.plot)
+    mdl, ckpt_hash = _load_model(args, (args.out, args.plot), (args.input,))
     protocol = _protocol(args, mdl)
     scene = os.path.splitext(os.path.basename(args.input))[0]
     tracks = data.ingest_benchmark_file(args.input, scene)

@@ -89,19 +89,18 @@ class Model:
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  norm: distribution.NormStats | None = None):
         """``params``, arrays by every name of ``config.param_layout()``,
-        are copied into the model's flat buffer, of their dtype (the
-        widest, if they differ); the schedule is ``config.schedule()``."""
+        are copied into the flat buffer, of their dtype (the widest, if they
+        differ): ``spans`` holds each name's slice of it (sorted name order),
+        ``params`` its view (layout order).  The schedule is ``config.schedule()``."""
         self.config = config
-        self._shapes = {k: shape for k, (shape, _) in config.param_layout().items()}
+        layout = config.param_layout()
         self.spans, end = {}, 0
-        for k in sorted(self._shapes):
-            self.spans[k] = slice(end, end + math.prod(self._shapes[k]))
+        for k in sorted(layout):
+            self.spans[k] = slice(end, end + math.prod(layout[k][0]))
             end = self.spans[k].stop
-        dtype = np.result_type(*{params[k].dtype for k in self.spans})
-        self.flat = np.empty(end, dtype=dtype)
-        self.params = self.views(self.flat)
-        for k, view in self.params.items():
-            view[...] = params[k]
+        self.flat = np.concatenate([np.ravel(params[k]) for k in self.spans])
+        self.params = {k: self.flat[self.spans[k]].reshape(shape)
+                       for k, (shape, _) in layout.items()}
         self.schedule = config.schedule()
         self.norm = norm or distribution.NormStats.identity()
 
@@ -111,19 +110,11 @@ class Model:
         rng = np.random.default_rng([seed, 0xA11CE])
         return cls(config, nm.init_params(config.param_layout(), rng, dtype))
 
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's view, by name in layout order, into ``flat``, an
-        array laid out as the parameter buffer."""
-        return {k: flat[self.spans[k]].reshape(shape) for k, shape in self._shapes.items()}
-
     def n_parameters(self) -> int:
         return self.flat.size
 
     def encode(self, windows) -> np.ndarray:
         return guidance.encode_windows(windows, self.params, self.config)
-
-    def convert(self, future) -> np.ndarray:
-        return distribution.convert_trajectory(future, self.params)
 
     def generate(self, windows, rngs: list[np.random.Generator], n_runs: int = 1,
                  steps: int | None = None,

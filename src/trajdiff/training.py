@@ -204,37 +204,31 @@ def draw_step_noise(window_sizes, schedule, rng, t_future: int, channels: int = 
 class AdamState:
     """First-order adaptive-moment optimizer state, checkpointable.
 
-    It holds the step count and both moments, the moments in flat buffers
-    laid out as the model's parameter buffer (sorted name order), so an
-    optimizer group whose names share a prefix (``den.`` for the denoiser
-    refreshes) is one contiguous slice and an update is a few vector
-    operations on it.
+    The step count ``t`` and the moments ``m`` and ``v``, flat buffers laid
+    out as the model's parameter buffer (sorted name order), so an optimizer
+    group whose names share a prefix (``den.`` for the denoiser refreshes) is
+    one contiguous slice and an update is a few vector operations on it.  A
+    checkpoint stores them whole (``arrays``), its ``param.*`` their layout.
     """
 
     def __init__(self, model: Model):
-        self._m = np.zeros_like(model.flat)
-        self._v = np.zeros_like(model.flat)
+        self.m = np.zeros_like(model.flat)
+        self.v = np.zeros_like(model.flat)
         # scratch for one update: the clipped gradient, two temporaries
         # and the squared gradient in float64 for the norm
         self._g, self._a, self._b = (np.empty_like(model.flat) for _ in range(3))
         self._sq = np.empty(model.flat.size, dtype=np.float64)
-        self.m, self.v = model.views(self._m), model.views(self._v)
         self.t = 0
 
     def arrays(self) -> dict[str, np.ndarray]:
-        out = {"adam.t": np.array([self.t], dtype=np.int64)}
-        for k in self.m:
-            out[f"adam.m.{k}"] = self.m[k]
-            out[f"adam.v.{k}"] = self.v[k]
-        return out
+        return {"adam.t": np.array([self.t], dtype=np.int64), "adam.m": self.m,
+                "adam.v": self.v}
 
     @classmethod
     def from_arrays(cls, model: Model, arrays):
         state = cls(model)
         state.t = int(arrays["adam.t"][0])
-        for k in state.m:
-            state.m[k][...] = arrays[f"adam.m.{k}"]
-            state.v[k][...] = arrays[f"adam.v.{k}"]
+        state.m[...], state.v[...] = arrays["adam.m"], arrays["adam.v"]
         return state
 
 
@@ -264,7 +258,7 @@ def adam_update(model: Model, grads: dict[str, np.ndarray], state: AdamState,
     bc2 = 1.0 - ADAM_BETA2 ** t
     # step = lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation rounded
     # as the expression would round it, without allocating
-    m, v = state._m[sl], state._v[sl]
+    m, v = state.m[sl], state.v[sl]
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
     v *= ADAM_BETA2
@@ -360,7 +354,7 @@ def freeze_normalization(model: Model, windows) -> NormStats:
     raws = []
     for i in range(0, len(windows), NORM_CHUNK):
         fut = np.concatenate([w.future for w in windows[i:i + NORM_CHUNK]], axis=0)
-        raws.append(model.convert(fut))
+        raws.append(distribution.convert_trajectory(fut, model.params))
     return NormStats.from_raw(np.concatenate(raws, axis=0))
 
 
@@ -411,11 +405,12 @@ def _resume(path, record: dict, model_cfg: ModelConfig | None,
     """The model, optimizer state and log rows (but ``wall_ms``) a
     checkpoint continues from.  A ``train_step`` that is not a step count,
     a ``log`` that is not the rows of steps 1 to it, or ``adam.*`` arrays
-    whose names, shapes or dtypes differ from the config's layout, raise
-    ``ContainerError``; a config that differs from ``model_cfg`` (unless
-    None), a checkpoint at or past the run's ``total_steps``, no run record
-    or log, or a record that differs from ``record``, on the checkpoint (a
-    finished run's holds none) or on ``log_path``, raises ``ResumeError``."""
+    but an int64 ``adam.t`` and float ``adam.m`` and ``adam.v`` of the flat
+    parameter shape, raise ``ContainerError``; a config that differs from
+    ``model_cfg`` (unless None), a checkpoint at or past the run's
+    ``total_steps``, no run record or log, or a record that differs from
+    ``record``, on the checkpoint (a finished run's holds none) or on
+    ``log_path``, raises ``ResumeError``."""
     mdl, meta, rest = Model.load(path)
     if model_cfg is not None:
         _check_same(path, "model", asdict(mdl.config), asdict(model_cfg))
@@ -434,10 +429,9 @@ def _resume(path, record: dict, model_cfg: ModelConfig | None,
                     and {type(v) for v in r[1:]} <= {int, float}
                     for n, r in enumerate(rows, 1))):
         raise ContainerError(f"{path}: log is not the rows of steps 1 to {step}")
-    shapes = {"adam.t": (1,)}
-    for k, (shape, _) in mdl.config.param_layout().items():
-        shapes[f"adam.m.{k}"] = shapes[f"adam.v.{k}"] = shape
-    check_layout(path, rest, "adam.", shapes, ints=("adam.t",))
+    flat = mdl.flat.shape
+    check_layout(path, rest, "adam.", {"adam.t": (1,), "adam.m": flat, "adam.v": flat},
+                 ints=("adam.t",))
     if os.path.exists(log_path):
         _check_same(log_path, "run", _logged_run(log_path), record)
     return mdl, AdamState.from_arrays(mdl, rest), rows

@@ -210,11 +210,11 @@ class TestResume:
         elif case == "no-train-step":
             del meta["train_step"]
         elif case == "adam-shape":
-            arrays["adam.m.den.out.b"] = np.zeros(3, dtype=np.float32)
+            arrays["adam.m"] = arrays["adam.m"][:-3]
         elif case == "adam-m-int":
-            arrays["adam.m.den.out.b"] = arrays["adam.m.den.out.b"].astype(np.int64)
+            arrays["adam.m"] = arrays["adam.m"].astype(np.int64)
         elif case == "adam-v-byte":
-            arrays["adam.v.den.in.w"] = arrays["adam.v.den.in.w"].astype(np.uint8)
+            arrays["adam.v"] = arrays["adam.v"].astype(np.uint8)
         else:
             arrays["adam.t"] = arrays["adam.t"].astype(np.float64)
         bad = tmp_path / "bad.tjdf"
@@ -302,14 +302,37 @@ class TestResume:
                          "--out", str(out)]) == 0
         _, arrays, _ = checkpoint.load_container(out / "model.tjdf")
         assert arrays and all(k.startswith("param.") for k in arrays)
-        layout = Model.load(out / "model.tjdf")[0].config.param_layout()
-        shapes = {"adam.t": (1,), **{f"adam.{mv}.{k}": shape for mv in "mv"
-                                     for k, (shape, _) in layout.items()}}
+        params = set(arrays)
+        flat = Model.load(out / "model.tjdf")[0].flat.shape
+        shapes = {"adam.t": (1,), "adam.m": flat, "adam.v": flat}
         ckpts = sorted(out.glob("ckpt_*.tjdf"))
         assert [p.name for p in ckpts] == [f"ckpt_00000{i}.tjdf" for i in (1, 2, 3)]
         for path in ckpts:
             _, arrays, _ = checkpoint.load_container(path)
             checkpoint.check_layout(path, arrays, "adam.", shapes, ints=("adam.t",))
+            assert set(arrays) == params | set(shapes)
+
+    def test_per_name_moments_are_refused_with_nothing_written(self, mid_run, tmp_path,
+                                                               capsys):
+        # a mid-run checkpoint of the per-name layout, adam.m.<name> and
+        # adam.v.<name>, resumed into a copy of its run's directory
+        meta, arrays, _ = checkpoint.load_container(mid_run / "ckpt_000002.tjdf")
+        mdl = Model.from_container(meta, arrays, "ckpt")[0]
+        opt = training.AdamState.from_arrays(mdl, arrays)
+        old = tmp_path / "per_name.tjdf"
+        checkpoint.save_container(old, meta, {
+            **{k: a for k, a in arrays.items() if not k.startswith("adam.")},
+            **_per_name_adam_arrays(mdl, opt)})
+        out = tmp_path / "run"
+        out.mkdir()
+        for p in mid_run.iterdir():
+            (out / p.name).write_bytes(p.read_bytes())
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rc = cli.main(["train", *RESUME_ARGS, "--out", str(out), "--resume", str(old)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "adam.m has shape None" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_finished_run_is_usage_error(self, mid_run, tmp_path, capsys):
         out = tmp_path / "again"
@@ -592,12 +615,31 @@ def _files_under(root):
     ("eval", ["--out", ""], 2),
     ("predict", ["--out", ""], 2),
     ("predict", ["--out", "ok.csv", "--plot", ""], 2),
+    ("predict", ["--out", "model.tjdf"], 1),
+    ("predict", ["--out", "input.txt"], 1),
+    ("predict", ["--out", "ok.csv", "--plot", "./input.txt"], 1),
+    ("predict", ["--out", "p.csv", "--plot", "p.csv"], 1),
+    ("predict", ["--out", "p.csv", "--plot", "a_dir/../p.csv"], 1),
+    ("predict", ["--out", "ok.csv", "--plot", "link.svg"], 1),
+    ("predict", ["--config", "c.ini", "--out", "c.ini"], 1),
+    ("eval", ["--out", "model.tjdf"], 1),
+    ("eval", ["--out", "model.csv", "--checkpoint", "model.json"], 1),
+    ("eval", ["--out", "scenes/s1.txt", "--data", "scenes"], 1),
+    ("eval", ["--out", "scenes/s2.csv", "--data", "scenes"], 1),
+    ("ablate", ["--out", "scenes/s1.txt", "--data", "scenes", "--test-scene", "s1"], 1),
+    ("ablate", ["--out", "model.tjdf"], 1),
 ], ids=["eval-missing-dir", "eval-dir-is-a-file", "eval-out-is-its-summary",
         "ablate-missing-dir", "predict-missing-dir", "predict-plot-missing-dir",
         "predict-plot-dir-is-a-file", "eval-out-is-a-dir", "eval-out-is-a-dir-slash",
         "eval-summary-is-a-dir", "ablate-out-is-a-dir", "predict-out-is-a-dir",
         "predict-plot-is-a-dir", "eval-out-empty", "predict-out-empty",
-        "predict-plot-empty"])
+        "predict-plot-empty", "predict-out-is-the-checkpoint", "predict-out-is-the-input",
+        "predict-plot-is-the-input", "predict-plot-is-the-out",
+        "predict-plot-is-the-out-by-another-path", "predict-plot-links-to-the-input",
+        "predict-out-is-the-config", "eval-out-is-the-checkpoint",
+        "eval-summary-is-the-checkpoint", "eval-out-is-a-data-file",
+        "eval-summary-links-to-a-data-file", "ablate-out-is-the-test-scene-file",
+        "ablate-out-is-the-checkpoint"])
 def test_bad_destination_is_refused_before_the_checkpoint_is_read(
         tmp_path, capsys, monkeypatch, command, outputs, code):
     def unread(*args, **kw):
@@ -609,15 +651,31 @@ def test_bad_destination_is_refused_before_the_checkpoint_is_read(
     (tmp_path / "a_dir").mkdir()
     (tmp_path / "summary.json").mkdir()
     (tmp_path / "input.txt").write_text("0 1 0.0 0.0\n")
-    argv = [command, "--checkpoint", "model.tjdf", *outputs]
-    argv += {"eval": ["--data", "synthetic"], "ablate": ["--data", "synthetic", "--axis", "steps"],
+    (tmp_path / "model.tjdf").write_bytes(b"TJDF checkpoint bytes")
+    (tmp_path / "model.json").write_bytes(b"TJDF checkpoint bytes")
+    (tmp_path / "c.ini").write_text("[protocol]\nseed = 3\n")
+    (tmp_path / "scenes").mkdir()
+    for scene in ("s1", "s2"):
+        (tmp_path / "scenes" / f"{scene}.txt").write_text(f"0 1 0.0 0.0 {scene}\n")
+    (tmp_path / "link.svg").symlink_to(tmp_path / "input.txt")
+    (tmp_path / "scenes" / "s2.json").symlink_to(tmp_path / "scenes" / "s2.txt")
+    argv = [command, *outputs]
+    if "--checkpoint" not in argv:
+        argv += ["--checkpoint", "model.tjdf"]
+    argv += {"eval": [] if "--data" in argv else ["--data", "synthetic"],
+             "ablate": ["--axis", "steps"] + ([] if "--data" in argv
+                                               else ["--data", "synthetic"]),
              "predict": ["--input", "input.txt"]}[command]
-    before = _files_under(tmp_path)
+    before = {p: (tmp_path / p).read_bytes() for p in _files_under(tmp_path)}
     assert cli.main(argv) == code
     err = capsys.readouterr().err
-    assert ("usage error: --out m.json is its own JSON summary path" if code == 1
-            else "data error: cannot write") in err
-    assert _files_under(tmp_path) == before
+    if code == 2:
+        assert "data error: cannot write" in err
+    elif outputs == ["--out", "m.json"]:
+        assert "usage error: --out m.json is its own JSON summary path" in err
+    else:
+        assert "usage error: output" in err and "which the command also reads or writes" in err
+    assert {p: (tmp_path / p).read_bytes() for p in _files_under(tmp_path)} == before
 
 
 def test_test_scene_reads_only_its_file(trained, tmp_path, capsys):
@@ -1048,6 +1106,28 @@ class TestAblate:
                              "--scenes", "2", "--peds", "3", "--frames", "30"]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_steps_axis_below_every_swept_step_is_usage_error(self, trained, tmp_path,
+                                                              capsys, monkeypatch):
+        # a K = 8 checkpoint has no S of 10, 25, 50 or 100 to sweep: refused
+        # once it is read, before any data is read or anything written
+        ckpt, _ = trained
+        meta, arrays, _ = checkpoint.load_container(ckpt)
+        meta["config"].update(k_total=8, steps=8, beta_end=0.6)
+        short = tmp_path / "k8.tjdf"
+        checkpoint.save_container(short, meta, arrays)
+
+        def unread(*args, **kw):
+            raise AssertionError("data was read")
+        monkeypatch.setattr(data, "synthesize_scenes", unread)
+        monkeypatch.setattr(data, "ingest_benchmark_file", unread)
+        out = tmp_path / "st.csv"
+        rc = cli.main(["ablate", "--checkpoint", str(short), "--data", "synthetic",
+                       "--axis", "steps", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "K=8" in err
+        assert sorted(os.listdir(tmp_path)) == ["k8.tjdf"]
+
     def test_unknown_axis_is_usage_error(self, trained):
         ckpt, _ = trained
         assert cli.main(["ablate", "--checkpoint", str(ckpt),
@@ -1333,15 +1413,23 @@ class TestPredict:
         assert out.read_bytes() == ref.read_bytes()
 
 
+def _per_name_adam_arrays(mdl, opt):
+    """``opt`` in the older per-name layout: ``adam.t`` and each parameter's
+    span of the moment buffers as ``adam.m.<name>`` and ``adam.v.<name>``."""
+    return {"adam.t": np.array([opt.t], dtype=np.int64),
+            **{f"adam.{mv}.{k}": getattr(opt, mv)[mdl.spans[k]].reshape(p.shape)
+               for mv in ("m", "v") for k, p in mdl.params.items()}}
+
+
 def _with_adam_arrays(src, dst):
     """``src`` rewritten as a final model of the older format, which also
-    carried the Adam state."""
+    carried the Adam state, per name."""
     meta, arrays, _ = checkpoint.load_container(src)
-    opt = training.AdamState(Model.from_container(meta, arrays, src)[0])
+    mdl = Model.from_container(meta, arrays, src)[0]
+    opt = training.AdamState(mdl)
     opt.t = meta["train_step"]
-    for k in opt.m:
-        opt.m[k][...], opt.v[k][...] = 0.25, 0.5
-    checkpoint.save_container(dst, meta, {**arrays, **opt.arrays()})
+    opt.m[...], opt.v[...] = 0.25, 0.5
+    checkpoint.save_container(dst, meta, {**arrays, **_per_name_adam_arrays(mdl, opt)})
     return dst
 
 

@@ -536,6 +536,16 @@ class TestChainTerms:
 
     CFG = ModelConfig()
 
+    def test_a_float64_scalar_widens_a_float32_product(self):
+        # each step's B is a np.float64 scalar so that the chain's
+        # np.multiply(B, eps_hat, out=step) is a float64 product: NEP 50
+        # promotion, numpy's default from 2.0 (1.x's value-based casting
+        # made it float32), which pyproject.toml's numpy floor requires
+        eps_hat = np.full(3, 0.1, np.float32)
+        assert (np.float64(-0.3) * eps_hat).dtype == np.float64
+        assert np.multiply(np.float64(-0.3), eps_hat).dtype == np.float64
+        assert (-0.3 * eps_hat).dtype == np.float32
+
     @staticmethod
     def _params(cfg=CFG):
         # every parameter non-zero, so each term of the split input layer

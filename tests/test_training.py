@@ -512,8 +512,8 @@ class TestFlatAdam:
             assert opt.t == step
         for k in ref:
             assert mdl.params[k].tobytes() == ref[k].tobytes()
-            assert opt.m[k].tobytes() == m[k].tobytes()
-            assert opt.v[k].tobytes() == v[k].tobytes()
+            assert opt.m[mdl.spans[k]].tobytes() == m[k].tobytes()
+            assert opt.v[mdl.spans[k]].tobytes() == v[k].tobytes()
 
     def test_arrays_round_trip(self):
         mdl = Model.initialize(MICRO, 6)
@@ -521,13 +521,25 @@ class TestFlatAdam:
         grads = {k: np.full(p.shape, 0.5, np.float32) for k, p in mdl.params.items()}
         training.adam_update(mdl, grads, opt, 1e-3)
         arrays = opt.arrays()
-        assert set(arrays) == {"adam.t"} | {f"adam.{s}.{k}" for s in "mv"
-                                            for k in mdl.params}
+        assert set(arrays) == {"adam.t", "adam.m", "adam.v"}
         back = training.AdamState.from_arrays(mdl, arrays)
         assert back.t == 1
         for name, arr in back.arrays().items():
             assert arr.shape == arrays[name].shape
             assert arr.tobytes() == arrays[name].tobytes()
+
+    def test_arrays_are_the_state_buffers(self):
+        # exactly three arrays, the moments the state's own flat buffers on
+        # the parameter layout, so a checkpoint save copies nothing first
+        mdl = Model.initialize(MICRO, 6)
+        opt = training.AdamState(mdl)
+        arrays = opt.arrays()
+        assert list(arrays) == ["adam.t", "adam.m", "adam.v"]
+        assert np.shares_memory(arrays["adam.m"], opt.m)
+        assert np.shares_memory(arrays["adam.v"], opt.v)
+        assert opt.m.shape == opt.v.shape == mdl.flat.shape
+        assert opt.m.dtype == opt.v.dtype == mdl.flat.dtype
+        assert arrays["adam.t"].dtype == np.int64 and arrays["adam.t"].tolist() == [0]
 
     def test_non_contiguous_group_rejected(self):
         mdl = Model.initialize(MICRO, 6)
@@ -600,12 +612,20 @@ class TestParameterBuffer:
         cfg = training.TrainConfig(batch_size=4, epochs=3, seed=0, checkpoint_every=2)
         training.fit(_windows(), cfg, MICRO, out_dir=str(tmp_path))
         record = training._run_record(_windows(), cfg, total_steps=3, freeze_at=1)
-        mdl, opt, rows = training._resume(str(tmp_path / "ckpt_000002.tjdf"), record, MICRO,
+        path = tmp_path / "ckpt_000002.tjdf"
+        mdl, opt, rows = training._resume(str(path), record, MICRO,
                                           str(tmp_path / "training_log.csv"))
         assert [row[0] for row in rows] == [1, 2]
         self._assert_views(mdl)
+        # each parameter's moments are its span of the state's flat buffers,
+        # with the bytes the checkpoint stored
+        _, saved, _ = checkpoint.load_container(path)
+        assert opt.m.shape == opt.v.shape == mdl.flat.shape
         for k in mdl.params:
-            assert np.shares_memory(opt.m[k], opt._m) and np.shares_memory(opt.v[k], opt._v)
+            for mv in ("m", "v"):
+                span = getattr(opt, mv)[mdl.spans[k]]
+                assert np.shares_memory(span, opt.arrays()[f"adam.{mv}"])
+                assert span.tobytes() == saved[f"adam.{mv}"][mdl.spans[k]].tobytes()
 
 
 class TestObjectiveGradients:
