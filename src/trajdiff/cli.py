@@ -187,13 +187,16 @@ def _config_keys(parser) -> dict[str, dict[str, argparse.Action]]:
 
 def _config_flags(path, command: str) -> list[str]:
     """The settings ``command`` reads from the INI file ``path``, as flags:
-    the keys of its own settings flags.  Other commands' keys are skipped,
-    and a key that no command has is a usage error."""
-    cp = configparser.ConfigParser()
+    the keys of its own settings flags, with values taken as written.
+    Other commands' keys are skipped, and a key that no command has, a
+    ``[DEFAULT]`` key among them, is a usage error."""
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         if not cp.read(path):
             raise UsageError(f"config file {path} not found")
-        items = [(s, k, v) for s in cp.sections() for k, v in cp.items(s)]
+        # the [DEFAULT] keys come first, so one is refused before a section inherits it
+        items = [(cp.default_section, k, v) for k, v in cp.defaults().items()]
+        items += [(s, k, v) for s in cp.sections() for k, v in cp.items(s)]
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}") from None
     keys = _config_keys(build_parser())
@@ -303,12 +306,12 @@ def _scene_windows(args, model_cfg: ModelConfig, test_side: bool) -> dict[str, l
     return by_scene
 
 
-def _write_csv(path, ckpt_hash: str, protocol: inference.EvalProtocol, desc: str,
-               header: str, body: str) -> None:
+def _write_csv(path, ckpt_hash: str, protocol: inference.EvalProtocol, header: str,
+               body: str) -> None:
     """``body`` is the rows, each ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# checkpoint: {ckpt_hash}\n# seed: {protocol.seed}\n"
-                 f"# protocol: {desc}\n{header}\n{body}")
+                 f"# protocol: {_protocol_desc(protocol)}\n{header}\n{body}")
 
 
 def _protocol(args, mdl: Model) -> inference.EvalProtocol:
@@ -391,7 +394,6 @@ def cmd_eval(args) -> int:
     report = inference.evaluate_scenes(mdl, _scene_windows(args, mdl.config, True),
                                        protocol)
 
-    desc = _protocol_desc(protocol)
     print(f"{'scene':<12} {'ADE/FDE':>14} {'windows':>8} {'peds':>6}")
     rows = []
     for scene, r in report["scenes"].items():
@@ -404,10 +406,10 @@ def cmd_eval(args) -> int:
         rows.append(f"AVG,{protocol.strategy.kind},{report['avg']['ade']:.6f},"
                     f"{report['avg']['fde']:.6f},,\n")
     if args.out:
-        _write_csv(args.out, ckpt_hash, protocol, desc,
+        _write_csv(args.out, ckpt_hash, protocol,
                    "scene,n_protocol,ade,fde,windows,pedestrians", "".join(rows))
-        summary = {"checkpoint": ckpt_hash, "seed": protocol.seed, "protocol": desc,
-                   "report": report}
+        summary = {"checkpoint": ckpt_hash, "seed": protocol.seed,
+                   "protocol": _protocol_desc(protocol), "report": report}
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         print(f"metrics written to {args.out} (summary: {json_path})")
@@ -441,8 +443,8 @@ def cmd_ablate(args) -> int:
         csv_rows.append(f"{axis},{setting},{r['ade']:.6f},{r['fde']:.6f},"
                         f"{r['windows']},{r['pedestrians']}\n")
     if args.out:
-        _write_csv(args.out, ckpt_hash, protocol, _protocol_desc(protocol),
-                   "axis,setting,ade,fde,windows,pedestrians", "".join(csv_rows))
+        _write_csv(args.out, ckpt_hash, protocol, "axis,setting,ade,fde,windows,pedestrians",
+                   "".join(csv_rows))
         print(f"ablation written to {args.out}")
     return 0
 
@@ -474,8 +476,7 @@ def cmd_predict(args) -> int:
     prefix = scene.replace("%", "%%")
     template = "".join(f"{prefix},{ped},{m},".join(tails) for ped in window.ped_ids
                        for m in range(pset.n_candidates))
-    _write_csv(args.out, ckpt_hash, sampling,
-               _protocol_desc(sampling), "scene,ped,candidate,t,x,y",
+    _write_csv(args.out, ckpt_hash, sampling, "scene,ped,candidate,t,x,y",
                template % tuple(pset.candidates.ravel().tolist()))
     print(f"{pset.n_candidates} candidates x {window.n_peds} pedestrians "
           f"written to {args.out}")

@@ -103,10 +103,11 @@ def ingest_benchmark_file(path, scene_id: str) -> list[RawTrack]:
     must be integers of magnitude below 2**53, where floats are exact, so
     no two ids merge.  Malformed lines, ids that are not such integers and
     duplicate (frame, ped) pairs raise ``DataError`` naming the offending
-    line, and so do positions beyond ``MAX_COORDINATE``.
+    line, and so do positions beyond ``MAX_COORDINATE``.  The file is
+    UTF-8, with or without a byte-order mark.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -19,7 +19,6 @@ import ctypes
 import functools
 import math
 import os
-import threading
 import warnings
 from concurrent import futures
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ if TYPE_CHECKING:
 GAMMA_MODES = ("deterministic", "ddpm-matching")
 CHAIN_BLOCK_ROWS = 512     # rows per block of a reverse-chain denoiser step
 # blocks of a chain step of more than CHAIN_BLOCK_ROWS rows, at least: enough
-# for two workers to even out when the host slows one of them
+# for two threads to even out when the host slows one of them
 CHAIN_MIN_BLOCKS = 4
 
 
@@ -304,13 +303,12 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _chain_workers(rows: int) -> int:
-    """How many threads carry a chain's ``rows``: one per usable CPU, at
-    most one per ``CHAIN_BLOCK_ROWS``, when BLAS runs one thread; else one,
-    since threads on top of a threading BLAS slowed the chain."""
-    if rows <= CHAIN_BLOCK_ROWS or _blas_threads() != 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), -(-rows // CHAIN_BLOCK_ROWS))
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    keeps one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _even_cuts(start: int, stop: int, n: int) -> list[tuple[int, int]]:
@@ -322,12 +320,12 @@ def _even_cuts(start: int, stop: int, n: int) -> list[tuple[int, int]]:
 
 @functools.cache
 def _pool() -> futures.ThreadPoolExecutor:
-    return futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)), "chain")
+    return futures.ThreadPoolExecutor(_cpus(), "chain")
 
 
 class _ChainTerms:
     """What every step of one reverse chain shares, made once, and the
-    workers that carry the chain's rows through its steps.
+    blocks of rows that carry the chain through its steps.
 
     The input layer and the linear shortcut read the same input row
     [state | step embedding | guidance], so ``[den.in.w | den.skip.w]``,
@@ -345,18 +343,15 @@ class _ChainTerms:
     chain has: numpy multiplies a one-row block by gemv, which rounds
     otherwise.  The blocks depend on the row count alone, since OpenBLAS
     picks its kernel by the product's size and some of the small models'
-    products round otherwise at another block size.  In ``run``, the
-    ``_chain_workers`` workers (one ``_pool`` task each, while the calling
-    thread waits; one worker runs on the calling thread) take the blocks
-    in turn from one queue, each into its own buffers allocated here, and
-    carry each block through every step of the chain before taking the
-    next: per step one ``denoiser_apply`` call on the block's rows, the
-    float64 affine update (with, if gamma is not 0, noise from the
-    block's own generator) and the state's finiteness check.  No worker
-    waits for another between steps; one that the host slows leaves its
-    later blocks to the others, and one that starts after the blocks run
-    out takes none.  The result equals the per-call denoiser's up to the
-    rounding of the re-associated input-layer sum.
+    products round otherwise at another block size.  ``run`` carries each
+    block, in buffers of its own, through every step of the chain: per
+    step one ``denoiser_apply`` call on the block's rows, the float64
+    affine update (with, if gamma is not 0, noise from the block's own
+    generator) and the state's finiteness check.  Each block is one
+    ``_pool`` task, so no block waits for another between steps, and a
+    thread that the host slows leaves the later blocks to the others.  The
+    result equals the per-call denoiser's up to the rounding of the
+    re-associated input-layer sum.
     """
 
     def __init__(self, guidance_rows: np.ndarray, params: dict[str, np.ndarray],
@@ -385,74 +380,66 @@ class _ChainTerms:
         blocks = -(-len(self.g) // CHAIN_BLOCK_ROWS)
         self.blocks = _even_cuts(0, len(self.g),
                                  max(blocks, CHAIN_MIN_BLOCKS) if blocks > 1 else blocks)
-        rows, self.width = max(b - a for a, b in self.blocks), width
-        self.weights, self.lock, self.bufs = _trunk_weights(params, cfg), threading.Lock(), []
-        for _ in range(_chain_workers(len(self.g))):
-            # two residual states in turn and one inner activation
-            acts = np.empty((3, rows, width), dtype)
-            self.bufs.append((np.empty((rows, sd), dtype), np.empty((rows, width + sd), dtype),
-                              [acts[i % 2] for i in range(cfg.denoiser_blocks + 1)],
-                              [acts[2]] * cfg.denoiser_blocks, np.empty((rows, sd), dtype),
-                              np.empty((rows, sd), dtype), np.empty((rows, sd), np.float64)))
+        self.width, self.weights = width, _trunk_weights(params, cfg)
 
     def run(self, y: np.ndarray, rngs: list[np.random.Generator] | None = None) -> None:
         """Carry every row of the float64 state ``y`` [M, T', 5] through
         every step of ``self.steps``, in place; ``rngs``, one generator
         per block of ``self.blocks``, draws the block's noise at each
-        step whose gamma is not 0.  Raises once every worker has stopped;
-        a ``NumericsError`` names the earliest failing step in chain
-        order, and at one step a non-finite denoiser output before a
+        step whose gamma is not 0.  The blocks run in order on the calling
+        thread when the chain has one, when BLAS threads or its thread
+        count cannot be read (threads on top of a threading BLAS slowed
+        the chain), or on one usable CPU; else each is one pool task.  Raises once every block has
+        stopped; a ``NumericsError`` names the earliest failing step in
+        chain order, and at one step a non-finite denoiser output before a
         non-finite state, as a step-by-step chain over all rows would."""
-        failures = []
-        args = (zip(self.blocks, rngs or [None] * len(self.blocks)), y, failures)
-        if len(self.bufs) == 1:
-            self._run(self.bufs[0], *args)
+        todo = list(zip(self.blocks, rngs or [None] * len(self.blocks)))
+        if len(todo) == 1 or _blas_threads() != 1 or _cpus() == 1:
+            failures = [self._run(block, rng, y) for block, rng in todo]
         else:
-            tasks = [_pool().submit(self._run, buf, *args) for buf in self.bufs]
+            tasks = [_pool().submit(self._run, block, rng, y) for block, rng in todo]
             # no chain runs on a pool thread, so this wait cannot deadlock
             futures.wait(tasks)
-            for task in tasks:
-                task.result()
+            failures = [task.result() for task in tasks]
+        failures = [failure for failure in failures if failure is not None]
         if failures:
             _, _, message, cause = min(failures, key=lambda f: f[:2])
             raise NumericsError(message) from cause
 
-    def _run(self, buf, todo, y, failures) -> None:
-        """Carry the (block, generator) pairs left in ``todo`` one by one
-        in ``buf``; a block that fails stops, noting (step index, 0 for the
-        denoiser or 1 for the state, message, cause) in ``failures``."""
-        x_buf, z_buf, hs, rs, clean, eps, upd = buf
-        while True:
-            with self.lock:
-                item = next(todo, None)
-            if item is None:
-                return
-            (start, stop), rng = item
-            b = stop - start
-            chain = functools.partial(
-                self._denoise, start, x_buf[:b], z_buf[:b], [h[:b] for h in hs],
-                [r[:b] for r in rs], clean[:b], eps[:b])
-            rows, guidance = y[start:stop], self.guidance[start:stop]
-            step = upd[:b].reshape(rows.shape)
-            for j, (k, a_mul, b_mul, gamma) in enumerate(self.steps):
-                try:
-                    eps_hat = denoiser_apply(rows, k, guidance, self.params, self.cfg,
-                                             self.schedule, chain=chain)
-                except NumericsError as exc:
-                    failures.append((j, 0, f"reverse chain failed at step {k}: {exc}", exc))
-                    break
-                rows *= a_mul
-                rows += np.multiply(b_mul, eps_hat, out=step)
-                if gamma > 0.0:
-                    rows += np.multiply(gamma, rng.standard_normal(out=step), out=step)
-                if not np.all(np.isfinite(rows)):
-                    failures.append((j, 1, f"non-finite state after step {k}", None))
-                    break
+    def _run(self, block, rng, y) -> tuple | None:
+        """Carry the rows ``block`` (start, stop) of ``y`` through every
+        step, drawing their noise from ``rng``; returns what stopped them,
+        (step index, 0 for the denoiser or 1 for the state, message,
+        cause), or None."""
+        start, stop = block
+        rows, guidance = y[start:stop], self.guidance[start:stop]
+        b, sd, dtype = stop - start, self.cfg.state_dim, self.w_x.dtype
+        # two residual states in turn and one inner activation
+        acts = np.empty((3, b, self.width), dtype)
+        chain = functools.partial(
+            self._denoise, start, np.empty((b, sd), dtype), np.empty((b, self.width + sd), dtype),
+            [acts[i % 2] for i in range(self.cfg.denoiser_blocks + 1)],
+            [acts[2]] * self.cfg.denoiser_blocks, np.empty((b, sd), dtype),
+            np.empty((b, sd), dtype))
+        step = np.empty(rows.shape)
+        for j, (k, a_mul, b_mul, gamma) in enumerate(self.steps):
+            try:
+                eps_hat = denoiser_apply(rows, k, guidance, self.params, self.cfg,
+                                         self.schedule, chain=chain)
+            except NumericsError as exc:
+                return j, 0, f"reverse chain failed at step {k}: {exc}", exc
+            rows *= a_mul
+            rows += np.multiply(b_mul, eps_hat, out=step)
+            if gamma > 0.0:
+                rows += np.multiply(gamma, rng.standard_normal(out=step), out=step)
+            if not np.all(np.isfinite(rows)):
+                return j, 1, f"non-finite state after step {k}", None
+        return None
 
     def _denoise(self, start, x, z, hs, rs, clean, eps, state, k) -> np.ndarray:
         """The noise estimate [b, T'*5] of the block of rows from ``start``
-        with state ``state`` at step ``k``, written into the block's views
-        of its worker's buffers."""
+        with state ``state`` at step ``k``, written into the block's
+        buffers."""
         e, gain, pull = self.read_off[k]
         x[...] = state.reshape(len(x), -1)
         np.matmul(x, self.w_x, out=z)
@@ -508,10 +495,10 @@ def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
     is made once per call, and the rows go through in blocks, each block
     through every step with one denoiser call per step on its rows, in
     one ``_ChainTerms.run``; rows are independent, so neither the order
-    nor the worker changes a value.  The chain is stochastic exactly when
+    nor the thread changes a value.  The chain is stochastic exactly when
     it is given ``chain_rng``: block b of ``_ChainTerms.blocks`` then draws
     its ddpm-matching noise z from child b of ``chain_rng.spawn``, so the
-    noise depends on the row count, and not on the workers."""
+    noise depends on the row count, and not on the threads."""
     y = np.array(y_init, dtype=np.float64)
     terms = _ChainTerms(guidance_rows, params, cfg, schedule, chain_rng is not None)
     terms.run(y, None if chain_rng is None else chain_rng.spawn(len(terms.blocks)))

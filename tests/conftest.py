@@ -2,7 +2,7 @@
 through the terminal summary so the lines survive output capture,
 ``file_hash`` is the reference for the CLI's ``# checkpoint:`` headers,
 ``one_candidate_errors`` scores one trajectory with the package's metric,
-``chain_workers`` sets how many workers a reverse chain may use and
+``chain_workers`` sets whether a reverse chain's blocks run as pool tasks and
 ``far_from_noise`` lets a test build a short schedule.  Any other warning
 fails the suite (``filterwarnings`` in pyproject.toml)."""
 
@@ -42,9 +42,10 @@ def far_from_noise(alpha_k: str) -> pytest.MarkDecorator:
 
 @pytest.fixture
 def chain_workers(monkeypatch):
-    """``chain_workers(n)`` lets reverse chains split over up to ``n``
-    workers: n usable CPUs and one BLAS thread, or two BLAS threads for
-    ``n = 1``, whatever this host's are."""
+    """``chain_workers(n)`` shows reverse chains ``n`` usable CPUs and one
+    BLAS thread, so each block of a chain of more than one is a pool task,
+    or two BLAS threads for ``n = 1``, so the blocks run on the calling
+    thread, whatever this host's are."""
     def force(n: int) -> None:
         monkeypatch.setattr(diffusion, "_blas_threads", lambda: 1 if n > 1 else 2)
         monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: set(range(n)))

@@ -110,6 +110,27 @@ class TestTrain:
         assert rc == 0
         assert (tmp_path / "cfg_run" / "model.tjdf").exists()
 
+    @pytest.mark.parametrize("value", ["runs/d%x", "runs/%(x)s", "runs/100%"])
+    def test_config_values_are_read_as_flags_read_them(self, tmp_path, value):
+        cfg = tmp_path / "pct.ini"
+        cfg.write_text(f"[data]\ndir = {value}\n")
+        from_file = cli.parse_args(["train", "--config", str(cfg)])
+        assert from_file.data == cli.parse_args(["train", "--data", value]).data == value
+
+    @pytest.mark.parametrize("text, key", [
+        ("[DEFAULT]\nbogus = 1\n", "DEFAULT.bogus"),
+        ("[DEFAULT]\nepochs = 3\n", "DEFAULT.epochs"),
+        ("[DEFAULT]\nepochs = 3\n[train]\nbatch = 4\n", "DEFAULT.epochs"),
+    ], ids=["unknown", "alone", "beside-a-section"])
+    def test_default_section_keys_are_usage_errors(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "default.ini"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", "synthetic", *TRAIN_ARGS, "--out", str(out),
+                         "--config", str(cfg)]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_is_data_error(self, tmp_path):
         rc = cli.main(["train", "--data", str(tmp_path / "nope"), *TRAIN_ARGS])
         assert rc == 2
@@ -423,28 +444,31 @@ class TestEval:
         assert "scene,n_protocol,ade,fde,windows,pedestrians" in header
 
     @pytest.mark.parametrize("gamma_mode", diffusion.GAMMA_MODES)
-    def test_two_chain_workers_write_the_same_bytes(self, trained, chain_workers,
-                                                    monkeypatch, gamma_mode):
+    def test_pool_threads_write_the_same_bytes(self, trained, chain_workers,
+                                               monkeypatch, gamma_mode):
         # a chain per scene of 3 windows of 4 pedestrians by 50 runs: 600 rows,
-        # in four blocks over two workers
+        # in four blocks, each one pool task, or all on the calling thread
         ckpt, tmp_path = trained
         args = ["eval", "--checkpoint", str(ckpt), "--data", "synthetic", "--seed", "7",
                 "--strategy", "A", "--r1", "50", "--r2", "2", "--stride", "4",
                 "--scenes", "2", "--peds", "4", "--frames", "30", "--gamma-mode", gamma_mode]
-        workers, count = [], diffusion._chain_workers
+        pool, tasks = diffusion._pool(), []
 
-        def counted(rows):
-            workers.append(count(rows))
-            return workers[-1]
+        class Counted:
+            def submit(self, *task):
+                tasks.append(task)
+                return pool.submit(*task)
 
-        monkeypatch.setattr(diffusion, "_chain_workers", counted)
-        outputs = {}
+        monkeypatch.setattr(diffusion, "_pool", Counted)
+        outputs, submitted = {}, {}
         for n in (2, 1):
             chain_workers(n)
+            tasks.clear()
             out = tmp_path / f"workers{n}.csv"
             assert cli.main(args + ["--out", str(out)]) == 0
             outputs[n] = out.read_bytes(), out.with_suffix(".json").read_bytes()
-        assert workers == [2, 2, 1, 1]
+            submitted[n] = len(tasks)
+        assert submitted == {2: 8, 1: 0}
         assert outputs[2] == outputs[1]
 
     def test_older_format_checkpoint_evaluates_the_same(self, trained):

@@ -87,6 +87,15 @@ class TestIngest:
         with pytest.raises(data.DataError, match="cannot read"):
             data.ingest_benchmark_file(path, "s")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "0 1 0.0 0.0\n10 1 0.4 0.0\n0 2 1.5 -2.0\n"
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        tracks = [[(t.ped_id, t.frames.tolist(), t.points.tolist())
+                   for t in data.ingest_benchmark_file(path, "s")]
+                  for path in (_write(tmp_path, text), marked)]
+        assert tracks[0] == tracks[1] and len(tracks[0]) == 2
+
     def test_sorted_by_ped_then_frame(self, tmp_path):
         path = _write(tmp_path, "10 2 0 0\n0 2 1 1\n0 1 2 2\n")
         tracks = data.ingest_benchmark_file(path, "s")

@@ -1,6 +1,7 @@
 """Schedule construction, forward/reverse transitions, the denoiser and the
 full reverse chain."""
 
+import functools
 import subprocess
 import sys
 import threading
@@ -558,6 +559,20 @@ class TestChainTerms:
         return params
 
     @staticmethod
+    def _counted_pool(monkeypatch, pool=None):
+        """Send the chain's pool tasks to ``pool`` (the module's by default)
+        and return the list each task's block is appended to."""
+        pool, blocks = pool or dff._pool(), []
+
+        class Counted:
+            def submit(self, fn, block, *args):
+                blocks.append(block)
+                return pool.submit(fn, block, *args)
+
+        monkeypatch.setattr(dff, "_pool", Counted)
+        return blocks
+
+    @staticmethod
     def _inputs(rows):
         rng = np.random.default_rng(rows)
         cfg = TestChainTerms.CFG
@@ -594,47 +609,52 @@ class TestChainTerms:
     @pytest.mark.parametrize("rows, blocks", [(513, 3), (1100, 3), (1360, 3), (5440, 3),
                                               (1100, 0)],
                              ids=["513", "1100", "1360", "5440", "1100-no-blocks"])
-    def test_two_workers_equal_one(self, chain_workers, rows, blocks, gamma_mode):
+    def test_two_workers_equal_one(self, chain_workers, monkeypatch, rows, blocks,
+                                   gamma_mode):
+        # two CPUs: one pool task per block; one: the blocks on the calling thread
         cfg = replace(self.CFG, denoiser_blocks=blocks)
         args = (*self._inputs(rows), cfg.schedule(), self._params(cfg), cfg)
-        chains = {}
+        tasks = self._counted_pool(monkeypatch)
+        chains, submitted = {}, {}
         for n in (2, 1):
             chain_workers(n)
-            assert len(dff._ChainTerms(args[1], args[3], cfg, args[2]).bufs) == n
+            tasks.clear()
             chains[n] = dff.reverse_chain(*args, _chain_rng(gamma_mode))
+            submitted[n] = tasks[:]
+        blocks = dff._ChainTerms(args[1], args[3], cfg, args[2]).blocks
+        assert submitted == {2: blocks, 1: []} and len(blocks) >= 4
         assert chains[2].tobytes() == chains[1].tobytes()
 
     @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
     def test_more_workers_than_cores_equal_one_worker(self, chain_workers, monkeypatch,
                                                       gamma_mode):
-        # eight workers on eight threads, switching often: each writes only
-        # its blocks, with its blocks' noise
+        # eleven blocks on eight threads, switching often: each task writes
+        # only its block, with its block's noise
         args = (*self._inputs(5440), self.CFG.schedule(), self._params(), self.CFG)
         chain_workers(1)
         one = dff.reverse_chain(*args, _chain_rng(gamma_mode))
         chain_workers(8)
         pool = futures.ThreadPoolExecutor(8)
-        monkeypatch.setattr(dff, "_pool", lambda: pool)
+        tasks = self._counted_pool(monkeypatch, pool)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert len(dff._ChainTerms(args[1], args[3], self.CFG, args[2]).bufs) == 8
             eight = dff.reverse_chain(*args, _chain_rng(gamma_mode))
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
+        assert len(tasks) == 11
         assert eight.tobytes() == one.tobytes()
 
-    @pytest.mark.parametrize("rows, workers, blocks", [(5440, 2, 11), (1360, 2, 4),
-                                                       (513, 2, 4), (512, 1, 1), (0, 1, 1)])
+    @pytest.mark.parametrize("rows, blocks", [(5440, 11), (1360, 4), (513, 4), (512, 1),
+                                              (0, 1)])
     def test_blocks_are_even_at_most_512_and_do_not_depend_on_workers(
-            self, chain_workers, rows, workers, blocks):
+            self, chain_workers, rows, blocks):
         made = {}
         for n in (2, 1):
             chain_workers(n)
             made[n] = dff._ChainTerms(self._inputs(rows)[1], self._params(), self.CFG,
                                       self.CFG.schedule())
-        assert (len(made[2].bufs), len(made[1].bufs)) == (workers, 1)
         assert len(made[2].blocks) == blocks and made[2].blocks == made[1].blocks
         starts, stops = zip(*made[2].blocks)
         assert starts[0] == 0 and stops[-1] == rows and starts[1:] == stops[:-1]
@@ -648,66 +668,89 @@ class TestChainTerms:
         terms.run(y)
         return y
 
-    def test_a_slow_worker_leaves_its_blocks_to_the_others(self, chain_workers,
-                                                          monkeypatch):
+    def test_a_slow_block_leaves_the_others_to_the_other_thread(self, chain_workers,
+                                                                monkeypatch):
         y_init, g = self._inputs(1360)
         sched, params = self.CFG.schedule(), self._params()
         chain_workers(1)
         one = self._first_step(y_init, g, params, sched)
         chain_workers(2)
-        taken, run = [], dff._ChainTerms._run
+        pool = futures.ThreadPoolExecutor(2)
+        monkeypatch.setattr(dff, "_pool", lambda: pool)
+        threads, run = {}, dff._ChainTerms._run
 
-        def logged(todo, worker):
-            for block in todo:
-                taken.append(worker)
-                yield block
-
-        def slow(terms, buf, todo, *args):
-            worker = [b is buf for b in terms.bufs].index(True)
-            if worker:
+        def slow(terms, block, *args):
+            threads[block[0]] = threading.get_ident()
+            if block[0] == 0:
                 threading.Event().wait(0.2)
-            run(terms, buf, logged(todo, worker), *args)
+            return run(terms, block, *args)
 
         monkeypatch.setattr(dff._ChainTerms, "_run", slow)
-        two = self._first_step(y_init, g, params, sched)
-        assert taken == [0, 0, 0, 0]
-        assert two.tobytes() == one.tobytes()
-
-    def test_a_worker_that_starts_after_the_blocks_run_out_takes_none(self, chain_workers,
-                                                                      monkeypatch):
-        y_init, g = self._inputs(1360)
-        sched, params = self.CFG.schedule(), self._params()
-        chain_workers(1)
-        one = self._first_step(y_init, g, params, sched)
-        chain_workers(2)
-        pool = futures.ThreadPoolExecutor(1)    # the second task starts after the first
-        monkeypatch.setattr(dff, "_pool", lambda: pool)
-        ran, taken, run = [], [], dff._ChainTerms._run
-
-        def logged(todo, worker):
-            for block in todo:
-                taken.append(worker)
-                yield block
-
-        def counted(terms, buf, todo, *args):
-            ran.append([b is buf for b in terms.bufs].index(True))
-            run(terms, buf, logged(todo, ran[-1]), *args)
-
-        monkeypatch.setattr(dff._ChainTerms, "_run", counted)
         try:
             two = self._first_step(y_init, g, params, sched)
         finally:
             pool.shutdown()
-        assert ran == [0, 1] and taken == [0, 0, 0, 0]
+        assert sorted(threads) == [0, 340, 680, 1020]
+        assert threads[340] == threads[680] == threads[1020] != threads[0]
         assert two.tobytes() == one.tobytes()
 
-    @pytest.mark.parametrize("blas_threads", [2, 4, None], ids=["2", "4", "unreadable"])
-    def test_free_or_unknown_blas_keeps_one_worker(self, monkeypatch, blas_threads):
+    def test_a_one_thread_pool_runs_the_blocks_in_order(self, chain_workers, monkeypatch):
+        y_init, g = self._inputs(1360)
+        sched, params = self.CFG.schedule(), self._params()
+        chain_workers(1)
+        one = self._first_step(y_init, g, params, sched)
+        chain_workers(2)
+        pool = futures.ThreadPoolExecutor(1)
+        tasks = self._counted_pool(monkeypatch, pool)
+        ran, run = [], dff._ChainTerms._run
+
+        def logged(terms, block, *args):
+            ran.append(block)
+            return run(terms, block, *args)
+
+        monkeypatch.setattr(dff._ChainTerms, "_run", logged)
+        try:
+            two = self._first_step(y_init, g, params, sched)
+        finally:
+            pool.shutdown()
+        assert ran == tasks == [(0, 340), (340, 680), (680, 1020), (1020, 1360)]
+        assert two.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("blas_threads, cpus", [(2, 8), (4, 8), (None, 8), (1, 1)],
+                             ids=["2", "4", "unreadable", "one-cpu"])
+    def test_free_or_unknown_blas_keeps_one_worker(self, monkeypatch, blas_threads, cpus):
+        # with BLAS free to thread, unreadable or one usable CPU, the blocks
+        # run on the calling thread; else each block is one pool task
+        y_init, g = self._inputs(1360)
+        sched, params, pool = self.CFG.schedule(), self._params(), dff._pool()
         monkeypatch.setattr(dff, "_blas_threads", lambda: blas_threads)
-        monkeypatch.setattr(dff.os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert dff._chain_workers(5440) == 1
+        monkeypatch.setattr(dff.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(dff, "_pool", lambda: pytest.fail("a chain used the pool"))
+        inline = self._first_step(y_init, g, params, sched)
         monkeypatch.setattr(dff, "_blas_threads", lambda: 1)
-        assert dff._chain_workers(5440) == 8 and dff._chain_workers(1100) == 3
+        monkeypatch.setattr(dff.os, "sched_getaffinity", lambda pid: set(range(8)))
+        tasks = self._counted_pool(monkeypatch, pool)
+        assert self._first_step(y_init, g, params, sched).tobytes() == inline.tobytes()
+        assert len(tasks) == 4
+
+    def test_without_an_affinity_set_every_cpu_is_usable(self, monkeypatch):
+        # os.sched_getaffinity exists only on some Unix systems; without it
+        # the CPU count is os.cpu_count(), for the pool and the choice alike
+        y_init, g = self._inputs(1360)
+        sched, params = self.CFG.schedule(), self._params()
+        monkeypatch.setattr(dff, "_blas_threads", lambda: 2)
+        inline = dff.reverse_chain(y_init, g, sched, params, self.CFG)
+        monkeypatch.setattr(dff, "_blas_threads", lambda: 1)
+        monkeypatch.delattr(dff.os, "sched_getaffinity")
+        monkeypatch.setattr(dff.os, "cpu_count", lambda: 3)
+        fresh = functools.cache(dff._pool.__wrapped__)
+        tasks = self._counted_pool(monkeypatch, fresh())
+        try:
+            chain = dff.reverse_chain(y_init, g, sched, params, self.CFG)
+        finally:
+            fresh().shutdown()
+        assert dff._cpus() == 3 and fresh()._max_workers == 3 and len(tasks) == 4
+        assert chain.tobytes() == inline.tobytes()
 
     def test_small_chain_starts_no_thread(self, chain_workers, monkeypatch):
         chain_workers(2)
@@ -754,21 +797,16 @@ class TestChainTerms:
             dff.reverse_chain(y_init, g, sched, self._params(), self.CFG)
 
     @pytest.mark.parametrize("gamma_mode", dff.GAMMA_MODES)
-    def test_a_chain_submits_one_pool_task_per_worker(self, chain_workers, monkeypatch,
-                                                      gamma_mode):
-        # 1,360 rows, 100 steps on 2 workers: either chain is one round; a
+    def test_a_chain_submits_one_pool_task_per_block(self, chain_workers, monkeypatch,
+                                                     gamma_mode):
+        # 1,360 rows, 100 steps on 2 CPUs: either chain is one round; a
         # stochastic one spawns one generator per block, and each block
         # draws its own noise at every step
         sched, params = self.CFG.schedule(), self._params()
         steps = len(sched.tau)
         assert steps == 100
         chain_workers(2)
-        pool, submitted = dff._pool(), []
-
-        class Counted:
-            def submit(self, *task):
-                submitted.append(task[0].__name__)
-                return pool.submit(*task)
+        submitted = self._counted_pool(monkeypatch)
 
         class Drawn:
             """A generator that records every call made of it; its children
@@ -785,12 +823,11 @@ class TestChainTerms:
                 self.calls.append(out.shape)
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(dff, "_pool", Counted)
-        for rows, tasks, blocks in ((1360, 2, 4), (512, 0, 1)):   # 512 rows: the calling thread
+        for rows, tasks, blocks in ((1360, 4, 4), (512, 0, 1)):   # 512 rows: the calling thread
             submitted.clear()
             rng = Drawn(np.random.default_rng(1)) if gamma_mode == "ddpm-matching" else None
             dff.reverse_chain(*self._inputs(rows), sched, params, self.CFG, rng)
-            assert submitted == ["_run"] * tasks
+            assert len(submitted) == tasks
             if rng is not None:
                 assert rng.calls == ["spawn"] and len(rng.children) == blocks
                 # the jump to alpha = 1 draws none
@@ -833,30 +870,32 @@ class TestChainTerms:
             dff.reverse_chain(y_init, g, sched, self._params(), self.CFG)
         assert str(err.value) == message.format(*ks)
 
-    @pytest.mark.parametrize("failing", [0, 1], ids=["first-worker", "second-worker"])
-    def test_apply_waits_for_every_worker_before_raising(self, chain_workers, monkeypatch,
-                                                         failing):
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first-block", "second-block"])
+    def test_run_waits_for_every_block_before_raising(self, chain_workers, monkeypatch,
+                                                      failing):
         chain_workers(2)
-        pool = futures.ThreadPoolExecutor(2)    # both workers run at once
+        pool = futures.ThreadPoolExecutor(2)    # two blocks run at once
         monkeypatch.setattr(dff, "_pool", lambda: pool)
         started, finished, run = threading.Event(), [], dff._ChainTerms._run
 
-        def worker(terms, buf, *args):
-            if buf is terms.bufs[0]:
-                assert started.wait(10)     # the other worker is running
-            else:
+        def task(terms, block, *args):
+            index = terms.blocks.index(block)
+            if index == 0:
+                assert started.wait(10)     # the second block is running
+            elif index == 1:
                 started.set()
-            if buf is terms.bufs[failing]:
-                raise MemoryError("worker failed")
+            if index == failing:
+                raise MemoryError("block failed")
             threading.Event().wait(0.2)
-            run(terms, buf, *args)
-            finished.append(buf)
+            failure = run(terms, block, *args)
+            finished.append(block)
+            return failure
 
-        monkeypatch.setattr(dff._ChainTerms, "_run", worker)
+        monkeypatch.setattr(dff._ChainTerms, "_run", task)
         try:
-            with pytest.raises(MemoryError, match="worker failed"):
+            with pytest.raises(MemoryError, match="block failed"):
                 dff.reverse_chain(*self._inputs(1100), self.CFG.schedule(), self._params(),
                                   self.CFG)
         finally:
             pool.shutdown()
-        assert len(finished) == 1
+        assert len(finished) == 3

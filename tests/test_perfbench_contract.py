@@ -161,8 +161,8 @@ def test_traced_evaluation_counts_denoiser_rows(workloads):
 def test_traced_evaluation_above_block_size_counts_denoiser_rows(workloads, chain_workers):
     """As above with 7 windows, 560 rows: the chain's CHAIN_MIN_BLOCKS row
     blocks each go to the denoiser once per step, and the rows still add
-    up to every row at every step.  On one worker: the tracer adds to its
-    counts without a lock, so two workers could lose a count."""
+    up to every row at every step.  On the calling thread: the tracer adds
+    to its counts without a lock, so pool threads could lose a count."""
     chain_workers(1)
     calls, rows, step_rows = _traced_evaluation(workloads, 7)
     steps = _protocol(workloads).steps
