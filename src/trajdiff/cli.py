@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import json
 import math
 import os
@@ -266,44 +267,36 @@ def _data_files(args, scene: str | None = None) -> list[str]:
         return []
     if not os.path.isdir(source):
         raise data.DataError(f"data directory {source} does not exist")
-    names = ([f"{scene}.txt"] if scene is not None
-             else sorted(n for n in os.listdir(source) if n.endswith(".txt")))
+    if scene is not None:
+        if not os.path.isfile(path := os.path.join(source, f"{scene}.txt")):
+            raise data.DataError(f"test scene {scene!r} has no file {path}")
+        return [path]
+    names = sorted(n for n in os.listdir(source) if n.endswith(".txt"))
     if not names:
         raise data.DataError(f"no .txt benchmark files under {source}")
     return [os.path.join(source, name) for name in names]
 
 
-def _load_tracks(args, scene: str | None = None) -> list[data.RawTrack]:
-    """Tracks from the files ``_data_files`` names, or the synthetic scenes."""
-    paths = _data_files(args, scene)
-    if not paths:
-        return data.synthesize_scenes(_config(args, data.SynthConfig, "synth"))
-    return [t for path in paths for t in data.ingest_benchmark_file(
-        path, os.path.splitext(os.path.basename(path))[0])]
-
-
-def _scene_windows(args, model_cfg: ModelConfig, test_side: bool) -> dict[str, list]:
-    """Windows by scene from the configured data, in scene order.
-
-    With a test scene named, ``test_side`` keeps only that scene (eval,
-    ablate; a data directory reads only its file), otherwise every other
-    scene (train).  A missing test scene or no window left is a data error.
-    """
+def _scene_windows(args, files: list[str], model_cfg: ModelConfig, test_side: bool) -> list:
+    """The windows of the tracks in ``files``, or of the synthetic scenes if
+    none, in scene order.  With a test scene named, ``test_side`` keeps only
+    its windows (eval, ablate), otherwise every other scene's (train).  A
+    missing test scene or no window left is a data error."""
     test_scene = args.test_scene
     stride = model_cfg.t_future if args.stride is None else args.stride
-    by_scene: dict[str, list] = {}
-    tracks = _load_tracks(args, test_scene if test_side else None)
-    for w in data.window_scenes(tracks, model_cfg.t_obs, model_cfg.t_future,
-                                stride=stride, neighbor_radius=model_cfg.neighbor_radius):
-        by_scene.setdefault(w.scene_id, []).append(w)
+    tracks = ([t for path in files for t in data.ingest_benchmark_file(
+                  path, os.path.splitext(os.path.basename(path))[0])]
+              if files else data.synthesize_scenes(_config(args, data.SynthConfig, "synth")))
+    windows = data.window_scenes(tracks, model_cfg.t_obs, model_cfg.t_future,
+                                 stride=stride, neighbor_radius=model_cfg.neighbor_radius)
     if test_scene is not None:
-        if test_scene not in by_scene:
+        if all(w.scene_id != test_scene for w in windows):
             raise data.DataError(f"test scene {test_scene!r} not found in data")
-        by_scene = {s: ws for s, ws in by_scene.items() if (s == test_scene) == test_side}
-    if not by_scene:
+        windows = [w for w in windows if (w.scene_id == test_scene) == test_side]
+    if not windows:
         raise data.DataError("no training windows after holding out the test scene"
                              if test_scene else "no complete windows in the data")
-    return by_scene
+    return windows
 
 
 def _write_csv(path, ckpt_hash: str, protocol: inference.EvalProtocol, header: str,
@@ -312,15 +305,6 @@ def _write_csv(path, ckpt_hash: str, protocol: inference.EvalProtocol, header: s
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# checkpoint: {ckpt_hash}\n# seed: {protocol.seed}\n"
                  f"# protocol: {_protocol_desc(protocol)}\n{header}\n{body}")
-
-
-def _protocol(args, mdl: Model) -> inference.EvalProtocol:
-    """The evaluation protocol; every invalid setting is a usage error."""
-    strategy = _config(args, inference.SamplingStrategy, "protocol")
-    protocol = _config(args, inference.EvalProtocol, "protocol")
-    if protocol.steps is not None and protocol.steps > mdl.schedule.K:
-        raise UsageError(f"--steps {protocol.steps} outside 1..K={mdl.schedule.K}")
-    return replace(protocol, strategy=strategy)
 
 
 def _protocol_desc(protocol: inference.EvalProtocol) -> str:
@@ -338,13 +322,11 @@ def _protocol_desc(protocol: inference.EvalProtocol) -> str:
 def cmd_synth(args) -> int:
     cfg = _config(args, data.SynthConfig, "synth")
     os.makedirs(args.out, exist_ok=True)
-    tracks = data.synthesize_scenes(cfg)
-    by_scene: dict[str, list] = {}
-    for t in tracks:
-        by_scene.setdefault(t.scene_id, []).append(t)
-    for scene, scene_tracks in sorted(by_scene.items()):
-        data.write_benchmark_file(os.path.join(args.out, f"{scene}.txt"), scene_tracks)
-    print(f"wrote {len(by_scene)} scenes ({cfg.peds_per_scene} peds x "
+    # the tracks come scene by scene
+    for scene, tracks in itertools.groupby(data.synthesize_scenes(cfg),
+                                           key=lambda t: t.scene_id):
+        data.write_benchmark_file(os.path.join(args.out, f"{scene}.txt"), list(tracks))
+    print(f"wrote {cfg.n_scenes} scenes ({cfg.peds_per_scene} peds x "
           f"{cfg.frames} frames) to {args.out}")
     return 0
 
@@ -352,7 +334,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     model_cfg = _config(args, ModelConfig, "model")
     train_cfg = _config(args, training.TrainConfig, "train")
-    windows = [w for ws in _scene_windows(args, model_cfg, False).values() for w in ws]
+    windows = _scene_windows(args, _data_files(args), model_cfg, False)
     path, rows = training.fit(windows, train_cfg, model_cfg, out_dir=args.out,
                               resume_from=args.resume)
     last = rows[-1]
@@ -364,10 +346,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args, outputs, inputs=()) -> tuple[Model, str]:
-    """The checkpoint's model and the hash of the bytes it was read from,
-    read only once each output given is a file path in a directory, and
-    none of the checkpoint, ``--config``, ``inputs`` or the other outputs."""
+def _open_checkpoint(args, outputs, inputs=()) -> tuple[Model, str, inference.EvalProtocol]:
+    """The checkpoint's model, the hash of its bytes and the protocol.  The
+    checkpoint is read only once each output given is a file path in a
+    directory, and none of the checkpoint, ``--config``, ``inputs`` or the
+    other outputs; an invalid protocol setting is then a usage error."""
     used = {os.path.realpath(p): p for p in (args.checkpoint, args.config, *inputs) if p}
     for path in (p for p in outputs if p is not None):
         parent = os.path.dirname(path) or "."
@@ -381,17 +364,18 @@ def _load_model(args, outputs, inputs=()) -> tuple[Model, str]:
         used[real] = path
     meta, arrays, ckpt_hash = checkpoint.load_container(args.checkpoint)
     mdl, _meta, _rest = Model.from_container(meta, arrays, args.checkpoint)
-    return mdl, ckpt_hash
+    strategy = _config(args, inference.SamplingStrategy, "protocol")
+    protocol = _config(args, inference.EvalProtocol, "protocol")
+    if protocol.steps is not None and protocol.steps > mdl.schedule.K:
+        raise UsageError(f"--steps {protocol.steps} outside 1..K={mdl.schedule.K}")
+    return mdl, ckpt_hash, replace(protocol, strategy=strategy)
 
 
 def cmd_eval(args) -> int:
     json_path = os.path.splitext(args.out or "")[0] + ".json"
-    if json_path == args.out:
-        raise UsageError(f"--out {args.out} is its own JSON summary path")
-    mdl, ckpt_hash = _load_model(args, (args.out, args.out and json_path),
-                                 _data_files(args, args.test_scene))
-    protocol = _protocol(args, mdl)
-    report = inference.evaluate_scenes(mdl, _scene_windows(args, mdl.config, True),
+    files = _data_files(args, args.test_scene)
+    mdl, ckpt_hash, protocol = _open_checkpoint(args, (args.out, args.out and json_path), files)
+    report = inference.evaluate_scenes(mdl, _scene_windows(args, files, mdl.config, True),
                                        protocol)
 
     print(f"{'scene':<12} {'ADE/FDE':>14} {'windows':>8} {'peds':>6}")
@@ -417,15 +401,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    mdl, ckpt_hash = _load_model(args, (args.out,), _data_files(args, args.test_scene))
-    protocol = _protocol(args, mdl)
+    files = _data_files(args, args.test_scene)
+    mdl, ckpt_hash, protocol = _open_checkpoint(args, (args.out,), files)
     # the steps and gamma axes: one evaluation per changed protocol setting
     sweep = ({f"S={s}": {"steps": s} for s in (10, 25, 50, 100) if s <= mdl.schedule.K}
              if args.axis == "steps" else {m: {"gamma_mode": m} for m in GAMMA_MODES})
     if not sweep:
         raise UsageError(f"--axis steps sweeps S of 10 to 100, all above K={mdl.schedule.K}")
-    windows = [w for ws in _scene_windows(args, mdl.config, True).values()
-               for w in ws]
+    windows = _scene_windows(args, files, mdl.config, True)
     if args.axis == "sampling":
         kinds = ("A", "B", "C")
         reports = inference.evaluate_windows(
@@ -450,8 +433,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    mdl, ckpt_hash = _load_model(args, (args.out, args.plot), (args.input,))
-    protocol = _protocol(args, mdl)
+    mdl, ckpt_hash, protocol = _open_checkpoint(args, (args.out, args.plot), (args.input,))
     scene = os.path.splitext(os.path.basename(args.input))[0]
     tracks = data.ingest_benchmark_file(args.input, scene)
     if not tracks:

@@ -202,12 +202,11 @@ def evaluate_windows(model: Model, windows, protocol: EvalProtocol,
     return reports if listed else reports[0]
 
 
-def evaluate_scenes(model: Model, windows_by_scene: dict[str, list],
-                    protocol: EvalProtocol) -> dict:
-    """Per-scene report plus the unweighted AVG row."""
-    scenes = {}
-    for name in sorted(windows_by_scene):
-        scenes[name] = evaluate_windows(model, windows_by_scene[name], protocol)
+def evaluate_scenes(model: Model, windows, protocol: EvalProtocol) -> dict:
+    """Per-scene report, in sorted scene order, plus the unweighted AVG row."""
+    scenes = {name: evaluate_windows(model, [w for w in windows if w.scene_id == name],
+                                     protocol)
+              for name in sorted({w.scene_id for w in windows})}
     report = {"scenes": scenes}
     if scenes:
         report["avg"] = {

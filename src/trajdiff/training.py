@@ -400,20 +400,19 @@ def _logged_run(log_path) -> dict:
     return logged
 
 
-def _resume(path, record: dict, model_cfg: ModelConfig | None,
+def _resume(path, record: dict, model_cfg: ModelConfig,
             log_path) -> tuple[Model, AdamState, list]:
     """The model, optimizer state and log rows (but ``wall_ms``) a
     checkpoint continues from.  A ``train_step`` that is not a step count,
     a ``log`` that is not the rows of steps 1 to it, or ``adam.*`` arrays
     but an int64 ``adam.t`` and float ``adam.m`` and ``adam.v`` of the flat
     parameter shape, raise ``ContainerError``; a config that differs from
-    ``model_cfg`` (unless None), a checkpoint at or past the run's
+    ``model_cfg``, a checkpoint at or past the run's
     ``total_steps``, no run record or log, or a record that differs from
     ``record``, on the checkpoint (a finished run's holds none) or on
     ``log_path``, raises ``ResumeError``."""
     mdl, meta, rest = Model.load(path)
-    if model_cfg is not None:
-        _check_same(path, "model", asdict(mdl.config), asdict(model_cfg))
+    _check_same(path, "model", asdict(mdl.config), asdict(model_cfg))
     step = meta.get("train_step")
     if type(step) is not int or step < 0:
         raise ContainerError(f"{path}: train_step {step!r} is not a step count")
@@ -459,7 +458,7 @@ def _keep_freed_heap() -> bool:
     return mallopt(-2, HEAP_TOP_PAD) == 1     # -2 is M_TOP_PAD in <malloc.h>
 
 
-def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
+def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig,
         out_dir: str = "runs", resume_from=None):
     """Epoch loop with shuffled batches, periodic checkpoints and a CSV log
     (``training_log.csv`` in ``out_dir``) headed by the ``# run:`` line.
@@ -474,12 +473,9 @@ def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     record that differs from this run's (training settings but
     ``checkpoint_every``, step counts, training data), or a log whose
     ``# run:`` line is missing or not this run's, raises ``ResumeError``
-    before anything is written; a resume with ``model_cfg`` None takes the
-    checkpoint's settings.  On glibc it first makes malloc keep freed
+    before anything is written.  On glibc it first makes malloc keep freed
     memory for the process (``_keep_freed_heap``).
     """
-    if model_cfg is None and resume_from is None:
-        model_cfg = ModelConfig()
     if not windows:
         raise ValueError("training dataset is empty")
     _keep_freed_heap()

@@ -401,17 +401,19 @@ class TestSynth:
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_command_seed_does_not_seed_the_scenes(self, command):
         # --seed seeds training or sampling; ``synth --seed N`` makes other worlds
-        def first_points(seed):
+        def observed(seed):
             args = cli.parse_args([command, "--data", "synthetic", "--scenes", "2",
                                    "--peds", "3", "--frames", "30", "--seed", seed,
                                    *([] if command == "train" else ["--checkpoint", "c"]),
                                    *(["--axis", "steps"] if command == "ablate" else [])])
-            return [t.points[0].tolist() for t in cli._load_tracks(args)]
+            windows = cli._scene_windows(args, [], ModelConfig(), command != "train")
+            return [w.absolute_observed().tolist() for w in windows]
 
-        assert first_points("7") == first_points("9")
+        assert observed("7") == observed("9")
         default = data.synthesize_scenes(data.SynthConfig(n_scenes=2, peds_per_scene=3,
                                                           frames=30))
-        assert first_points("7") == [t.points[0].tolist() for t in default]
+        assert observed("7") == [w.absolute_observed().tolist() for w in data.window_scenes(
+            default, stride=ModelConfig().t_future)]
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--scenes", "0"],
@@ -617,6 +619,10 @@ def test_data_exit_codes(trained, tmp_path, capsys, command, extra, code):
     assert not (tmp_path / "out.csv").exists()
 
 
+def _unread(*args, **kw):
+    raise AssertionError("the checkpoint was read")
+
+
 def _files_under(root):
     return sorted(os.path.relpath(os.path.join(d, n), root)
                   for d, _dirs, names in os.walk(root) for n in names)
@@ -666,10 +672,7 @@ def _files_under(root):
         "ablate-out-is-the-checkpoint"])
 def test_bad_destination_is_refused_before_the_checkpoint_is_read(
         tmp_path, capsys, monkeypatch, command, outputs, code):
-    def unread(*args, **kw):
-        raise AssertionError("the checkpoint was read")
-
-    monkeypatch.setattr(checkpoint, "load_container", unread)
+    monkeypatch.setattr(checkpoint, "load_container", _unread)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_file").write_text("")
     (tmp_path / "a_dir").mkdir()
@@ -695,25 +698,28 @@ def test_bad_destination_is_refused_before_the_checkpoint_is_read(
     err = capsys.readouterr().err
     if code == 2:
         assert "data error: cannot write" in err
-    elif outputs == ["--out", "m.json"]:
-        assert "usage error: --out m.json is its own JSON summary path" in err
     else:
         assert "usage error: output" in err and "which the command also reads or writes" in err
     assert {p: (tmp_path / p).read_bytes() for p in _files_under(tmp_path)} == before
 
 
-def test_test_scene_reads_only_its_file(trained, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_test_scene_reads_only_its_file(trained, tmp_path, capsys, monkeypatch, command):
     ckpt, _ = trained
     scenes = tmp_path / "scenes"
     assert cli.main(["synth", "--out", str(scenes), "--scenes", "2", "--peds", "3",
                      "--frames", "30", "--seed", "7"]) == 0
     (scenes / "broken.txt").write_text("not a benchmark line\n")
-    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(scenes), "--strategy", "C",
-            "--r", "2", "--selection", "self-likelihood"]
+    argv = [command, "--checkpoint", str(ckpt), "--data", str(scenes), "--strategy", "C",
+            "--r", "2", "--selection", "self-likelihood",
+            *(["--axis", "gamma"] if command == "ablate" else [])]
     assert cli.main([*argv, "--test-scene", "synth00"]) == 0
     capsys.readouterr()
+
+    # a named scene without a file is refused before the checkpoint is read
+    monkeypatch.setattr(checkpoint, "load_container", _unread)
     assert cli.main([*argv, "--test-scene", "nope"]) == 2
-    assert "nope" in capsys.readouterr().err
+    assert f"test scene 'nope' has no file {scenes / 'nope.txt'}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [

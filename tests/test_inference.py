@@ -300,13 +300,16 @@ class TestEvaluate:
 
     def test_scene_report_has_unweighted_average(self, tiny_model_and_windows):
         mdl, windows = tiny_model_and_windows
-        by_scene = {}
-        for w in windows:
-            by_scene.setdefault(w.scene_id, []).append(w)
         protocol = EvalProtocol(strategy=SamplingStrategy(kind="C", r=2),
                                 selection="self-likelihood", seed=0)
-        rep = inference.evaluate_scenes(mdl, by_scene, protocol)
-        assert set(rep["scenes"]) == set(by_scene)
+        # the report groups a flat window list by scene, in sorted scene order
+        windows = windows[::-1]
+        rep = inference.evaluate_scenes(mdl, windows, protocol)
+        scenes = sorted({w.scene_id for w in windows})
+        assert list(rep["scenes"]) == scenes and len(scenes) > 1
+        for name in scenes:
+            assert rep["scenes"][name] == inference.evaluate_windows(
+                mdl, [w for w in windows if w.scene_id == name], protocol)
         expected = np.mean([s["ade"] for s in rep["scenes"].values()])
         assert math.isclose(rep["avg"]["ade"], expected, rel_tol=1e-9)
 

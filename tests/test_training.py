@@ -885,10 +885,6 @@ class TestFit:
             training.fit(_windows(), cfg, replace(MICRO, **change), out_dir=str(tmp_path),
                          resume_from=str(tmp_path / "ckpt_000006.tjdf"))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        # without settings the resume takes the checkpoint's
-        training.fit(_windows(), cfg, out_dir=str(tmp_path),
-                     resume_from=str(tmp_path / "ckpt_000006.tjdf"))
-        assert Model.load(tmp_path / "model.tjdf")[0].config == MICRO
 
     def test_killed_saves_leftovers_are_replaced(self, tmp_path):
         # a save killed before its rename leaves "<path>.tmp"; the next save
