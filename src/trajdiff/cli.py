@@ -348,9 +348,13 @@ def cmd_train(args) -> int:
 
 def _open_checkpoint(args, outputs, inputs=()) -> tuple[Model, str, inference.EvalProtocol]:
     """The checkpoint's model, the hash of its bytes and the protocol.  The
-    checkpoint is read only once each output given is a file path in a
-    directory, and none of the checkpoint, ``--config``, ``inputs`` or the
-    other outputs; an invalid protocol setting is then a usage error."""
+    checkpoint is read only once each of ``inputs`` is a file and each
+    output given is a file path in a directory, and none of the checkpoint,
+    ``--config``, ``inputs`` or the other outputs; an invalid protocol
+    setting is then a usage error."""
+    for path in inputs:
+        if not os.path.isfile(path):
+            raise data.DataError(f"cannot read {path}: not a file")
     used = {os.path.realpath(p): p for p in (args.checkpoint, args.config, *inputs) if p}
     for path in (p for p in outputs if p is not None):
         parent = os.path.dirname(path) or "."

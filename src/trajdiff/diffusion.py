@@ -41,6 +41,7 @@ CHAIN_BLOCK_ROWS = 512     # rows per block of a reverse-chain denoiser step
 # blocks of a chain step of more than CHAIN_BLOCK_ROWS rows, at least: enough
 # for two threads to even out when the host slows one of them
 CHAIN_MIN_BLOCKS = 4
+M_TOP_PAD, M_ARENA_MAX = -2, -8    # mallopt's parameters in glibc's <malloc.h>
 
 
 @dataclass
@@ -318,8 +319,26 @@ def _even_cuts(start: int, stop: int, n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def mallopt(param: int, value: int) -> bool:
+    """glibc's ``mallopt(param, value)``; returns whether it took the
+    setting.  On other C libraries it calls nothing and returns False."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+        fn = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return False
+    fn.argtypes, fn.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return fn(param, value) == 1
+
+
 @functools.cache
 def _pool() -> futures.ThreadPoolExecutor:
+    """The chain's threads, one per usable CPU.  glibc is first held to one
+    malloc arena, so the block buffers that pool threads free go back to
+    the heap every thread shares (and ``training.HEAP_TOP_PAD`` keeps),
+    not to an arena per thread that keeps them for that thread alone."""
+    mallopt(M_ARENA_MAX, 1)
     return futures.ThreadPoolExecutor(_cpus(), "chain")
 
 

@@ -145,11 +145,11 @@ class Model:
     def initial_noise(self, windows, rngs: list[np.random.Generator],
                       n_runs: int) -> np.ndarray:
         """The chain's initial states: each window's ``n_runs`` blocks of
-        [n_peds, T', 5] standard normals from its generator, in run order."""
+        [n_peds, T', 5] standard normals from its generator, in run order,
+        drawn in one call: the values and generator state of one per run."""
         shape = (self.config.t_future, distribution.STAT_CHANNELS)
-        return np.concatenate([rng.standard_normal((w.n_peds, *shape))
-                               for w, rng in zip(windows, rngs, strict=True)
-                               for _ in range(n_runs)])
+        return np.concatenate([rng.standard_normal((n_runs * w.n_peds, *shape))
+                               for w, rng in zip(windows, rngs, strict=True)])
 
     # -- persistence --------------------------------------------------------
 

@@ -25,7 +25,6 @@ model's flat parameter buffer in place.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
@@ -214,10 +213,12 @@ class AdamState:
     def __init__(self, model: Model):
         self.m = np.zeros_like(model.flat)
         self.v = np.zeros_like(model.flat)
-        # scratch for one update: the clipped gradient, two temporaries
-        # and the squared gradient in float64 for the norm
-        self._g, self._a, self._b = (np.empty_like(model.flat) for _ in range(3))
-        self._sq = np.empty(model.flat.size, dtype=np.float64)
+        # scratch for one update: the clipped gradient, and the squared
+        # gradient in float64 for the norm, whose halves then hold the two
+        # temporaries (``adam_update`` sums the norm before it writes them)
+        self._g = np.empty_like(model.flat)
+        self._sq = np.empty(model.flat.nbytes // 4, dtype=np.float64)
+        self._a, self._b = self._sq.view(model.flat.dtype).reshape(2, -1)
         self.t = 0
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -301,9 +302,14 @@ def batch_losses(batch, model: Model, rng: np.random.Generator,
     lam = np.array(weights, dtype=model.flat.dtype)
 
     def backward(g):
+        # it runs once, so each loss's backward, and the activations it
+        # keeps, goes as soon as its gradients are taken
+        nonlocal diffusion_backward, converter_backward
         grads, g_y0n, g_emb = diffusion_backward(g * lam[0])
-        return {**grads, **converter_backward(g * lam[1], g * lam[2], g_y0n),
-                **guidance.encoder_backward(g_emb, params, cfg, enc)}
+        diffusion_backward = None
+        grads.update(converter_backward(g * lam[1], g * lam[2], g_y0n))
+        converter_backward = None
+        return {**grads, **guidance.encoder_backward(g_emb, params, cfg, enc)}
 
     # (diffusion w1 + likelihood w2) + consistency w3
     total = nm._make((l_diff * lam[0] + l_llh * lam[1]) + l_con * lam[2], backward)
@@ -448,14 +454,7 @@ def _keep_freed_heap() -> bool:
     (1 BLAS thread).  The setting holds for the rest of the process and also
     stops glibc's dynamic adjustment of its mmap threshold.
     """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
-            return False
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError, ValueError):
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(-2, HEAP_TOP_PAD) == 1     # -2 is M_TOP_PAD in <malloc.h>
+    return diffusion.mallopt(diffusion.M_TOP_PAD, HEAP_TOP_PAD)
 
 
 def fit(windows, train_cfg: TrainConfig, model_cfg: ModelConfig,

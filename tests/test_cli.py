@@ -703,6 +703,21 @@ def test_bad_destination_is_refused_before_the_checkpoint_is_read(
     assert {p: (tmp_path / p).read_bytes() for p in _files_under(tmp_path)} == before
 
 
+@pytest.mark.parametrize("name", ["nosuch.txt", "a_dir"], ids=["missing", "directory"])
+def test_predict_input_that_is_not_a_file_is_refused_before_the_checkpoint_is_read(
+        tmp_path, capsys, monkeypatch, name):
+    reads = []
+    monkeypatch.setattr(checkpoint, "load_container", lambda *a: reads.append(a))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "model.tjdf").write_bytes(b"TJDF checkpoint bytes")
+    assert cli.main(["predict", "--checkpoint", "model.tjdf", "--input", name,
+                     "--out", "ok.csv"]) == 2
+    assert f"data error: cannot read {name}" in capsys.readouterr().err
+    assert reads == []
+    assert _files_under(tmp_path) == ["model.tjdf"]
+
+
 @pytest.mark.parametrize("command", ["eval", "ablate"])
 def test_test_scene_reads_only_its_file(trained, tmp_path, capsys, monkeypatch, command):
     ckpt, _ = trained

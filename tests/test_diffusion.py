@@ -5,6 +5,7 @@ import functools
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from concurrent import futures
 from dataclasses import FrozenInstanceError, replace
@@ -751,6 +752,31 @@ class TestChainTerms:
             fresh().shutdown()
         assert dff._cpus() == 3 and fresh()._max_workers == 3 and len(tasks) == 4
         assert chain.tobytes() == inline.tobytes()
+
+    @pytest.mark.parametrize("libc,calls", [
+        ("glibc 2.36", [(-8, 1)]), ("uClibc 1.0.45", []), (None, [])],
+        ids=["glibc", "other", "unnamed"])
+    def test_fresh_pool_holds_glibc_to_one_malloc_arena(self, monkeypatch, libc, calls):
+        # the pool threads' block buffers go back to the one shared heap
+        # (-8 is M_ARENA_MAX in glibc's <malloc.h>); another C library's
+        # malloc is left alone
+        made = []
+
+        def mallopt(param, value):
+            made.append((param, value))
+            return 1
+
+        def confstr(name):
+            if libc is None:
+                raise ValueError("unrecognized configuration name")
+            return libc
+
+        monkeypatch.setattr(dff.os, "confstr", confstr)
+        monkeypatch.setattr(dff.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=mallopt))
+        pool = dff._pool.__wrapped__()
+        pool.shutdown()
+        assert made == calls
 
     def test_small_chain_starts_no_thread(self, chain_workers, monkeypatch):
         chain_workers(2)

@@ -463,6 +463,21 @@ class TestBatchedEvaluation:
         inference.evaluate_windows(mdl, mixed_windows, protocol)
         assert rows == [3 * sum(w.n_peds for w in mixed_windows)] * 6
 
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_initial_noise_is_the_per_run_draws(self, tiny_model_and_windows,
+                                                mixed_windows, n_runs):
+        # one draw per window gives the bytes, and leaves the generator state,
+        # of one draw of [n_peds, T', 5] per run
+        mdl, _ = tiny_model_and_windows
+        rngs = [np.random.default_rng([8, 23, i]) for i in range(len(mixed_windows))]
+        refs = [np.random.default_rng([8, 23, i]) for i in range(len(mixed_windows))]
+        noise = mdl.initial_noise(mixed_windows, rngs, n_runs)
+        per_run = np.concatenate([rng.standard_normal((w.n_peds, MICRO.t_future, 5))
+                                  for w, rng in zip(mixed_windows, refs)
+                                  for _ in range(n_runs)])
+        assert noise.tobytes() == per_run.tobytes()
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+
 
 def test_constant_velocity_baseline_extends_last_step():
     cfg = data.SynthConfig(n_scenes=1, peds_per_scene=2, frames=20,

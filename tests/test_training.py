@@ -1,5 +1,6 @@
 """Loss components, optimizer behavior, the fit loop and resumption."""
 
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import resource
 import signal
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -284,6 +286,44 @@ class TestTrainStep:
         assert math.isclose(np.linalg.norm(g3), 3 * np.linalg.norm(g1),
                             rel_tol=1e-4)
 
+    def test_spent_activations_are_freed_before_the_encoder_backward(self, monkeypatch):
+        # the joint backward runs once: what the denoiser and the converter
+        # kept is gone, by reference counting alone, when the encoders' starts
+        windows = _windows()
+        mdl = Model.initialize(MICRO, 0)
+        mdl.norm = training.freeze_normalization(mdl, windows)
+        kept, dead = [], []
+        denoiser_apply, convert = diffusion.denoiser_apply, distribution.convert_trajectory
+        encoder_backward = guidance.encoder_backward
+
+        def keeping_denoiser(*args, keep=None, **kw):
+            out = denoiser_apply(*args, keep=keep, **kw)
+            kept.append(weakref.ref(keep["x_in"]))
+            return out
+
+        def keeping_converter(y, params, keep=None):
+            out = convert(y, params, keep)
+            kept.append(weakref.ref(keep["h"]))
+            return out
+
+        def spy(*args):
+            dead.append([ref() is None for ref in kept])
+            return encoder_backward(*args)
+
+        monkeypatch.setattr(diffusion, "denoiser_apply", keeping_denoiser)
+        monkeypatch.setattr(distribution, "convert_trajectory", keeping_converter)
+        monkeypatch.setattr(guidance, "encoder_backward", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            total, _, _ = training.batch_losses(windows[:3], mdl, np.random.default_rng(0))
+            assert [ref() is None for ref in kept] == [False, False]
+            nm.backward(total)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert dead == [[True, True]]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply$:RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostics(self):
         windows = _windows()
@@ -540,6 +580,36 @@ class TestFlatAdam:
         assert opt.m.shape == opt.v.shape == mdl.flat.shape
         assert opt.m.dtype == opt.v.dtype == mdl.flat.dtype
         assert arrays["adam.t"].dtype == np.int64 and arrays["adam.t"].tolist() == [0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_temporaries_are_the_halves_of_the_norm_buffer(self, dtype):
+        # one float64 scratch buffer: the update's two temporaries are its
+        # halves, written only after the norm is summed from it
+        mdl = Model.initialize(MICRO, 6, dtype=dtype)
+        opt = training.AdamState(mdl)
+        assert opt._sq.dtype == np.float64 and opt._sq.size >= mdl.flat.size
+        for half in (opt._a, opt._b):
+            assert half.shape == mdl.flat.shape and half.dtype == mdl.flat.dtype
+            assert np.shares_memory(half, opt._sq)
+        assert not np.shares_memory(opt._a, opt._b)
+        assert opt._sq.nbytes == opt._a.nbytes + opt._b.nbytes
+
+    def test_float64_model_matches_per_key_loop(self, monkeypatch):
+        # a float64 model's temporaries fill the norm buffer whole
+        monkeypatch.setattr(training, "GRAD_CLIP", 1e9)
+        mdl = Model.initialize(MICRO, 6, dtype=np.float64)
+        ref = {k: p.copy() for k, p in mdl.params.items()}
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        opt, rng = training.AdamState(mdl), np.random.default_rng(7)
+        for step in range(1, 5):
+            keys = list(ref) if step % 2 else [k for k in ref if k.startswith("den.")]
+            grads = {k: rng.normal(size=ref[k].shape) for k in keys}
+            training.adam_update(mdl, grads, opt, 1e-2)
+            ref.update(_reference_adam({k: ref[k] for k in keys}, grads, m, v,
+                                       step, 1e-2, 1e9))
+        for k in ref:
+            assert mdl.params[k].tobytes() == ref[k].tobytes()
 
     def test_non_contiguous_group_rejected(self):
         mdl = Model.initialize(MICRO, 6)
