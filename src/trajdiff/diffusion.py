@@ -348,13 +348,14 @@ class _ChainTerms:
 
     The input layer and the linear shortcut read the same input row
     [state | step embedding | guidance], so ``[den.in.w | den.skip.w]``,
-    split by input columns, gives three terms: the guidance projection
-    ``g`` of every row, one row ``e`` per step of ``tau`` (the step
-    embedding's projection plus ``in.b``) and the state weight ``w_x``.
-    A denoiser call then takes one K = T'*5 GEMM for both layers, adds its
-    ``g`` rows and ``e`` row, and runs ``_trunk``.  ``steps`` holds the
-    chain's steps in order, each as (k_from, A, B, gamma) of its affine
-    update.
+    split by input columns, gives three terms: the guidance weight
+    ``w_g``, one row ``e`` per step of ``tau`` (the step embedding's
+    projection plus ``in.b``) and the state weight ``w_x``.  Each block
+    projects its own guidance rows by ``w_g`` once, and a denoiser call
+    then takes one K = T'*5 GEMM for both layers, adds the block's
+    projection and its step's ``e`` row, and runs ``_trunk``.  ``steps``
+    holds the chain's steps in order, each as (k_from, A, B, gamma) of its
+    affine update.
 
     Rows go through in near-equal contiguous blocks of at most
     ``CHAIN_BLOCK_ROWS``, at least ``CHAIN_MIN_BLOCKS`` of them when there
@@ -380,8 +381,7 @@ class _ChainTerms:
         self.guidance, self.params, self.cfg, self.schedule = (guidance_rows, params, cfg,
                                                                schedule)
         w = np.concatenate([params["den.in.w"], params["den.skip.w"]], axis=1)
-        self.w_x = w[:sd]
-        self.g = np.asarray(guidance_rows, dtype=dtype) @ w[emb_end:]
+        self.w_x, self.w_g = w[:sd], w[emb_end:]
         e = step_embedding(schedule.tau, cfg.step_dim).astype(dtype) @ w[sd:emb_end]
         e[:, :width] += params["den.in.b"]
         tau = schedule.tau.tolist()
@@ -396,8 +396,8 @@ class _ChainTerms:
             # B is a float64 scalar: a Python float times float32 eps_hat stays float32
             self.steps.append((k_from, c_y + c_c / math.sqrt(a),
                                np.float64(-c_c * math.sqrt(1.0 - a) / math.sqrt(a)), gamma))
-        blocks = -(-len(self.g) // CHAIN_BLOCK_ROWS)
-        self.blocks = _even_cuts(0, len(self.g),
+        blocks = -(-len(guidance_rows) // CHAIN_BLOCK_ROWS)
+        self.blocks = _even_cuts(0, len(guidance_rows),
                                  max(blocks, CHAIN_MIN_BLOCKS) if blocks > 1 else blocks)
         self.width, self.weights = width, _trunk_weights(params, cfg)
 
@@ -436,7 +436,8 @@ class _ChainTerms:
         # two residual states in turn and one inner activation
         acts = np.empty((3, b, self.width), dtype)
         chain = functools.partial(
-            self._denoise, start, np.empty((b, sd), dtype), np.empty((b, self.width + sd), dtype),
+            self._denoise, start, np.asarray(guidance, dtype) @ self.w_g,
+            np.empty((b, sd), dtype), np.empty((b, self.width + sd), dtype),
             [acts[i % 2] for i in range(self.cfg.denoiser_blocks + 1)],
             [acts[2]] * self.cfg.denoiser_blocks, np.empty((b, sd), dtype),
             np.empty((b, sd), dtype))
@@ -455,14 +456,14 @@ class _ChainTerms:
                 return j, 1, f"non-finite state after step {k}", None
         return None
 
-    def _denoise(self, start, x, z, hs, rs, clean, eps, state, k) -> np.ndarray:
-        """The noise estimate [b, T'*5] of the block of rows from ``start``
-        with state ``state`` at step ``k``, written into the block's
-        buffers."""
+    def _denoise(self, start, g, x, z, hs, rs, clean, eps, state, k) -> np.ndarray:
+        """The noise estimate [b, T'*5] of the block of rows from ``start``,
+        whose guidance projection is ``g``, with state ``state`` at step
+        ``k``, written into the block's buffers."""
         e, gain, pull = self.read_off[k]
         x[...] = state.reshape(len(x), -1)
         np.matmul(x, self.w_x, out=z)
-        z += self.g[start:start + len(z)]
+        z += g
         z += e
         # tanh moves the input layer's strided columns into a contiguous
         # h: in-place ufuncs on z[:, :width] run up to 4x slower
@@ -502,15 +503,16 @@ def transition(schedule: Schedule, k_from: int, k_to: int,
     return (*posterior_coefficients(a_from, a_to, gamma), gamma)
 
 
-def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
+def reverse_chain(y: np.ndarray, guidance_rows, schedule: Schedule,
                   params: dict[str, np.ndarray], cfg: ModelConfig,
                   chain_rng: np.random.Generator | None = None) -> np.ndarray:
-    """Run the reverse chain down ``tau`` from ``y_init`` [M, T', 5];
-    guidance row i conditions state row i.  Each k_from -> k_to step is
-    one affine update of the float64 state, y <- A y + B eps_hat
-    (+ gamma z): the ``transition`` mean c_y y + c_c y0 with the
-    clean-state reconstruction y0 = (y - sqrt(1 - a) eps_hat) / sqrt(a),
-    a = alpha[k_from], folded in.  What no step changes (``_ChainTerms``)
+    """Run the reverse chain down ``tau`` from the initial state ``y``
+    [M, T', 5], in place, and return it (a state that is not float64 is
+    carried in a float64 copy); guidance row i conditions state row i.
+    Each k_from -> k_to step is one affine update of the float64 state,
+    y <- A y + B eps_hat (+ gamma z): the ``transition`` mean
+    c_y y + c_c y0 with the clean-state reconstruction
+    y0 = (y - sqrt(1 - a) eps_hat) / sqrt(a), a = alpha[k_from], folded in.  What no step changes (``_ChainTerms``)
     is made once per call, and the rows go through in blocks, each block
     through every step with one denoiser call per step on its rows, in
     one ``_ChainTerms.run``; rows are independent, so neither the order
@@ -518,7 +520,7 @@ def reverse_chain(y_init: np.ndarray, guidance_rows, schedule: Schedule,
     it is given ``chain_rng``: block b of ``_ChainTerms.blocks`` then draws
     its ddpm-matching noise z from child b of ``chain_rng.spawn``, so the
     noise depends on the row count, and not on the threads."""
-    y = np.array(y_init, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     terms = _ChainTerms(guidance_rows, params, cfg, schedule, chain_rng is not None)
     terms.run(y, None if chain_rng is None else chain_rng.spawn(len(terms.blocks)))
     return y

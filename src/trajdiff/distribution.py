@@ -235,7 +235,10 @@ class NormStats:
 
 
 def denormalize_stats(normed: np.ndarray, stats: NormStats) -> np.ndarray:
-    return np.asarray(normed) * stats.scale + stats.mean
+    """normed * scale + mean, in place in the float64 ``normed``; returns it."""
+    normed *= stats.scale
+    normed += stats.mean
+    return normed
 
 
 def normalize_stats(raw: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -53,8 +53,10 @@ def encoder_layout(cfg: ModelConfig, prefix: str, out_dim: int) -> dict[str, tup
 def _forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str,
              cfg: ModelConfig) -> tuple[np.ndarray, dict]:
     """One encoder on plain arrays: the context [N, out_dim] of the
-    sequences ``x`` [N, T, 2], and what ``_backward`` reads.  The
-    stacked conv weight is rebuilt from the ``conv{j}`` parameters per call."""
+    sequences ``x`` [N, T, 2], and what ``_backward`` reads: the conv
+    input ``last``, the token sequence ``seq`` and the attention weights
+    ``att_w``.  The stacked conv weight is rebuilt from the ``conv{j}``
+    parameters per call."""
     def p(name):
         return params[f"{prefix}.{name}"]
 
@@ -79,11 +81,8 @@ def _forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str,
     scores -= row_max[..., None]
     e = np.exp(scores)
     att_w = e / e.sum(axis=2, keepdims=True)
-    flat = (att_w @ v).reshape(n, t * c)
-    out = flat @ p("proj.w") + p("proj.b")
-    keep = {"last": last, "seq": seq, "q": q, "k": k, "v": v, "att_w": att_w,
-            "flat": flat, "scale": scale, "taps": taps}
-    return out, keep
+    out = (att_w @ v).reshape(n, t * c) @ p("proj.w") + p("proj.b")
+    return out, {"last": last, "seq": seq, "att_w": att_w, "scale": scale, "taps": taps}
 
 
 def _backward(g: np.ndarray, params: dict[str, np.ndarray], prefix: str,
@@ -92,20 +91,23 @@ def _backward(g: np.ndarray, params: dict[str, np.ndarray], prefix: str,
     ``g`` [N, out_dim].  Each value rounds as the primitive tape of the
     same body (kept in the tests as the reference): the sequence sums its
     value, key and query gradients in that order, each from its own
-    matmul."""
+    matmul.  The value, key and query sequences and the attention
+    output are not kept: each is recomputed with the forward's product
+    where it is read, and dropped after its last use."""
     def p(name):
         return params[f"{prefix}.{name}"]
 
     n, t, c, kern = g.shape[0], cfg.t_obs, cfg.conv_channels, cfg.kernel
-    seq, q, k, v, att_w, scale = (keep[name] for name in
-                                  ("seq", "q", "k", "v", "att_w", "scale"))
-    grads = {"proj.b": g.sum(axis=0), "proj.w": keep["flat"].T @ g}
+    seq, att_w, scale = keep["seq"], keep["att_w"], keep["scale"]
+    v = seq @ p("attn.wv")
+    grads = {"proj.b": g.sum(axis=0), "proj.w": (att_w @ v).reshape(n, t * c).T @ g}
     g_att = (g @ p("proj.w").T).reshape(n, t, c)
     gw = g_att @ v.transpose(0, 2, 1)
+    del v
     gv = att_w.transpose(0, 2, 1) @ g_att
     gs = att_w * (gw - (gw * att_w).sum(axis=2, keepdims=True))
-    gq = (gs @ k) * scale
-    gk = (gs.transpose(0, 2, 1) @ q) * scale
+    gq = (gs @ (seq @ p("attn.wk"))) * scale
+    gk = (gs.transpose(0, 2, 1) @ (seq @ p("attn.wq"))) * scale
     g_seq = None
     for name, gx in (("wv", gv), ("wk", gk), ("wq", gq)):
         grads[f"attn.{name}"] = np.tensordot(seq, gx, axes=([0, 1], [0, 1]))

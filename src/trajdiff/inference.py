@@ -171,12 +171,16 @@ def sample_windows(model: Model, windows, protocol: EvalProtocol,
     chain_rng = (np.random.default_rng([protocol.seed, 29])
                  if protocol.gamma_mode == "ddpm-matching" else None)
     per_window = model.generate(windows, rngs, n_runs, protocol.steps, chain_rng)
+    # room for one run's noise of the largest window
+    spent = np.empty((max(w.n_peds for w in windows), *per_window[0].shape[2:]))
     out = []
     for j, strategy in enumerate(strategies):
         if j or strategy.runs < n_runs:   # ``generate`` drew n_runs blocks from rngs
             rngs = [np.random.default_rng([protocol.seed, 23, i])
                     for i in range(len(windows))]
-            model.initial_noise(windows, rngs, strategy.runs)
+            for w, rng in zip(windows, rngs):
+                for _ in range(strategy.runs):
+                    rng.standard_normal(out=spent[:w.n_peds])
         out.append([_candidates(runs[:strategy.runs], w.origin, strategy, rng,
                                 protocol.selection, gt)
                     for w, rng, runs, gt in zip(windows, rngs, per_window, gts,

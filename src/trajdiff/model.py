@@ -146,10 +146,13 @@ class Model:
                       n_runs: int) -> np.ndarray:
         """The chain's initial states: each window's ``n_runs`` blocks of
         [n_peds, T', 5] standard normals from its generator, in run order,
-        drawn in one call: the values and generator state of one per run."""
-        shape = (self.config.t_future, distribution.STAT_CHANNELS)
-        return np.concatenate([rng.standard_normal((n_runs * w.n_peds, *shape))
-                               for w, rng in zip(windows, rngs, strict=True)])
+        drawn by one call into the float64 result: the values and generator
+        state of one draw per run."""
+        counts = [n_runs * w.n_peds for w in windows]
+        y = np.empty((sum(counts), self.config.t_future, distribution.STAT_CHANNELS))
+        for rng, stop, n in zip(rngs, np.cumsum(counts), counts, strict=True):
+            rng.standard_normal(out=y[stop - n:stop])
+        return y
 
     # -- persistence --------------------------------------------------------
 

@@ -449,7 +449,7 @@ def _keep_freed_heap() -> bool:
 
     Every training pass frees megabytes of activations and gradients at
     once; by default malloc hands that memory back to the OS, and the next
-    pass takes a page fault per 4 KB to get it again: about 1,900 faults
+    pass takes a page fault per 4 KB to get it again: about 1,800 faults
     per perfbench joint step, and about 2 ms of an 8.5 ms denoiser pass
     (1 BLAS thread).  The setting holds for the rest of the process and also
     stops glibc's dynamic adjustment of its mmap threshold.

@@ -148,6 +148,18 @@ def test_encode_windows_concat_and_slicing(params):
     np.testing.assert_array_equal(emb[:, CFG.d_phi:], _neighbors(obs, mask, params))
 
 
+def test_encoders_keep_no_activation_their_backward_recomputes(params):
+    # the query, key and value sequences and the attention output are
+    # recomputed by the backward from the kept sequence and weights
+    obs = _observed(3)
+    mask = np.array([[False, True, False], [True, False, False], [False] * 3])
+    keep = {}
+    guidance.encode_windows([_window(obs, mask)], params, CFG, keep)
+    assert sorted(keep) == ["hist", "nbr"]
+    for kept in keep.values():
+        assert sorted(kept) == ["att_w", "last", "scale", "seq", "taps"]
+
+
 def test_history_rejects_bad_shape(params):
     with pytest.raises(nm.NumericsError):
         guidance.encode_windows([_window(np.zeros((2, 5, 2)))], params, CFG)

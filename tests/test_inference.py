@@ -433,9 +433,19 @@ class TestBatchedEvaluation:
             rows.append(state.shape[0])
             return reference_apply(state, *args, **kwargs)
 
+        # the initial noise is drawn once, for the largest run count; the
+        # other strategies' generators are advanced one run at a time
+        draws, initial_noise = [], type(mdl).initial_noise
+
+        def drawing(model, windows, rngs, n_runs):
+            draws.append(n_runs)
+            return initial_noise(model, windows, rngs, n_runs)
+
         monkeypatch.setattr(diffusion, "denoiser_apply", counting)
+        monkeypatch.setattr(type(mdl), "initial_noise", drawing)
         shared = inference.sample_windows(mdl, mixed_windows, protocol, gts, strategies)
         assert rows == [4 * sum(w.n_peds for w in mixed_windows)] * 4
+        assert draws == [4]
         monkeypatch.undo()
         reports = inference.evaluate_windows(mdl, mixed_windows, protocol, strategies)
         assert len(shared) == len(reports) == len(strategies)
@@ -477,6 +487,15 @@ class TestBatchedEvaluation:
                                   for _ in range(n_runs)])
         assert noise.tobytes() == per_run.tobytes()
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+        # so does a run at a time into one window-size buffer, as
+        # sample_windows advances a listed strategy's generators
+        spent = np.empty((max(w.n_peds for w in mixed_windows), MICRO.t_future, 5))
+        advanced = [np.random.default_rng([8, 23, i]) for i in range(len(mixed_windows))]
+        for w, rng in zip(mixed_windows, advanced):
+            for _ in range(n_runs):
+                rng.standard_normal(out=spent[:w.n_peds])
+        assert [r.bit_generator.state for r in advanced] == [r.bit_generator.state
+                                                             for r in refs]
 
 
 def test_constant_velocity_baseline_extends_last_step():
